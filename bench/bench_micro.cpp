@@ -19,7 +19,6 @@
 #include "firmware/select.hh"
 #include "mlkit/dbscan.hh"
 #include "support/rng.hh"
-#include "support/thread_pool.hh"
 #include "synth/firmware_gen.hh"
 
 namespace {
@@ -136,22 +135,6 @@ BM_BehaviorExtraction(benchmark::State &state)
     }
 }
 BENCHMARK(BM_BehaviorExtraction);
-
-void
-BM_BehaviorExtractionParallel(benchmark::State &state)
-{
-    const auto &t = target();
-    const analysis::LinkedProgram linked(*t.main, t.libraries);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    core::BehaviorAnalyzer::Config config;
-    config.jobs = support::hardwareJobs();
-    const core::BehaviorAnalyzer analyzer(config);
-    for (auto _ : state) {
-        auto repr = analyzer.analyze(pa);
-        benchmark::DoNotOptimize(repr);
-    }
-}
-BENCHMARK(BM_BehaviorExtractionParallel);
 
 void
 BM_InferIts(benchmark::State &state)

@@ -37,7 +37,7 @@ class LinkedProgram
     LinkedProgram(const bin::BinaryImage &main,
                   const std::vector<bin::BinaryImage> &libraries);
 
-    /** Same view over cache-owned library instances. The caller keeps
+    /** Same view over shared library instances. The caller keeps
      * the shared_ptrs alive for the program's lifetime (the view stores
      * raw pointers either way). */
     LinkedProgram(

@@ -25,8 +25,9 @@ struct ProgramAnalysis
     static ProgramAnalysis analyze(const LinkedProgram &linked,
                                    const UcseConfig &config = {});
 
-    /** Assemble from precomputed per-function analyses (the analysis
-     * cache concatenates per-image vectors). `fns` must be in the
+    /** Assemble from precomputed per-function analyses (the corpus
+     * benchmark's traced driver concatenates per-image vectors, as
+     * `cache::functionAnalyses` returns them). `fns` must be in the
      * linked program's FnId order — each element analyzing exactly
      * `linked.fn(i)` — which per-image `program.functions()` chunks in
      * [main, libs...] order reproduce by construction. Only the call

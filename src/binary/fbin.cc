@@ -334,11 +334,6 @@ loadBinary(const std::vector<std::uint8_t> &bytes)
         return err(ErrorCode::Corrupt, "trailing bytes after function table");
 
     image.reindexImports();
-    // Content-address the image by the bytes it came from; the cache
-    // keys cross-sample lift/analysis sharing on this hash. Hash the
-    // full buffer (not the chaos-truncated view): a truncated decode
-    // errors out above and never reaches this point.
-    image.contentHash = support::fnv1a(bytes.data(), bytes.size());
     return R::ok(std::move(image));
 }
 

@@ -95,10 +95,6 @@ class BinaryImage
     std::vector<std::string> neededLibraries;
     ir::Program program;
     bool stripped = false;
-    /** FNV-1a of the FBIN bytes this image was loaded from; 0 for
-     * images built programmatically. Content-addresses the image in
-     * the cross-sample analysis cache. */
-    std::uint64_t contentHash = 0;
 
     /** Section containing the address, or nullptr. */
     const Section *sectionContaining(Addr addr) const;

@@ -1,17 +1,15 @@
 #include "cache.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 
-#include "binary/fbin.hh"
-#include "cache/fingerprint.hh"
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/strings.hh"
@@ -19,9 +17,6 @@
 namespace fits::cache {
 
 namespace {
-
-/** Bumps when the meaning of any fingerprint input changes. */
-constexpr std::uint64_t kAnalysisFingerprintVersion = 1;
 
 /** Disk entry format version; a mismatch reads as a miss. */
 constexpr std::uint32_t kDiskFormatVersion = 1;
@@ -83,30 +78,6 @@ bumpDiskCorrupt()
 
 // ---- memory tier ---------------------------------------------------
 
-/** A lifted image together with one config's analysis products. The
- * two travel as one object so cached `FunctionAnalysis::image`/`fn`
- * pointers can never outlive — or diverge from — their image. */
-struct AnalyzedImage
-{
-    std::shared_ptr<const bin::BinaryImage> image;
-    std::vector<analysis::FunctionAnalysis> fns;
-};
-
-struct ImageOutcome
-{
-    std::shared_ptr<const bin::BinaryImage> image; ///< null = failed
-    support::Status status;
-};
-
-template <typename V>
-struct Slot
-{
-    std::shared_future<V> future;
-    std::uint64_t id = 0;    ///< insertion identity (ABA guard)
-    std::uint64_t tick = 0;  ///< LRU clock
-    std::size_t bytes = 0;   ///< 0 while unresolved (never evicted)
-};
-
 struct BlobEntry
 {
     std::shared_ptr<const std::string> payload;
@@ -114,43 +85,12 @@ struct BlobEntry
     std::size_t bytes = 0;
 };
 
-struct AnalysisKey
-{
-    const void *image = nullptr;
-    std::uint64_t fingerprint = 0;
-
-    bool
-    operator==(const AnalysisKey &other) const
-    {
-        return image == other.image &&
-               fingerprint == other.fingerprint;
-    }
-};
-
-struct AnalysisKeyHash
-{
-    std::size_t
-    operator()(const AnalysisKey &key) const
-    {
-        const auto a =
-            reinterpret_cast<std::uintptr_t>(key.image);
-        return static_cast<std::size_t>(
-            (a * 0x9e3779b97f4a7c15ull) ^ key.fingerprint);
-    }
-};
-
 struct State
 {
     std::mutex mutex;
     Options options;
-    std::uint64_t nextId = 0;
     std::uint64_t tick = 0;
     std::size_t totalBytes = 0;
-    std::unordered_map<std::uint64_t, Slot<ImageOutcome>> images;
-    std::unordered_map<AnalysisKey,
-                       Slot<std::shared_ptr<const AnalyzedImage>>,
-                       AnalysisKeyHash>
-        analyses;
     std::unordered_map<std::string, BlobEntry> blobs;
 };
 
@@ -188,99 +128,39 @@ publishBytesLocked(const State &s)
                       static_cast<double>(s.totalBytes));
 }
 
-/** Rough footprint of a lifted image: section bytes dominate; code
- * statements and tables ride on fixed per-item estimates. */
-std::size_t
-approxImageBytes(const bin::BinaryImage &image)
-{
-    std::size_t total = sizeof(bin::BinaryImage) + 1024;
-    total += image.byteSize();
-    for (const auto &fn : image.program.functions()) {
-        total += 128 + fn.blocks.size() * 64;
-        for (const auto &block : fn.blocks)
-            total += block.stmts.size() * sizeof(ir::Stmt);
-    }
-    return total;
-}
-
-std::size_t
-approxAnalysesBytes(const AnalyzedImage &product)
-{
-    std::size_t total = sizeof(AnalyzedImage);
-    for (const auto &fa : product.fns) {
-        total += sizeof(analysis::FunctionAnalysis) + 256;
-        std::size_t stmts = 0;
-        for (const auto &block : fa.fn->blocks)
-            stmts += block.stmts.size();
-        // DDG chains and def sets scale with statement count.
-        total += fa.fn->blocks.size() * 96 + stmts * 48;
-        total += fa.flow.defs.size() * 32;
-    }
-    return total;
-}
-
-/** Evict resolved least-recently-used entries until under budget.
- * In-flight slots (bytes == 0) are skipped: their future is the
- * single-flight rendezvous. */
+/** Evict least-recently-used blobs until under budget. */
 void
 evictLocked(State &s)
 {
-    while (s.totalBytes > s.options.maxBytes) {
-        enum class Kind { None, Image, Analysis, Blob };
-        Kind kind = Kind::None;
-        std::uint64_t best = ~0ull;
-        std::uint64_t imageKey = 0;
-        AnalysisKey analysisKey;
-        const std::string *blobKey = nullptr;
-
-        for (const auto &[key, slot] : s.images) {
-            if (slot.bytes > 0 && slot.tick < best) {
-                best = slot.tick;
-                kind = Kind::Image;
-                imageKey = key;
-            }
-        }
-        for (const auto &[key, slot] : s.analyses) {
-            if (slot.bytes > 0 && slot.tick < best) {
-                best = slot.tick;
-                kind = Kind::Analysis;
-                analysisKey = key;
-            }
-        }
-        for (const auto &[key, entry] : s.blobs) {
-            if (entry.tick < best) {
-                best = entry.tick;
-                kind = Kind::Blob;
-                blobKey = &key;
-            }
-        }
-
-        switch (kind) {
-          case Kind::None:
-            return; // everything left is in-flight
-          case Kind::Image: {
-            auto it = s.images.find(imageKey);
-            s.totalBytes -= it->second.bytes;
-            s.images.erase(it);
-            break;
-          }
-          case Kind::Analysis: {
-            auto it = s.analyses.find(analysisKey);
-            s.totalBytes -= it->second.bytes;
-            s.analyses.erase(it);
-            break;
-          }
-          case Kind::Blob: {
-            auto it = s.blobs.find(*blobKey);
-            s.totalBytes -= it->second.bytes;
-            s.blobs.erase(it);
-            break;
-          }
-        }
+    while (s.totalBytes > s.options.maxBytes && !s.blobs.empty()) {
+        const auto oldest = std::min_element(
+            s.blobs.begin(), s.blobs.end(),
+            [](const auto &a, const auto &b) {
+                return a.second.tick < b.second.tick;
+            });
+        s.totalBytes -= oldest->second.bytes;
+        s.blobs.erase(oldest);
         counters().evictions.fetch_add(1, std::memory_order_relaxed);
         if (obs::enabled())
             obs::addCounter("cache.evictions");
     }
+}
+
+/** Put `payload` in the memory tier under `key`. Keys are
+ * content-derived, so an existing entry already holds these bytes and
+ * only has its recency refreshed. */
+void
+rememberLocked(State &s, const std::string &key, std::string_view payload)
+{
+    auto &entry = s.blobs[key];
+    entry.tick = ++s.tick;
+    if (entry.payload != nullptr)
+        return;
+    entry.payload = std::make_shared<const std::string>(payload);
+    entry.bytes = key.size() + payload.size() + 64;
+    s.totalBytes += entry.bytes;
+    evictLocked(s);
+    publishBytesLocked(s);
 }
 
 std::string
@@ -418,29 +298,6 @@ writeDiskEntry(const std::string &dir, const std::string &path,
         std::filesystem::remove(tmp, ec);
 }
 
-/** Aliasing view of the product's analysis vector; keeps the image
- * (and the whole product) alive through the returned pointer. */
-std::shared_ptr<const std::vector<analysis::FunctionAnalysis>>
-fnsView(std::shared_ptr<const AnalyzedImage> product)
-{
-    const auto *fns = &product->fns;
-    return {std::move(product), fns};
-}
-
-std::shared_ptr<const AnalyzedImage>
-computeAnalyses(const std::shared_ptr<const bin::BinaryImage> &image,
-                const analysis::UcseConfig &config)
-{
-    auto product = std::make_shared<AnalyzedImage>();
-    product->image = image;
-    product->fns.reserve(image->program.size());
-    for (const auto &fn : image->program.functions()) {
-        product->fns.push_back(
-            analysis::FunctionAnalysis::analyze(*image, fn, config));
-    }
-    return product;
-}
-
 } // namespace
 
 void
@@ -466,8 +323,6 @@ clearMemory()
 {
     State &s = state();
     const std::lock_guard<std::mutex> lock(s.mutex);
-    s.images.clear();
-    s.analyses.clear();
     s.blobs.clear();
     s.totalBytes = 0;
     publishBytesLocked(s);
@@ -522,169 +377,17 @@ diskUsable()
     return s.options.disk && !s.options.dir.empty();
 }
 
-std::uint64_t
-fingerprintOf(const analysis::UcseConfig &config)
-{
-    return Fingerprint()
-        .mix(kAnalysisFingerprintVersion)
-        .mix(static_cast<std::uint64_t>(config.maxSteps))
-        .mix(static_cast<std::uint64_t>(config.maxVisitsPerBlock))
-        .value();
-}
-
-support::Result<std::shared_ptr<const bin::BinaryImage>>
-loadImage(const std::vector<std::uint8_t> &bytes)
-{
-    using R = support::Result<std::shared_ptr<const bin::BinaryImage>>;
-    if (!memoryUsable()) {
-        auto loaded = bin::loadBinary(bytes);
-        if (!loaded)
-            return R::error(loaded.status());
-        return R::ok(std::make_shared<const bin::BinaryImage>(
-            loaded.take()));
-    }
-
-    const std::uint64_t key = support::fnv1a(bytes.data(),
-                                             bytes.size());
-    State &s = state();
-    std::promise<ImageOutcome> promise;
-    std::shared_future<ImageOutcome> future;
-    bool owner = false;
-    std::uint64_t id = 0;
-    {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.images.find(key);
-        if (it != s.images.end()) {
-            it->second.tick = ++s.tick;
-            future = it->second.future;
-        } else {
-            owner = true;
-            id = ++s.nextId;
-            Slot<ImageOutcome> slot;
-            slot.future = promise.get_future().share();
-            slot.id = id;
-            slot.tick = ++s.tick;
-            future = slot.future;
-            s.images.emplace(key, std::move(slot));
-        }
-    }
-
-    if (!owner) {
-        // Single-flight join: someone else is (or was) loading these
-        // exact bytes; share their outcome.
-        const ImageOutcome &outcome = future.get();
-        if (outcome.image == nullptr) {
-            bumpMiss();
-            return R::error(outcome.status);
-        }
-        bumpHit();
-        return R::ok(outcome.image);
-    }
-
-    bumpMiss();
-    ImageOutcome outcome;
-    auto loaded = bin::loadBinary(bytes);
-    if (!loaded) {
-        outcome.status = loaded.status();
-        promise.set_value(outcome);
-        // Failures are not cached: drop the slot so a later call with
-        // the same (possibly repaired on disk) content retries.
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.images.find(key);
-        if (it != s.images.end() && it->second.id == id)
-            s.images.erase(it);
-        return R::error(outcome.status);
-    }
-    outcome.image =
-        std::make_shared<const bin::BinaryImage>(loaded.take());
-    promise.set_value(outcome);
-
-    const std::size_t entryBytes = approxImageBytes(*outcome.image);
-    {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.images.find(key);
-        if (it != s.images.end() && it->second.id == id) {
-            it->second.bytes = entryBytes;
-            s.totalBytes += entryBytes;
-            evictLocked(s);
-        }
-        publishBytesLocked(s);
-    }
-    return R::ok(outcome.image);
-}
-
 std::shared_ptr<const std::vector<analysis::FunctionAnalysis>>
 functionAnalyses(const std::shared_ptr<const bin::BinaryImage> &image,
                  const analysis::UcseConfig &config)
 {
-    // An active deadline makes results timing-dependent (partial
-    // exploration); never share or store those.
-    if (config.deadline.active() || !memoryUsable())
-        return fnsView(computeAnalyses(image, config));
-
-    const AnalysisKey key{image.get(), fingerprintOf(config)};
-    State &s = state();
-    std::promise<std::shared_ptr<const AnalyzedImage>> promise;
-    std::shared_future<std::shared_ptr<const AnalyzedImage>> future;
-    bool owner = false;
-    std::uint64_t id = 0;
-    {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.analyses.find(key);
-        if (it != s.analyses.end()) {
-            it->second.tick = ++s.tick;
-            future = it->second.future;
-        } else {
-            owner = true;
-            id = ++s.nextId;
-            Slot<std::shared_ptr<const AnalyzedImage>> slot;
-            slot.future = promise.get_future().share();
-            slot.id = id;
-            slot.tick = ++s.tick;
-            future = slot.future;
-            s.analyses.emplace(key, std::move(slot));
-        }
-    }
-
-    if (!owner) {
-        const std::shared_ptr<const AnalyzedImage> &product =
-            future.get();
-        if (product == nullptr) {
-            // The computing thread failed; analyze independently so
-            // its exception surfaces in the right worker.
-            bumpMiss();
-            return fnsView(computeAnalyses(image, config));
-        }
-        bumpHit();
-        return fnsView(product);
-    }
-
     bumpMiss();
-    std::shared_ptr<const AnalyzedImage> product;
-    try {
-        product = computeAnalyses(image, config);
-    } catch (...) {
-        promise.set_value(nullptr);
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.analyses.find(key);
-        if (it != s.analyses.end() && it->second.id == id)
-            s.analyses.erase(it);
-        throw;
-    }
-    promise.set_value(product);
-
-    const std::size_t entryBytes = approxAnalysesBytes(*product);
-    {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        auto it = s.analyses.find(key);
-        if (it != s.analyses.end() && it->second.id == id) {
-            it->second.bytes = entryBytes;
-            s.totalBytes += entryBytes;
-            evictLocked(s);
-        }
-        publishBytesLocked(s);
-    }
-    return fnsView(product);
+    auto fns = std::make_shared<std::vector<analysis::FunctionAnalysis>>();
+    fns->reserve(image->program.size());
+    for (const auto &fn : image->program.functions())
+        fns->push_back(
+            analysis::FunctionAnalysis::analyze(*image, fn, config));
+    return fns;
 }
 
 std::string
@@ -753,18 +456,7 @@ fetchBlob(std::string_view kind, std::uint64_t key1,
     if (memTier) {
         // Promote so the next fetch in this process skips the disk.
         const std::lock_guard<std::mutex> lock(s.mutex);
-        auto &entry = s.blobs[key];
-        if (entry.payload == nullptr) {
-            entry.payload =
-                std::make_shared<const std::string>(*payload);
-            entry.bytes = key.size() + payload->size() + 64;
-            entry.tick = ++s.tick;
-            s.totalBytes += entry.bytes;
-            evictLocked(s);
-            publishBytesLocked(s);
-        } else {
-            entry.tick = ++s.tick;
-        }
+        rememberLocked(s, key, *payload);
     }
     return payload;
 }
@@ -783,20 +475,7 @@ storeBlob(std::string_view kind, std::uint64_t key1,
 
     if (memTier) {
         const std::lock_guard<std::mutex> lock(s.mutex);
-        auto &entry = s.blobs[key];
-        if (entry.payload == nullptr) {
-            entry.payload =
-                std::make_shared<const std::string>(payload);
-            entry.bytes = key.size() + payload.size() + 64;
-            entry.tick = ++s.tick;
-            s.totalBytes += entry.bytes;
-            evictLocked(s);
-            publishBytesLocked(s);
-        } else {
-            // Keys are content-derived, so an existing entry already
-            // holds these bytes; just refresh recency.
-            entry.tick = ++s.tick;
-        }
+        rememberLocked(s, key, payload);
     }
 
     if (diskTier) {

@@ -10,40 +10,37 @@
 
 #include "analysis/function_analysis.hh"
 #include "binary/image.hh"
-#include "support/result.hh"
 
 namespace fits::cache {
 
 /**
- * Two-level analysis memoization, shared by every pipeline in the
- * process:
+ * Blob store for serialized whole-sample products, shared by every
+ * pipeline in the process:
  *
- *  - *Memory tier:* content-hash-keyed canonical binary images
- *    (`loadImage`) and per-image function-analysis products
- *    (`functionAnalyses`), plus a byte-keyed blob store for serialized
- *    whole-sample products. A dependency library that appears in N
- *    corpus images is lifted and UCSE-analyzed once; concurrent
- *    CorpusRunner workers that miss on the same key compute it exactly
- *    once (single-flight futures).
- *  - *Disk tier:* an optional persistent blob store under a cache
- *    directory (`FITS_CACHE_DIR` or `configure()`), with a versioned,
+ *  - *Memory tier:* a byte-keyed LRU of payloads, so a sample analyzed
+ *    earlier in the same process (a repeated `fits rank`, a second
+ *    served sweep) is not re-analyzed.
+ *  - *Disk tier:* an optional persistent store under a cache directory
+ *    (`FITS_CACHE_DIR` or `configure()`), with a versioned,
  *    checksummed entry format. Any validation failure — bad magic,
  *    version skew, length or checksum mismatch, a short read — quietly
  *    degrades to a miss; repeated `fits corpus` invocations become
  *    incremental.
  *
+ * Lifted images and per-function analyses are not cached: every sample
+ * lifts and analyzes its own binaries.
+ *
  * Correctness rules, enforced here and relied on by the determinism
  * test suite:
  *  - Results are bit-identical with and without the cache, and across
- *    hits vs. misses: memory-tier products are shared immutable
- *    objects, and the blob tier stores doubles by bit pattern.
+ *    hits vs. misses: payloads are immutable bytes, and the codecs
+ *    store doubles by bit pattern.
  *  - Caching is bypassed whenever fault injection is armed outside the
  *    "cache." sites (`chaos::rulesConfinedTo`): a fault that fires
  *    inside a cached computation must neither be masked by a hit nor
  *    baked into a stored entry.
  *  - Callers must additionally bypass when a wall-clock deadline is
- *    active (partial results are not reusable); `functionAnalyses`
- *    checks this itself.
+ *    active (partial results are not reusable).
  *
  * Eviction: the memory tier is LRU over approximate entry bytes with a
  * configurable budget; the disk tier is never evicted here (entries
@@ -53,7 +50,7 @@ namespace fits::cache {
 
 struct Options
 {
-    /** In-process tiers (images, analyses, memory blobs). */
+    /** In-process blob tier. */
     bool memory = true;
     /** Persistent blob tier; requires a non-empty `dir`. */
     bool disk = false;
@@ -76,7 +73,7 @@ void clearMemory();
  * current approximate memory-tier footprint (not monotonic). */
 struct Stats
 {
-    std::uint64_t hits = 0;       ///< memory-tier hits (all stores)
+    std::uint64_t hits = 0;       ///< memory-tier hits
     std::uint64_t misses = 0;     ///< memory-tier misses
     std::uint64_t diskHits = 0;   ///< disk-tier hits
     std::uint64_t diskMisses = 0; ///< disk-tier misses
@@ -96,32 +93,16 @@ bool memoryUsable();
 bool diskUsable();
 
 /**
- * Load (lift) a binary through the cache: bytes are content-hashed and
- * the parsed image is shared — every caller passing the same bytes
- * gets the same immutable instance, so downstream pointer-keyed
- * structures (LinkedProgram, FunctionAnalysis) line up across samples.
- * On bypass, loads directly. Load failures are returned as-is and
- * never cached.
- */
-support::Result<std::shared_ptr<const bin::BinaryImage>>
-loadImage(const std::vector<std::uint8_t> &bytes);
-
-/**
- * Per-image function analyses under `config`, keyed by (image
- * identity, config fingerprint) — identity keying makes the cached
- * `FunctionAnalysis::image`/`fn` pointers valid for the caller's
- * LinkedProgram by construction. The returned vector is in
- * `image->program` order (the LinkedProgram's per-image order) and
- * owns a reference to the image. Computes directly (uncached) when the
- * tier is bypassed or `config.deadline` is active.
+ * The function analyses of `image` under `config`, in `image->program`
+ * order; they point into `*image`, which the caller keeps alive. Never
+ * memoized: every call computes afresh and counts one miss in
+ * `Stats::misses`. Nothing in the pipeline calls it; it exists for
+ * the corpus benchmark's traced driver (corpusbench/), which replays
+ * reaching-defs for each image whose call counted a miss.
  */
 std::shared_ptr<const std::vector<analysis::FunctionAnalysis>>
 functionAnalyses(const std::shared_ptr<const bin::BinaryImage> &image,
                  const analysis::UcseConfig &config);
-
-/** Fingerprint of the UCSE knobs that shape analysis results (the
- * deadline is excluded — deadline-bearing runs bypass the cache). */
-std::uint64_t fingerprintOf(const analysis::UcseConfig &config);
 
 /**
  * Fetch a serialized product from the blob store: memory tier first,

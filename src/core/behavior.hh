@@ -56,15 +56,6 @@ class BehaviorAnalyzer
         analysis::UcseConfig ucse;
         /** Cap on backtracked constants classified per argument. */
         std::size_t maxStringsPerArg = 4;
-        /**
-         * Worker threads for the per-function feature-extraction loop
-         * (functions are independent by construction; each worker
-         * writes only its own record). 1 = serial. Intentionally NOT
-         * tied to FITS_JOBS: corpus-level fan-out already saturates
-         * the machine, so intra-sample parallelism is opt-in for
-         * single-image workloads (the `fits rank` hot path).
-         */
-        std::size_t jobs = 1;
     };
 
     BehaviorAnalyzer();

@@ -44,9 +44,8 @@ std::optional<BehaviorBundle> decodeBehaviorBundle(
 /**
  * Fingerprint of every configuration knob that shapes a BehaviorRepr,
  * plus the serialization format version. Used as the second cache key
- * next to the firmware content hash; `jobs` is excluded (the parallel
- * extraction loop is bit-identical to serial), and the UCSE deadline is
- * excluded because deadline-bearing runs never consult the cache.
+ * next to the firmware content hash. The UCSE deadline is excluded
+ * because deadline-bearing runs never consult the cache.
  */
 std::uint64_t behaviorConfigFingerprint(
     const BehaviorAnalyzer::Config &config);

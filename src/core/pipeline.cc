@@ -234,28 +234,10 @@ FitsPipeline::analyzeTargetStages(fw::AnalysisTarget target) const
                 support::Deadline::afterMs(config_.budgets.behaviorMs);
         }
 
-        // Per-image analysis products come from the process-wide
-        // cache keyed by image identity + config, so a library shared
-        // by many samples is UCSE-analyzed once. Concatenating the
-        // per-image vectors in [main, libs...] order reproduces the
-        // LinkedProgram's FnId order exactly; the cache computes
-        // directly (bit-identically) whenever it is bypassed — e.g.
-        // under an active deadline or non-cache fault injection.
-        std::vector<analysis::FunctionAnalysis> fns;
-        fns.reserve(artifact.linked->fnCount());
-        const auto appendImage =
-            [&](const std::shared_ptr<const bin::BinaryImage> &image) {
-                const auto cached =
-                    cache::functionAnalyses(image, ucseConfig);
-                fns.insert(fns.end(), cached->begin(), cached->end());
-            };
-        appendImage(artifact.target->main);
-        for (const auto &lib : artifact.target->libraries)
-            appendImage(lib);
         artifact.analysis =
             std::make_unique<analysis::ProgramAnalysis>(
-                analysis::ProgramAnalysis::fromFunctionAnalyses(
-                    *artifact.linked, std::move(fns)));
+                analysis::ProgramAnalysis::analyze(*artifact.linked,
+                                                   ucseConfig));
         artifact.timings.ucseMs = ucseTimer.stopMs();
 
         std::size_t expired = 0;

@@ -11,11 +11,47 @@ namespace {
 /** A failure worth one more attempt: an expired deadline, an injected
  * fault, or an internal error — anything a second, cheaper run can
  * plausibly get past. Deterministic parse errors are not retried. */
+template <typename Outcome>
 bool
-retryable(const InferenceOutcome &outcome)
+retryable(const Outcome &outcome)
 {
     return !outcome.ok && !outcome.status.isOk() &&
            outcome.status.isTransient();
+}
+
+bool
+retryable(const CorpusRunner::FullOutcome &full)
+{
+    return retryable(full.inference);
+}
+
+template <typename Outcome>
+void
+markRetried(Outcome &outcome)
+{
+    outcome.retried = true;
+}
+
+void
+markRetried(CorpusRunner::FullOutcome &full)
+{
+    markRetried(full.inference);
+    markRetried(full.taint);
+}
+
+template <typename Outcome>
+void
+failWith(Outcome &outcome, const std::string &error)
+{
+    outcome.error = error;
+    outcome.status = support::Status::internal(error);
+}
+
+void
+failWith(CorpusRunner::FullOutcome &full, const std::string &error)
+{
+    failWith(full.inference, error);
+    failWith(full.taint, error);
 }
 
 } // namespace
@@ -66,30 +102,43 @@ CorpusRunner::taintPipelineConfig() const
     return config;
 }
 
-std::vector<InferenceOutcome>
-CorpusRunner::runInference(
-    const std::vector<synth::GeneratedFirmware> &corpus) const
+template <typename R, typename AnalyzeFn, typename LabelFn>
+std::vector<R>
+CorpusRunner::runEach(std::size_t count,
+                      const core::PipelineConfig &pipeline,
+                      AnalyzeFn &&analyze, LabelFn &&label) const
 {
-    const core::PipelineConfig pipeline = inferencePipelineConfig();
-    return map<InferenceOutcome>(
-        corpus.size(),
+    return map<R>(
+        count,
         [&](std::size_t i) {
-            auto outcome = eval::runInference(corpus[i], pipeline);
+            R outcome = analyze(i, pipeline);
             if (retryable(outcome)) {
                 obs::addCounter("corpus.retries");
-                outcome = eval::runInference(
-                    corpus[i], degradedPipelineConfig());
-                outcome.retried = true;
+                outcome = analyze(i, degradedPipelineConfig());
+                markRetried(outcome);
             }
             return outcome;
         },
         [&](std::size_t i, const std::string &message) {
-            InferenceOutcome outcome;
+            R outcome;
+            label(i, outcome);
+            failWith(outcome, "worker exception: " + message);
+            return outcome;
+        });
+}
+
+std::vector<InferenceOutcome>
+CorpusRunner::runInference(
+    const std::vector<synth::GeneratedFirmware> &corpus) const
+{
+    return runEach<InferenceOutcome>(
+        corpus.size(), inferencePipelineConfig(),
+        [&](std::size_t i, const core::PipelineConfig &config) {
+            return eval::runInference(corpus[i], config);
+        },
+        [&](std::size_t i, InferenceOutcome &outcome) {
             outcome.spec = corpus[i].spec;
             outcome.truth = corpus[i].truth;
-            outcome.error = "worker exception: " + message;
-            outcome.status = support::Status::internal(outcome.error);
-            return outcome;
         });
 }
 
@@ -97,26 +146,14 @@ std::vector<InferenceOutcome>
 CorpusRunner::runInferenceOnSpecs(
     const std::vector<synth::SampleSpec> &specs) const
 {
-    const core::PipelineConfig pipeline = inferencePipelineConfig();
-    return map<InferenceOutcome>(
-        specs.size(),
-        [&](std::size_t i) {
-            const auto fw = synth::generateFirmware(specs[i]);
-            auto outcome = eval::runInference(fw, pipeline);
-            if (retryable(outcome)) {
-                obs::addCounter("corpus.retries");
-                outcome =
-                    eval::runInference(fw, degradedPipelineConfig());
-                outcome.retried = true;
-            }
-            return outcome;
+    return runEach<InferenceOutcome>(
+        specs.size(), inferencePipelineConfig(),
+        [&](std::size_t i, const core::PipelineConfig &config) {
+            return eval::runInference(synth::generateFirmware(specs[i]),
+                                      config);
         },
-        [&](std::size_t i, const std::string &message) {
-            InferenceOutcome outcome;
+        [&](std::size_t i, InferenceOutcome &outcome) {
             outcome.spec = specs[i];
-            outcome.error = "worker exception: " + message;
-            outcome.status = support::Status::internal(outcome.error);
-            return outcome;
         });
 }
 
@@ -124,26 +161,13 @@ std::vector<TaintOutcome>
 CorpusRunner::runTaint(
     const std::vector<synth::GeneratedFirmware> &corpus) const
 {
-    const core::PipelineConfig pipeline = taintPipelineConfig();
-    return map<TaintOutcome>(
-        corpus.size(),
-        [&](std::size_t i) {
-            auto outcome = eval::runTaint(corpus[i], pipeline);
-            if (!outcome.ok && !outcome.status.isOk() &&
-                outcome.status.isTransient()) {
-                obs::addCounter("corpus.retries");
-                outcome = eval::runTaint(corpus[i],
-                                         degradedPipelineConfig());
-                outcome.retried = true;
-            }
-            return outcome;
+    return runEach<TaintOutcome>(
+        corpus.size(), taintPipelineConfig(),
+        [&](std::size_t i, const core::PipelineConfig &config) {
+            return eval::runTaint(corpus[i], config);
         },
-        [&](std::size_t i, const std::string &message) {
-            TaintOutcome outcome;
+        [&](std::size_t i, TaintOutcome &outcome) {
             outcome.spec = corpus[i].spec;
-            outcome.error = "worker exception: " + message;
-            outcome.status = support::Status::internal(outcome.error);
-            return outcome;
         });
 }
 
@@ -151,42 +175,23 @@ std::vector<CorpusRunner::FullOutcome>
 CorpusRunner::runFull(
     const std::vector<synth::GeneratedFirmware> &corpus) const
 {
-    return map<FullOutcome>(
-        corpus.size(),
-        [&](std::size_t i) {
-            const auto analyzeWith =
-                [&](const core::PipelineConfig &config) {
-                    const core::FitsPipeline pipeline(config);
-                    const core::PipelineArtifact artifact =
-                        pipeline.analyze(corpus[i].bytes);
-                    FullOutcome full;
-                    full.inference = inferenceOutcome(
-                        artifact, corpus[i].spec, corpus[i].truth);
-                    full.taint = taintOutcome(
-                        artifact, corpus[i].spec, corpus[i].truth,
-                        config.budgets.taintMs);
-                    return full;
-                };
-            FullOutcome full = analyzeWith(taintPipelineConfig());
-            if (retryable(full.inference)) {
-                obs::addCounter("corpus.retries");
-                full = analyzeWith(degradedPipelineConfig());
-                full.inference.retried = true;
-                full.taint.retried = true;
-            }
+    return runEach<FullOutcome>(
+        corpus.size(), taintPipelineConfig(),
+        [&](std::size_t i, const core::PipelineConfig &config) {
+            const core::PipelineArtifact artifact =
+                core::FitsPipeline(config).analyze(corpus[i].bytes);
+            FullOutcome full;
+            full.inference = inferenceOutcome(artifact, corpus[i].spec,
+                                              corpus[i].truth);
+            full.taint = taintOutcome(artifact, corpus[i].spec,
+                                      corpus[i].truth,
+                                      config.budgets.taintMs);
             return full;
         },
-        [&](std::size_t i, const std::string &message) {
-            FullOutcome full;
+        [&](std::size_t i, FullOutcome &full) {
             full.inference.spec = corpus[i].spec;
             full.inference.truth = corpus[i].truth;
-            full.inference.error = "worker exception: " + message;
-            full.inference.status =
-                support::Status::internal(full.inference.error);
             full.taint.spec = corpus[i].spec;
-            full.taint.error = full.inference.error;
-            full.taint.status = full.inference.status;
-            return full;
         });
 }
 

@@ -133,6 +133,19 @@ class CorpusRunner
     }
 
   private:
+    /**
+     * The fan-out behind every run* method: outcome i is
+     * analyze(i, pipeline), re-run once under degradedPipelineConfig()
+     * (counted in `corpus.retries`, marked `retried`) when it failed
+     * transiently. If a worker throws, outcome i instead carries the
+     * sample identity that label(i, outcome) fills in and a
+     * "worker exception" error.
+     */
+    template <typename R, typename AnalyzeFn, typename LabelFn>
+    std::vector<R> runEach(std::size_t count,
+                           const core::PipelineConfig &pipeline,
+                           AnalyzeFn &&analyze, LabelFn &&label) const;
+
     /** Reduced-budget pipeline config used for the one retry a
      * transiently-failed sample gets. */
     core::PipelineConfig degradedPipelineConfig() const;

@@ -1,6 +1,6 @@
 #include "select.hh"
 
-#include "cache/cache.hh"
+#include "binary/fbin.hh"
 #include "chaos/chaos.hh"
 #include "support/logging.hh"
 #include "support/status.hh"
@@ -25,6 +25,18 @@ isReceiveStyle(const std::string &name)
 {
     return name == "recv" || name == "recvfrom" || name == "recvmsg" ||
            name == "accept";
+}
+
+/** Lift `bytes` into a shared immutable image. */
+support::Result<std::shared_ptr<const bin::BinaryImage>>
+liftImage(const std::vector<std::uint8_t> &bytes)
+{
+    using R = support::Result<std::shared_ptr<const bin::BinaryImage>>;
+    auto loaded = bin::loadBinary(bytes);
+    if (!loaded)
+        return R::error(loaded.status());
+    return R::ok(
+        std::make_shared<const bin::BinaryImage>(loaded.take()));
 }
 
 } // namespace
@@ -57,7 +69,7 @@ selectAnalysisTarget(const Filesystem &filesystem)
 
     for (const FileEntry *entry :
          filesystem.filesOfType(FileType::Executable)) {
-        auto loaded = cache::loadImage(entry->bytes);
+        auto loaded = liftImage(entry->bytes);
         if (!loaded) {
             support::logWarn("select", entry->path + ": " +
                                            loaded.errorMessage());
@@ -99,7 +111,7 @@ selectAnalysisTarget(const Filesystem &filesystem)
             target.missingLibraries.push_back(dep);
             continue;
         }
-        auto lib = cache::loadImage(libEntry->bytes);
+        auto lib = liftImage(libEntry->bytes);
         if (!lib) {
             target.missingLibraries.push_back(dep);
             support::logWarn("select",

@@ -13,11 +13,11 @@ namespace fits::fw {
 
 /**
  * The unit FITS analyzes: the network-facing binary plus its resolved
- * dependency libraries (found via the DT_NEEDED-style list). Images are
- * shared immutable instances owned by the analysis cache: the same
- * library bytes appearing in many firmware samples select the same
- * in-memory image, which is what lets per-image analysis products be
- * reused across samples.
+ * dependency libraries (found via the DT_NEEDED-style list). Each
+ * sample lifts its own images; they are immutable and held by
+ * shared_ptr, so whoever takes the target (a pipeline artifact, a
+ * PipelineResult) keeps them alive for the LinkedProgram built over
+ * them.
  */
 struct AnalysisTarget
 {

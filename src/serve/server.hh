@@ -19,8 +19,8 @@ namespace fits::serve {
  * The resident analysis daemon behind `fits serve`: a unix-domain
  * socket accepting length-prefixed JSON requests (`serve::wire`),
  * executed on a shared `support::ThreadPool` over the process-wide
- * analysis cache — N clients analyzing overlapping firmware share
- * lifted images and behavior bundles across requests.
+ * blob cache — N clients ranking overlapping firmware share behavior
+ * bundles across requests.
  *
  * Flow control: admitted-but-unfinished requests are bounded by
  * `ServerConfig::queueLimit`. A request arriving above the limit is

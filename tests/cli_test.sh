@@ -43,6 +43,22 @@ grep -q "wall clock" "$DIR/corpus.out"
 grep -q "failed samples:" "$DIR/corpus.out"
 grep -q "^cache: .* tier=mem$" "$DIR/corpus.out"
 
+# The answers are pinned, not only compared across configurations: the
+# report body (after the two header lines, up to `wall clock:`) equals
+# the committed expected text for the inference and the taint tables.
+EXPECTED="$(dirname "$0")/../corpusbench/expected"
+expect_body() {
+    tail -n +3 "$1" | sed '/^wall clock:/,$d' > "$1.body"
+    cmp "$EXPECTED/$2" "$1.body" || {
+        echo "$1 differs from corpusbench/expected/$2:" >&2
+        diff "$EXPECTED/$2" "$1.body" >&2 || true
+        exit 1
+    }
+}
+expect_body "$DIR/corpus.out" inference.txt
+FITS_JOBS=2 "$FITS" corpus --taint > "$DIR/corpus_taint.out" 2> /dev/null
+expect_body "$DIR/corpus_taint.out" taint.txt
+
 # --no-cache turns every tier off; a persistent tier via FITS_CACHE_DIR
 # makes the second invocation warm. Result tables are identical in all
 # three configurations.

@@ -16,7 +16,9 @@ bin::BinaryImage
 imageWithTable()
 {
     bin::BinaryImage image;
-    image.name = "t";
+    // Move-assigned: GCC 12 at -O3 flags the literal assignment with
+    // a false-positive -Wrestrict.
+    image.name = std::string("t");
     bin::Section rodata;
     rodata.name = ".rodata";
     rodata.addr = bin::kRodataBase;

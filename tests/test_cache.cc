@@ -21,7 +21,6 @@
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
 #include "eval/harness.hh"
-#include "firmware/fwimg.hh"
 #include "synth/firmware_gen.hh"
 
 namespace fits {
@@ -74,8 +73,7 @@ class CacheTest : public ::testing::Test
     std::string dir_;
 };
 
-/** A small deterministic corpus with shared per-vendor libraries, so
- * cross-sample image/analysis reuse actually occurs. */
+/** A small deterministic corpus of distinct Tenda samples. */
 std::vector<synth::GeneratedFirmware>
 smallCorpus(std::size_t n)
 {
@@ -207,31 +205,6 @@ TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
 }
 
 // ---- memory tier -------------------------------------------------------
-
-TEST_F(CacheTest, LoadImageSharesOneInstancePerContent)
-{
-    const auto corpus = smallCorpus(1);
-    auto unpacked = fw::unpackFirmware(corpus[0].bytes);
-    ASSERT_TRUE(unpacked);
-    const auto &files = unpacked.value().filesystem.files();
-    ASSERT_FALSE(files.empty());
-
-    // The first liftable file will do; config files fail to load and
-    // (by design) are never cached.
-    bool tested = false;
-    for (const auto &entry : files) {
-        const auto first = cache::loadImage(entry.bytes);
-        if (!first)
-            continue;
-        const auto second = cache::loadImage(entry.bytes);
-        ASSERT_TRUE(second);
-        EXPECT_EQ(first.value().get(), second.value().get());
-        tested = true;
-        break;
-    }
-    ASSERT_TRUE(tested);
-    EXPECT_GE(cache::stats().hits, 1u);
-}
 
 TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
 {

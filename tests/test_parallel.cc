@@ -1,7 +1,7 @@
 /** @file Tests of the parallel corpus evaluation engine: ThreadPool
  * semantics, CorpusRunner determinism vs the serial path, per-sample
- * failure isolation, the intra-sample parallel BFV stage, logger
- * thread-safety, and the DBSCAN duplicate-seed regression. */
+ * failure isolation, logger thread-safety, and the DBSCAN duplicate-seed
+ * regression. */
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/behavior.hh"
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
 #include "mlkit/dbscan.hh"
@@ -69,33 +68,6 @@ TEST(ThreadPool, WaitIsReusableAndIdempotent)
     pool.wait();
     pool.wait();
     EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ParallelFor, CoversEachIndexExactlyOnce)
-{
-    std::vector<int> hits(1000, 0);
-    support::ThreadPool::parallelFor(
-        8, hits.size(), [&hits](std::size_t i) { hits[i] += 1; });
-    for (int h : hits)
-        EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelFor, SerialFallbackAndRethrow)
-{
-    // jobs == 1 degrades to a serial loop.
-    std::vector<std::size_t> order;
-    support::ThreadPool::parallelFor(
-        1, 5, [&order](std::size_t i) { order.push_back(i); });
-    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-
-    // An exception from the body propagates like a serial loop's.
-    EXPECT_THROW(support::ThreadPool::parallelFor(
-                     4, 64,
-                     [](std::size_t i) {
-                         if (i == 33)
-                             throw std::runtime_error("boom");
-                     }),
-                 std::runtime_error);
 }
 
 TEST(ResolveJobs, ExplicitThenEnvThenHardware)
@@ -306,55 +278,6 @@ TEST(CorpusRunner, ThrowingTaskFailsOnlyItsOwnSample)
             EXPECT_TRUE(results[i].ok);
             EXPECT_EQ(results[i].value, static_cast<int>(i) * 10);
         }
-    }
-}
-
-// ---- Intra-sample parallel BFV extraction --------------------------
-
-TEST(BehaviorAnalyzer, ParallelBfvStageMatchesSerial)
-{
-    synth::SampleSpec spec;
-    spec.profile = synth::tendaProfile();
-    spec.profile.minCustomFns = 150;
-    spec.profile.maxCustomFns = 220;
-    spec.product = spec.profile.series.front();
-    spec.version = "V1";
-    spec.name = spec.product + "-V1";
-    spec.seed = 0x60d;
-    const auto fw = synth::generateFirmware(spec);
-
-    core::PipelineConfig serialConfig;
-    core::PipelineConfig parallelConfig;
-    parallelConfig.behavior.jobs = 4;
-    const auto serial =
-        core::FitsPipeline(serialConfig).analyze(fw.bytes);
-    const auto parallel =
-        core::FitsPipeline(parallelConfig).analyze(fw.bytes);
-    ASSERT_TRUE(serial.ok);
-    ASSERT_TRUE(parallel.ok);
-
-    const auto &a = serial.behavior;
-    const auto &b = parallel.behavior;
-    ASSERT_EQ(a.records.size(), b.records.size());
-    for (std::size_t i = 0; i < a.records.size(); ++i) {
-        EXPECT_EQ(a.records[i].bfv.toVector(),
-                  b.records[i].bfv.toVector());
-        EXPECT_EQ(a.records[i].isCustom, b.records[i].isCustom);
-        EXPECT_EQ(a.records[i].isAnchor, b.records[i].isAnchor);
-        EXPECT_EQ(a.records[i].augmentedCfg, b.records[i].augmentedCfg);
-        EXPECT_EQ(a.records[i].attributedCfg,
-                  b.records[i].attributedCfg);
-    }
-    EXPECT_EQ(a.customFns, b.customFns);
-    EXPECT_EQ(a.anchorFns, b.anchorFns);
-
-    ASSERT_EQ(serial.inference.ranking.size(),
-              parallel.inference.ranking.size());
-    for (std::size_t i = 0; i < serial.inference.ranking.size(); ++i) {
-        EXPECT_EQ(serial.inference.ranking[i].entry,
-                  parallel.inference.ranking[i].entry);
-        EXPECT_DOUBLE_EQ(serial.inference.ranking[i].score,
-                         parallel.inference.ranking[i].score);
     }
 }
 

@@ -101,14 +101,18 @@ TEST_P(SeedSweep, BfvInvariants)
         EXPECT_LE(bfv.numParams, 4.0);
         EXPECT_LE(bfv.numAnchorCalls, bfv.numLibCalls + 0.5)
             << "anchor calls are library calls";
-        if (bfv.paramsControlLoop)
+        if (bfv.paramsControlLoop) {
             EXPECT_TRUE(bfv.hasLoop);
-        if (bfv.numDistinctStrings > 0)
+        }
+        if (bfv.numDistinctStrings > 0) {
             EXPECT_TRUE(bfv.argsHaveStrings);
-        if (bfv.argsHaveStrings)
+        }
+        if (bfv.argsHaveStrings) {
             EXPECT_GE(bfv.numDistinctStrings, 1.0);
-        if (bfv.paramsToAnchor)
+        }
+        if (bfv.paramsToAnchor) {
             EXPECT_GE(bfv.numAnchorCalls, 1.0);
+        }
     }
 }
 

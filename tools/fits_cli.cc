@@ -28,10 +28,10 @@
  *   fits serve --socket PATH [--jobs N] [--queue-limit N]
  *              [--request-timeout-ms MS] [--metrics-out FILE]
  *       Run the resident analysis service on a unix-domain socket:
- *       N clients share one process-wide analysis cache, so repeated
- *       or overlapping requests reuse lifted images and behavior
- *       bundles. SIGTERM/SIGINT drain gracefully (stop accepting,
- *       finish in-flight requests, flush metrics).
+ *       N clients share one process-wide blob cache, so a repeated
+ *       rank or corpus request reuses the behavior bundles an earlier
+ *       request stored. SIGTERM/SIGINT drain gracefully (stop
+ *       accepting, finish in-flight requests, flush metrics).
  *   fits client --socket PATH <op> [args]
  *       Submit one request to a running `fits serve` and print the
  *       same tables the one-shot commands print (ops: ping, rank,
@@ -502,8 +502,8 @@ cmdCorpus(int argc, char **argv)
     if (!metricsOut.empty())
         obs::setEnabled(true);
     if (!options.cache) {
-        // Turn off every tier, including the in-process one the
-        // pipeline uses for per-image analyses.
+        // Turn off both tiers: the in-process one as well as a disk
+        // tier that FITS_CACHE_DIR armed at startup.
         cache::Options off;
         off.memory = false;
         off.disk = false;
