@@ -18,8 +18,7 @@ namespace fits::cache {
  * pipeline in the process:
  *
  *  - *Memory tier:* a byte-keyed LRU of payloads, so a sample analyzed
- *    earlier in the same process (a repeated `fits rank`, a second
- *    served sweep) is not re-analyzed.
+ *    earlier in the same process is not re-analyzed.
  *  - *Disk tier:* an optional persistent store under a cache directory
  *    (`FITS_CACHE_DIR` or `configure()`), with a versioned,
  *    checksummed entry format. Any validation failure — bad magic,

@@ -57,13 +57,6 @@ catalog()
          "miss)"},
         {"cache.write", Stage::Io,
          "a persistent cache entry fails to write (entry skipped)"},
-        {"serve.accept", Stage::Serve,
-         "an accepted connection drops before its first request"},
-        {"serve.read", Stage::Serve,
-         "a received request frame is treated as unreadable "
-         "(per-request error response)"},
-        {"serve.write", Stage::Serve,
-         "a response frame fails to send (connection dropped)"},
     };
     return sites;
 }

@@ -9,10 +9,13 @@
 
 #include "analysis/program_analysis.hh"
 #include "cache/cache.hh"
+#include "core/pipeline.hh"
+#include "eval/corpus_runner.hh"
 #include "eval/tables.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
 #include "support/strings.hh"
+#include "synth/firmware_gen.hh"
 #include "taint/karonte.hh"
 #include "taint/sta.hh"
 
@@ -32,8 +35,10 @@ readFileBytes(const std::string &path,
     return true;
 }
 
-} // namespace
-
+/** Load every *.fwimg under `dir` (sorted by path) as a corpus
+ * sample; ground truth stays empty. Returns false with the exact
+ * one-shot diagnostic in `error` when `dir` is missing, not a
+ * directory, or unlistable. */
 bool
 loadCorpusDir(const std::string &dir,
               std::vector<synth::GeneratedFirmware> *corpus,
@@ -82,6 +87,8 @@ loadCorpusDir(const std::string &dir,
     return true;
 }
 
+} // namespace
+
 CorpusReport
 runCorpusReport(const CorpusOptions &options)
 {
@@ -104,17 +111,16 @@ runCorpusReport(const CorpusOptions &options)
     CorpusRunner::Config config;
     config.jobs = options.jobs;
     config.cache = options.cache;
-    config.pipeline = options.pipeline;
     const CorpusRunner runner(config);
 
     report.ok = true;
     report.samples = corpus.size();
     report.jobs = runner.jobs();
-    report.header = support::format(
-        "evaluating %zu samples with %zu worker threads...\n\n",
-        corpus.size(), runner.jobs());
-    if (options.onHeader)
-        options.onHeader(report.header);
+    if (options.onHeader) {
+        options.onHeader(support::format(
+            "evaluating %zu samples with %zu worker threads...\n\n",
+            corpus.size(), runner.jobs()));
+    }
 
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<CorpusRunner::FullOutcome> outcomes;
@@ -193,15 +199,16 @@ runCorpusReport(const CorpusOptions &options)
     // Failure accounting: every sample whose pipeline (or taint
     // batch) errored, identified by its spec. Degraded samples
     // (partial results) are listed separately and are not failures.
+    std::size_t degraded = 0, retried = 0;
     for (const auto &outcome : outcomes) {
         const std::string &name = outcome.inference.spec.name.empty()
                                       ? outcome.taint.spec.name
                                       : outcome.inference.spec.name;
         if (outcome.inference.retried || outcome.taint.retried)
-            ++report.retried;
+            ++retried;
         if (outcome.inference.degraded ||
             (options.taint && outcome.taint.degraded)) {
-            ++report.degraded;
+            ++degraded;
             const auto &issues = outcome.inference.degraded
                                      ? outcome.inference.issues
                                      : outcome.taint.issues;
@@ -231,10 +238,10 @@ runCorpusReport(const CorpusOptions &options)
     }
     report.text += support::format("\nfailed samples: %zu/%zu\n",
                                    report.failed, outcomes.size());
-    if (report.degraded > 0 || report.retried > 0) {
+    if (degraded > 0 || retried > 0) {
         report.text += support::format(
-            "degraded samples: %zu/%zu (%zu retried)\n",
-            report.degraded, outcomes.size(), report.retried);
+            "degraded samples: %zu/%zu (%zu retried)\n", degraded,
+            outcomes.size(), retried);
     }
     return report;
 }
@@ -271,10 +278,10 @@ renderCacheSummary()
 
 TextReport
 runRankReport(const std::vector<std::uint8_t> &bytes, std::size_t top,
-              bool useSymbols, const core::PipelineConfig &base)
+              bool useSymbols)
 {
     TextReport report;
-    core::PipelineConfig config = base;
+    core::PipelineConfig config;
     // Repeated ranks of the same image are served from the cache
     // (persistently so under FITS_CACHE_DIR); the ranking is
     // bit-identical either way.

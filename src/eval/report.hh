@@ -7,21 +7,17 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hh"
-#include "eval/corpus_runner.hh"
-#include "synth/firmware_gen.hh"
-
 namespace fits::eval {
 
 /**
- * Text-report layer shared by the one-shot CLI (`fits corpus`,
- * `fits rank`, `fits taint`) and the resident service (`fits serve`):
- * one implementation renders the evaluation tables, so the serial
- * client path can be diffed bit-for-bit against the one-shot tool.
+ * Text reports of the `fits corpus`, `fits rank` and `fits taint`
+ * commands. Keeping the rendering out of the CLI's argument handling
+ * lets tests/cli_test.sh pin the `fits corpus` body byte-for-byte
+ * against corpusbench/expected/.
  *
  * Everything here is deterministic except wall-clock milliseconds,
- * which are reported as data (never baked into `text`) so callers can
- * place — or filter — the timing line themselves.
+ * which are reported as data (never baked into `text`) so the caller
+ * places the timing line itself.
  */
 
 /** One corpus evaluation request. */
@@ -36,11 +32,9 @@ struct CorpusOptions
     /** Evaluate every *.fwimg under this directory instead of the
      * standard synthetic corpus. */
     std::string dir;
-    /** Pipeline configuration applied to every sample. */
-    core::PipelineConfig pipeline;
-    /** Called with the "evaluating N samples..." header once the
-     * corpus is loaded, before the (long) evaluation runs — the
-     * one-shot CLI uses it for eager progress output. */
+    /** Called with the "evaluating N samples with J worker
+     * threads...\n\n" header once the corpus is loaded, before the
+     * (long) evaluation runs, so the CLI shows progress. */
     std::function<void(const std::string &)> onHeader;
 };
 
@@ -52,8 +46,6 @@ struct CorpusReport
     bool ok = false;
     std::string error;
 
-    /** "evaluating N samples with J worker threads...\n\n" */
-    std::string header;
     /** Deterministic report body: the per-vendor precision table,
      * the taint-engine table (when requested), and the
      * failed/degraded summary lines. */
@@ -64,8 +56,6 @@ struct CorpusReport
 
     std::size_t samples = 0;
     std::size_t failed = 0;
-    std::size_t degraded = 0;
-    std::size_t retried = 0;
     /** Resolved worker count used for the fan-out. */
     std::size_t jobs = 0;
     double wallMs = 0.0;
@@ -101,8 +91,7 @@ struct TextReport
 /** `fits rank` body: run the pipeline on image bytes and render the
  * analyzed-summary line plus the top-`top` ranking. */
 TextReport runRankReport(const std::vector<std::uint8_t> &bytes,
-                         std::size_t top, bool useSymbols,
-                         const core::PipelineConfig &base = {});
+                         std::size_t top, bool useSymbols);
 
 /** `fits taint` body: run one engine ("sta" or "karonte") with the
  * classical sources plus the given ITS addresses and render the alert
@@ -110,14 +99,6 @@ TextReport runRankReport(const std::vector<std::uint8_t> &bytes,
 TextReport runTaintReport(const std::vector<std::uint8_t> &bytes,
                           const std::string &engine,
                           const std::vector<std::uint64_t> &itsAddrs);
-
-/** Load every *.fwimg under `dir` (sorted by path) as a corpus
- * sample; ground truth stays empty. Returns false with the exact
- * one-shot diagnostic in `error` when `dir` is missing, not a
- * directory, or unlistable. */
-bool loadCorpusDir(const std::string &dir,
-                   std::vector<synth::GeneratedFirmware> *corpus,
-                   std::string *error);
 
 } // namespace fits::eval
 

@@ -19,7 +19,6 @@ stageName(Stage stage)
       case Stage::Infer:      return "infer";
       case Stage::Taint:      return "taint";
       case Stage::Corpus:     return "corpus";
-      case Stage::Serve:      return "serve";
     }
     return "?";
 }

@@ -27,7 +27,6 @@ enum class Stage : std::uint8_t {
     Infer,      ///< clustering + ranking
     Taint,      ///< taint engines
     Corpus,     ///< corpus-level driver
-    Serve,      ///< resident analysis service (fits serve)
 };
 
 const char *stageName(Stage stage);

@@ -129,6 +129,17 @@ if "$FITS" bogus-command x 2> /dev/null; then
     exit 1
 fi
 
+# An unknown vendor is a usage error (exit 2), and nothing is written.
+rc=0
+"$FITS" gen "$DIR/bogus.fwimg" --vendor Bogus > /dev/null \
+    2> "$DIR/badvendor.err" || rc=$?
+test "$rc" -eq 2 || {
+    echo "expected exit 2 for an unknown vendor, got $rc" >&2
+    exit 1
+}
+grep -q "usage:" "$DIR/badvendor.err"
+test ! -e "$DIR/bogus.fwimg"
+
 # Corrupted on-disk images fail with a typed unpack error — never a
 # crash: a truncated copy and a bit-flipped copy of a valid image.
 head -c 100 "$IMG" > "$DIR/trunc.fwimg"
@@ -183,88 +194,5 @@ FITS_STAGE_TIMEOUT_MS=0.001 "$FITS" corpus --dir "$DIR/corpus" \
     --jobs 1 > "$DIR/degraded.out" 2> "$DIR/degraded.err"
 grep -q "degraded samples: 1/1" "$DIR/degraded.out"
 grep -q "sample degraded" "$DIR/degraded.err"
-
-# ---------------------------------------------------------------------
-# Resident service: `fits serve` + `fits client` render the same
-# tables as the one-shot CLI, share the analysis cache across
-# requests, and drain gracefully on SIGTERM.
-SOCK="$DIR/serve.sock"
-"$FITS" serve --socket "$SOCK" --jobs 2 > "$DIR/serve.out" 2>&1 &
-SERVE_PID=$!
-i=0
-while [ ! -S "$SOCK" ] && [ "$i" -lt 100 ]; do
-    sleep 0.1
-    i=$((i + 1))
-done
-test -S "$SOCK"
-
-"$FITS" client --socket "$SOCK" ping > "$DIR/ping.out"
-grep -q '"status":"ok"' "$DIR/ping.out"
-
-# A served corpus sweep is byte-identical to the one-shot tool (wall
-# clock and cache lines are nondeterministic and filtered, as above).
-"$FITS" corpus --dir "$DIR/corpus" --jobs 2 \
-    > "$DIR/oneshot.out" 2> "$DIR/oneshot.err"
-"$FITS" client --socket "$SOCK" corpus --dir "$DIR/corpus" --jobs 2 \
-    > "$DIR/served.out" 2> "$DIR/served.err"
-grep -v "wall clock\|^cache:" "$DIR/oneshot.out" > "$DIR/oneshot.cmp"
-grep -v "wall clock\|^cache:" "$DIR/served.out" > "$DIR/served.cmp"
-cmp "$DIR/oneshot.cmp" "$DIR/served.cmp" || {
-    echo "served corpus output differs from one-shot" >&2
-    exit 1
-}
-cmp "$DIR/oneshot.err" "$DIR/served.err" || {
-    echo "served corpus stderr differs from one-shot" >&2
-    exit 1
-}
-
-# A second served sweep reuses the first request's analyses: the
-# server's cumulative cache hit count grows across requests.
-"$FITS" client --socket "$SOCK" corpus --dir "$DIR/corpus" --jobs 2 \
-    > "$DIR/served2.out"
-HITS1=$(sed -n 's/^cache: \([0-9]*\) hits.*/\1/p' "$DIR/served.out")
-HITS2=$(sed -n 's/^cache: \([0-9]*\) hits.*/\1/p' "$DIR/served2.out")
-test "$HITS2" -gt "$HITS1" || {
-    echo "expected served cache hits to grow ($HITS1 -> $HITS2)" >&2
-    exit 1
-}
-
-# Served rank matches the one-shot ranking (the header line carries a
-# wall-clock figure; the ranking lines are deterministic).
-"$FITS" client --socket "$SOCK" rank "$IMG" --top 3 \
-    > "$DIR/served_rank.out"
-tail -n +2 "$DIR/rank.out" > "$DIR/rank.cmp"
-tail -n +2 "$DIR/served_rank.out" > "$DIR/served_rank.cmp"
-cmp "$DIR/rank.cmp" "$DIR/served_rank.cmp" || {
-    echo "served rank output differs from one-shot" >&2
-    exit 1
-}
-
-# The metrics request reports server-side counters and cache state.
-"$FITS" client --socket "$SOCK" metrics > "$DIR/served_metrics.out"
-grep -q '"requests":' "$DIR/served_metrics.out"
-grep -q '"cache":' "$DIR/served_metrics.out"
-
-# Server-side errors are relayed verbatim with a non-zero exit.
-if "$FITS" client --socket "$SOCK" rank /nonexistent.fwimg \
-        2> "$DIR/served_err.err"; then
-    echo "expected served rank of a missing file to fail" >&2
-    exit 1
-fi
-grep -q "no such file" "$DIR/served_err.err"
-
-# SIGTERM drains gracefully: the server finishes, reports its tally,
-# and removes the socket file.
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-grep -q "drained" "$DIR/serve.out"
-test ! -e "$SOCK"
-
-# A client with no server reports a clean connection error.
-if "$FITS" client --socket "$SOCK" ping 2> "$DIR/noserver.err"; then
-    echo "expected client to fail without a server" >&2
-    exit 1
-fi
-grep -q "client:" "$DIR/noserver.err"
 
 echo "cli ok"

@@ -217,8 +217,6 @@ TEST_F(ChaosTest, EveryPipelineSiteFiresAndIsHandled)
             continue; // those paths are driven separately below
         if (name.rfind("cache.", 0) == 0)
             continue; // driven by test_cache.cc (needs a disk tier)
-        if (name.rfind("serve.", 0) == 0)
-            continue; // driven by test_serve.cc (needs a socket)
         for (std::uint64_t seed = 1; seed <= 5; ++seed) {
             ASSERT_TRUE(chaos::configure(
                 name + ":" + std::to_string(seed)));

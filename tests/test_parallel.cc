@@ -1,7 +1,7 @@
 /** @file Tests of the parallel corpus evaluation engine: ThreadPool
  * semantics, CorpusRunner determinism vs the serial path, per-sample
- * failure isolation, logger thread-safety, and the DBSCAN duplicate-seed
- * regression. */
+ * failure isolation, logger thread-safety, and DBSCAN labels against a
+ * reference oracle. */
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
 #include "mlkit/dbscan.hh"
+#include "mlkit/scaling.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 #include "support/thread_pool.hh"
@@ -309,10 +310,10 @@ TEST(Logger, ConcurrentLoggingAndLevelChangesAreSafe)
     SUCCEED();
 }
 
-// ---- DBSCAN duplicate-seed regression ------------------------------
+// ---- DBSCAN reference oracle ---------------------------------------
 
-/** The pre-fix expansion: enqueues every neighbor unconditionally.
- * Kept as the reference semantics for the regression test. */
+/** Textbook DBSCAN that enqueues every neighbor unconditionally: the
+ * reference semantics ml::dbscan's labels must reproduce. */
 ml::DbscanResult
 referenceDbscan(const ml::Matrix &points, const ml::DbscanConfig &config)
 {
@@ -363,12 +364,13 @@ referenceDbscan(const ml::Matrix &points, const ml::DbscanConfig &config)
     return result;
 }
 
-TEST(Dbscan, DedupedSeedsPreserveLabelsOnDenseBlob)
+/** A dense blob (every point within eps of every other) is the worst
+ * case for the old expansion: each expanded point re-enqueued all n
+ * neighbors, growing the deque O(n^2). Two looser satellite groups and
+ * five genuine noise points ride along. */
+ml::Matrix
+denseBlobPoints()
 {
-    // A dense blob (every point within eps of every other) is the
-    // worst case for the old expansion: each expanded point re-enqueued
-    // all n neighbors, growing the deque O(n^2). Labels must be
-    // identical with the duplicate-seed fix.
     support::Rng rng(0x5eed);
     ml::Matrix points;
     for (int i = 0; i < 120; ++i) {
@@ -377,7 +379,6 @@ TEST(Dbscan, DedupedSeedsPreserveLabelsOnDenseBlob)
             x = rng.uniformReal() * 0.01;
         points.push_back(std::move(v));
     }
-    // Two looser satellite groups plus genuine noise points.
     for (int i = 0; i < 40; ++i) {
         ml::Vec v(3);
         v[0] = 5.0 + rng.uniformReal() * 0.2;
@@ -393,17 +394,11 @@ TEST(Dbscan, DedupedSeedsPreserveLabelsOnDenseBlob)
         v[2] = 7.0 * i;
         points.push_back(std::move(v));
     }
-
-    const ml::DbscanConfig config{0.5, 4, ml::Metric::Euclidean};
-    const auto fixed = ml::dbscan(points, config);
-    const auto reference = referenceDbscan(points, config);
-    EXPECT_EQ(fixed.labels, reference.labels);
-    EXPECT_EQ(fixed.numClusters, reference.numClusters);
-    EXPECT_GE(fixed.numClusters, 3);
-    EXPECT_EQ(fixed.noiseCount(), 5u);
+    return points;
 }
 
-TEST(Dbscan, UniformNoiseStillMatchesReference)
+ml::Matrix
+uniformNoisePoints()
 {
     support::Rng rng(0xd5);
     ml::Matrix points;
@@ -413,11 +408,103 @@ TEST(Dbscan, UniformNoiseStillMatchesReference)
             x = rng.uniformReal() * 10.0;
         points.push_back(std::move(v));
     }
-    const ml::DbscanConfig config{0.8, 3, ml::Metric::Euclidean};
-    const auto fixed = ml::dbscan(points, config);
-    const auto reference = referenceDbscan(points, config);
+    return points;
+}
+
+ml::Matrix
+allIdenticalPoints()
+{
+    return ml::Matrix(300, ml::Vec{0.25, 1.0, 0.0, 0.5});
+}
+
+/** Real BFV matrices are about 3.4 % distinct rows: about 1,000 rows
+ * drawn, with a skew toward the first few, from 40 distinct
+ * small-integer vectors, then max-abs scaled as inference does. The
+ * rarest vectors fall under minPts and stay noise. */
+ml::Matrix
+duplicateHeavyPoints()
+{
+    support::Rng rng(0xb5f);
+    ml::Matrix distinct;
+    for (int i = 0; i < 40; ++i) {
+        ml::Vec v(9);
+        for (auto &x : v)
+            x = static_cast<double>(rng.uniformInt(0, 6));
+        distinct.push_back(std::move(v));
+    }
+    ml::Matrix points;
+    for (int i = 0; i < 1000; ++i) {
+        const double u = rng.uniformReal();
+        points.push_back(distinct[static_cast<std::size_t>(
+            u * u * u * static_cast<double>(distinct.size()))]);
+    }
+    return ml::maxAbsScale(points);
+}
+
+/** The first standard-corpus sample's custom-function BFVs, max-abs
+ * scaled: the exact matrix core::inferIts hands to ml::dbscan. */
+ml::Matrix
+corpusSamplePoints()
+{
+    const auto firmware =
+        synth::generateFirmware(synth::standardDataset().front());
+    const auto result = core::FitsPipeline().run(firmware.bytes);
+    EXPECT_TRUE(result.ok) << result.error;
+    ml::Matrix custom;
+    for (analysis::FnId id : result.behavior.customFns)
+        custom.push_back(result.behavior.records[id].bfv.toVector());
+    return ml::maxAbsScale(custom);
+}
+
+struct OracleCase
+{
+    const char *name;
+    ml::Matrix (*points)();
+    ml::DbscanConfig config;
+    int minClusters;
+    int noise; ///< expected noise count, or -1 to leave unchecked
+};
+
+void
+expectMatchesOracle(const OracleCase &c)
+{
+    SCOPED_TRACE(c.name);
+    const ml::Matrix points = c.points();
+    ASSERT_FALSE(points.empty());
+    const auto fixed = ml::dbscan(points, c.config);
+    const auto reference = referenceDbscan(points, c.config);
     EXPECT_EQ(fixed.labels, reference.labels);
     EXPECT_EQ(fixed.numClusters, reference.numClusters);
+    EXPECT_GE(fixed.numClusters, c.minClusters);
+    if (c.noise >= 0) {
+        EXPECT_EQ(fixed.noiseCount(), static_cast<std::size_t>(c.noise));
+    }
+}
+
+TEST(Dbscan, DedupedSeedsPreserveLabelsOnDenseBlob)
+{
+    expectMatchesOracle({"dense blob", denseBlobPoints,
+                         {0.5, 4, ml::Metric::Euclidean}, 3, 5});
+}
+
+TEST(Dbscan, UniformNoiseStillMatchesReference)
+{
+    expectMatchesOracle({"uniform noise", uniformNoisePoints,
+                         {0.8, 3, ml::Metric::Euclidean}, 0, -1});
+}
+
+/** Duplicate-heavy inputs shaped like the BFV matrices inference
+ * clusters. */
+TEST(Dbscan, LabelsMatchReferenceOracle)
+{
+    const ml::DbscanConfig inferConfig = core::InferConfig{}.dbscan;
+    const OracleCase cases[] = {
+        {"all identical", allIdenticalPoints, inferConfig, 1, 0},
+        {"duplicate heavy", duplicateHeavyPoints, inferConfig, 2, -1},
+        {"corpus sample", corpusSamplePoints, inferConfig, 2, -1},
+    };
+    for (const auto &c : cases)
+        expectMatchesOracle(c);
 }
 
 } // namespace

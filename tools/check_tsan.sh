@@ -29,11 +29,4 @@ TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
 TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
     --gtest_filter='CacheTest.*'
 
-# The `fits serve` daemon multiplexes connection reader threads, the
-# worker pool, admission accounting, and the drain sequence; the serve
-# suite's concurrent-client and drain tests are the proof they hold
-# under TSan.
-TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
-    --gtest_filter='Serve*'
-
 echo "tsan: no data races detected"

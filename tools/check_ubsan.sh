@@ -1,9 +1,9 @@
 #!/bin/sh
 # Build the test suite under UndefinedBehaviorSanitizer and run the
 # suites most likely to hit UB on adversarial input: the corruption /
-# truncation fuzzers, the chaos fault-injection sweep, the binary and
-# firmware container decoders, and the serve wire codec (hostile
-# frames). Any UB report aborts the run (-fno-sanitize-recover=all).
+# truncation fuzzers, the chaos fault-injection sweep, and the binary
+# and firmware container decoders. Any UB report aborts the run
+# (-fno-sanitize-recover=all).
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -e
@@ -15,6 +15,6 @@ fits_sanitized_tests "$BUILD" undefined
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Deadline.*:Corruption.*:Fbin.*:ByteBuf.*:Fwimg.*:ServeWire.*'
+    --gtest_filter='ChaosTest.*:Deadline.*:Corruption.*:Fbin.*:ByteBuf.*:Fwimg.*'
 
 echo "ubsan: no undefined behavior detected"

@@ -25,30 +25,15 @@
  *       cache (results are identical either way — set FITS_CACHE_DIR
  *       to persist the cache across invocations). Exits non-zero when
  *       every sample fails.
- *   fits serve --socket PATH [--jobs N] [--queue-limit N]
- *              [--request-timeout-ms MS] [--metrics-out FILE]
- *       Run the resident analysis service on a unix-domain socket:
- *       N clients share one process-wide blob cache, so a repeated
- *       rank or corpus request reuses the behavior bundles an earlier
- *       request stored. SIGTERM/SIGINT drain gracefully (stop
- *       accepting, finish in-flight requests, flush metrics).
- *   fits client --socket PATH <op> [args]
- *       Submit one request to a running `fits serve` and print the
- *       same tables the one-shot commands print (ops: ping, rank,
- *       taint, corpus, metrics, shutdown). Retries automatically when
- *       the server sheds load.
  */
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,9 +47,6 @@
 #include "firmware/select.hh"
 #include "ir/printer.hh"
 #include "obs/metrics.hh"
-#include "serve/client.hh"
-#include "serve/server.hh"
-#include "serve/wire.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 #include "taint/karonte.hh"
@@ -73,7 +55,6 @@
 namespace {
 
 using namespace fits;
-namespace wire = fits::serve::wire;
 
 int
 usage()
@@ -95,16 +76,6 @@ usage()
         "              (FITS_JOBS also sets N; FITS_CACHE_DIR "
         "persists the analysis cache;\n"
         "              exits 1 when every sample fails)\n"
-        "  fits serve --socket PATH [--jobs N] [--queue-limit N] "
-        "[--request-timeout-ms MS]\n"
-        "             [--metrics-out FILE]\n"
-        "              (resident analysis service; SIGTERM drains "
-        "gracefully)\n"
-        "  fits client --socket PATH "
-        "<ping|rank|taint|corpus|metrics|shutdown> [args]\n"
-        "              (submit one request to a running `fits serve`; "
-        "same args as the\n"
-        "              one-shot commands, same tables out)\n"
         "  fits faults   (list fault-injection sites; arm with "
         "FITS_FAULTS=<spec>[:<seed>])\n"
         "env: FITS_STAGE_TIMEOUT_MS bounds each cooperative pipeline "
@@ -180,9 +151,13 @@ writeFile(const std::string &path,
     return static_cast<bool>(out);
 }
 
-synth::VendorProfile
+/** The profile of one of the five evaluated vendors, or nullopt for
+ * any other name. */
+std::optional<synth::VendorProfile>
 profileByName(const std::string &vendor)
 {
+    if (vendor == "NETGEAR")
+        return synth::netgearProfile();
     if (vendor == "D-Link")
         return synth::dlinkProfile();
     if (vendor == "TP-Link")
@@ -191,7 +166,7 @@ profileByName(const std::string &vendor)
         return synth::tendaProfile();
     if (vendor == "Cisco")
         return synth::ciscoProfile();
-    return synth::netgearProfile();
+    return std::nullopt;
 }
 
 int
@@ -216,8 +191,12 @@ cmdGen(int argc, char **argv)
         }
     }
 
+    auto profile = profileByName(vendor);
+    if (!profile)
+        return usage();
+
     synth::SampleSpec spec;
-    spec.profile = profileByName(vendor);
+    spec.profile = std::move(*profile);
     spec.product = spec.profile.series.front();
     spec.version = support::format("V1.0.%llu",
                                    static_cast<unsigned long long>(
@@ -242,6 +221,11 @@ cmdGen(int argc, char **argv)
               << synth::siteClassName(site.cls) << " "
               << synth::flowKindName(site.flow) << " "
               << site.sinkName << "\n";
+    }
+    truth.close();
+    if (!truth) {
+        std::fprintf(stderr, "cannot write %s.truth\n", out.c_str());
+        return 1;
     }
 
     std::printf("wrote %s (%zu bytes, %s %s, %zu planted bugs) and "
@@ -542,173 +526,6 @@ cmdCorpus(int argc, char **argv)
     return report.exitCode();
 }
 
-std::atomic<serve::Server *> g_server{nullptr};
-
-extern "C" void
-handleDrainSignal(int)
-{
-    serve::Server *server = g_server.load();
-    if (server != nullptr)
-        server->beginDrain(); // async-signal-safe: atomics + write()
-}
-
-int
-cmdServe(int argc, char **argv)
-{
-    serve::ServerConfig config;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--socket" && i + 1 < argc) {
-            config.socketPath = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            config.jobs = std::strtoul(argv[++i], nullptr, 0);
-        } else if (arg == "--queue-limit" && i + 1 < argc) {
-            config.queueLimit = std::strtoul(argv[++i], nullptr, 0);
-        } else if (arg == "--request-timeout-ms" && i + 1 < argc) {
-            config.requestTimeoutMs =
-                std::strtoull(argv[++i], nullptr, 0);
-        } else if (arg == "--metrics-out" && i + 1 < argc) {
-            config.metricsOut = argv[++i];
-        } else {
-            return usage();
-        }
-    }
-    if (config.socketPath.empty())
-        return usage();
-    if (!config.metricsOut.empty())
-        obs::setEnabled(true);
-
-    serve::Server server(config);
-    std::string error;
-    if (!server.start(&error)) {
-        std::fprintf(stderr, "serve: %s\n", error.c_str());
-        return 1;
-    }
-    g_server.store(&server);
-    std::signal(SIGTERM, handleDrainSignal);
-    std::signal(SIGINT, handleDrainSignal);
-    std::signal(SIGPIPE, SIG_IGN);
-
-    std::printf("fits serve: listening on %s "
-                "(%zu workers, queue limit %zu)\n",
-                config.socketPath.c_str(), server.workerCount(),
-                config.queueLimit);
-    std::fflush(stdout);
-
-    server.waitUntilDrained();
-    g_server.store(nullptr);
-    std::printf("fits serve: drained (%zu requests served, "
-                "%zu rejected)\n",
-                server.requestsServed(), server.requestsRejected());
-    return 0;
-}
-
-/** Print one client response the way the matching one-shot command
- * would (tables to stdout, diagnostics to stderr), and map its status
- * to a process exit code. */
-int
-printClientResponse(const std::string &op, const wire::Value &resp)
-{
-    const std::string status = resp.getString("status", "");
-    if (status == "error" || status == "draining") {
-        std::fputs(resp.getString("error", "request failed\n").c_str(),
-                   stderr);
-        return 1;
-    }
-
-    if (op == "rank" || op == "taint") {
-        std::fputs(resp.getString("output", "").c_str(), stdout);
-        return 0;
-    }
-    if (op == "corpus") {
-        std::fputs(resp.getString("diagnostics", "").c_str(), stderr);
-        std::fputs(resp.getString("output", "").c_str(), stdout);
-        std::fputs(eval::renderWallClock(
-                       resp.getNumber("wall_ms", 0.0),
-                       static_cast<std::size_t>(
-                           resp.getInt("jobs", 0)))
-                       .c_str(),
-                   stdout);
-        std::fputs(resp.getString("cache", "").c_str(), stdout);
-        return static_cast<int>(resp.getInt("exit", 0));
-    }
-    // ping / infer / metrics / shutdown: machine-readable JSON.
-    std::printf("%s\n", resp.toJson().c_str());
-    return 0;
-}
-
-int
-cmdClient(int argc, char **argv)
-{
-    std::string socketPath;
-    int i = 0;
-    while (i < argc && argv[i][0] == '-') {
-        const std::string arg = argv[i];
-        if (arg == "--socket" && i + 1 < argc) {
-            socketPath = argv[i + 1];
-            i += 2;
-        } else {
-            return usage();
-        }
-    }
-    if (socketPath.empty() || i >= argc)
-        return usage();
-    const std::string op = argv[i++];
-
-    wire::Value request = wire::Value::object();
-    request.set("op", wire::Value::string(op));
-    if (op == "rank" || op == "taint" || op == "infer") {
-        if (i >= argc)
-            return usage();
-        request.set("path", wire::Value::string(argv[i++]));
-    }
-    wire::Value itsArr = wire::Value::array();
-    bool hasIts = false;
-    for (; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--top" && i + 1 < argc) {
-            request.set("top",
-                        wire::Value::integer(std::strtoll(
-                            argv[++i], nullptr, 0)));
-        } else if (arg == "--use-symbols") {
-            request.set("use_symbols", wire::Value::boolean(true));
-        } else if (arg == "--engine" && i + 1 < argc) {
-            request.set("engine", wire::Value::string(argv[++i]));
-        } else if (arg == "--its" && i + 1 < argc) {
-            itsArr.push(wire::Value::integer(static_cast<std::int64_t>(
-                std::strtoull(argv[++i], nullptr, 0))));
-            hasIts = true;
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            request.set("jobs",
-                        wire::Value::integer(std::strtoll(
-                            argv[++i], nullptr, 0)));
-        } else if (arg == "--taint") {
-            request.set("taint", wire::Value::boolean(true));
-        } else if (arg == "--no-cache") {
-            request.set("cache", wire::Value::boolean(false));
-        } else if (arg == "--dir" && i + 1 < argc) {
-            request.set("dir", wire::Value::string(argv[++i]));
-        } else {
-            return usage();
-        }
-    }
-    if (hasIts)
-        request.set("its", std::move(itsArr));
-
-    serve::Client client;
-    std::string error;
-    if (!client.connect(socketPath, &error)) {
-        std::fprintf(stderr, "client: %s\n", error.c_str());
-        return 1;
-    }
-    wire::Value response;
-    if (!client.submit(request, &response, &error)) {
-        std::fprintf(stderr, "client: %s\n", error.c_str());
-        return 1;
-    }
-    return printClientResponse(op, response);
-}
-
 } // namespace
 
 int
@@ -719,10 +536,6 @@ main(int argc, char **argv)
     const std::string command = argv[1];
     if (command == "corpus")
         return cmdCorpus(argc - 2, argv + 2);
-    if (command == "serve")
-        return cmdServe(argc - 2, argv + 2);
-    if (command == "client")
-        return cmdClient(argc - 2, argv + 2);
     if (command == "faults")
         return cmdFaults();
     if (argc < 3)
