@@ -39,7 +39,7 @@ main()
     std::printf("(%zu samples, %zu worker threads — set FITS_JOBS to "
                 "override)\n\n",
                 corpus.size(), runner.jobs());
-    const auto outcomes = runner.runTaint(corpus);
+    const auto outcomes = runner.runFull(corpus);
 
     std::map<std::pair<bool, std::string>, GroupRow> groups;
     GroupRow total;
@@ -50,7 +50,7 @@ main()
 
     for (std::size_t s = 0; s < corpus.size(); ++s) {
         const auto &fw = corpus[s];
-        const auto &outcome = outcomes[s];
+        const auto &outcome = outcomes[s].taint;
         if (!outcome.ok)
             continue; // pre-processing failures have no taint run
         auto &g = groups[{fw.spec.latest, fw.spec.profile.vendor}];

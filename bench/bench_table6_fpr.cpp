@@ -23,14 +23,14 @@ main()
 
     const auto corpus = synth::generateStandardCorpus();
 
-    const auto outcomes = eval::CorpusRunner().runTaint(corpus);
+    const auto outcomes = eval::CorpusRunner().runFull(corpus);
 
     eval::EngineStats karonte, karonteIts, sta, staIts;
     std::size_t filteredSystemData = 0;
 
     for (std::size_t s = 0; s < corpus.size(); ++s) {
         const auto &fw = corpus[s];
-        const auto &outcome = outcomes[s];
+        const auto &outcome = outcomes[s].taint;
         if (!outcome.ok)
             continue;
         karonte += outcome.karonte;

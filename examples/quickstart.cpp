@@ -38,30 +38,31 @@ main()
 
     // 2. Run FITS end to end on the raw image bytes.
     const core::FitsPipeline pipeline;
-    const core::PipelineResult result = pipeline.run(firmware.bytes);
-    if (!result.ok) {
-        std::printf("pipeline failed: %s\n", result.error.c_str());
+    const core::PipelineArtifact artifact =
+        pipeline.analyze(firmware.bytes);
+    if (!artifact.ok) {
+        std::printf("pipeline failed: %s\n", artifact.error.c_str());
         return 1;
     }
 
     std::printf("network binary: %s (%zu functions, %zu bytes)\n",
-                result.binaryName.c_str(), result.numFunctions,
-                result.binaryBytes);
+                artifact.binaryName.c_str(), artifact.numFunctions,
+                artifact.binaryBytes);
     std::printf("analysis time: %.1f ms (behavior %.1f ms)\n",
-                result.timings.totalMs(),
-                result.timings.behaviorMs);
+                artifact.timings.totalMs(),
+                artifact.timings.behaviorMs);
     std::printf("custom functions: %zu, anchors: %zu, "
                 "candidates after clustering: %zu\n",
-                result.inference.numCustom,
-                result.inference.numAnchors,
-                result.inference.numCandidates);
+                artifact.inference.numCustom,
+                artifact.inference.numAnchors,
+                artifact.inference.numCandidates);
 
     // 3. Show the ranking against ground truth.
     std::printf("\ntop ITS candidates:\n");
     const std::size_t shown =
-        std::min<std::size_t>(5, result.inference.ranking.size());
+        std::min<std::size_t>(5, artifact.inference.ranking.size());
     for (std::size_t i = 0; i < shown; ++i) {
-        const auto &rf = result.inference.ranking[i];
+        const auto &rf = artifact.inference.ranking[i];
         const bool isIts =
             std::find(firmware.truth.itsFunctions.begin(),
                       firmware.truth.itsFunctions.end(),
@@ -71,7 +72,7 @@ main()
                     isIts ? "<-- true ITS" : "");
     }
 
-    const int rank = eval::rankOfFirstIts(result.inference.ranking,
+    const int rank = eval::rankOfFirstIts(artifact.inference.ranking,
                                           firmware.truth);
     std::printf("\nfirst true ITS at rank %d (ground truth: %s)\n",
                 rank,

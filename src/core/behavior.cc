@@ -34,14 +34,6 @@ BehaviorAnalyzer::BehaviorAnalyzer(Config config)
 }
 
 BehaviorRepr
-BehaviorAnalyzer::analyze(const LinkedProgram &linked) const
-{
-    const ProgramAnalysis pa =
-        ProgramAnalysis::analyze(linked, config_.ucse);
-    return analyze(pa);
-}
-
-BehaviorRepr
 BehaviorAnalyzer::analyze(const ProgramAnalysis &pa) const
 {
     const LinkedProgram &linked = *pa.linked;

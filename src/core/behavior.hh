@@ -61,9 +61,6 @@ class BehaviorAnalyzer
     BehaviorAnalyzer();
     explicit BehaviorAnalyzer(Config config);
 
-    /** Analyze from scratch (builds a ProgramAnalysis internally). */
-    BehaviorRepr analyze(const analysis::LinkedProgram &linked) const;
-
     /** Extract BFVs from an existing whole-program analysis (shared
      * with the taint engines to avoid re-analyzing the binary). */
     BehaviorRepr analyze(const analysis::ProgramAnalysis &pa) const;

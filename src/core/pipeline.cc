@@ -11,40 +11,14 @@ namespace fits::core {
 
 namespace {
 
-/** Flatten an artifact into the plain-data result the harness keeps. */
-PipelineResult
-resultFromArtifact(PipelineArtifact artifact)
-{
-    PipelineResult result;
-    result.ok = artifact.ok;
-    result.failureStage = artifact.failureStage;
-    result.error = std::move(artifact.error);
-    result.status = std::move(artifact.status);
-    result.degraded = artifact.degraded;
-    result.issues = std::move(artifact.issues);
-    result.imageInfo = artifact.imageInfo;
-    result.binaryName = std::move(artifact.binaryName);
-    result.numFunctions = artifact.numFunctions;
-    result.binaryBytes = artifact.binaryBytes;
-    result.behavior = std::move(artifact.behavior);
-    result.inference = std::move(artifact.inference);
-    result.timings = artifact.timings;
-    // The analysis chain borrows the target; it dies with `artifact`
-    // right here and is never dereferenced again, so moving the target
-    // out from under it is safe.
-    if (artifact.target != nullptr)
-        result.target = std::move(*artifact.target);
-    return result;
-}
-
 const char *
-failureStageName(PipelineResult::FailureStage stage)
+failureStageName(PipelineArtifact::FailureStage stage)
 {
     switch (stage) {
-      case PipelineResult::FailureStage::None:      return "none";
-      case PipelineResult::FailureStage::Unpack:    return "unpack";
-      case PipelineResult::FailureStage::Select:    return "select";
-      case PipelineResult::FailureStage::Inference: return "inference";
+      case PipelineArtifact::FailureStage::None:      return "none";
+      case PipelineArtifact::FailureStage::Unpack:    return "unpack";
+      case PipelineArtifact::FailureStage::Select:    return "select";
+      case PipelineArtifact::FailureStage::Inference: return "inference";
     }
     return "?";
 }
@@ -80,18 +54,6 @@ recordRunCounters(const PipelineArtifact &artifact)
 FitsPipeline::FitsPipeline(PipelineConfig config)
     : config_(std::move(config))
 {
-}
-
-PipelineResult
-FitsPipeline::run(const std::vector<std::uint8_t> &firmware) const
-{
-    return resultFromArtifact(analyze(firmware));
-}
-
-PipelineResult
-FitsPipeline::runOnTarget(fw::AnalysisTarget target) const
-{
-    return resultFromArtifact(analyzeTarget(std::move(target)));
 }
 
 PipelineArtifact
@@ -140,66 +102,28 @@ FitsPipeline::analyze(const std::vector<std::uint8_t> &firmware) const
     auto unpacked = fw::unpackFirmware(firmware);
     artifact.timings.unpackMs = unpackTimer.stopMs();
     if (!unpacked) {
-        artifact.failureStage = PipelineResult::FailureStage::Unpack;
+        artifact.failureStage = PipelineArtifact::FailureStage::Unpack;
         artifact.error = unpacked.errorMessage();
         artifact.status = unpacked.status();
         recordRunCounters(artifact);
         return artifact;
     }
 
+    artifact.imageInfo = unpacked.value().info;
+
     // Stage 1b: select the network binary and resolve libraries.
     obs::ScopedTimer selectTimer("select");
     auto target = fw::selectAnalysisTarget(unpacked.value().filesystem);
-    const double selectMs = selectTimer.stopMs();
+    artifact.timings.selectMs = selectTimer.stopMs();
     if (!target) {
-        artifact.imageInfo = unpacked.value().info;
-        artifact.timings.selectMs = selectMs;
-        artifact.failureStage = PipelineResult::FailureStage::Select;
+        artifact.failureStage = PipelineArtifact::FailureStage::Select;
         artifact.error = target.errorMessage();
         artifact.status = target.status();
         recordRunCounters(artifact);
         return artifact;
     }
-
-    PipelineArtifact rest = analyzeTargetStages(target.take());
-    rest.imageInfo = unpacked.value().info;
-    rest.timings.unpackMs = artifact.timings.unpackMs;
-    rest.timings.selectMs = selectMs;
-
-    // Store the behavior product for the next run over these bytes.
-    // Degraded samples are excluded: their representation reflects
-    // missing libraries or expired budgets, not the firmware.
-    if (cacheable && rest.hasAnalysis() && !rest.degraded) {
-        BehaviorBundle bundle;
-        bundle.imageInfo = rest.imageInfo;
-        bundle.binaryName = rest.binaryName;
-        bundle.numFunctions = rest.numFunctions;
-        bundle.binaryBytes = rest.binaryBytes;
-        bundle.behavior = rest.behavior;
-        cache::storeBlob("behavior", cacheKey1, cacheKey2,
-                         encodeBehaviorBundle(bundle));
-    }
-
-    recordRunCounters(rest);
-    return rest;
-}
-
-PipelineArtifact
-FitsPipeline::analyzeTarget(fw::AnalysisTarget target) const
-{
-    obs::ScopedTimer pipelineSpan("pipeline");
-    PipelineArtifact artifact =
-        analyzeTargetStages(std::move(target));
-    recordRunCounters(artifact);
-    return artifact;
-}
-
-PipelineArtifact
-FitsPipeline::analyzeTargetStages(fw::AnalysisTarget target) const
-{
-    PipelineArtifact artifact;
     artifact.target =
-        std::make_unique<fw::AnalysisTarget>(std::move(target));
+        std::make_unique<fw::AnalysisTarget>(target.take());
     artifact.binaryName = artifact.target->main->name;
     artifact.numFunctions = artifact.target->main->program.size();
     artifact.binaryBytes = artifact.target->main->byteSize();
@@ -266,6 +190,22 @@ FitsPipeline::analyzeTargetStages(fw::AnalysisTarget target) const
 
     // Stage 3: inference (Algorithm 2).
     runInferenceStage(artifact);
+
+    // Store the behavior product for the next run over these bytes.
+    // Degraded samples are excluded: their representation reflects
+    // missing libraries or expired budgets, not the firmware.
+    if (cacheable && !artifact.degraded) {
+        BehaviorBundle bundle;
+        bundle.imageInfo = artifact.imageInfo;
+        bundle.binaryName = artifact.binaryName;
+        bundle.numFunctions = artifact.numFunctions;
+        bundle.binaryBytes = artifact.binaryBytes;
+        bundle.behavior = artifact.behavior;
+        cache::storeBlob("behavior", cacheKey1, cacheKey2,
+                         encodeBehaviorBundle(bundle));
+    }
+
+    recordRunCounters(artifact);
     return artifact;
 }
 
@@ -276,7 +216,7 @@ FitsPipeline::runInferenceStage(PipelineArtifact &artifact) const
     if (chaos::shouldInject("infer.rank")) {
         artifact.timings.inferMs = inferTimer.stopMs();
         artifact.failureStage =
-            PipelineResult::FailureStage::Inference;
+            PipelineArtifact::FailureStage::Inference;
         artifact.status = chaos::injectedStatus("infer.rank");
         artifact.error = artifact.status.message();
         return;
@@ -288,7 +228,7 @@ FitsPipeline::runInferenceStage(PipelineArtifact &artifact) const
 
     if (!artifact.inference.ok()) {
         artifact.failureStage =
-            PipelineResult::FailureStage::Inference;
+            PipelineArtifact::FailureStage::Inference;
         artifact.error = artifact.inference.error;
         artifact.status = support::Status::error(
             support::Stage::Infer, support::ErrorCode::NotFound,

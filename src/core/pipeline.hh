@@ -79,11 +79,19 @@ struct StageTimings
 };
 
 /**
- * End-to-end result of running FITS on one firmware image. All fields
- * are plain data (no pointers into other fields), so results can be
- * collected in bulk by the evaluation harness.
+ * Everything one pipeline pass over a firmware image computes: the
+ * outcome, the selected target, the whole-program analysis, the
+ * behavior representations, and the ranking. Taint engines,
+ * re-ranking experiments, and combined inference+taint evaluation all
+ * consume the same artifact, so a sample is unpacked, selected, and
+ * analyzed exactly once.
+ *
+ * The target/linked/analysis chain borrows downward (ProgramAnalysis
+ * borrows LinkedProgram borrows AnalysisTarget); each link is
+ * heap-allocated so the artifact can be moved without invalidating the
+ * chain. Move-only.
  */
-struct PipelineResult
+struct PipelineArtifact
 {
     enum class FailureStage : std::uint8_t {
         None,
@@ -109,46 +117,9 @@ struct PipelineResult
     std::size_t numFunctions = 0;
     std::size_t binaryBytes = 0;
 
-    /** The selected binary and its libraries, kept for taint analysis. */
-    fw::AnalysisTarget target;
-
-    /** Behavior representations of all functions (kept so evaluation
-     * variants can re-rank without re-analyzing). */
-    BehaviorRepr behavior;
-
-    InferenceResult inference;
-    StageTimings timings;
-};
-
-/**
- * The reusable per-sample artifact: everything one pipeline pass
- * computes, *including* the whole-program analysis that PipelineResult
- * drops. Taint engines, re-ranking experiments, and combined
- * inference+taint evaluation all consume the same artifact, so a
- * sample is unpacked, selected, and analyzed exactly once.
- *
- * The target/linked/analysis chain borrows downward (ProgramAnalysis
- * borrows LinkedProgram borrows AnalysisTarget); each link is
- * heap-allocated so the artifact can be moved without invalidating the
- * chain. Move-only.
- */
-struct PipelineArtifact
-{
-    bool ok = false;
-    PipelineResult::FailureStage failureStage =
-        PipelineResult::FailureStage::None;
-    std::string error;
-    support::Status status;
-
-    /** See PipelineResult::degraded. */
-    bool degraded = false;
-    std::vector<support::Status> issues;
-
-    fw::ImageInfo imageInfo;
-    std::string binaryName;
-    std::size_t numFunctions = 0;
-    std::size_t binaryBytes = 0;
-
+    /** The selected binary and its libraries, their linked view, and
+     * the whole-program analysis. Null when stage 1 failed or when the
+     * behavior cache answered (see PipelineConfig::behaviorCache). */
     std::unique_ptr<fw::AnalysisTarget> target;
     std::unique_ptr<analysis::LinkedProgram> linked;
     std::unique_ptr<analysis::ProgramAnalysis> analysis;
@@ -175,26 +146,11 @@ class FitsPipeline
   public:
     explicit FitsPipeline(PipelineConfig config = {});
 
-    /** Full run from raw firmware image bytes. */
-    PipelineResult run(const std::vector<std::uint8_t> &firmware) const;
-
-    /** Run from an already-selected analysis target (skips stage 1). */
-    PipelineResult runOnTarget(fw::AnalysisTarget target) const;
-
-    /** Full run that retains the whole-program analysis for reuse. */
+    /** Run every stage on raw firmware image bytes. */
     PipelineArtifact analyze(
         const std::vector<std::uint8_t> &firmware) const;
 
-    /** Artifact run from an already-selected target (skips stage 1). */
-    PipelineArtifact analyzeTarget(fw::AnalysisTarget target) const;
-
-    const PipelineConfig &config() const { return config_; }
-
   private:
-    /** Stage 2+3 without the whole-run span (callers own that). */
-    PipelineArtifact analyzeTargetStages(fw::AnalysisTarget target)
-        const;
-
     /** Stage 3 on an artifact whose `behavior` is populated; shared by
      * the full path and the behavior-cache hit path. */
     void runInferenceStage(PipelineArtifact &artifact) const;

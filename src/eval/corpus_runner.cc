@@ -157,20 +157,6 @@ CorpusRunner::runInferenceOnSpecs(
         });
 }
 
-std::vector<TaintOutcome>
-CorpusRunner::runTaint(
-    const std::vector<synth::GeneratedFirmware> &corpus) const
-{
-    return runEach<TaintOutcome>(
-        corpus.size(), taintPipelineConfig(),
-        [&](std::size_t i, const core::PipelineConfig &config) {
-            return eval::runTaint(corpus[i], config);
-        },
-        [&](std::size_t i, TaintOutcome &outcome) {
-            outcome.spec = corpus[i].spec;
-        });
-}
-
 std::vector<CorpusRunner::FullOutcome>
 CorpusRunner::runFull(
     const std::vector<synth::GeneratedFirmware> &corpus) const

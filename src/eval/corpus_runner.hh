@@ -70,11 +70,6 @@ class CorpusRunner
     runInferenceOnSpecs(const std::vector<synth::SampleSpec> &specs)
         const;
 
-    /** Table-5 taint outcomes for each sample, in corpus order. */
-    std::vector<TaintOutcome>
-    runTaint(const std::vector<synth::GeneratedFirmware> &corpus)
-        const;
-
     /** Inference and taint outcomes derived from ONE shared
      * per-sample pipeline artifact (the sample is unpacked, selected,
      * and analyzed exactly once). */

@@ -131,13 +131,21 @@ scoreReport(const std::vector<taint::Alert> &alerts,
     return stats;
 }
 
-TaintOutcome
-runTaint(const synth::GeneratedFirmware &fw,
-         const core::PipelineConfig &config)
+std::vector<taint::TaintSource>
+verifiedItsSources(const std::vector<core::RankedFunction> &ranking,
+                   const synth::GroundTruth &truth)
 {
-    const core::FitsPipeline pipeline(config);
-    return taintOutcome(pipeline.analyze(fw.bytes), fw.spec, fw.truth,
-                        config.budgets.taintMs);
+    std::vector<taint::TaintSource> sources;
+    for (std::size_t i = 0; i < ranking.size() && i < 3; ++i) {
+        const ir::Addr entry = ranking[i].entry;
+        if (std::find(truth.itsFunctions.begin(),
+                      truth.itsFunctions.end(),
+                      entry) != truth.itsFunctions.end()) {
+            sources.push_back(
+                taint::TaintSource::its(entry, support::hex(entry)));
+        }
+    }
+    return sources;
 }
 
 TaintOutcome
@@ -160,23 +168,10 @@ taintOutcome(const core::PipelineArtifact &artifact,
     }
     const analysis::ProgramAnalysis &pa = *artifact.analysis;
 
-    // "Verify" the inferred ITSs: the top-3 candidates that ground
-    // truth confirms (the manual-verification step of §4.1).
-    std::vector<taint::TaintSource> itsSources;
-    const std::size_t considered =
-        std::min<std::size_t>(3, artifact.inference.ranking.size());
-    for (std::size_t i = 0; i < considered; ++i) {
-        const ir::Addr entry = artifact.inference.ranking[i].entry;
-        if (std::find(truth.itsFunctions.begin(),
-                      truth.itsFunctions.end(),
-                      entry) != truth.itsFunctions.end()) {
-            itsSources.push_back(taint::TaintSource::its(
-                entry, support::hex(entry)));
-        }
-    }
-
     const auto cts = taint::classicalTaintSources();
     auto ctsPlusIts = cts;
+    const auto itsSources =
+        verifiedItsSources(artifact.inference.ranking, truth);
     ctsPlusIts.insert(ctsPlusIts.end(), itsSources.begin(),
                       itsSources.end());
 
@@ -187,47 +182,29 @@ taintOutcome(const core::PipelineArtifact &artifact,
     const taint::KaronteEngine karonte(karonteConfig);
     const taint::StaEngine sta(staConfig);
 
-    // A report cut short by the wall-clock budget is still scored —
-    // its alerts are valid, just not a full sweep — and the outcome is
+    // Score one run; ITS runs apply the §4.3 system-data filter. A
+    // report cut short by the wall-clock budget is still scored — its
+    // alerts are valid, just not a full sweep — and the outcome is
     // flagged so aggregate tables can exclude or annotate it.
-    const auto noteExpiry = [&outcome](const taint::TaintReport &report,
-                                       const char *engine) {
-        if (!report.deadlineExpired)
-            return;
-        outcome.degraded = true;
-        outcome.issues.push_back(support::Status::error(
-            support::Stage::Taint, support::ErrorCode::Timeout,
-            std::string(engine) + " stopped at the stage deadline"));
+    const auto score = [&](const taint::TaintReport &report, bool its,
+                           const char *engine, EngineStats &stats,
+                           std::vector<ir::Addr> &bugs) {
+        if (report.deadlineExpired) {
+            outcome.degraded = true;
+            outcome.issues.push_back(support::Status::error(
+                support::Stage::Taint, support::ErrorCode::Timeout,
+                std::string(engine) + " stopped at the stage deadline"));
+        }
+        stats = scoreReport(its ? report.filteredAlerts() : report.alerts,
+                            truth, report.analysisMs, &bugs);
     };
-
-    {
-        const auto report = karonte.run(pa, cts);
-        noteExpiry(report, "karonte");
-        outcome.karonte = scoreReport(report.alerts, truth,
-                                      report.analysisMs,
-                                      &outcome.karonteBugs);
-    }
-    {
-        const auto report = karonte.run(pa, ctsPlusIts);
-        noteExpiry(report, "karonte+its");
-        outcome.karonteIts = scoreReport(report.filteredAlerts(),
-                                         truth, report.analysisMs,
-                                         &outcome.karonteItsBugs);
-    }
-    {
-        const auto report = sta.run(pa, cts);
-        noteExpiry(report, "sta");
-        outcome.sta = scoreReport(report.alerts, truth,
-                                  report.analysisMs,
-                                  &outcome.staBugs);
-    }
-    {
-        const auto report = sta.run(pa, ctsPlusIts);
-        noteExpiry(report, "sta+its");
-        outcome.staIts = scoreReport(report.filteredAlerts(),
-                                     truth, report.analysisMs,
-                                     &outcome.staItsBugs);
-    }
+    score(karonte.run(pa, cts), false, "karonte", outcome.karonte,
+          outcome.karonteBugs);
+    score(karonte.run(pa, ctsPlusIts), true, "karonte+its",
+          outcome.karonteIts, outcome.karonteItsBugs);
+    score(sta.run(pa, cts), false, "sta", outcome.sta, outcome.staBugs);
+    score(sta.run(pa, ctsPlusIts), true, "sta+its", outcome.staIts,
+          outcome.staItsBugs);
 
     outcome.ok = true;
     return outcome;

@@ -24,10 +24,10 @@ struct InferenceOutcome
     std::string error;
     /** Typed form of `error`; Ok when the pipeline passed. */
     support::Status status;
-    core::PipelineResult::FailureStage failureStage =
-        core::PipelineResult::FailureStage::None;
+    core::PipelineArtifact::FailureStage failureStage =
+        core::PipelineArtifact::FailureStage::None;
 
-    /** Partial result: see core::PipelineResult::degraded. */
+    /** Partial result: see core::PipelineArtifact::degraded. */
     bool degraded = false;
     std::vector<support::Status> issues;
     /** The corpus runner re-ran this sample once after a transient
@@ -125,20 +125,21 @@ struct TaintOutcome
 };
 
 /**
- * Run all four Table 5 configurations on one sample: build one shared
- * whole-program analysis, infer ITSs, verify the top-3 against ground
- * truth (the paper's manual-verification step), and run each engine
- * with CTS or CTS+ITS sources. ITS-sourced runs apply the §4.3
- * system-data string filter.
+ * The ITS sources of a taint run: the top-3 ranked functions that
+ * ground truth confirms, in rank order (the paper's manual
+ * verification step of §4.1).
  */
-TaintOutcome runTaint(const synth::GeneratedFirmware &fw,
-                      const core::PipelineConfig &config = {});
+std::vector<taint::TaintSource>
+verifiedItsSources(const std::vector<core::RankedFunction> &ranking,
+                   const synth::GroundTruth &truth);
 
 /**
- * The four Table 5 engine configurations evaluated against an
- * already-computed pipeline artifact (no unpack/select/behavior
- * re-run). Engines still execute when only the inference stage failed
- * — they then run with classical sources alone, as before.
+ * The four Table 5 configurations on one analyzed sample: each engine
+ * runs with CTS or CTS + verifiedItsSources, over the artifact's
+ * whole-program analysis (no unpack/select/behavior re-run).
+ * ITS-sourced runs apply the §4.3 system-data string filter. Engines
+ * still execute when only the inference stage failed — they then run
+ * with classical sources alone.
  */
 TaintOutcome taintOutcome(const core::PipelineArtifact &artifact,
                           const synth::SampleSpec &spec,

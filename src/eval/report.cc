@@ -289,21 +289,21 @@ runRankReport(const std::vector<std::uint8_t> &bytes, std::size_t top,
     config.infer.useSymbolNames = useSymbols;
 
     const core::FitsPipeline pipeline(config);
-    const auto result = pipeline.run(bytes);
-    if (!result.ok) {
+    const auto artifact = pipeline.analyze(bytes);
+    if (!artifact.ok) {
         report.error = support::format("pipeline failed: %s\n",
-                                       result.error.c_str());
+                                       artifact.error.c_str());
         return report;
     }
     report.ok = true;
     report.text += support::format(
         "analyzed %s: %zu functions in %.1f ms "
         "(%zu candidates after clustering)\n\n",
-        result.binaryName.c_str(), result.numFunctions,
-        result.timings.totalMs(), result.inference.numCandidates);
+        artifact.binaryName.c_str(), artifact.numFunctions,
+        artifact.timings.totalMs(), artifact.inference.numCandidates);
     for (std::size_t i = 0;
-         i < top && i < result.inference.ranking.size(); ++i) {
-        const auto &rf = result.inference.ranking[i];
+         i < top && i < artifact.inference.ranking.size(); ++i) {
+        const auto &rf = artifact.inference.ranking[i];
         report.text += support::format(
             "#%-3zu %-12s score %.4f%s%s\n", i + 1,
             support::hex(rf.entry).c_str(), rf.score,
@@ -332,6 +332,15 @@ runTaintReport(const std::vector<std::uint8_t> &bytes,
             support::format("selection failed: %s\n",
                             target.errorMessage().c_str());
         return report;
+    }
+    // An ITS is a custom function of the network binary: an address
+    // that is no function entry there could never seed anything.
+    for (std::uint64_t addr : itsAddrs) {
+        if (target.value().main->program.functionAt(addr) == nullptr) {
+            report.error = support::format("no function at %s\n",
+                                           support::hex(addr).c_str());
+            return report;
+        }
     }
     const analysis::LinkedProgram linked(*target.value().main,
                                          target.value().libraries);

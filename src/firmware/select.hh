@@ -15,9 +15,8 @@ namespace fits::fw {
  * The unit FITS analyzes: the network-facing binary plus its resolved
  * dependency libraries (found via the DT_NEEDED-style list). Each
  * sample lifts its own images; they are immutable and held by
- * shared_ptr, so whoever takes the target (a pipeline artifact, a
- * PipelineResult) keeps them alive for the LinkedProgram built over
- * them.
+ * shared_ptr, so whoever takes the target (a core::PipelineArtifact)
+ * keeps them alive for the LinkedProgram built over them.
  */
 struct AnalysisTarget
 {

@@ -3,13 +3,12 @@
 #include <map>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "analysis/ucse.hh"
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/deadline.hh"
-#include "taint/labels.hh"
+#include "taint/run_index.hh"
 
 namespace fits::taint {
 
@@ -22,25 +21,6 @@ using ir::Addr;
 using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
-
-using Mask = std::uint64_t;
-using CellKey = std::uint64_t;
-
-CellKey
-cellKey(std::size_t imageIdx, Addr addr)
-{
-    return (static_cast<CellKey>(imageIdx) << 48) | addr;
-}
-
-bool
-isMemoryWriter(const std::string &name)
-{
-    static const std::unordered_set<std::string> writers = {
-        "strcpy", "strncpy", "strcat", "strncat", "memcpy",
-        "memmove", "sprintf", "snprintf",
-    };
-    return writers.count(name) != 0;
-}
 
 /** A symbolic value with a taint mask. */
 struct Value
@@ -85,20 +65,11 @@ struct Engine
     const ProgramAnalysis &pa;
     const KaronteEngine::Config &config;
     const std::vector<TaintSource> &sources;
-    LabelTable labelTable;
-
-    std::unordered_map<const bin::BinaryImage *, std::size_t> imageIdx;
-    std::unordered_map<std::string, std::size_t> ctsByName;
-    std::unordered_map<FnId, std::size_t> itsByFn;
-    std::vector<std::unordered_map<std::uint64_t,
-                                   std::vector<std::size_t>>>
-        siteIndex;
-    std::unordered_map<std::size_t, Mask> itsSiteLabel;
+    RunIndex index;
 
     /** Cross-root (phase-handoff) memory taint, monotone. */
     std::map<CellKey, Mask> committedCells;
 
-    std::map<std::pair<std::size_t, Addr>, Alert> alerts;
     std::size_t totalSteps = 0;
     /** Paths pushed onto an exploration stack (branch and call-target
      * forks) — the path-explosion signal the metrics export. */
@@ -114,95 +85,9 @@ struct Engine
     Engine(const ProgramAnalysis &pa_,
            const KaronteEngine::Config &config_,
            const std::vector<TaintSource> &sources_)
-        : pa(pa_), config(config_), sources(sources_)
+        : pa(pa_), config(config_), sources(sources_),
+          index(pa_, sources_, config_.resolveIndirectCalls)
     {
-        labelTable = buildLabelTable(sources);
-        siteIndex.resize(pa.linked->fnCount());
-
-        std::size_t nImages = 0;
-        for (FnId id = 0; id < pa.linked->fnCount(); ++id) {
-            const auto *image = pa.linked->fn(id).image;
-            if (imageIdx.emplace(image, nImages).second)
-                ++nImages;
-        }
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-            if (sources[i].kind == TaintSource::Kind::Cts) {
-                ctsByName[sources[i].name] = i;
-            } else {
-                auto fnId = pa.linked->fnIdOf(&pa.linked->mainImage(),
-                                              sources[i].entry);
-                if (fnId)
-                    itsByFn[*fnId] = i;
-            }
-        }
-        const auto &sites = pa.callGraph.sites();
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-            const auto &site = sites[s];
-            if (site.indirect && !config.resolveIndirectCalls)
-                continue;
-            const std::uint64_t key =
-                (static_cast<std::uint64_t>(site.blockIdx) << 32) |
-                site.stmtIdx;
-            siteIndex[site.caller][key].push_back(s);
-        }
-    }
-
-    std::size_t
-    imageOf(FnId id) const
-    {
-        return imageIdx.at(pa.linked->fn(id).image);
-    }
-
-    Mask
-    itsLabelAt(std::size_t siteIdx, std::size_t sourceIdx)
-    {
-        auto it = itsSiteLabel.find(siteIdx);
-        if (it != itsSiteLabel.end())
-            return it->second;
-        const auto &site = pa.callGraph.sites()[siteIdx];
-        const auto &callerFa = pa.fn(site.caller);
-        const auto tracker = callerFa.backtracker();
-        bool system = false;
-        for (std::uint64_t value :
-             tracker.resolveArg(site.blockIdx, site.stmtIdx, 0)) {
-            if (auto s = tracker.classifyString(value)) {
-                if (isSystemDataKey(s->text)) {
-                    system = true;
-                    break;
-                }
-            }
-        }
-        const auto &bits = labelTable.bySource[sourceIdx];
-        const Mask label = system && bits.systemBit != 0
-                               ? bits.systemBit
-                               : bits.userBit;
-        itsSiteLabel[siteIdx] = label;
-        return label;
-    }
-
-    void
-    recordAlert(FnId inFn, Addr sinkSite, const SinkSpec &sink,
-                Mask mask)
-    {
-        if (mask == 0)
-            return;
-        const auto key = std::make_pair(imageOf(inFn), sinkSite);
-        auto it = alerts.find(key);
-        if (it == alerts.end()) {
-            Alert alert;
-            alert.sinkSite = sinkSite;
-            alert.sinkName = sink.name;
-            alert.vclass = sink.vclass;
-            alert.labelMask = mask;
-            alert.inFunction = pa.linked->fn(inFn).fn->entry;
-            alert.imageIndex = key.first;
-            alert.hasUserDataLabel = labelTable.hasUserData(mask);
-            alerts.emplace(key, std::move(alert));
-        } else {
-            it->second.labelMask |= mask;
-            it->second.hasUserDataLabel =
-                labelTable.hasUserData(it->second.labelMask);
-        }
     }
 
     void
@@ -359,7 +244,8 @@ struct Engine
                         }
                     }
                     auto cell = path.memTaint.find(
-                        cellKey(imageOf(frame.fn), addr.val.value));
+                        cellKey(index.imageOf(frame.fn),
+                                addr.val.value));
                     if (cell != path.memTaint.end())
                         out.taint |= cell->second;
                 }
@@ -372,7 +258,7 @@ struct Engine
                 const Value value = evalOp(stmt.b);
                 if (addr.val.isConst()) {
                     const CellKey key =
-                        cellKey(imageOf(frame.fn), addr.val.value);
+                        cellKey(index.imageOf(frame.fn), addr.val.value);
                     // Strong update: storing clean data over a tainted
                     // cell sanitizes it on this path.
                     path.memTaint[key] = value.taint;
@@ -460,19 +346,16 @@ struct Engine
     handleCall(PathState &path, std::vector<PathState> &stack,
                Addr stmtAddr)
     {
-        (void)stmtAddr;
         Frame &frame = path.frames.back();
         const FnId caller = frame.fn;
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(frame.block) << 32) |
-            frame.stmt;
+        const auto *callSites =
+            index.sitesAt(caller, frame.block, frame.stmt);
         ++frame.stmt; // resume after the call in all outcomes
 
-        auto sitesIt = siteIndex[caller].find(key);
         const Mask argUnion = path.regs[0].taint | path.regs[1].taint |
                               path.regs[2].taint | path.regs[3].taint;
 
-        if (sitesIt == siteIndex[caller].end()) {
+        if (callSites == nullptr) {
             // Unresolved indirect call: the data flow is interrupted.
             path.regs[0] = Value{};
             path.regs[1] = path.regs[2] = path.regs[3] = Value{};
@@ -484,7 +367,7 @@ struct Engine
         Mask retTaint = 0;
         bool modeled = false;
 
-        for (std::size_t siteIdx : sitesIt->second) {
+        for (std::size_t siteIdx : *callSites) {
             const auto &site = pa.callGraph.sites()[siteIdx];
             const std::string &name = site.target.name;
 
@@ -496,16 +379,14 @@ struct Engine
                 }
                 if (config.constraintSanitization)
                     hit &= ~path.checkedMask;
-                recordAlert(caller, stmtAddr, *sink, hit);
+                index.recordAlert(caller, stmtAddr, *sink, hit);
                 modeled = true;
             }
 
-            auto cts = name.empty() ? ctsByName.end()
-                                    : ctsByName.find(name);
-            if (cts != ctsByName.end()) {
-                const TaintSource &src = sources[cts->second];
-                const Mask label =
-                    labelTable.bySource[cts->second].userBit;
+            const std::size_t cts = index.ctsSource(name);
+            if (cts != RunIndex::npos) {
+                const TaintSource &src = sources[cts];
+                const Mask label = index.labels().bySource[cts].userBit;
                 if (src.origin == TaintSource::Origin::ReturnValue) {
                     retTaint |= label;
                 } else if (src.pointerArg >= 0 &&
@@ -515,7 +396,7 @@ struct Engine
                         for (Addr off = 0; off < kPointerSeedRange;
                              ++off) {
                             const CellKey cell =
-                                cellKey(imageOf(caller),
+                                cellKey(index.imageOf(caller),
                                         ptr.val.value + off);
                             path.memTaint[cell] |= label;
                             commitCell(cell, label);
@@ -531,12 +412,12 @@ struct Engine
             if (site.resolvesToFunction() &&
                 site.target.library.empty()) {
                 const FnId callee = site.target.fn;
-                auto its = itsByFn.find(callee);
-                if (its != itsByFn.end()) {
+                const std::size_t its = index.itsSource(callee);
+                if (its != RunIndex::npos) {
                     // ITS source: apply the verified taint origin and
                     // do not descend — this is how ITSs shorten the
                     // explored path.
-                    retTaint |= itsLabelAt(siteIdx, its->second);
+                    retTaint |= index.itsLabelAt(siteIdx, its);
                     modeled = true;
                     continue;
                 }
@@ -562,7 +443,7 @@ struct Engine
                     const Value &dest = path.regs[0];
                     if (dest.val.isConst()) {
                         const CellKey cell = cellKey(
-                            imageOf(caller), dest.val.value);
+                            index.imageOf(caller), dest.val.value);
                         path.memTaint[cell] = srcMask;
                         commitCell(cell, srcMask);
                     } else if (srcMask != 0) {
@@ -609,16 +490,6 @@ struct Engine
 
 } // namespace
 
-KaronteEngine::KaronteEngine()
-    : config_()
-{
-}
-
-KaronteEngine::KaronteEngine(Config config)
-    : config_(config)
-{
-}
-
 TaintReport
 KaronteEngine::run(const ProgramAnalysis &pa,
                    const std::vector<TaintSource> &sources) const
@@ -649,7 +520,7 @@ KaronteEngine::run(const ProgramAnalysis &pa,
             if (!pa.linked->isMainFn(id) || queued.count(id) != 0)
                 continue;
             const auto &fa = pa.fn(id);
-            const std::size_t img = engine.imageOf(id);
+            const std::size_t img = engine.index.imageOf(id);
             bool reads = false;
             for (const auto &block : fa.fn->blocks) {
                 for (const auto &stmt : block.stmts) {
@@ -692,8 +563,7 @@ KaronteEngine::run(const ProgramAnalysis &pa,
     for (const auto &site : pa.callGraph.sites()) {
         if (!pa.linked->isMainFn(site.caller))
             continue;
-        const std::string &name = site.target.name;
-        if (!name.empty() && engine.ctsByName.count(name) != 0)
+        if (engine.index.ctsSource(site.target.name) != RunIndex::npos)
             enqueue(site.caller);
     }
     runPhases();
@@ -710,17 +580,13 @@ KaronteEngine::run(const ProgramAnalysis &pa,
         if (!pa.linked->isMainFn(site.caller))
             continue;
         if (site.resolvesToFunction() &&
-            engine.itsByFn.count(site.target.fn) != 0) {
+            engine.index.itsSource(site.target.fn) != RunIndex::npos) {
             enqueue(site.caller);
         }
     }
     runPhases();
 
-    TaintReport report;
-    report.labels = engine.labelTable.labels;
-    for (auto &[key, alert] : engine.alerts)
-        report.alerts.push_back(std::move(alert));
-    sortAlerts(report.alerts);
+    TaintReport report = engine.index.takeReport();
     report.steps = engine.totalSteps;
     report.budgetExhausted = engine.budgetExhausted;
     report.deadlineExpired = engine.deadlineExpired;

@@ -69,8 +69,8 @@ class KaronteEngine
         double deadlineMs = 0.0;
     };
 
-    KaronteEngine();
-    explicit KaronteEngine(Config config);
+    KaronteEngine() = default;
+    explicit KaronteEngine(Config config) : config_(config) {}
 
     TaintReport run(const analysis::ProgramAnalysis &pa,
                     const std::vector<TaintSource> &sources) const;

@@ -1,15 +1,12 @@
 #include "sta.hh"
 
 #include <deque>
-#include <functional>
-#include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/deadline.hh"
-#include "taint/labels.hh"
+#include "taint/run_index.hh"
 
 namespace fits::taint {
 
@@ -21,30 +18,6 @@ using ir::Addr;
 using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
-
-using Mask = std::uint64_t;
-
-/** Memory cells are keyed per image so overlapping address spaces of
- * the main binary and its libraries do not alias. */
-using CellKey = std::uint64_t;
-
-CellKey
-cellKey(std::size_t imageIdx, Addr addr)
-{
-    return (static_cast<CellKey>(imageIdx) << 48) | addr;
-}
-
-/** Imports whose primary effect is writing caller memory; the source
- * operands' taint lands in the destination. */
-bool
-isMemoryWriter(const std::string &name)
-{
-    static const std::unordered_set<std::string> writers = {
-        "strcpy", "strncpy", "strcat", "strncat", "memcpy",
-        "memmove", "sprintf", "snprintf",
-    };
-    return writers.count(name) != 0;
-}
 
 /** Per-function interprocedural summary state. */
 struct FnState
@@ -59,131 +32,24 @@ struct Engine
     const ProgramAnalysis &pa;
     const StaEngine::Config &config;
     const std::vector<TaintSource> &sources;
-    LabelTable labelTable;
+    RunIndex index;
 
     std::vector<FnState> fnStates;
     std::unordered_map<CellKey, Mask> globalCells;
     Mask globalUnknown = 0;
 
-    /** image pointer -> index (for cell keys). */
-    std::unordered_map<const bin::BinaryImage *, std::size_t> imageIdx;
-
-    /** CTS import name -> source index. */
-    std::unordered_map<std::string, std::size_t> ctsByName;
-    /** ITS FnId -> source index. */
-    std::unordered_map<FnId, std::size_t> itsByFn;
-
-    /** Per caller: (block,stmt) -> resolved call-site indices. */
-    std::vector<std::unordered_map<std::uint64_t,
-                                   std::vector<std::size_t>>>
-        siteIndex;
-
-    /** ITS call-site label cache: site index -> seed bit. */
-    std::unordered_map<std::size_t, Mask> itsSiteLabel;
-
     std::size_t steps = 0;
+    /** Alerts are recorded only in the collection sweep that follows
+     * the fixpoint. */
     bool recording = false;
-    std::map<std::pair<std::size_t, Addr>, Alert> alerts;
 
     explicit Engine(const ProgramAnalysis &pa_,
                     const StaEngine::Config &config_,
                     const std::vector<TaintSource> &sources_)
-        : pa(pa_), config(config_), sources(sources_)
+        : pa(pa_), config(config_), sources(sources_),
+          index(pa_, sources_, config_.resolveIndirectCalls),
+          fnStates(pa_.linked->fnCount())
     {
-        labelTable = buildLabelTable(sources);
-        fnStates.resize(pa.linked->fnCount());
-        siteIndex.resize(pa.linked->fnCount());
-
-        std::size_t nImages = 0;
-        for (FnId id = 0; id < pa.linked->fnCount(); ++id) {
-            const auto *image = pa.linked->fn(id).image;
-            if (imageIdx.emplace(image, nImages).second)
-                ++nImages;
-        }
-
-        for (std::size_t i = 0; i < sources.size(); ++i) {
-            if (sources[i].kind == TaintSource::Kind::Cts) {
-                ctsByName[sources[i].name] = i;
-            } else {
-                auto fnId = pa.linked->fnIdOf(&pa.linked->mainImage(),
-                                              sources[i].entry);
-                if (fnId)
-                    itsByFn[*fnId] = i;
-            }
-        }
-
-        const auto &sites = pa.callGraph.sites();
-        for (std::size_t s = 0; s < sites.size(); ++s) {
-            const auto &site = sites[s];
-            if (site.indirect && !config.resolveIndirectCalls)
-                continue;
-            const std::uint64_t key =
-                (static_cast<std::uint64_t>(site.blockIdx) << 32) |
-                site.stmtIdx;
-            siteIndex[site.caller][key].push_back(s);
-        }
-    }
-
-    std::size_t
-    imageOf(FnId id) const
-    {
-        return imageIdx.at(pa.linked->fn(id).image);
-    }
-
-    /** Seed label for an ITS call site: user or system data depending
-     * on the key string the caller passes (resolved with the Table-2
-     * backtracker, as the paper's string matching does). */
-    Mask
-    itsLabelAt(std::size_t siteIdx, std::size_t sourceIdx)
-    {
-        auto it = itsSiteLabel.find(siteIdx);
-        if (it != itsSiteLabel.end())
-            return it->second;
-
-        const auto &site = pa.callGraph.sites()[siteIdx];
-        const auto &callerFa = pa.fn(site.caller);
-        const auto tracker = callerFa.backtracker();
-        bool system = false;
-        for (std::uint64_t value :
-             tracker.resolveArg(site.blockIdx, site.stmtIdx, 0)) {
-            if (auto s = tracker.classifyString(value)) {
-                if (isSystemDataKey(s->text)) {
-                    system = true;
-                    break;
-                }
-            }
-        }
-        const auto &bits = labelTable.bySource[sourceIdx];
-        const Mask label =
-            system && bits.systemBit != 0 ? bits.systemBit
-                                          : bits.userBit;
-        itsSiteLabel[siteIdx] = label;
-        return label;
-    }
-
-    void
-    recordAlert(FnId inFn, Addr sinkSite, const SinkSpec &sink,
-                Mask mask)
-    {
-        if (!recording || mask == 0)
-            return;
-        const auto key = std::make_pair(imageOf(inFn), sinkSite);
-        auto it = alerts.find(key);
-        if (it == alerts.end()) {
-            Alert alert;
-            alert.sinkSite = sinkSite;
-            alert.sinkName = sink.name;
-            alert.vclass = sink.vclass;
-            alert.labelMask = mask;
-            alert.inFunction = pa.linked->fn(inFn).fn->entry;
-            alert.imageIndex = key.first;
-            alert.hasUserDataLabel = labelTable.hasUserData(mask);
-            alerts.emplace(key, std::move(alert));
-        } else {
-            it->second.labelMask |= mask;
-            it->second.hasUserDataLabel =
-                labelTable.hasUserData(it->second.labelMask);
-        }
     }
 
     /**
@@ -198,7 +64,7 @@ struct Engine
         const auto &fa = pa.fn(id);
         const ir::Function &fn = *fa.fn;
         FnState &state = fnStates[id];
-        const std::size_t myImage = imageOf(id);
+        const std::size_t myImage = index.imageOf(id);
 
         bool externallyChanged = false;
 
@@ -215,13 +81,6 @@ struct Engine
             if (op.isImm())
                 return 0;
             return op.tmp < tmps.size() ? tmps[op.tmp] : 0;
-        };
-
-        auto enqueue = [&](FnId callee) {
-            if (!queued[callee]) {
-                queued[callee] = true;
-                worklist.push_back(callee);
-            }
         };
 
         for (std::size_t pass = 0; pass < config.passesPerFunction;
@@ -293,9 +152,9 @@ struct Engine
                       }
                       case StmtKind::Call:
                         handleCall(id, b, s, block.stmtAddr(s), fa,
-                                   tmps, regs, localMem, localUnknown,
+                                   regs, localMem, localUnknown,
                                    pendingCells, pendingUnknown,
-                                   enqueue);
+                                   worklist, queued);
                         break;
                       case StmtKind::Ret:
                         if (regs[ir::kRetReg] != 0 &&
@@ -335,45 +194,44 @@ struct Engine
     void
     handleCall(FnId caller, std::size_t blockIdx, std::size_t stmtIdx,
                Addr stmtAddr, const analysis::FunctionAnalysis &fa,
-               std::vector<Mask> &tmps, Mask regs[],
+               Mask regs[],
                std::unordered_map<CellKey, Mask> &localMem,
                Mask &localUnknown,
                std::unordered_map<CellKey, Mask> &pendingCells,
-               Mask &pendingUnknown,
-               const std::function<void(FnId)> &enqueue)
+               Mask &pendingUnknown, std::deque<FnId> &worklist,
+               std::vector<bool> &queued)
     {
-        (void)tmps;
-        const std::size_t myImage = imageOf(caller);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(blockIdx) << 32) | stmtIdx;
-        auto sitesIt = siteIndex[caller].find(key);
+        const std::size_t myImage = index.imageOf(caller);
+        const auto *callSites = index.sitesAt(caller, blockIdx, stmtIdx);
 
         Mask retMask = 0;
         const Mask argUnion =
             regs[0] | regs[1] | regs[2] | regs[3];
 
-        if (sitesIt != siteIndex[caller].end()) {
-            for (std::size_t siteIdx : sitesIt->second) {
+        if (callSites != nullptr) {
+            for (std::size_t siteIdx : *callSites) {
                 const auto &site = pa.callGraph.sites()[siteIdx];
                 const std::string &name = site.target.name;
 
                 // Sink check first: the call consumes its arguments.
-                if (const SinkSpec *sink = sinkByName(name)) {
+                // Alerts are collected only in the final sweep.
+                const SinkSpec *sink =
+                    recording ? sinkByName(name) : nullptr;
+                if (sink != nullptr) {
                     Mask hit = 0;
                     for (int arg : sink->taintedArgs) {
                         if (arg >= 0 && arg < ir::kNumArgRegs)
                             hit |= regs[arg];
                     }
-                    recordAlert(caller, stmtAddr, *sink, hit);
+                    index.recordAlert(caller, stmtAddr, *sink, hit);
                 }
 
                 // CTS seeding.
-                auto cts = name.empty() ? ctsByName.end()
-                                        : ctsByName.find(name);
-                if (cts != ctsByName.end()) {
-                    const TaintSource &src = sources[cts->second];
+                const std::size_t cts = index.ctsSource(name);
+                if (cts != RunIndex::npos) {
+                    const TaintSource &src = sources[cts];
                     const Mask label =
-                        labelTable.bySource[cts->second].userBit;
+                        index.labels().bySource[cts].userBit;
                     if (src.origin == TaintSource::Origin::ReturnValue) {
                         retMask |= label;
                     } else {
@@ -417,16 +275,18 @@ struct Engine
                             changed = true;
                         }
                     }
-                    if (changed)
-                        enqueue(callee);
+                    if (changed && !queued[callee]) {
+                        queued[callee] = true;
+                        worklist.push_back(callee);
+                    }
                     retMask |= cs.retOut;
                     localUnknown |= cs.memOut;
 
                     // ITS seeding: the verified taint origin is the
                     // return register of the ITS.
-                    auto its = itsByFn.find(callee);
-                    if (its != itsByFn.end())
-                        retMask |= itsLabelAt(siteIdx, its->second);
+                    const std::size_t its = index.itsSource(callee);
+                    if (its != RunIndex::npos)
+                        retMask |= index.itsLabelAt(siteIdx, its);
                 } else if (site.resolvesToFunction()) {
                     // Library function with an implementation: treat
                     // as a model (anchor semantics): taint flows from
@@ -467,16 +327,6 @@ struct Engine
 };
 
 } // namespace
-
-StaEngine::StaEngine()
-    : config_()
-{
-}
-
-StaEngine::StaEngine(Config config)
-    : config_(config)
-{
-}
 
 TaintReport
 StaEngine::run(const ProgramAnalysis &pa,
@@ -540,11 +390,7 @@ StaEngine::run(const ProgramAnalysis &pa,
     for (FnId id = 0; id < pa.linked->fnCount(); ++id)
         engine.analyzeFunction(id, dummy, dummyQueued);
 
-    TaintReport report;
-    report.labels = engine.labelTable.labels;
-    for (auto &[key, alert] : engine.alerts)
-        report.alerts.push_back(std::move(alert));
-    sortAlerts(report.alerts);
+    TaintReport report = engine.index.takeReport();
     report.steps = engine.steps;
     report.budgetExhausted = exhausted;
     report.deadlineExpired = expired;

@@ -47,8 +47,8 @@ class StaEngine
         double deadlineMs = 0.0;
     };
 
-    StaEngine();
-    explicit StaEngine(Config config);
+    StaEngine() = default;
+    explicit StaEngine(Config config) : config_(config) {}
 
     /** Run taint analysis with the given sources. */
     TaintReport run(const analysis::ProgramAnalysis &pa,

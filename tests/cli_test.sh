@@ -35,6 +35,43 @@ grep -q "GET(r0)" "$DIR/disasm.out"
 "$FITS" score "$IMG" > "$DIR/score.out"
 grep -q "top-3 hit" "$DIR/score.out"
 
+# `fits score` analyzes the image once: its STA run reuses the ranking's
+# analysis, so reaching definitions run only inside pipeline/ucse.
+FITS_METRICS="$DIR/score.json" "$FITS" score "$IMG" > /dev/null
+grep -q '"pipeline/ucse/kernel.reachdef"' "$DIR/score.json"
+if grep -q '"kernel.reachdef"' "$DIR/score.json"; then
+    echo "fits score re-analyzed the image outside the pipeline" >&2
+    exit 1
+fi
+
+# Numeric arguments parse strictly: anything but a whole unsigned
+# number is a usage error (exit 2), never a silent 0.
+expect_usage() {
+    rc=0
+    "$@" > /dev/null 2> "$DIR/usage.err" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q "usage:" "$DIR/usage.err"; then
+        echo "expected a usage error (exit 2) from: $*; got $rc" >&2
+        exit 1
+    fi
+}
+expect_usage "$FITS" taint "$IMG" --its zz
+expect_usage "$FITS" taint "$IMG" --its 0x10zz
+expect_usage "$FITS" rank "$IMG" --top abc
+expect_usage "$FITS" rank "$IMG" --top -1
+expect_usage "$FITS" corpus --jobs four
+expect_usage "$FITS" gen "$DIR/badseed.fwimg" --seed 7x
+test ! -e "$DIR/badseed.fwimg"
+
+# An --its address must be a function entry of the network binary.
+rc=0
+"$FITS" taint "$IMG" --its 0xdeadbeef > /dev/null \
+    2> "$DIR/noits.err" || rc=$?
+test "$rc" -eq 1 || {
+    echo "expected exit 1 for an --its address with no function, got $rc" >&2
+    exit 1
+}
+grep -q "no function at 0xdeadbeef" "$DIR/noits.err"
+
 # Parallel corpus evaluation honors FITS_JOBS and reports totals.
 FITS_JOBS=2 "$FITS" corpus > "$DIR/corpus.out"
 grep -q "2 worker threads" "$DIR/corpus.out"

@@ -134,7 +134,7 @@ TEST_F(CacheTest, BundleRoundTripIsBitIdentical)
 {
     const auto corpus = smallCorpus(1);
     const core::FitsPipeline pipeline{core::PipelineConfig{}};
-    const auto result = pipeline.run(corpus[0].bytes);
+    const auto result = pipeline.analyze(corpus[0].bytes);
     ASSERT_TRUE(result.ok);
 
     core::BehaviorBundle bundle;
@@ -177,7 +177,7 @@ TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
 {
     const auto corpus = smallCorpus(1);
     const core::FitsPipeline pipeline{core::PipelineConfig{}};
-    const auto result = pipeline.run(corpus[0].bytes);
+    const auto result = pipeline.analyze(corpus[0].bytes);
     ASSERT_TRUE(result.ok);
     core::BehaviorBundle bundle;
     bundle.behavior = result.behavior;

@@ -303,7 +303,7 @@ TEST_F(ChaosTest, MissingLibraryDegradesNotFails)
         EXPECT_TRUE(sawMissingLibrary);
     } else {
         EXPECT_EQ(artifact.failureStage,
-                  core::PipelineResult::FailureStage::Inference);
+                  core::PipelineArtifact::FailureStage::Inference);
         EXPECT_FALSE(artifact.status.isOk());
     }
 }
@@ -352,8 +352,8 @@ TEST_F(ChaosTest, DisarmedRunsAreIdentical)
     // With injection off, repeated runs are bit-identical and no site
     // records a hit (the disabled path is a single atomic load).
     const core::FitsPipeline pipeline;
-    const auto first = pipeline.run(sampleFw().bytes);
-    const auto second = pipeline.run(sampleFw().bytes);
+    const auto first = pipeline.analyze(sampleFw().bytes);
+    const auto second = pipeline.analyze(sampleFw().bytes);
     ASSERT_TRUE(first.ok) << first.error;
     ASSERT_TRUE(second.ok);
     EXPECT_FALSE(first.degraded);

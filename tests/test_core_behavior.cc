@@ -164,7 +164,8 @@ class BehaviorTest : public ::testing::Test
         linked_ = std::make_unique<analysis::LinkedProgram>(
             world_.main, world_.libs);
         const BehaviorAnalyzer analyzer;
-        repr_ = analyzer.analyze(*linked_);
+        repr_ = analyzer.analyze(
+            analysis::ProgramAnalysis::analyze(*linked_));
     }
 
     const FunctionRecord &

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.hh"
 #include "core/triage.hh"
 #include "eval/harness.hh"
 #include "synth/firmware_gen.hh"
@@ -27,14 +28,18 @@ struct CorpusResults
             CorpusResults r;
             for (const auto &spec : synth::standardDataset()) {
                 const auto fw = synth::generateFirmware(spec);
-                const auto outcome = eval::runInference(fw);
+                const auto artifact =
+                    core::FitsPipeline().analyze(fw.bytes);
+                const auto outcome =
+                    eval::inferenceOutcome(artifact, fw.spec, fw.truth);
                 const int rank =
                     outcome.ok ? outcome.firstItsRank : -1;
                 r.precision.addRank(rank);
                 if (!outcome.ok || rank < 0)
                     ++r.failures;
 
-                const auto taint = eval::runTaint(fw);
+                const auto taint =
+                    eval::taintOutcome(artifact, fw.spec, fw.truth);
                 if (taint.ok) {
                     r.karonte += taint.karonte;
                     r.karonteIts += taint.karonteIts;

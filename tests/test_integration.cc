@@ -31,10 +31,10 @@ TEST(PipelineIntegration, EndToEndSuccess)
     const auto fw =
         synth::generateFirmware(spec(synth::netgearProfile(), 0xf00));
     const core::FitsPipeline pipeline;
-    const auto result = pipeline.run(fw.bytes);
+    const auto result = pipeline.analyze(fw.bytes);
     ASSERT_TRUE(result.ok) << result.error;
     EXPECT_EQ(result.failureStage,
-              core::PipelineResult::FailureStage::None);
+              core::PipelineArtifact::FailureStage::None);
     EXPECT_GT(result.numFunctions, 100u);
     EXPECT_GT(result.binaryBytes, 0u);
     EXPECT_FALSE(result.inference.ranking.empty());
@@ -74,10 +74,10 @@ TEST(PipelineIntegration, UnpackFailureReported)
     s.profile.encoding = fw::Encoding::Opaque;
     const auto firmware = synth::generateFirmware(s);
     const core::FitsPipeline pipeline;
-    const auto result = pipeline.run(firmware.bytes);
+    const auto result = pipeline.analyze(firmware.bytes);
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(result.failureStage,
-              core::PipelineResult::FailureStage::Unpack);
+              core::PipelineArtifact::FailureStage::Unpack);
 }
 
 TEST(PipelineIntegration, SelectFailureReported)
@@ -86,10 +86,10 @@ TEST(PipelineIntegration, SelectFailureReported)
     s.failure = synth::SampleSpec::FailureMode::NoNetworkBinary;
     const auto firmware = synth::generateFirmware(s);
     const core::FitsPipeline pipeline;
-    const auto result = pipeline.run(firmware.bytes);
+    const auto result = pipeline.analyze(firmware.bytes);
     EXPECT_FALSE(result.ok);
     EXPECT_EQ(result.failureStage,
-              core::PipelineResult::FailureStage::Select);
+              core::PipelineArtifact::FailureStage::Select);
 }
 
 TEST(PipelineIntegration, StructOffsetDesignYieldsNoIts)
@@ -108,8 +108,8 @@ TEST(PipelineIntegration, DeterministicAcrossRuns)
     const auto fw =
         synth::generateFirmware(spec(synth::tendaProfile(), 0x77));
     const core::FitsPipeline pipeline;
-    const auto a = pipeline.run(fw.bytes);
-    const auto b = pipeline.run(fw.bytes);
+    const auto a = pipeline.analyze(fw.bytes);
+    const auto b = pipeline.analyze(fw.bytes);
     ASSERT_TRUE(a.ok);
     ASSERT_TRUE(b.ok);
     ASSERT_EQ(a.inference.ranking.size(), b.inference.ranking.size());
@@ -125,7 +125,8 @@ TEST(TaintIntegration, EngineRelationsHoldEndToEnd)
 {
     const auto fw = synth::generateFirmware(
         spec(synth::netgearProfile(), 0x9001));
-    const auto outcome = eval::runTaint(fw);
+    const auto outcome = eval::taintOutcome(
+        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
     ASSERT_TRUE(outcome.ok) << outcome.error;
 
     // The paper's structural claims, per sample:
@@ -156,7 +157,8 @@ TEST(TaintIntegration, AlertsOnlyAtPlantedSites)
 {
     const auto fw = synth::generateFirmware(
         spec(synth::tendaProfile(), 0x9002));
-    const auto outcome = eval::runTaint(fw);
+    const auto outcome = eval::taintOutcome(
+        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
     ASSERT_TRUE(outcome.ok);
     // Every bug the engines report is a planted real-bug site.
     for (const auto &bugs :
@@ -168,21 +170,6 @@ TEST(TaintIntegration, AlertsOnlyAtPlantedSites)
             EXPECT_TRUE(s->isBug());
         }
     }
-}
-
-TEST(TaintIntegration, RunOnTargetSkipsStageOne)
-{
-    const auto fw = synth::generateFirmware(
-        spec(synth::tplinkProfile(), 0x9003));
-    auto unpacked = fw::unpackFirmware(fw.bytes);
-    ASSERT_TRUE(unpacked);
-    auto target =
-        fw::selectAnalysisTarget(unpacked.value().filesystem);
-    ASSERT_TRUE(target);
-    const core::FitsPipeline pipeline;
-    const auto result = pipeline.runOnTarget(target.take());
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_FALSE(result.inference.ranking.empty());
 }
 
 } // namespace

@@ -191,17 +191,17 @@ miniCorpus()
 TEST(CorpusRunner, ParallelTaintMatchesSerial)
 {
     const auto corpus = miniCorpus();
-    const auto serial = runnerWithJobs(1).runTaint(corpus);
-    const auto parallel = runnerWithJobs(4).runTaint(corpus);
+    const auto serial = runnerWithJobs(1).runFull(corpus);
+    const auto parallel = runnerWithJobs(4).runFull(corpus);
     ASSERT_EQ(serial.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         SCOPED_TRACE(corpus[i].spec.name);
-        expectIdenticalTaint(serial[i], parallel[i]);
+        expectIdenticalTaint(serial[i].taint, parallel[i].taint);
     }
     // The broken sample failed alone; the rest analyzed fine.
-    EXPECT_FALSE(parallel.back().ok);
+    EXPECT_FALSE(parallel.back().taint.ok);
     for (std::size_t i = 0; i + 1 < corpus.size(); ++i)
-        EXPECT_TRUE(parallel[i].ok);
+        EXPECT_TRUE(parallel[i].taint.ok);
 }
 
 TEST(CorpusRunner, RunFullSharesOneAnalysisPerSample)
@@ -210,35 +210,32 @@ TEST(CorpusRunner, RunFullSharesOneAnalysisPerSample)
     const auto runner = runnerWithJobs(3);
     const auto full = runner.runFull(corpus);
     const auto inference = runner.runInference(corpus);
-    const auto taint = runner.runTaint(corpus);
     ASSERT_EQ(full.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         SCOPED_TRACE(corpus[i].spec.name);
         expectIdenticalInference(full[i].inference, inference[i]);
-        expectIdenticalTaint(full[i].taint, taint[i]);
+        expectIdenticalTaint(
+            full[i].taint,
+            eval::taintOutcome(core::FitsPipeline().analyze(corpus[i].bytes),
+                               corpus[i].spec, corpus[i].truth));
     }
 }
 
 TEST(CorpusRunner, TaintOutcomesCarrySampleIdentityEvenOnFailure)
 {
-    // Regression: the runTaint/runFull failure paths used to discard
-    // the sample index, so an errored TaintOutcome could not be traced
-    // back to the sample that produced it.
+    // Regression: the runFull failure path used to discard the sample
+    // index, so an errored TaintOutcome could not be traced back to
+    // the sample that produced it.
     const auto corpus = miniCorpus();
-    const auto runner = runnerWithJobs(2);
-    const auto taint = runner.runTaint(corpus);
-    ASSERT_EQ(taint.size(), corpus.size());
-    for (std::size_t i = 0; i < corpus.size(); ++i)
-        EXPECT_EQ(taint[i].spec.name, corpus[i].spec.name);
-    EXPECT_FALSE(taint.back().ok); // the broken sample still failed
-    EXPECT_FALSE(taint.back().spec.name.empty());
-
-    const auto full = runner.runFull(corpus);
+    const auto full = runnerWithJobs(2).runFull(corpus);
     ASSERT_EQ(full.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         EXPECT_EQ(full[i].taint.spec.name, corpus[i].spec.name);
         EXPECT_EQ(full[i].inference.spec.name, corpus[i].spec.name);
     }
+    // The broken sample still failed.
+    EXPECT_FALSE(full.back().taint.ok);
+    EXPECT_FALSE(full.back().taint.spec.name.empty());
 }
 
 TEST(CorpusRunner, ThrowingTaskFailsOnlyItsOwnSample)
@@ -448,11 +445,11 @@ corpusSamplePoints()
 {
     const auto firmware =
         synth::generateFirmware(synth::standardDataset().front());
-    const auto result = core::FitsPipeline().run(firmware.bytes);
-    EXPECT_TRUE(result.ok) << result.error;
+    const auto artifact = core::FitsPipeline().analyze(firmware.bytes);
+    EXPECT_TRUE(artifact.ok) << artifact.error;
     ml::Matrix custom;
-    for (analysis::FnId id : result.behavior.customFns)
-        custom.push_back(result.behavior.records[id].bfv.toVector());
+    for (analysis::FnId id : artifact.behavior.customFns)
+        custom.push_back(artifact.behavior.records[id].bfv.toVector());
     return ml::maxAbsScale(custom);
 }
 

@@ -10,6 +10,7 @@
 #include "binary/fbin.hh"
 #include "core/behavior.hh"
 #include "core/infer.hh"
+#include "core/pipeline.hh"
 #include "eval/harness.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
@@ -119,7 +120,8 @@ TEST_P(SeedSweep, BfvInvariants)
 TEST_P(SeedSweep, TaintEngineInvariants)
 {
     const auto fw = synth::generateFirmware(seededSpec(GetParam()));
-    const auto outcome = eval::runTaint(fw);
+    const auto outcome = eval::taintOutcome(
+        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
     ASSERT_TRUE(outcome.ok) << outcome.error;
 
     auto contains = [](const std::vector<ir::Addr> &super,

@@ -9,7 +9,7 @@
 #include "analysis/program_analysis.hh"
 #include "ir/builder.hh"
 #include "taint/karonte.hh"
-#include "taint/labels.hh"
+#include "taint/run_index.hh"
 #include "taint/sta.hh"
 
 namespace fits::taint {

@@ -14,6 +14,13 @@
  *   fits taint <image.fwimg> [--engine sta|karonte] [--its ADDR]...
  *       Run a taint engine with the classical sources plus any given
  *       intermediate sources and print the alerts.
+ *   fits disasm <image.fwimg> <function-addr>
+ *       Print the FIR of the network-binary function at (or containing)
+ *       the address.
+ *   fits score <image.fwimg>
+ *       Rank, then run STA with the top-3 ranked functions the
+ *       <image.fwimg>.truth sidecar confirms as ITSs, and score the
+ *       ranking and the alerts against that sidecar.
  *   fits corpus [--jobs N] [--taint] [--dir DIR]
  *               [--metrics-out FILE] [--no-cache]
  *       Evaluate the standard 59-sample corpus in parallel (per-vendor
@@ -25,9 +32,16 @@
  *       cache (results are identical either way — set FITS_CACHE_DIR
  *       to persist the cache across invocations). Exits non-zero when
  *       every sample fails.
+ *   fits faults
+ *       List the fault-injection sites that FITS_FAULTS can arm.
+ *
+ * A numeric argument (--seed, --top, --its, --jobs) that is not a
+ * whole unsigned number — decimal, 0x-hex or 0-octal — is a usage
+ * error (exit 2).
  */
 
-#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -37,11 +51,11 @@
 #include <string>
 #include <vector>
 
-#include "analysis/program_analysis.hh"
 #include "cache/cache.hh"
 #include "chaos/chaos.hh"
 #include "core/anchors.hh"
 #include "core/pipeline.hh"
+#include "eval/harness.hh"
 #include "eval/report.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
@@ -49,7 +63,6 @@
 #include "obs/metrics.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
-#include "taint/karonte.hh"
 #include "taint/sta.hh"
 
 namespace {
@@ -97,6 +110,19 @@ cmdFaults()
                     support::stageName(site.stage), site.description);
     }
     return 0;
+}
+
+/** Parse a whole argument as an unsigned number (strtoull base 0).
+ * False for empty text, a sign, trailing characters, or overflow. */
+bool
+parseNumber(const char *text, std::uint64_t &value)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    value = std::strtoull(text, &end, 0);
+    return *end == '\0' && errno == 0;
 }
 
 bool
@@ -183,7 +209,8 @@ cmdGen(int argc, char **argv)
         if (arg == "--vendor" && i + 1 < argc) {
             vendor = argv[++i];
         } else if (arg == "--seed" && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 0);
+            if (!parseNumber(argv[++i], seed))
+                return usage();
         } else if (arg == "--keep-symbols") {
             keepSymbols = true;
         } else {
@@ -285,12 +312,13 @@ cmdInfo(const std::string &path)
 int
 cmdRank(const std::string &path, int argc, char **argv)
 {
-    std::size_t top = 10;
+    std::uint64_t top = 10;
     bool useSymbols = false;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--top" && i + 1 < argc) {
-            top = std::strtoul(argv[++i], nullptr, 0);
+            if (!parseNumber(argv[++i], top))
+                return usage();
         } else if (arg == "--use-symbols") {
             useSymbols = true;
         } else {
@@ -320,8 +348,10 @@ cmdTaint(const std::string &path, int argc, char **argv)
         if (arg == "--engine" && i + 1 < argc) {
             engine = argv[++i];
         } else if (arg == "--its" && i + 1 < argc) {
-            itsAddrs.push_back(
-                std::strtoull(argv[++i], nullptr, 0));
+            std::uint64_t addr = 0;
+            if (!parseNumber(argv[++i], addr))
+                return usage();
+            itsAddrs.push_back(addr);
         } else {
             return usage();
         }
@@ -353,13 +383,13 @@ cmdScore(const std::string &path)
         std::fprintf(stderr, "cannot read %s.truth\n", path.c_str());
         return 1;
     }
-    std::vector<ir::Addr> itsAddrs;
+    synth::GroundTruth truth;
     std::vector<std::pair<ir::Addr, bool>> sites; // (addr, isBug)
     std::string line;
     while (std::getline(truthIn, line)) {
         const auto fields = support::split(line, ' ');
         if (fields.size() >= 2 && fields[0] == "its") {
-            itsAddrs.push_back(
+            truth.itsFunctions.push_back(
                 std::strtoull(fields[1].c_str(), nullptr, 0));
         } else if (fields.size() >= 3 && fields[0] == "sink") {
             sites.emplace_back(
@@ -369,42 +399,24 @@ cmdScore(const std::string &path)
     }
 
     const core::FitsPipeline pipeline;
-    const auto result = pipeline.run(bytes);
-    if (!result.ok) {
+    const auto artifact = pipeline.analyze(bytes);
+    if (!artifact.ok) {
         std::fprintf(stderr, "pipeline failed: %s\n",
-                     result.error.c_str());
+                     artifact.error.c_str());
         return 1;
     }
 
-    // Rank of the first true ITS.
-    int rank = -1;
-    std::vector<taint::TaintSource> verified =
-        taint::classicalTaintSources();
-    for (std::size_t i = 0; i < result.inference.ranking.size();
-         ++i) {
-        const ir::Addr entry = result.inference.ranking[i].entry;
-        const bool isIts =
-            std::find(itsAddrs.begin(), itsAddrs.end(), entry) !=
-            itsAddrs.end();
-        if (isIts && rank < 0)
-            rank = static_cast<int>(i) + 1;
-        if (isIts && i < 3) {
-            verified.push_back(
-                taint::TaintSource::its(entry,
-                                        support::hex(entry)));
-        }
-    }
+    const auto &ranking = artifact.inference.ranking;
+    const int rank = eval::rankOfFirstIts(ranking, truth);
     std::printf("ITS rank: %d (top-3 %s)\n", rank,
                 rank >= 1 && rank <= 3 ? "hit" : "miss");
 
-    // Taint with the verified top-3 ITSs; score against the sidecar.
-    auto unpacked = fw::unpackFirmware(bytes);
-    auto target =
-        fw::selectAnalysisTarget(unpacked.value().filesystem);
-    const analysis::LinkedProgram linked(*target.value().main,
-                                         target.value().libraries);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    const auto report = taint::StaEngine().run(pa, verified);
+    // Taint with the verified top-3 ITSs over the analysis the ranking
+    // came from; score against the sidecar.
+    auto sources = taint::classicalTaintSources();
+    const auto its = eval::verifiedItsSources(ranking, truth);
+    sources.insert(sources.end(), its.begin(), its.end());
+    const auto report = taint::StaEngine().run(*artifact.analysis, sources);
     const auto alerts = report.filteredAlerts();
     std::size_t tp = 0, fp = 0;
     for (const auto &alert : alerts) {
@@ -469,7 +481,10 @@ cmdCorpus(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
-            options.jobs = std::strtoul(argv[++i], nullptr, 0);
+            std::uint64_t jobs = 0;
+            if (!parseNumber(argv[++i], jobs))
+                return usage();
+            options.jobs = jobs;
         } else if (arg == "--taint") {
             options.taint = true;
         } else if (arg == "--no-cache") {
