@@ -4,7 +4,6 @@
 #include <deque>
 #include <unordered_map>
 
-#include "chaos/chaos.hh"
 #include "ir/types.hh"
 #include "obs/metrics.hh"
 
@@ -95,10 +94,6 @@ ReachingDefs::analyze(const Cfg &cfg, const ir::Function &fn,
     Result result;
     const std::size_t n = fn.blocks.size();
 
-    // Fault injection behaves like a deadline that expired before the
-    // first iteration: every structure below is still fully sized, but
-    // neither fixpoint refines.
-    result.deadlineExpired = chaos::shouldInject("flow.reachdef");
     std::size_t tick = 0;
 
     // ---- Collect definitions -------------------------------------

@@ -75,9 +75,9 @@ class ReachingDefs
          * info (feature extraction), zero otherwise. */
         std::uint8_t loopDepMask = 0;
 
-        /** The fixpoint loops were cut short by the deadline (or a
-         * fault injection). Every vector is still fully sized — only
-         * the masks and IN sets may be under-approximated. */
+        /** The fixpoint loops were cut short by the deadline. Every
+         * vector is still fully sized — only the masks and IN sets
+         * may be under-approximated. */
         bool deadlineExpired = false;
     };
 

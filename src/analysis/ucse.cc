@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "chaos/chaos.hh"
 #include "ir/types.hh"
 
 namespace fits::analysis {
@@ -77,11 +76,6 @@ UcseExplorer::explore(const ir::Function &fn) const
     std::vector<PathState> worklist;
     worklist.push_back(std::move(init));
     std::vector<std::size_t> visits(n, 0);
-
-    if (chaos::shouldInject("ucse.explore")) {
-        result.deadlineExpired = true;
-        return result;
-    }
 
     std::size_t tick = 0;
     while (!worklist.empty()) {

@@ -80,8 +80,8 @@ struct UcseResult
     std::vector<bool> reachedBlocks;
     std::size_t steps = 0;
     bool budgetExhausted = false;
-    /** The wall-clock deadline (or a fault injection) cut exploration
-     * short; resolved targets and reached blocks are partial. */
+    /** The wall-clock deadline cut exploration short; resolved
+     * targets and reached blocks are partial. */
     bool deadlineExpired = false;
 };
 

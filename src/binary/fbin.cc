@@ -1,7 +1,6 @@
 #include "fbin.hh"
 
 #include "binary/bytebuf.hh"
-#include "chaos/chaos.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 
@@ -148,6 +147,24 @@ readStmt(ByteReader &r, Stmt &s)
     return false;
 }
 
+/** True when every temporary `s` names is below `numTmps` and its
+ * register is inside the guest register file: the analyses index
+ * per-function state with these ids unchecked. */
+bool
+idsInRange(const Stmt &s, std::uint32_t numTmps)
+{
+    const auto tmpOk = [numTmps](const Operand &op) {
+        return !op.isTmp() || op.tmp < numTmps;
+    };
+    if (s.definesTmp() && s.dst >= numTmps)
+        return false;
+    if ((s.kind == StmtKind::Get || s.kind == StmtKind::Put) &&
+        s.reg >= ir::kNumRegs) {
+        return false;
+    }
+    return tmpOk(s.a) && tmpOk(s.b);
+}
+
 } // namespace
 
 std::vector<std::uint8_t>
@@ -217,16 +234,7 @@ loadBinary(const std::vector<std::uint8_t> &bytes)
             Stage::Lift, code, std::move(message)));
     };
 
-    if (chaos::shouldInject("fbin.load"))
-        return R::error(chaos::injectedStatus("fbin.load"));
-
-    // The truncation fault decodes only the front half of the buffer,
-    // which must surface as a typed Truncated error somewhere below —
-    // exactly what a half-written file or short read produces.
-    const std::size_t limit =
-        chaos::shouldInject("fbin.truncate") ? bytes.size() / 2
-                                             : bytes.size();
-    ByteReader r(bytes.data(), limit);
+    ByteReader r(bytes);
 
     std::uint8_t magic[4];
     for (auto &m : magic) {
@@ -309,6 +317,7 @@ loadBinary(const std::vector<std::uint8_t> &bytes)
         }
         if (image.program.functionAt(fn.entry) != nullptr)
             return err(ErrorCode::Corrupt, "duplicate function entry");
+        std::size_t stmtCount = 0;
         for (std::uint32_t b = 0; b < nBlocks && r.ok(); ++b) {
             ir::BasicBlock block;
             std::uint32_t nStmts;
@@ -319,12 +328,21 @@ loadBinary(const std::vector<std::uint8_t> &bytes)
                 ir::Stmt stmt;
                 if (!readStmt(r, stmt))
                     return err(ErrorCode::Corrupt, "malformed statement");
+                if (!idsInRange(stmt, fn.numTmps)) {
+                    return err(ErrorCode::Corrupt,
+                               "statement id out of range");
+                }
                 block.stmts.push_back(stmt);
             }
+            stmtCount += block.stmts.size();
             fn.blocks.push_back(std::move(block));
         }
         if (!r.ok())
             return err(ErrorCode::Truncated, "truncated function body");
+        // Each temporary is defined by a statement of its function.
+        if (fn.numTmps > stmtCount)
+            return err(ErrorCode::Corrupt,
+                       "more temporaries than statements");
         image.program.addFunction(std::move(fn));
     }
 

@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/strings.hh"
 
@@ -97,7 +96,7 @@ struct State
 State &
 state()
 {
-    // Leaked singleton (mirrors obs/chaos): cached products may be
+    // Leaked singleton (mirrors obs): cached products may be
     // referenced from worker threads during static destruction.
     static auto *s = new State;
     return *s;
@@ -360,8 +359,6 @@ resetStats()
 bool
 memoryUsable()
 {
-    if (!chaos::rulesConfinedTo("cache."))
-        return false;
     State &s = state();
     const std::lock_guard<std::mutex> lock(s.mutex);
     return s.options.memory;
@@ -370,8 +367,6 @@ memoryUsable()
 bool
 diskUsable()
 {
-    if (!chaos::rulesConfinedTo("cache."))
-        return false;
     State &s = state();
     const std::lock_guard<std::mutex> lock(s.mutex);
     return s.options.disk && !s.options.dir.empty();
@@ -440,13 +435,6 @@ fetchBlob(std::string_view kind, std::uint64_t key1,
     if (!diskTier)
         return std::nullopt;
 
-    // Injected read fault: the entry is unreadable; degrade to a miss.
-    if (chaos::shouldInject("cache.read")) {
-        bumpDiskCorrupt();
-        bumpDisk(false);
-        return std::nullopt;
-    }
-
     const std::string path = blobPath(kind, key1, key2);
     auto payload = readDiskEntry(path, key1, key2);
     bumpDisk(payload.has_value());
@@ -479,8 +467,6 @@ storeBlob(std::string_view kind, std::uint64_t key1,
     }
 
     if (diskTier) {
-        if (chaos::shouldInject("cache.write"))
-            return; // injected write fault: entry never lands
         std::string dir;
         {
             const std::lock_guard<std::mutex> lock(s.mutex);

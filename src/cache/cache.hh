@@ -34,10 +34,6 @@ namespace fits::cache {
  *  - Results are bit-identical with and without the cache, and across
  *    hits vs. misses: payloads are immutable bytes, and the codecs
  *    store doubles by bit pattern.
- *  - Caching is bypassed whenever fault injection is armed outside the
- *    "cache." sites (`chaos::rulesConfinedTo`): a fault that fires
- *    inside a cached computation must neither be masked by a hit nor
- *    baked into a stored entry.
  *  - Callers must additionally bypass when a wall-clock deadline is
  *    active (partial results are not reusable).
  *
@@ -84,8 +80,7 @@ struct Stats
 Stats stats();
 void resetStats();
 
-/** True when the memory tier may be consulted right now (enabled and
- * fault injection, if armed, is confined to "cache." sites). */
+/** True when the memory tier is enabled. */
 bool memoryUsable();
 
 /** Same gate for the disk tier (also requires a directory). */
@@ -114,7 +109,7 @@ std::optional<std::string> fetchBlob(std::string_view kind,
                                      std::uint64_t key2);
 
 /** Store a serialized product in every usable tier. Disk write
- * failures (including injected "cache.write" faults) skip the entry
+ * failures (an uncreatable directory, a failed write) skip the entry
  * silently — the cache is an accelerator, never a correctness
  * dependency. */
 void storeBlob(std::string_view kind, std::uint64_t key1,

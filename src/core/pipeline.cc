@@ -1,7 +1,6 @@
 #include "pipeline.hh"
 
 #include "cache/cache.hh"
-#include "chaos/chaos.hh"
 #include "core/behavior_io.hh"
 #include "obs/metrics.hh"
 #include "support/logging.hh"
@@ -213,14 +212,6 @@ void
 FitsPipeline::runInferenceStage(PipelineArtifact &artifact) const
 {
     obs::ScopedTimer inferTimer("infer");
-    if (chaos::shouldInject("infer.rank")) {
-        artifact.timings.inferMs = inferTimer.stopMs();
-        artifact.failureStage =
-            PipelineArtifact::FailureStage::Inference;
-        artifact.status = chaos::injectedStatus("infer.rank");
-        artifact.error = artifact.status.message();
-        return;
-    }
     artifact.inference = inferIts(artifact.behavior, config_.infer);
     artifact.timings.inferMs = inferTimer.stopMs();
     artifact.timings.clusterMs = artifact.inference.clusterMs;

@@ -1,43 +1,10 @@
 #include "corpus_runner.hh"
 
-#include <algorithm>
-
 #include "cache/cache.hh"
 
 namespace fits::eval {
 
 namespace {
-
-/** A failure worth one more attempt: an expired deadline, an injected
- * fault, or an internal error — anything a second, cheaper run can
- * plausibly get past. Deterministic parse errors are not retried. */
-template <typename Outcome>
-bool
-retryable(const Outcome &outcome)
-{
-    return !outcome.ok && !outcome.status.isOk() &&
-           outcome.status.isTransient();
-}
-
-bool
-retryable(const CorpusRunner::FullOutcome &full)
-{
-    return retryable(full.inference);
-}
-
-template <typename Outcome>
-void
-markRetried(Outcome &outcome)
-{
-    outcome.retried = true;
-}
-
-void
-markRetried(CorpusRunner::FullOutcome &full)
-{
-    markRetried(full.inference);
-    markRetried(full.taint);
-}
 
 template <typename Outcome>
 void
@@ -69,24 +36,6 @@ CorpusRunner::CorpusRunner(Config config)
 }
 
 core::PipelineConfig
-CorpusRunner::degradedPipelineConfig() const
-{
-    // The retry runs under a reduced UCSE budget: a sample that timed
-    // out (or tripped a transient fault) gets one more chance to
-    // produce a partial result instead of none.
-    core::PipelineConfig config = config_.pipeline;
-    config.behavior.ucse.maxSteps = std::min<std::size_t>(
-        config.behavior.ucse.maxSteps, 10000);
-    config.behavior.ucse.maxVisitsPerBlock = std::min<std::size_t>(
-        config.behavior.ucse.maxVisitsPerBlock, 2);
-    // Retries never touch the behavior cache: a sample that just
-    // failed transiently should be recomputed from scratch, not
-    // have its recovery product stored for future runs.
-    config.behaviorCache = false;
-    return config;
-}
-
-core::PipelineConfig
 CorpusRunner::inferencePipelineConfig() const
 {
     core::PipelineConfig config = config_.pipeline;
@@ -104,21 +53,11 @@ CorpusRunner::taintPipelineConfig() const
 
 template <typename R, typename AnalyzeFn, typename LabelFn>
 std::vector<R>
-CorpusRunner::runEach(std::size_t count,
-                      const core::PipelineConfig &pipeline,
-                      AnalyzeFn &&analyze, LabelFn &&label) const
+CorpusRunner::runEach(std::size_t count, AnalyzeFn &&analyze,
+                      LabelFn &&label) const
 {
     return map<R>(
-        count,
-        [&](std::size_t i) {
-            R outcome = analyze(i, pipeline);
-            if (retryable(outcome)) {
-                obs::addCounter("corpus.retries");
-                outcome = analyze(i, degradedPipelineConfig());
-                markRetried(outcome);
-            }
-            return outcome;
-        },
+        count, analyze,
         [&](std::size_t i, const std::string &message) {
             R outcome;
             label(i, outcome);
@@ -131,9 +70,10 @@ std::vector<InferenceOutcome>
 CorpusRunner::runInference(
     const std::vector<synth::GeneratedFirmware> &corpus) const
 {
+    const core::PipelineConfig config = inferencePipelineConfig();
     return runEach<InferenceOutcome>(
-        corpus.size(), inferencePipelineConfig(),
-        [&](std::size_t i, const core::PipelineConfig &config) {
+        corpus.size(),
+        [&](std::size_t i) {
             return eval::runInference(corpus[i], config);
         },
         [&](std::size_t i, InferenceOutcome &outcome) {
@@ -146,9 +86,10 @@ std::vector<InferenceOutcome>
 CorpusRunner::runInferenceOnSpecs(
     const std::vector<synth::SampleSpec> &specs) const
 {
+    const core::PipelineConfig config = inferencePipelineConfig();
     return runEach<InferenceOutcome>(
-        specs.size(), inferencePipelineConfig(),
-        [&](std::size_t i, const core::PipelineConfig &config) {
+        specs.size(),
+        [&](std::size_t i) {
             return eval::runInference(synth::generateFirmware(specs[i]),
                                       config);
         },
@@ -161,9 +102,10 @@ std::vector<CorpusRunner::FullOutcome>
 CorpusRunner::runFull(
     const std::vector<synth::GeneratedFirmware> &corpus) const
 {
+    const core::PipelineConfig config = taintPipelineConfig();
     return runEach<FullOutcome>(
-        corpus.size(), taintPipelineConfig(),
-        [&](std::size_t i, const core::PipelineConfig &config) {
+        corpus.size(),
+        [&](std::size_t i) {
             const core::PipelineArtifact artifact =
                 core::FitsPipeline(config).analyze(corpus[i].bytes);
             FullOutcome full;

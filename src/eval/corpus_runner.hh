@@ -129,21 +129,14 @@ class CorpusRunner
 
   private:
     /**
-     * The fan-out behind every run* method: outcome i is
-     * analyze(i, pipeline), re-run once under degradedPipelineConfig()
-     * (counted in `corpus.retries`, marked `retried`) when it failed
-     * transiently. If a worker throws, outcome i instead carries the
-     * sample identity that label(i, outcome) fills in and a
-     * "worker exception" error.
+     * The fan-out behind every run* method: outcome i is analyze(i).
+     * If a worker throws, outcome i instead carries the sample
+     * identity that label(i, outcome) fills in and a "worker
+     * exception" error.
      */
     template <typename R, typename AnalyzeFn, typename LabelFn>
-    std::vector<R> runEach(std::size_t count,
-                           const core::PipelineConfig &pipeline,
-                           AnalyzeFn &&analyze, LabelFn &&label) const;
-
-    /** Reduced-budget pipeline config used for the one retry a
-     * transiently-failed sample gets. */
-    core::PipelineConfig degradedPipelineConfig() const;
+    std::vector<R> runEach(std::size_t count, AnalyzeFn &&analyze,
+                           LabelFn &&label) const;
 
     /** Pipeline config for inference-only runs: behavior caching on
      * when Config::cache allows it. */

@@ -30,9 +30,6 @@ struct InferenceOutcome
     /** Partial result: see core::PipelineArtifact::degraded. */
     bool degraded = false;
     std::vector<support::Status> issues;
-    /** The corpus runner re-ran this sample once after a transient
-     * failure (timeout / injected fault). */
-    bool retried = false;
 
     std::vector<core::RankedFunction> ranking;
     /** 1-based rank of the first verified ITS; -1 if absent. */
@@ -112,7 +109,6 @@ struct TaintOutcome
      * hit its wall-clock budget; `issues` lists the reasons. */
     bool degraded = false;
     std::vector<support::Status> issues;
-    bool retried = false;
     EngineStats karonte;
     EngineStats karonteIts;
     EngineStats sta;

@@ -199,13 +199,11 @@ runCorpusReport(const CorpusOptions &options)
     // Failure accounting: every sample whose pipeline (or taint
     // batch) errored, identified by its spec. Degraded samples
     // (partial results) are listed separately and are not failures.
-    std::size_t degraded = 0, retried = 0;
+    std::size_t degraded = 0;
     for (const auto &outcome : outcomes) {
         const std::string &name = outcome.inference.spec.name.empty()
                                       ? outcome.taint.spec.name
                                       : outcome.inference.spec.name;
-        if (outcome.inference.retried || outcome.taint.retried)
-            ++retried;
         if (outcome.inference.degraded ||
             (options.taint && outcome.taint.degraded)) {
             ++degraded;
@@ -238,10 +236,9 @@ runCorpusReport(const CorpusOptions &options)
     }
     report.text += support::format("\nfailed samples: %zu/%zu\n",
                                    report.failed, outcomes.size());
-    if (degraded > 0 || retried > 0) {
-        report.text += support::format(
-            "degraded samples: %zu/%zu (%zu retried)\n", degraded,
-            outcomes.size(), retried);
+    if (degraded > 0) {
+        report.text += support::format("degraded samples: %zu/%zu\n",
+                                       degraded, outcomes.size());
     }
     return report;
 }

@@ -3,7 +3,6 @@
 #include <string_view>
 
 #include "binary/bytebuf.hh"
-#include "chaos/chaos.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 
@@ -148,9 +147,6 @@ unpackFirmware(const std::vector<std::uint8_t> &bytes)
             Status::error(stage, code, std::move(message)));
     };
 
-    if (chaos::shouldInject("unpack.magic"))
-        return R::error(chaos::injectedStatus("unpack.magic"));
-
     // Magic scan (what Binwalk does): find "FWIM" at any offset.
     std::size_t start = bytes.size();
     for (std::size_t i = 0; i + 4 <= bytes.size(); ++i) {
@@ -164,9 +160,6 @@ unpackFirmware(const std::vector<std::uint8_t> &bytes)
         return err(Stage::Unpack, ErrorCode::BadMagic,
                    "no FWIM magic found in image");
     }
-
-    if (chaos::shouldInject("unpack.header"))
-        return R::error(chaos::injectedStatus("unpack.header"));
 
     ByteReader r(bytes.data() + start, bytes.size() - start);
     std::uint8_t magic[4];
@@ -215,16 +208,11 @@ unpackFirmware(const std::vector<std::uint8_t> &bytes)
 
     decodePayload(payload, image.info.encoding,
                   vendorKey(image.info.vendor));
-    if (chaos::shouldInject("unpack.payload"))
-        return R::error(chaos::injectedStatus("unpack.payload"));
     if (payloadChecksum(payload) != checksum) {
         return err(Stage::Unpack, ErrorCode::Corrupt,
                    "payload checksum mismatch "
                    "(corrupt image or wrong key)");
     }
-
-    if (chaos::shouldInject("fs.filetable"))
-        return R::error(chaos::injectedStatus("fs.filetable"));
 
     ByteReader pr(payload);
     std::uint32_t nFiles;

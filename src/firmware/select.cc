@@ -1,7 +1,6 @@
 #include "select.hh"
 
 #include "binary/fbin.hh"
-#include "chaos/chaos.hh"
 #include "support/logging.hh"
 #include "support/status.hh"
 
@@ -60,9 +59,6 @@ selectAnalysisTarget(const Filesystem &filesystem)
     using support::Stage;
     using support::Status;
 
-    if (chaos::shouldInject("select.binary"))
-        return R::error(chaos::injectedStatus("select.binary"));
-
     bool anyParsed = false;
     int bestScore = 0;
     std::shared_ptr<const bin::BinaryImage> best;
@@ -102,10 +98,6 @@ selectAnalysisTarget(const Filesystem &filesystem)
         // failure: analysis proceeds against the main binary (and any
         // libraries that did load) and the target records what is
         // missing so the pipeline can flag the sample as partial.
-        if (chaos::shouldInject("select.library")) {
-            target.missingLibraries.push_back(dep);
-            continue;
-        }
         const FileEntry *libEntry = filesystem.findByBasename(dep);
         if (!libEntry) {
             target.missingLibraries.push_back(dep);

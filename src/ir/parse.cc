@@ -3,7 +3,6 @@
 #include <cctype>
 #include <optional>
 
-#include "chaos/chaos.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 
@@ -268,9 +267,6 @@ parseFunction(const std::string &text)
             support::Stage::IrParse, support::ErrorCode::Corrupt,
             std::move(message)));
     };
-
-    if (chaos::shouldInject("ir.parse"))
-        return R::error(chaos::injectedStatus("ir.parse"));
 
     Function fn;
     bool sawHeader = false;

@@ -1,5 +1,6 @@
 #include "deadline.hh"
 
+#include <cmath>
 #include <cstdlib>
 
 namespace fits::support {
@@ -13,7 +14,7 @@ envStageTimeoutMs()
             return 0.0;
         char *end = nullptr;
         const double parsed = std::strtod(env, &end);
-        if (end == env || parsed <= 0.0)
+        if (end == env || !std::isfinite(parsed) || parsed <= 0.0)
             return 0.0;
         return parsed;
     }();

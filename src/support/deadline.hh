@@ -29,16 +29,25 @@ class Deadline
     }
 
     /** Expires `ms` milliseconds from now; ms <= 0 means "already
-     * expired" (useful for tests and fault injection). */
+     * expired" (useful for tests). A budget past about a century
+     * (including infinity and NaN) saturates at time_point::max()
+     * instead of overflowing the clock's integer ticks. */
     static Deadline
     afterMs(double ms)
     {
+        using Clock = std::chrono::steady_clock;
+        constexpr double kSaturateMs = 3.2e12;
         Deadline d;
         d.active_ = true;
-        d.at_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(ms));
+        const auto now = Clock::now();
+        if (ms <= 0.0) {
+            d.at_ = now;
+        } else if (ms < kSaturateMs) {
+            const std::chrono::duration<double, std::milli> budget(ms);
+            d.at_ = now + std::chrono::duration_cast<Clock::duration>(budget);
+        } else {
+            d.at_ = Clock::time_point::max();
+        }
         return d;
     }
 
@@ -79,9 +88,9 @@ class Deadline
 /**
  * The `FITS_STAGE_TIMEOUT_MS` environment knob: default per-stage
  * budget in milliseconds applied by PipelineConfig (and the taint
- * engine configs) when no explicit budget is set. 0 (or unset, or
- * unparsable) means "no deadline" — the exact pre-knob behavior.
- * Parsed once at first use.
+ * engine configs) when no explicit budget is set. 0 (or unset,
+ * unparsable or not finite) means "no deadline" — the exact pre-knob
+ * behavior. Parsed once at first use.
  */
 double envStageTimeoutMs();
 

@@ -14,8 +14,7 @@ namespace fits::support {
  * A value-or-error result, used across module boundaries instead of
  * exceptions (firmware parsing in particular must report malformed
  * input as data, not control flow). Errors carry a typed Status
- * (stage + error code + message); the legacy string-only constructor
- * produces an untyped Internal status so old call sites keep working.
+ * (stage + error code + message).
  */
 template <typename T>
 class Result
@@ -38,14 +37,6 @@ class Result
         Result r;
         r.status_ = std::move(status);
         return r;
-    }
-
-    /** Failed result carrying only a human-readable reason (legacy;
-     * attributed as Stage::None / Internal). */
-    static Result
-    error(std::string message)
-    {
-        return error(Status::internal(std::move(message)));
     }
 
     bool hasValue() const { return value_.has_value(); }

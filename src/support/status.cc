@@ -35,7 +35,6 @@ errorCodeName(ErrorCode code)
       case ErrorCode::Unsupported:   return "unsupported";
       case ErrorCode::NotFound:      return "not-found";
       case ErrorCode::Timeout:       return "timeout";
-      case ErrorCode::FaultInjected: return "fault-injected";
       case ErrorCode::Internal:      return "internal";
     }
     return "?";

@@ -32,9 +32,8 @@ enum class Stage : std::uint8_t {
 const char *stageName(Stage stage);
 
 /**
- * Machine-readable failure class. `Timeout` and `FaultInjected` are the
- * two codes the degraded-retry logic treats as transient; everything
- * else is a property of the input.
+ * Machine-readable failure class. Every code but `Timeout` and
+ * `Internal` is a property of the input.
  */
 enum class ErrorCode : std::uint8_t {
     Ok,
@@ -46,8 +45,7 @@ enum class ErrorCode : std::uint8_t {
                    ///< vendor crypto, unknown arch)
     NotFound,      ///< a referenced object is absent (file, library)
     Timeout,       ///< a per-stage deadline expired
-    FaultInjected, ///< a fits::chaos fault site fired
-    Internal,      ///< unexpected failure (escaped exception, legacy)
+    Internal,      ///< unexpected failure (escaped worker exception)
 };
 
 const char *errorCodeName(ErrorCode code);
@@ -57,7 +55,7 @@ const char *errorCodeName(ErrorCode code);
  * of the structured error taxonomy — module boundaries return
  * `Result<T>` carrying one of these instead of a bare string, so
  * callers can branch on *what* failed (and the corpus layer can decide
- * retry/degrade) without string matching.
+ * fail/degrade) without string matching.
  */
 class Status
 {
@@ -81,7 +79,7 @@ class Status
         return s;
     }
 
-    /** Legacy untyped error (Stage::None / Internal). */
+    /** Untyped error (Stage::None / Internal). */
     static Status
     internal(std::string message)
     {
@@ -95,16 +93,6 @@ class Status
     Stage stage() const { return stage_; }
     ErrorCode code() const { return code_; }
     const std::string &message() const { return message_; }
-
-    /** True for failures a degraded retry might clear (timeouts and
-     * injected faults), as opposed to properties of the input. */
-    bool
-    isTransient() const
-    {
-        return code_ == ErrorCode::Timeout ||
-               code_ == ErrorCode::FaultInjected ||
-               code_ == ErrorCode::Internal;
-    }
 
     /** "[stage/code] message" rendering ("ok" for success). */
     std::string toString() const;

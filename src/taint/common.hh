@@ -119,8 +119,8 @@ struct TaintReport
     double analysisMs = 0.0;
     std::size_t steps = 0;
     bool budgetExhausted = false;
-    /** The wall-clock deadline (or a fault injection) cut the engine
-     * short; alerts are a valid partial result, not a full sweep. */
+    /** The wall-clock deadline cut the engine short; alerts are a
+     * valid partial result, not a full sweep. */
     bool deadlineExpired = false;
 
     /** Alerts after dropping pure system-data flows (the STA-ITS

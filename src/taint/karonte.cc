@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "analysis/ucse.hh"
-#include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/deadline.hh"
 #include "taint/run_index.hh"
@@ -498,8 +497,6 @@ KaronteEngine::run(const ProgramAnalysis &pa,
     Engine engine(pa, config_, sources);
     if (config_.deadlineMs > 0.0)
         engine.deadline = support::Deadline::afterMs(config_.deadlineMs);
-    if (chaos::shouldInject("taint.karonte"))
-        engine.deadlineExpired = true;
 
     // Roots: functions containing a source site (CTS import call or
     // ITS call) — Karonte's border-function seeding. The CTS-rooted

@@ -3,7 +3,6 @@
 #include <deque>
 #include <unordered_map>
 
-#include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "support/deadline.hh"
 #include "taint/run_index.hh"
@@ -345,9 +344,7 @@ StaEngine::run(const ProgramAnalysis &pa,
         config_.deadlineMs > 0.0
             ? support::Deadline::afterMs(config_.deadlineMs)
             : support::Deadline::never();
-    bool expired = chaos::shouldInject("taint.sta");
-    if (expired)
-        worklist.clear();
+    bool expired = false;
 
     std::size_t processed = 0;
     const std::size_t cap =
@@ -355,12 +352,12 @@ StaEngine::run(const ProgramAnalysis &pa,
                                 1, pa.linked->fnCount());
     bool exhausted = false;
     while (!worklist.empty()) {
-        if (processed++ > cap) {
-            exhausted = true;
-            break;
-        }
         if (deadline.expiredCoarse(processed)) {
             expired = true;
+            break;
+        }
+        if (processed++ > cap) {
+            exhausted = true;
             break;
         }
         const FnId id = worklist.front();

@@ -2,9 +2,9 @@
  * analysis-memoization subsystem: behavior-bundle serialization
  * round-trips bit-for-bit, rankings are identical with/without the
  * cache and across cold/warm runs on both tiers, serial and parallel
- * corpus runs agree, corrupt or stale disk entries degrade to misses,
- * injected cache faults degrade gracefully, and the memory tier stays
- * within its LRU budget. */
+ * corpus runs agree, corrupt or stale disk entries and an unwritable
+ * cache directory degrade to misses, and the memory tier stays within
+ * its LRU budget. */
 
 #include <gtest/gtest.h>
 
@@ -12,11 +12,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "cache/cache.hh"
-#include "chaos/chaos.hh"
 #include "core/behavior_io.hh"
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
@@ -37,7 +37,6 @@ class CacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        chaos::reset();
         cache::configure(cache::Options{});
         cache::clearMemory();
         cache::resetStats();
@@ -53,7 +52,6 @@ class CacheTest : public ::testing::Test
     void
     TearDown() override
     {
-        chaos::reset();
         cache::configure(cache::Options{});
         cache::clearMemory();
         cache::resetStats();
@@ -389,65 +387,37 @@ TEST_F(CacheTest, CorruptDiskEntriesDegradeToMisses)
     EXPECT_EQ(cache::fetchBlob("t", 7, 9), payload);
 }
 
-// ---- fault injection ---------------------------------------------------
-
-TEST_F(CacheTest, NonCacheFaultsBypassEveryTier)
+TEST_F(CacheTest, UnwritableDiskDirSkipsEntry)
 {
-    enableDisk();
-    EXPECT_TRUE(cache::memoryUsable());
-    EXPECT_TRUE(cache::diskUsable());
+    // The disk root sits under a regular file, so creating it fails:
+    // every store must be skipped and every fetch miss, with answers
+    // unchanged.
+    fs::create_directories(dir_);
+    const std::string blocker = dir_ + "/blocker";
+    std::ofstream(blocker) << "not a directory";
+    cache::Options options = cache::options();
+    options.disk = true;
+    options.dir = blocker + "/cache";
+    cache::configure(options);
 
-    // A rule that can fire inside a cached computation forces bypass.
-    ASSERT_TRUE(chaos::configure("unpack.*@50"));
-    EXPECT_FALSE(cache::memoryUsable());
-    EXPECT_FALSE(cache::diskUsable());
-
-    // Faults confined to the cache's own sites leave it usable —
-    // they exercise its degradation paths instead.
-    ASSERT_TRUE(chaos::configure("cache.read@50,cache.write@50"));
-    EXPECT_TRUE(cache::memoryUsable());
-    EXPECT_TRUE(cache::diskUsable());
-}
-
-TEST_F(CacheTest, InjectedWriteFaultSkipsDiskEntry)
-{
-    enableDisk();
-    ASSERT_TRUE(chaos::configure("cache.write"));
     cache::storeBlob("t", 1, 2, "payload");
-    chaos::reset();
+    EXPECT_FALSE(fs::exists(cache::blobPath("t", 1, 2)));
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir_),
+                            fs::directory_iterator()),
+              1)
+        << "only the blocker file may remain";
     cache::clearMemory();
     EXPECT_FALSE(cache::fetchBlob("t", 1, 2).has_value());
-    EXPECT_FALSE(fs::exists(cache::blobPath("t", 1, 2)));
-}
+    EXPECT_EQ(cache::stats().diskMisses, 1u);
 
-TEST_F(CacheTest, InjectedReadFaultDegradesToMiss)
-{
-    enableDisk();
-    cache::storeBlob("t", 3, 4, "payload");
-    cache::clearMemory();
-    ASSERT_TRUE(chaos::configure("cache.read"));
-    cache::resetStats();
-    EXPECT_FALSE(cache::fetchBlob("t", 3, 4).has_value());
-    EXPECT_GT(cache::stats().diskCorrupt, 0u);
-    chaos::reset();
-    EXPECT_EQ(cache::fetchBlob("t", 3, 4), std::string("payload"));
-}
-
-TEST_F(CacheTest, PipelineUnderCacheFaultsStillCorrect)
-{
-    enableDisk();
     const auto corpus = smallCorpus(2);
     eval::CorpusRunner::Config config;
     config.jobs = 1;
     config.pipeline = cachingPipelineConfig();
-    const eval::CorpusRunner runner(config);
-    const auto baseline = runner.runInference(corpus);
-
-    // Every cache access failing must not change a single score.
-    ASSERT_TRUE(chaos::configure("cache.read,cache.write"));
-    cache::clearMemory();
-    const auto faulted = runner.runInference(corpus);
-    expectIdenticalOutcomes(baseline, faulted);
+    const auto cached = eval::CorpusRunner(config).runInference(corpus);
+    config.cache = false;
+    const auto uncached = eval::CorpusRunner(config).runInference(corpus);
+    expectIdenticalOutcomes(uncached, cached);
 }
 
 } // namespace

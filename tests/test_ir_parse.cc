@@ -74,20 +74,28 @@ TEST(Parse, IndirectForms)
 
 TEST(Parse, RejectsGarbage)
 {
-    EXPECT_FALSE(parseFunction(""));
-    EXPECT_FALSE(parseFunction("not ir at all"));
-    EXPECT_FALSE(parseFunction("function f @ zzz (0 blocks)"));
+    // Every malformed function is a typed IR-parse corruption.
+    const auto expectCorrupt = [](const std::string &text) {
+        const auto parsed = parseFunction(text);
+        ASSERT_FALSE(parsed) << text;
+        EXPECT_EQ(parsed.status().stage(), support::Stage::IrParse)
+            << text;
+        EXPECT_EQ(parsed.status().code(), support::ErrorCode::Corrupt)
+            << text;
+    };
+    expectCorrupt("");
+    expectCorrupt("not ir at all");
+    expectCorrupt("function f @ zzz (0 blocks)");
     // A statement before any block.
-    EXPECT_FALSE(parseFunction(
-        "function f @ 0x100 (1 blocks, 0 tmps)\n"
-        "    0x100: RET\n"));
+    expectCorrupt("function f @ 0x100 (1 blocks, 0 tmps)\n"
+                  "    0x100: RET\n");
     // An unparsable statement.
-    auto bad = parseFunction(
+    const std::string unparsable =
         "function f @ 0x100 (1 blocks, 0 tmps)\n"
         "  block 0x100:\n"
-        "    0x100: FROBNICATE t1\n");
-    ASSERT_FALSE(bad);
-    EXPECT_NE(bad.errorMessage().find("unparsable"),
+        "    0x100: FROBNICATE t1\n";
+    expectCorrupt(unparsable);
+    EXPECT_NE(parseFunction(unparsable).errorMessage().find("unparsable"),
               std::string::npos);
 }
 

@@ -74,7 +74,7 @@ struct StmtDefs
 
 /** Reaching definitions by repeated in-order sweeps over all blocks
  * until no IN/OUT set changes, then a statement worklist for the
- * parameter masks. No deadline, no fault injection. */
+ * parameter masks. No deadline. */
 ReachingDefs::Result
 roundRobinReachingDefs(const Cfg &cfg, const ir::Function &fn,
                        const TmpConstMap &consts, int numParams)

@@ -205,9 +205,12 @@ TEST(Result, OkCarriesValue)
 
 TEST(Result, ErrorCarriesMessage)
 {
-    auto r = Result<int>::error("boom");
+    auto r = Result<int>::error(
+        Status::error(Stage::Unpack, ErrorCode::Corrupt, "boom"));
     EXPECT_FALSE(r.hasValue());
     EXPECT_EQ(r.errorMessage(), "boom");
+    EXPECT_EQ(r.status().stage(), Stage::Unpack);
+    EXPECT_EQ(r.status().code(), ErrorCode::Corrupt);
 }
 
 TEST(Result, TakeMovesValue)

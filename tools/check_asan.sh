@@ -14,11 +14,13 @@ fits_sanitized_tests "$BUILD" address
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests"
 
-# Second pass: the chaos fault-injection sweep and the corruption
-# fuzzers (truncated / bit-flipped containers) specifically probe the
-# decoder bounds checks that ASan is best at catching.
+# Second pass: the real malformed-input tests (truncated, bit-flipped
+# and hand-broken containers, mutated payloads behind a valid checksum,
+# a library-less image, malformed IR text, an unwritable cache
+# directory) specifically probe the decoder bounds checks that ASan is
+# best at catching.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*:Corruption.*:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips'
+    --gtest_filter='Corruption.*:Robustness.*:Parse.RejectsGarbage:CacheTest.UnwritableDiskDirSkipsEntry:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips'
 
 echo "asan: no memory errors detected"

@@ -17,12 +17,6 @@ fits_sanitized_tests "$BUILD" thread
 TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
     --gtest_filter='ThreadPool.*:ResolveJobs.*:CorpusRunner.*:BehaviorAnalyzer.*:Logger.*:Obs*'
 
-# The chaos registry is lock-free (relaxed atomic counters read by
-# concurrent pipeline workers); run the injection sweep under TSan to
-# prove arming faults does not introduce races into the fan-out.
-TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
-    --gtest_filter='ChaosTest.*'
-
 # The blob cache is shared mutable state under the fan-out: its maps,
 # LRU accounting, and stat counters all see concurrent workers in the
 # parallel-ranking tests.

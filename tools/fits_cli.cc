@@ -32,8 +32,6 @@
  *       cache (results are identical either way — set FITS_CACHE_DIR
  *       to persist the cache across invocations). Exits non-zero when
  *       every sample fails.
- *   fits faults
- *       List the fault-injection sites that FITS_FAULTS can arm.
  *
  * A numeric argument (--seed, --top, --its, --jobs) that is not a
  * whole unsigned number — decimal, 0x-hex or 0-octal — is a usage
@@ -52,7 +50,6 @@
 #include <vector>
 
 #include "cache/cache.hh"
-#include "chaos/chaos.hh"
 #include "core/anchors.hh"
 #include "core/pipeline.hh"
 #include "eval/harness.hh"
@@ -89,27 +86,9 @@ usage()
         "              (FITS_JOBS also sets N; FITS_CACHE_DIR "
         "persists the analysis cache;\n"
         "              exits 1 when every sample fails)\n"
-        "  fits faults   (list fault-injection sites; arm with "
-        "FITS_FAULTS=<spec>[:<seed>])\n"
         "env: FITS_STAGE_TIMEOUT_MS bounds each cooperative pipeline "
         "stage\n");
     return 2;
-}
-
-int
-cmdFaults()
-{
-    std::printf("fault-injection sites (arm with "
-                "FITS_FAULTS=<rules>[:<seed>], e.g.\n"
-                "FITS_FAULTS='unpack.*@25,taint.sta:7'; rules are "
-                "site[@percent][#max-fires],\n"
-                "'*' is a trailing glob):\n\n");
-    std::printf("  %-16s %-10s %s\n", "site", "stage", "effect");
-    for (const auto &site : chaos::knownSites()) {
-        std::printf("  %-16s %-10s %s\n", site.name,
-                    support::stageName(site.stage), site.description);
-    }
-    return 0;
 }
 
 /** Parse a whole argument as an unsigned number (strtoull base 0).
@@ -551,8 +530,6 @@ main(int argc, char **argv)
     const std::string command = argv[1];
     if (command == "corpus")
         return cmdCorpus(argc - 2, argv + 2);
-    if (command == "faults")
-        return cmdFaults();
     if (argc < 3)
         return usage();
     if (command == "gen")
