@@ -1,6 +1,8 @@
 #include "parse.hh"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "support/status.hh"
@@ -36,45 +38,40 @@ class Cursor
         return true;
     }
 
+    /** Hex ("0x...") or decimal; nullopt past 64 bits. */
     std::optional<std::uint64_t>
     number()
     {
         skipSpace();
         std::size_t i = pos_;
-        std::uint64_t value = 0;
+        std::uint64_t base = 10;
         if (text_.substr(i, 2) == "0x") {
             i += 2;
-            std::size_t digits = 0;
-            while (i < text_.size() && std::isxdigit(
-                                           static_cast<unsigned char>(
-                                               text_[i]))) {
-                const char c = text_[i];
-                value = value * 16 +
-                        static_cast<std::uint64_t>(
-                            c <= '9' ? c - '0'
-                                     : (c | 0x20) - 'a' + 10);
-                ++i;
-                ++digits;
-            }
-            if (digits == 0)
-                return std::nullopt;
-        } else {
-            std::size_t digits = 0;
-            while (i < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(
-                       text_[i]))) {
-                value = value * 10 +
-                        static_cast<std::uint64_t>(text_[i] - '0');
-                ++i;
-                ++digits;
-            }
-            if (digits == 0)
-                return std::nullopt;
+            base = 16;
         }
+        constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+        std::uint64_t value = 0;
+        std::size_t digits = 0;
+        for (; i < text_.size(); ++i, ++digits) {
+            const auto c = static_cast<unsigned char>(text_[i]);
+            std::uint64_t digit;
+            if (std::isdigit(c))
+                digit = c - '0';
+            else if (base == 16 && std::isxdigit(c))
+                digit = (c | 0x20) - 'a' + 10;
+            else
+                break;
+            if (value > (kMax - digit) / base)
+                return std::nullopt;
+            value = value * base + digit;
+        }
+        if (digits == 0)
+            return std::nullopt;
         pos_ = i;
         return value;
     }
 
+    /** "tN"; N stays below the TmpId maximum so numTmps = N + 1 fits. */
     std::optional<TmpId>
     tmp()
     {
@@ -83,11 +80,12 @@ class Cursor
             return std::nullopt;
         ++pos_;
         auto n = number();
-        if (!n)
+        if (!n || *n >= std::numeric_limits<TmpId>::max())
             return std::nullopt;
         return static_cast<TmpId>(*n);
     }
 
+    /** "rN" inside the guest register file. */
     std::optional<RegId>
     reg()
     {
@@ -96,7 +94,7 @@ class Cursor
             return std::nullopt;
         ++pos_;
         auto n = number();
-        if (!n)
+        if (!n || *n >= static_cast<std::uint64_t>(kNumRegs))
             return std::nullopt;
         return static_cast<RegId>(*n);
     }

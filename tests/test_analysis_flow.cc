@@ -1,5 +1,5 @@
 /** @file Unit tests for constant maps, parameter inference, reaching
- * definitions (DDG + parameter dependence), and the Table-2
+ * definitions (parameter dependence), and the Table-2
  * backtracker. */
 
 #include <gtest/gtest.h>
@@ -310,19 +310,113 @@ TEST(ReachDef, CallReturnIsParamDependentIfArgsAre)
     EXPECT_EQ(f.flow.stmtDeps[0][3], 0b1);
 }
 
-TEST(ReachDef, DefUseChainsPopulated)
+TEST(ReachDef, ConstAddressStoreReplacesEarlierStore)
 {
     FunctionBuilder b;
-    auto a = b.cnst(1);
-    b.put(ir::RegId{4}, Operand::ofTmp(a));
+    auto a = b.get(ir::kRegR0);
+    auto c = b.get(ir::kRegR1);
+    b.store(Operand::ofImm(0x500000), Operand::ofTmp(a));
+    b.store(Operand::ofImm(0x500000), Operand::ofTmp(c));
+    auto v = b.load(Operand::ofImm(0x500000));
+    b.put(ir::kRetReg, Operand::ofTmp(v));
     b.ret();
-    FlowFixture f(b.build(0), nullptr, 0);
-    // The PUT uses exactly one definition: t0's.
-    ASSERT_EQ(f.flow.useDefs[0][1].size(), 1u);
-    const Definition &def =
-        f.flow.defs[f.flow.useDefs[0][1][0]];
-    EXPECT_EQ(def.target, Definition::Target::Tmp);
-    EXPECT_EQ(def.tmp, a);
+    FlowFixture f(b.build(0), nullptr, 2);
+    // The second store to the cell overwrites param 0's mask.
+    EXPECT_EQ(f.flow.stmtDeps[0][4], 0b10);
+}
+
+TEST(ReachDef, UnknownStoreNeverClearsConstCell)
+{
+    FunctionBuilder b;
+    auto a = b.get(ir::kRegR0);
+    auto c = b.get(ir::kRegR1);
+    auto p = b.get(ir::RegId{5}); // not a constant address
+    b.store(Operand::ofImm(0x500000), Operand::ofTmp(a));
+    b.store(Operand::ofTmp(p), Operand::ofTmp(c));
+    auto v = b.load(Operand::ofImm(0x500000));
+    b.store(Operand::ofImm(0x500000), Operand::ofImm(0));
+    auto w = b.load(Operand::ofImm(0x500000));
+    b.put(ir::kRetReg, Operand::ofTmp(v));
+    b.put(ir::RegId{4}, Operand::ofTmp(w));
+    b.ret();
+    FlowFixture f(b.build(0), nullptr, 2);
+    // The unknown store may alias the cell, so it adds to it...
+    EXPECT_EQ(f.flow.stmtDeps[0][5], 0b11);
+    // ...and a later constant store cannot clear what it may have
+    // written.
+    EXPECT_EQ(f.flow.stmtDeps[0][7], 0b10);
+}
+
+TEST(ReachDef, UnknownLoadReadsEveryCell)
+{
+    FunctionBuilder b;
+    auto a = b.get(ir::kRegR0);
+    auto c = b.get(ir::kRegR1);
+    auto p = b.get(ir::RegId{5});
+    b.store(Operand::ofImm(0x500000), Operand::ofTmp(a));
+    b.store(Operand::ofImm(0x500010), Operand::ofTmp(c));
+    auto v = b.load(Operand::ofTmp(p));
+    auto w = b.load(Operand::ofImm(0x500020));
+    b.put(ir::kRetReg, Operand::ofTmp(v));
+    b.put(ir::RegId{4}, Operand::ofTmp(w));
+    b.ret();
+    FlowFixture f(b.build(0), nullptr, 2);
+    EXPECT_EQ(f.flow.stmtDeps[0][5], 0b11);
+    // A constant address nothing stored to reads no cell.
+    EXPECT_EQ(f.flow.stmtDeps[0][6], 0);
+}
+
+TEST(ReachDef, IndirectCallTargetFeedsCallMask)
+{
+    FunctionBuilder b;
+    auto a = b.get(ir::kRegR1);
+    b.callIndirect(Operand::ofTmp(a));
+    auto r = b.retVal();
+    b.put(ir::kRetReg, Operand::ofTmp(r));
+    b.ret();
+    FlowFixture f(b.build(0), nullptr, 2);
+    EXPECT_EQ(f.flow.stmtDeps[0][1], 0b10);
+    // The return value inherits the call's mask.
+    EXPECT_EQ(f.flow.stmtDeps[0][2], 0b10);
+}
+
+TEST(ReachDef, ArgRegisterBeyondParamCountIsIndependent)
+{
+    FunctionBuilder b;
+    auto hi = b.get(ir::kRegR2);
+    auto lo = b.get(ir::kRegR1);
+    b.put(ir::kRetReg, Operand::ofTmp(b.binop(
+                           BinOp::Add, Operand::ofTmp(hi),
+                           Operand::ofTmp(lo))));
+    b.ret();
+    FlowFixture f(b.build(0), nullptr, 2);
+    EXPECT_EQ(f.flow.stmtDeps[0][0], 0);
+    EXPECT_EQ(f.flow.stmtDeps[0][1], 0b10);
+}
+
+TEST(ReachDef, UnreachableBlockStillGetsMasks)
+{
+    FunctionBuilder b;
+    auto dead = b.newBlock();
+    auto join = b.newBlock();
+    auto a = b.get(ir::kRegR0);
+    b.put(ir::RegId{4}, Operand::ofTmp(a));
+    b.jump(join);
+    b.switchTo(dead); // no predecessors
+    b.put(ir::RegId{4}, Operand::ofImm(0));
+    b.put(ir::kRetReg, Operand::ofTmp(a));
+    b.jump(join);
+    b.switchTo(join);
+    auto v = b.get(ir::RegId{4});
+    b.put(ir::kRetReg, Operand::ofTmp(v));
+    b.ret();
+    FlowFixture f(b.build(0), nullptr, 1);
+    ASSERT_EQ(f.flow.stmtDeps.size(), 3u);
+    ASSERT_EQ(f.flow.stmtDeps[dead].size(), 3u);
+    // No path from the entry carries t0 into the dead block...
+    EXPECT_EQ(f.flow.stmtDeps[dead][1], 0);
+    // ...and its constant PUT does not hide the entry's at the join.
+    EXPECT_EQ(f.flow.stmtDeps[join][0], 0b1);
 }
 
 // ---- Table-2 backtracker ---------------------------------------------

@@ -102,24 +102,6 @@ TEST_P(InvariantSweep, ParamMasksStayWithinInferredParams)
     }
 }
 
-TEST_P(InvariantSweep, DefUseChainsReferenceValidDefs)
-{
-    const auto result = sample(GetParam());
-    std::size_t checked = 0;
-    for (const auto &fn : result.image.program.functions()) {
-        if (++checked > 40)
-            break; // DDG validation is per-statement; cap the sweep
-        const auto fa =
-            FunctionAnalysis::analyze(result.image, fn);
-        for (std::size_t b = 0; b < fa.flow.useDefs.size(); ++b) {
-            for (const auto &uses : fa.flow.useDefs[b]) {
-                for (std::uint32_t id : uses)
-                    ASSERT_LT(id, fa.flow.defs.size());
-            }
-        }
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, InvariantSweep,
                          ::testing::Range(0, 4));
 

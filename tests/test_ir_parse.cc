@@ -97,6 +97,26 @@ TEST(Parse, RejectsGarbage)
     expectCorrupt(unparsable);
     EXPECT_NE(parseFunction(unparsable).errorMessage().find("unparsable"),
               std::string::npos);
+    // Ids the analyses would index dense per-function arrays with: a
+    // register outside the guest register file, one that would wrap
+    // the 16-bit RegId, a temporary that would truncate to t0, one
+    // whose numTmps = id + 1 would wrap to 0, and a number past 64
+    // bits.
+    const auto oneStmt = [](const std::string &stmt) {
+        return "function f @ 0x100 (1 blocks, 0 tmps)\n"
+               "  block 0x100:\n"
+               "    0x100: " + stmt + "\n"
+               "    0x104: RET\n";
+    };
+    expectCorrupt(oneStmt("PUT(r99) = 0x1"));
+    expectCorrupt(oneStmt("t0 = GET(r70000)"));
+    expectCorrupt(oneStmt("t4294967296 = 0x1"));
+    expectCorrupt(oneStmt("t4294967295 = 0x1"));
+    expectCorrupt(oneStmt("t0 = GET(r18446744073709551616)"));
+    // The largest ids in range still parse.
+    const auto edge = parseFunction(oneStmt("t4294967294 = GET(r15)"));
+    ASSERT_TRUE(edge) << edge.errorMessage();
+    EXPECT_EQ(edge.value().numTmps, 4294967295u);
 }
 
 TEST(Parse, RoundTripSimpleFunction)

@@ -1,8 +1,10 @@
-/** @file Reference oracle for reaching definitions: the plain
- * round-robin IN/OUT sweep that the RPO worklist in
- * analysis/reachdef.cc replaced, kept here only as a test oracle. The
- * production kernel must give identical definitions, DDG edges and
- * parameter masks on every function the standard corpus analyzes. */
+/** @file Reference oracle for parameter dependence: reaching
+ * definitions as a data-dependency graph (DDG) built by plain
+ * round-robin IN/OUT sweeps, with parameter masks propagated over its
+ * def-use edges afterwards. analysis/reachdef.cc computes the same
+ * masks directly, without the graph; it must give identical statement,
+ * branch and loop masks on every function the standard corpus analyzes
+ * and on a seeded sweep of random functions. */
 
 #include <gtest/gtest.h>
 
@@ -11,23 +13,64 @@
 #include <vector>
 
 #include "analysis/linked.hh"
+#include "analysis/loops.hh"
 #include "analysis/program_analysis.hh"
 #include "eval/corpus_runner.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
+#include "ir/builder.hh"
+#include "ir/validate.hh"
+#include "support/rng.hh"
 #include "synth/firmware_gen.hh"
 
 namespace fits {
 namespace {
 
 using analysis::Cfg;
-using analysis::Definition;
+using analysis::LoopInfo;
 using analysis::ReachingDefs;
 using analysis::TmpConstMap;
 using ir::kNumArgRegs;
 using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
+
+/**
+ * One reaching definition: a program point that writes a register, a
+ * temporary, or a memory cell. Virtual definitions (param >= 0, block ==
+ * npos) model the caller-provided values in the argument registers at
+ * the function entry; they connect the DDG to the parameters.
+ */
+struct Definition
+{
+    enum class Target : std::uint8_t { Reg, Tmp, MemConst, MemUnknown };
+
+    Target target = Target::Reg;
+    ir::RegId reg = 0;
+    ir::TmpId tmp = 0;
+    std::uint64_t memAddr = 0;
+
+    std::size_t block = npos;
+    std::size_t stmt = npos;
+    /** Parameter index for virtual entry definitions, else -1. */
+    int param = -1;
+
+    bool isVirtual() const { return param >= 0; }
+
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+};
+
+/** The DDG and the parameter masks computed over it. */
+struct DdgResult
+{
+    std::vector<Definition> defs;
+    /** Def ids reaching the uses of each statement, [block][stmt]. */
+    std::vector<std::vector<std::vector<std::uint32_t>>> useDefs;
+    /** Parameter mask of each definition. */
+    std::vector<std::uint8_t> defDeps;
+    std::vector<std::vector<std::uint8_t>> stmtDeps;
+    std::uint8_t branchDepMask = 0;
+};
 
 /** Dense bitset over definition ids. */
 class DefSet
@@ -75,11 +118,11 @@ struct StmtDefs
 /** Reaching definitions by repeated in-order sweeps over all blocks
  * until no IN/OUT set changes, then a statement worklist for the
  * parameter masks. No deadline. */
-ReachingDefs::Result
+DdgResult
 roundRobinReachingDefs(const Cfg &cfg, const ir::Function &fn,
                        const TmpConstMap &consts, int numParams)
 {
-    ReachingDefs::Result result;
+    DdgResult result;
     const std::size_t n = fn.blocks.size();
 
     // Virtual entry definitions for every argument register first.
@@ -370,36 +413,125 @@ roundRobinReachingDefs(const Cfg &cfg, const ir::Function &fn,
     return result;
 }
 
-bool
-sameDefinition(const Definition &a, const Definition &b)
+/** Union of the masks of Branch statements in loop-controlling blocks,
+ * as FunctionAnalysis computes it (feature 7). */
+std::uint8_t
+loopDepMask(const ir::Function &fn, const LoopInfo &loops,
+            const std::vector<std::vector<std::uint8_t>> &stmtDeps)
 {
-    return a.target == b.target && a.reg == b.reg && a.tmp == b.tmp &&
-           a.memAddr == b.memAddr && a.block == b.block &&
-           a.stmt == b.stmt && a.param == b.param;
+    std::uint8_t mask = 0;
+    for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+        if (b >= loops.controlsLoop.size() || !loops.controlsLoop[b])
+            continue;
+        for (std::size_t s = 0; s < fn.blocks[b].stmts.size(); ++s) {
+            if (fn.blocks[b].stmts[s].kind == StmtKind::Branch)
+                mask |= stmtDeps[b][s];
+        }
+    }
+    return mask;
 }
 
-/** Empty when `actual` equals the oracle's result, else what differs. */
+/** Empty when the kernel's masks equal the oracle's, else what
+ * differs. */
 std::string
-compareFlow(const ReachingDefs::Result &actual,
-            const ReachingDefs::Result &oracle)
+compareFlow(const ir::Function &fn, const LoopInfo &loops,
+            const ReachingDefs::Result &actual,
+            std::uint8_t actualLoopDepMask, const DdgResult &oracle)
 {
     if (actual.deadlineExpired)
         return "deadline expired";
-    if (actual.defs.size() != oracle.defs.size())
-        return "definition count";
-    for (std::size_t i = 0; i < actual.defs.size(); ++i) {
-        if (!sameDefinition(actual.defs[i], oracle.defs[i]))
-            return "definition " + std::to_string(i);
-    }
-    if (actual.useDefs != oracle.useDefs)
-        return "use-def edges";
-    if (actual.defDeps != oracle.defDeps)
-        return "definition parameter masks";
     if (actual.stmtDeps != oracle.stmtDeps)
         return "statement parameter masks";
     if (actual.branchDepMask != oracle.branchDepMask)
         return "branch parameter mask";
+    if (actualLoopDepMask != loopDepMask(fn, loops, oracle.stmtDeps))
+        return "loop parameter mask";
     return {};
+}
+
+/**
+ * A random function that validateFunction accepts: up to eight blocks
+ * wired by random side exits, jumps and fallthroughs, so loops, joins
+ * and blocks unreachable from the entry all occur. Statements mix
+ * register reads and writes, constant- and unknown-address loads and
+ * stores, and direct and indirect calls.
+ */
+ir::Function
+randomFunction(support::Rng &rng)
+{
+    ir::FunctionBuilder b;
+    const std::size_t nBlocks = 1 + rng.index(8);
+    for (std::size_t i = 1; i < nBlocks; ++i)
+        b.newBlock();
+    const std::vector<std::uint64_t> cells = {0x500000, 0x500010,
+                                              0x500020};
+    std::vector<ir::TmpId> tmps;
+    auto reg = [&] { return static_cast<ir::RegId>(rng.index(6)); };
+    auto value = [&] {
+        if (tmps.empty() || rng.chance(0.2))
+            return Operand::ofImm(rng.index(4));
+        return Operand::ofTmp(rng.pick(tmps));
+    };
+    // Immediate cell addresses and constant temporaries are constant
+    // addresses; other temporaries are unknown ones.
+    auto addr = [&] {
+        if (tmps.empty() || rng.chance(0.5))
+            return Operand::ofImm(rng.pick(cells));
+        return Operand::ofTmp(rng.pick(tmps));
+    };
+
+    for (std::size_t blk = 0; blk < nBlocks; ++blk) {
+        b.switchTo(blk);
+        const std::size_t count = rng.index(10);
+        for (std::size_t k = 0; k < count; ++k) {
+            switch (rng.index(10)) {
+              case 0:
+              case 1:
+                tmps.push_back(b.get(reg()));
+                break;
+              case 2:
+                b.put(reg(), value());
+                break;
+              case 3:
+                tmps.push_back(b.cnst(rng.chance(0.5) ? rng.pick(cells)
+                                                      : rng.index(4)));
+                break;
+              case 4:
+                tmps.push_back(b.binop(ir::BinOp::Add, value(), value()));
+                break;
+              case 5:
+                tmps.push_back(b.load(addr()));
+                break;
+              case 6:
+                b.store(addr(), value());
+                break;
+              case 7:
+                b.call(0x8000);
+                break;
+              case 8:
+                b.callIndirect(value());
+                break;
+              case 9:
+                b.branch(value(), rng.index(nBlocks));
+                break;
+            }
+        }
+        switch (rng.index(5)) {
+          case 0:
+            b.ret();
+            break;
+          case 1:
+          case 2:
+            b.jump(rng.index(nBlocks));
+            break;
+          case 3:
+            b.jumpIndirect(value());
+            break;
+          default:
+            break; // fall through to the next block
+        }
+    }
+    return b.build(0x1000);
 }
 
 TEST(ReachDefOracle, RpoWorklistMatchesRoundRobinOnCorpus)
@@ -429,9 +561,9 @@ TEST(ReachDefOracle, RpoWorklistMatchesRoundRobinOnCorpus)
             for (const auto &fa : pa.fns) {
                 ++out.functions;
                 const std::string diff = compareFlow(
-                    fa.flow, roundRobinReachingDefs(fa.cfg, *fa.fn,
-                                                    fa.consts,
-                                                    fa.params.count));
+                    *fa.fn, fa.loops, fa.flow, fa.loopDepMask,
+                    roundRobinReachingDefs(fa.cfg, *fa.fn, fa.consts,
+                                           fa.params.count));
                 if (!diff.empty() && out.mismatch.empty()) {
                     out.mismatch = specs[i].name + " fn " +
                                    std::to_string(fa.fn->entry) +
@@ -453,6 +585,59 @@ TEST(ReachDefOracle, RpoWorklistMatchesRoundRobinOnCorpus)
     }
     // 55 of the 59 samples select a binary; each has many functions.
     EXPECT_GT(functions, 1000u);
+}
+
+
+TEST(ReachDefOracle, MatchesRoundRobinOnRandomFunctions)
+{
+    // How often each shape the kernel must handle occurred, so a
+    // generator change cannot silently stop exercising one.
+    std::size_t loops = 0, joins = 0, unreachable = 0, constStores = 0,
+                unknownStores = 0, constLoads = 0, unknownLoads = 0,
+                indirectCalls = 0, loopMasks = 0;
+    support::Rng rng(0x5eed);
+    for (int i = 0; i < 3000; ++i) {
+        const ir::Function fn = randomFunction(rng);
+        ASSERT_TRUE(ir::validateFunction(fn).empty()) << "function " << i;
+        const Cfg cfg = Cfg::build(fn);
+        const LoopInfo loopInfo = analysis::analyzeLoops(cfg, fn);
+        const auto consts = TmpConstMap::compute(fn, nullptr);
+        const int numParams = static_cast<int>(rng.index(kNumArgRegs + 1));
+
+        const auto flow =
+            ReachingDefs::analyze(cfg, fn, consts, numParams);
+        const auto oracle =
+            roundRobinReachingDefs(cfg, fn, consts, numParams);
+        const std::string diff =
+            compareFlow(fn, loopInfo, flow,
+                        loopDepMask(fn, loopInfo, flow.stmtDeps), oracle);
+        ASSERT_TRUE(diff.empty()) << "function " << i << ": " << diff;
+
+        loops += loopInfo.hasLoop();
+        loopMasks += loopDepMask(fn, loopInfo, oracle.stmtDeps) != 0;
+        const auto reach = cfg.reachable();
+        for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
+            joins += cfg.preds(b).size() > 1;
+            unreachable += !reach[b];
+            for (const Stmt &stmt : fn.blocks[b].stmts) {
+                const bool constAddr = consts.valueOf(stmt.a).has_value();
+                constStores += stmt.kind == StmtKind::Store && constAddr;
+                unknownStores += stmt.kind == StmtKind::Store && !constAddr;
+                constLoads += stmt.kind == StmtKind::Load && constAddr;
+                unknownLoads += stmt.kind == StmtKind::Load && !constAddr;
+                indirectCalls += stmt.kind == StmtKind::Call && stmt.indirect;
+            }
+        }
+    }
+    EXPECT_GT(loops, 0u);
+    EXPECT_GT(loopMasks, 0u);
+    EXPECT_GT(joins, 0u);
+    EXPECT_GT(unreachable, 0u);
+    EXPECT_GT(constStores, 0u);
+    EXPECT_GT(unknownStores, 0u);
+    EXPECT_GT(constLoads, 0u);
+    EXPECT_GT(unknownLoads, 0u);
+    EXPECT_GT(indirectCalls, 0u);
 }
 
 } // namespace

@@ -165,16 +165,16 @@ TEST(Deadline, ExpiredBehaviorBudgetDegradesPipeline)
     EXPECT_TRUE(sawTimeout);
 
     // Reaching definitions stop at the same deadline and still return
-    // use-def vectors sized [block][stmt].
+    // parameter masks sized [block][stmt].
     ASSERT_TRUE(artifact.hasAnalysis());
     std::size_t flowExpired = 0;
     for (const auto &fa : artifact.analysis->fns) {
         if (!fa.flow.deadlineExpired)
             continue;
         ++flowExpired;
-        ASSERT_EQ(fa.flow.useDefs.size(), fa.fn->blocks.size());
+        ASSERT_EQ(fa.flow.stmtDeps.size(), fa.fn->blocks.size());
         for (std::size_t b = 0; b < fa.fn->blocks.size(); ++b) {
-            EXPECT_EQ(fa.flow.useDefs[b].size(),
+            EXPECT_EQ(fa.flow.stmtDeps[b].size(),
                       fa.fn->blocks[b].stmts.size());
         }
     }
