@@ -28,12 +28,13 @@ namespace {
 using namespace fits;
 
 eval::PrecisionStats
-rerank(const std::vector<eval::InferenceOutcome> &outcomes,
+rerank(const std::vector<eval::CorpusRunner::FullOutcome> &outcomes,
        const core::InferConfig &config,
        std::size_t anchorLimit = SIZE_MAX)
 {
     eval::PrecisionStats stats;
-    for (const auto &outcome : outcomes) {
+    for (const auto &full : outcomes) {
+        const auto &outcome = full.inference;
         if (!outcome.ok) {
             stats.addRank(-1);
             continue;
@@ -77,8 +78,8 @@ main()
         spec.keepSymbols = true;
 
     const eval::CorpusRunner runner;
-    const auto stripped = runner.runInferenceOnSpecs(specs);
-    const auto vendor = runner.runInferenceOnSpecs(vendorSpecs);
+    const auto stripped = runner.run(specs);
+    const auto vendor = runner.run(vendorSpecs);
 
     // ---- A: vendor mode ---------------------------------------------
     std::printf("A. Symbol-name prior (Discussion §5 vendor mode)\n");
@@ -141,7 +142,7 @@ main()
         eval::CorpusRunner::Config config;
         config.pipeline.behavior.ucse.maxSteps = 0; // resolver off
         const auto noUcse =
-            eval::CorpusRunner(config).runInferenceOnSpecs(specs);
+            eval::CorpusRunner(config).run(specs);
         eval::TablePrinter table({"Configuration", "Top-1", "Top-2",
                                   "Top-3"});
         addRow(table, "UCSE on (ours)",

@@ -26,11 +26,10 @@ main()
     std::printf("=== Figure 4: time overhead vs binary properties "
                 "===\n\n");
 
-    const auto corpus = synth::generateStandardCorpus();
-
     std::vector<double> fns, bytes, ms;
-    for (const auto &outcome :
-         eval::CorpusRunner().runInference(corpus)) {
+    for (const auto &full :
+         eval::CorpusRunner().run(synth::standardDataset())) {
+        const auto &outcome = full.inference;
         if (!outcome.ok)
             continue;
         fns.push_back(static_cast<double>(outcome.numFunctions));

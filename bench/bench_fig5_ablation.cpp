@@ -22,11 +22,12 @@ using namespace fits;
 
 /** Re-rank every analyzed sample under one inference config. */
 eval::PrecisionStats
-rerank(const std::vector<eval::InferenceOutcome> &outcomes,
+rerank(const std::vector<eval::CorpusRunner::FullOutcome> &outcomes,
        const core::InferConfig &config)
 {
     eval::PrecisionStats stats;
-    for (const auto &outcome : outcomes) {
+    for (const auto &full : outcomes) {
+        const auto &outcome = full.inference;
         if (!outcome.ok) {
             stats.addRank(-1);
             continue;
@@ -47,11 +48,10 @@ main()
     std::printf("=== Figure 5: BFV ablation (CF-k removes feature k) "
                 "===\n\n");
 
-    const auto corpus = synth::generateStandardCorpus();
-
     // The expensive pass happens once (fanned out across workers);
     // every variant only re-ranks the retained representations.
-    const auto outcomes = eval::CorpusRunner().runInference(corpus);
+    const auto outcomes =
+        eval::CorpusRunner().run(synth::standardDataset());
 
     eval::TablePrinter table(
         {"Variant", "Removed feature", "Top-1", "Top-2", "Top-3"});
@@ -96,7 +96,7 @@ main()
                 "meaningless.\n");
 
     obs::BenchRecord record("fig5_ablation");
-    record.add("samples", static_cast<double>(corpus.size()));
+    record.add("samples", static_cast<double>(outcomes.size()));
     record.add("full_bfv_top1", full.p1());
     record.add("full_bfv_top2", full.p2());
     record.add("full_bfv_top3", full.p3());

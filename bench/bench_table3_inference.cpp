@@ -45,13 +45,13 @@ main()
     std::printf("=== Table 3: statistics of ITS inference results "
                 "===\n\n");
 
-    const auto corpus = synth::generateStandardCorpus();
+    const auto specs = synth::standardDataset();
 
     const eval::CorpusRunner runner;
     std::printf("(%zu samples, %zu worker threads — set FITS_JOBS to "
                 "override)\n\n",
-                corpus.size(), runner.jobs());
-    const auto outcomes = runner.runInference(corpus);
+                specs.size(), runner.jobs());
+    const auto outcomes = runner.run(specs);
 
     // Group key: (latest?, vendor), in the paper's row order.
     std::map<std::pair<bool, std::string>, GroupStats> groups;
@@ -59,11 +59,10 @@ main()
     double overallMs = 0.0;
     std::vector<std::string> failures;
 
-    for (std::size_t s = 0; s < corpus.size(); ++s) {
-        const auto &fw = corpus[s];
-        const auto &outcome = outcomes[s];
-        auto &group = groups[{fw.spec.latest,
-                              fw.spec.profile.vendor}];
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        const auto &spec = specs[s];
+        const auto &outcome = outcomes[s].inference;
+        auto &group = groups[{spec.latest, spec.profile.vendor}];
         ++group.count;
         group.totalMs += outcome.analysisMs;
         overallMs += outcome.analysisMs;
@@ -76,11 +75,11 @@ main()
         overall.addRank(rank);
 
         if (!outcome.ok) {
-            failures.push_back(fw.spec.profile.vendor + " " +
-                               fw.spec.name + ": " + outcome.error);
+            failures.push_back(spec.profile.vendor + " " + spec.name +
+                               ": " + outcome.error);
         } else if (rank < 0) {
             failures.push_back(
-                fw.spec.profile.vendor + " " + fw.spec.name +
+                spec.profile.vendor + " " + spec.name +
                 ": no custom function qualifies as an ITS "
                 "(struct-offset design)");
         }

@@ -22,18 +22,18 @@ main()
 
     std::printf("=== Table 4: partial ITS inference results ===\n\n");
 
-    const auto corpus = synth::generateStandardCorpus();
-    const auto outcomes = eval::CorpusRunner().runInference(corpus);
+    const auto specs = synth::standardDataset();
+    const auto outcomes = eval::CorpusRunner().run(specs);
 
     eval::TablePrinter table({"Vendor", "Firmware", "Binary",
                               "#Functions", "ITS addr.", "Ranking"});
 
     // Representative picks per vendor: first few successful samples.
     std::map<std::string, int> shown;
-    for (std::size_t s = 0; s < corpus.size(); ++s) {
-        const auto &fw = corpus[s];
-        const auto &outcome = outcomes[s];
-        const std::string &vendor = fw.spec.profile.vendor;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        const auto &spec = specs[s];
+        const auto &outcome = outcomes[s].inference;
+        const std::string &vendor = spec.profile.vendor;
         if (shown[vendor] >= 3)
             continue;
         if (!outcome.ok || outcome.firstItsRank < 0)
@@ -45,7 +45,7 @@ main()
                                 outcome.firstItsRank) -
                             1]
                 .entry;
-        table.addRow({vendor, fw.spec.name, outcome.binaryName,
+        table.addRow({vendor, spec.name, outcome.binaryName,
                       std::to_string(outcome.numFunctions),
                       support::hex(itsAddr),
                       std::to_string(outcome.firstItsRank)});
@@ -57,7 +57,7 @@ main()
                 "FITS's output, as in the paper's Table 4.\n");
 
     obs::BenchRecord record("table4_partial");
-    record.add("samples", static_cast<double>(corpus.size()));
+    record.add("samples", static_cast<double>(specs.size()));
     double rows = 0;
     for (const auto &[vendor, count] : shown)
         rows += count;

@@ -33,13 +33,13 @@ main()
 {
     std::printf("=== Table 5: bug finding results ===\n\n");
 
-    const auto corpus = synth::generateStandardCorpus();
+    const auto specs = synth::standardDataset();
 
     const eval::CorpusRunner runner;
     std::printf("(%zu samples, %zu worker threads — set FITS_JOBS to "
                 "override)\n\n",
-                corpus.size(), runner.jobs());
-    const auto outcomes = runner.runFull(corpus);
+                specs.size(), runner.jobs());
+    const auto outcomes = runner.run(specs, /*taint=*/true);
 
     std::map<std::pair<bool, std::string>, GroupRow> groups;
     GroupRow total;
@@ -48,12 +48,12 @@ main()
     std::set<ir::Addr> staOnly, karonteOnly;
     std::size_t staOnlyCount = 0, karonteOnlyCount = 0;
 
-    for (std::size_t s = 0; s < corpus.size(); ++s) {
-        const auto &fw = corpus[s];
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        const auto &spec = specs[s];
         const auto &outcome = outcomes[s].taint;
         if (!outcome.ok)
             continue; // pre-processing failures have no taint run
-        auto &g = groups[{fw.spec.latest, fw.spec.profile.vendor}];
+        auto &g = groups[{spec.latest, spec.profile.vendor}];
         ++g.count;
         g.karonte += outcome.karonte;
         g.karonteIts += outcome.karonteIts;
@@ -163,13 +163,14 @@ main()
     // ---- Case study (§4.3) ------------------------------------------
     std::printf("\nCase study (CVE-2022-20825 analogue, Cisco "
                 "profile):\n");
-    for (const auto &fw : corpus) {
-        if (fw.spec.profile.vendor != "Cisco")
+    for (const auto &full : outcomes) {
+        const auto &sample = full.inference;
+        if (sample.spec.profile.vendor != "Cisco")
             continue;
         // Path length: the deep-chain bugs need >= 5 custom calls
         // from the CTS-side entry, but only ~2 calls from the ITS.
         std::size_t deepBugs = 0;
-        for (const auto &site : fw.truth.sinkSites) {
+        for (const auto &site : sample.truth.sinkSites) {
             if (site.isBug() &&
                 site.flow == synth::FlowKind::ItsDeepChain) {
                 ++deepBugs;
@@ -181,7 +182,7 @@ main()
                     "ITS getter reaches them in\n"
                     "  2 calls — the vanilla engines time out exactly "
                     "there (see Table 5 row).\n",
-                    fw.spec.name.c_str(), deepBugs);
+                    sample.spec.name.c_str(), deepBugs);
         break;
     }
 

@@ -21,23 +21,21 @@ main()
     std::printf("=== Table 6: false positive rates of taint analysis "
                 "techniques ===\n\n");
 
-    const auto corpus = synth::generateStandardCorpus();
-
-    const auto outcomes = eval::CorpusRunner().runFull(corpus);
+    const auto outcomes =
+        eval::CorpusRunner().run(synth::standardDataset(), /*taint=*/true);
 
     eval::EngineStats karonte, karonteIts, sta, staIts;
     std::size_t filteredSystemData = 0;
 
-    for (std::size_t s = 0; s < corpus.size(); ++s) {
-        const auto &fw = corpus[s];
-        const auto &outcome = outcomes[s].taint;
+    for (const auto &full : outcomes) {
+        const auto &outcome = full.taint;
         if (!outcome.ok)
             continue;
         karonte += outcome.karonte;
         karonteIts += outcome.karonteIts;
         sta += outcome.sta;
         staIts += outcome.staIts;
-        for (const auto &site : fw.truth.sinkSites) {
+        for (const auto &site : full.inference.truth.sinkSites) {
             if (site.cls == synth::SiteClass::SystemData)
                 ++filteredSystemData;
         }

@@ -21,8 +21,8 @@ main()
     std::printf("=== Table 7: inference results based on different "
                 "representations ===\n\n");
 
-    const auto corpus = synth::generateStandardCorpus();
-    const auto outcomes = eval::CorpusRunner().runInference(corpus);
+    const auto outcomes =
+        eval::CorpusRunner().run(synth::standardDataset());
 
     eval::TablePrinter table(
         {"", "Augmented-CFG", "Attributed-CFG", "BFV"});
@@ -36,7 +36,8 @@ main()
     for (int r = 0; r < 3; ++r) {
         core::InferConfig config;
         config.representation = reprs[r];
-        for (const auto &outcome : outcomes) {
+        for (const auto &full : outcomes) {
+            const auto &outcome = full.inference;
             if (!outcome.ok) {
                 stats[r].addRank(-1);
                 continue;

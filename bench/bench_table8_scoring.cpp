@@ -19,11 +19,12 @@ namespace {
 using namespace fits;
 
 eval::PrecisionStats
-rerank(const std::vector<eval::InferenceOutcome> &outcomes,
+rerank(const std::vector<eval::CorpusRunner::FullOutcome> &outcomes,
        const core::InferConfig &config)
 {
     eval::PrecisionStats stats;
-    for (const auto &outcome : outcomes) {
+    for (const auto &full : outcomes) {
+        const auto &outcome = full.inference;
         if (!outcome.ok) {
             stats.addRank(-1);
             continue;
@@ -44,8 +45,8 @@ main()
     std::printf("=== Table 8: inference results based on different "
                 "scoring methods ===\n\n");
 
-    const auto corpus = synth::generateStandardCorpus();
-    const auto outcomes = eval::CorpusRunner().runInference(corpus);
+    const auto outcomes =
+        eval::CorpusRunner().run(synth::standardDataset());
 
     const ml::Metric metrics[4] = {
         ml::Metric::Euclidean, ml::Metric::Manhattan,

@@ -59,8 +59,8 @@ main(int argc, char **argv)
         eval::PrecisionStats stats;
         double totalMs = 0.0;
         std::size_t totalFns = 0;
-        for (const auto &outcome :
-             runner.runInferenceOnSpecs(specs)) {
+        for (const auto &full : runner.run(specs)) {
+            const auto &outcome = full.inference;
             const int rank = outcome.ok ? outcome.firstItsRank : -1;
             stats.addRank(rank);
             overall.addRank(rank);
@@ -83,10 +83,11 @@ main(int argc, char **argv)
                   eval::percent(overall.p3()), "-", "-"});
     table.print();
 
-    std::printf("\nTo run against your own firmware, replace the "
-                "generator calls with images\nread from disk and "
-                "verify the top-3 candidates by hand (Appendix A of "
-                "the paper\ndescribes rehosting / device debugging / "
-                "version diffing for that step).\n");
+    std::printf("\nTo run against your own firmware, pass run() a "
+                "loader that reads each image\nfrom disk (as `fits "
+                "corpus --dir` does) and verify the top-3 candidates "
+                "by\nhand (Appendix A of the paper describes "
+                "rehosting / device debugging /\nversion diffing for "
+                "that step).\n");
     return 0;
 }

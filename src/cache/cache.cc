@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "obs/metrics.hh"
+#include "support/file.hh"
 #include "support/strings.hh"
 
 namespace fits::cache {
@@ -221,13 +222,11 @@ std::optional<std::string>
 readDiskEntry(const std::string &path, std::uint64_t key1,
               std::uint64_t key2)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const auto bytes = support::readFile(path);
+    if (!bytes)
         return std::nullopt;
-    std::string raw((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-    if (in.bad())
-        return std::nullopt;
+    const std::string_view raw(
+        reinterpret_cast<const char *>(bytes->data()), bytes->size());
 
     const auto corrupt = [] {
         bumpDiskCorrupt();
@@ -249,10 +248,10 @@ readDiskEntry(const std::string &path, std::uint64_t key1,
         return corrupt();
     if (raw.size() - pos != size)
         return corrupt();
-    std::string payload = raw.substr(pos);
+    const std::string_view payload = raw.substr(pos);
     if (support::fnv1a(payload) != checksum)
         return corrupt();
-    return payload;
+    return std::string(payload);
 }
 
 /** Write one disk entry atomically (temp file + rename). Failures are

@@ -257,19 +257,28 @@ decodeBehaviorBundle(std::string_view payload)
         bundle.behavior.records.push_back(std::move(rec));
     }
 
+    // Custom and anchor ids index `records`: inference reads
+    // records[id] unchecked, so an id past the end is corruption.
+    const auto fnId = [&] {
+        const std::uint32_t id = c.u32();
+        if (id >= bundle.behavior.records.size())
+            c.bad = true;
+        return id;
+    };
+
     const std::uint32_t numCustom = c.u32();
     if (c.bad || (payload.size() - c.pos) / 4 < numCustom)
         return std::nullopt;
     bundle.behavior.customFns.reserve(numCustom);
     for (std::uint32_t i = 0; i < numCustom; ++i)
-        bundle.behavior.customFns.push_back(c.u32());
+        bundle.behavior.customFns.push_back(fnId());
 
     const std::uint32_t numAnchor = c.u32();
     if (c.bad || (payload.size() - c.pos) / 4 < numAnchor)
         return std::nullopt;
     bundle.behavior.anchorFns.reserve(numAnchor);
     for (std::uint32_t i = 0; i < numAnchor; ++i)
-        bundle.behavior.anchorFns.push_back(c.u32());
+        bundle.behavior.anchorFns.push_back(fnId());
 
     if (c.bad || c.pos != payload.size())
         return std::nullopt;

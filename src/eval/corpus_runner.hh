@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,9 +22,10 @@ namespace fits::eval {
  * CLI path:
  *  - *Determinism:* result i is whatever the serial loop would have
  *    produced for sample i. Samples share only immutable state (the
- *    corpus, the config), every worker writes only its own result
- *    slot, and per-sample analysis is seeded/RNG-free, so the jobs
- *    count never changes any reported number — only wall-clock time.
+ *    spec list, the config, the loader), every worker writes only its
+ *    own result slot, and per-sample analysis is seeded/RNG-free, so
+ *    the jobs count never changes any reported number — only
+ *    wall-clock time.
  *  - *Failure isolation:* a sample whose task throws (or whose
  *    pipeline errors) yields a failed outcome in its own slot and
  *    never poisons the rest of the batch.
@@ -39,14 +41,6 @@ class CorpusRunner
         std::size_t jobs = 0;
         /** Pipeline configuration applied to every sample. */
         core::PipelineConfig pipeline;
-        /** Reuse cached behavior products for inference runs. Taint
-         * runs always re-analyze — they need the live analysis chain.
-         * Results are bit-identical either way; only time changes. */
-        bool cache = true;
-        /** Non-empty: persist cached products here (the on-disk tier),
-         * making repeated invocations over the same corpus
-         * incremental. Defaults to the FITS_CACHE_DIR env var. */
-        std::string cacheDir;
     };
 
     CorpusRunner()
@@ -59,28 +53,34 @@ class CorpusRunner
     /** Resolved worker count actually used for fan-out. */
     std::size_t jobs() const { return jobs_; }
 
-    /** Inference outcomes for each sample, in corpus order. */
-    std::vector<InferenceOutcome>
-    runInference(const std::vector<synth::GeneratedFirmware> &corpus)
-        const;
-
-    /** Like runInference, but generates each firmware inside its
-     * worker — lower peak memory for large sweeps. */
-    std::vector<InferenceOutcome>
-    runInferenceOnSpecs(const std::vector<synth::SampleSpec> &specs)
-        const;
-
-    /** Inference and taint outcomes derived from ONE shared
-     * per-sample pipeline artifact (the sample is unpacked, selected,
-     * and analyzed exactly once). */
+    /** Inference and (optionally) taint outcomes of one sample, both
+     * derived from ONE pipeline artifact: the sample is unpacked,
+     * selected and analyzed exactly once. */
     struct FullOutcome
     {
         InferenceOutcome inference;
+        /** Empty unless run() was asked for taint. */
         TaintOutcome taint;
     };
 
+    /** Turns a sample identity into the sample's bytes and ground
+     * truth. Runs inside the workers, concurrently. */
+    using Loader = std::function<synth::GeneratedFirmware(
+        const synth::SampleSpec &)>;
+
+    /**
+     * Evaluate specs[i] into outcome i. Worker i loads its own sample
+     * with `load`, analyzes it once, and drops its bytes before it
+     * takes the next one, so the corpus is never resident at once.
+     * With `taint`, the four Table-5 configurations also run on that
+     * artifact; the behavior cache serves only runs without taint,
+     * since a cache hit carries no analysis for the engines. A sample
+     * whose load or analysis throws gets a failed outcome that still
+     * names specs[i].
+     */
     std::vector<FullOutcome>
-    runFull(const std::vector<synth::GeneratedFirmware> &corpus) const;
+    run(const std::vector<synth::SampleSpec> &specs, bool taint = false,
+        const Loader &load = synth::generateFirmware) const;
 
     /**
      * Generic deterministic fan-out: results[i] = make(i), computed on
@@ -128,25 +128,6 @@ class CorpusRunner
     }
 
   private:
-    /**
-     * The fan-out behind every run* method: outcome i is analyze(i).
-     * If a worker throws, outcome i instead carries the sample
-     * identity that label(i, outcome) fills in and a "worker
-     * exception" error.
-     */
-    template <typename R, typename AnalyzeFn, typename LabelFn>
-    std::vector<R> runEach(std::size_t count, AnalyzeFn &&analyze,
-                           LabelFn &&label) const;
-
-    /** Pipeline config for inference-only runs: behavior caching on
-     * when Config::cache allows it. */
-    core::PipelineConfig inferencePipelineConfig() const;
-
-    /** Pipeline config for runs that feed taint engines: behavior
-     * caching forced off, since a cache hit carries no analysis
-     * chain for the taint stage to reuse. */
-    core::PipelineConfig taintPipelineConfig() const;
-
     Config config_;
     std::size_t jobs_ = 1;
 };

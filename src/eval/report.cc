@@ -4,8 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <stdexcept>
 
 #include "analysis/program_analysis.hh"
 #include "cache/cache.hh"
@@ -14,6 +13,7 @@
 #include "eval/tables.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
+#include "support/file.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 #include "taint/karonte.hh"
@@ -23,29 +23,15 @@ namespace fits::eval {
 
 namespace {
 
-bool
-readFileBytes(const std::string &path,
-              std::vector<std::uint8_t> &bytes)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    return true;
-}
-
-/** Load every *.fwimg under `dir` (sorted by path) as a corpus
- * sample; ground truth stays empty. Returns false with the exact
+/** The *.fwimg files under `dir`, sorted, as specs named by file
+ * name (their ground truth stays empty). Returns false with the exact
  * one-shot diagnostic in `error` when `dir` is missing, not a
  * directory, or unlistable. */
 bool
-loadCorpusDir(const std::string &dir,
-              std::vector<synth::GeneratedFirmware> *corpus,
-              std::string *error)
+listCorpusDir(const std::string &dir,
+              std::vector<synth::SampleSpec> *specs, std::string *error)
 {
     namespace fs = std::filesystem;
-    corpus->clear();
 
     std::error_code ec;
     const fs::file_status st = fs::status(dir, ec);
@@ -60,29 +46,22 @@ loadCorpusDir(const std::string &dir,
         return false;
     }
 
-    std::vector<fs::path> paths;
+    std::vector<std::string> names;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
         if (entry.is_regular_file() &&
             entry.path().extension() == ".fwimg")
-            paths.push_back(entry.path());
+            names.push_back(entry.path().filename().string());
     }
     if (ec) {
         *error = support::format("bad --dir %s: %s\n", dir.c_str(),
                                  ec.message().c_str());
         return false;
     }
-    std::sort(paths.begin(), paths.end());
-
-    corpus->reserve(paths.size());
-    for (const auto &path : paths) {
-        synth::GeneratedFirmware fw;
-        fw.spec.name = path.filename().string();
-        if (!readFileBytes(path.string(), fw.bytes)) {
-            std::fprintf(stderr, "cannot read %s, skipping\n",
-                         path.string().c_str());
-            continue;
-        }
-        corpus->push_back(std::move(fw));
+    std::sort(names.begin(), names.end());
+    for (auto &name : names) {
+        synth::SampleSpec spec;
+        spec.name = std::move(name);
+        specs->push_back(std::move(spec));
     }
     return true;
 }
@@ -94,13 +73,25 @@ runCorpusReport(const CorpusOptions &options)
 {
     CorpusReport report;
 
-    std::vector<synth::GeneratedFirmware> corpus;
+    std::vector<synth::SampleSpec> specs;
+    CorpusRunner::Loader load = synth::generateFirmware;
     if (options.dir.empty()) {
-        corpus = synth::generateStandardCorpus();
-    } else if (!loadCorpusDir(options.dir, &corpus, &report.error)) {
+        specs = synth::standardDataset();
+    } else if (listCorpusDir(options.dir, &specs, &report.error)) {
+        load = [dir = options.dir](const synth::SampleSpec &spec) {
+            const std::string path =
+                (std::filesystem::path(dir) / spec.name).string();
+            auto bytes = support::readFile(path);
+            if (!bytes)
+                throw std::runtime_error("cannot read " + path);
+            synth::GeneratedFirmware fw;
+            fw.bytes = std::move(*bytes);
+            return fw;
+        };
+    } else {
         return report;
     }
-    if (corpus.empty()) {
+    if (specs.empty()) {
         report.error = support::format(
             "no corpus samples%s%s\n",
             options.dir.empty() ? "" : " under ",
@@ -110,28 +101,19 @@ runCorpusReport(const CorpusOptions &options)
 
     CorpusRunner::Config config;
     config.jobs = options.jobs;
-    config.cache = options.cache;
     const CorpusRunner runner(config);
 
     report.ok = true;
-    report.samples = corpus.size();
+    report.samples = specs.size();
     report.jobs = runner.jobs();
     if (options.onHeader) {
         options.onHeader(support::format(
             "evaluating %zu samples with %zu worker threads...\n\n",
-            corpus.size(), runner.jobs()));
+            specs.size(), runner.jobs()));
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<CorpusRunner::FullOutcome> outcomes;
-    if (options.taint) {
-        outcomes = runner.runFull(corpus);
-    } else {
-        auto inference = runner.runInference(corpus);
-        outcomes.resize(inference.size());
-        for (std::size_t i = 0; i < inference.size(); ++i)
-            outcomes[i].inference = std::move(inference[i]);
-    }
+    const auto outcomes = runner.run(specs, options.taint, load);
     report.wallMs = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -143,11 +125,11 @@ runCorpusReport(const CorpusOptions &options)
     PrecisionStats overall;
     for (const auto &vendor : vendorOrder) {
         PrecisionStats stats;
-        for (std::size_t i = 0; i < corpus.size(); ++i) {
-            if (corpus[i].spec.profile.vendor != vendor)
+        for (const auto &outcome : outcomes) {
+            const auto &inference = outcome.inference;
+            if (inference.spec.profile.vendor != vendor)
                 continue;
-            const auto &outcome = outcomes[i].inference;
-            stats.addRank(outcome.ok ? outcome.firstItsRank : -1);
+            stats.addRank(inference.ok ? inference.firstItsRank : -1);
         }
         overall.total += stats.total;
         overall.top1 += stats.top1;
@@ -201,9 +183,7 @@ runCorpusReport(const CorpusOptions &options)
     // (partial results) are listed separately and are not failures.
     std::size_t degraded = 0;
     for (const auto &outcome : outcomes) {
-        const std::string &name = outcome.inference.spec.name.empty()
-                                      ? outcome.taint.spec.name
-                                      : outcome.inference.spec.name;
+        const std::string &name = outcome.inference.spec.name;
         if (outcome.inference.degraded ||
             (options.taint && outcome.taint.degraded)) {
             ++degraded;

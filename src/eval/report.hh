@@ -27,21 +27,20 @@ struct CorpusOptions
     std::size_t jobs = 0;
     /** Also run the four Table-5 taint configurations. */
     bool taint = false;
-    /** Consult the analysis cache (identical results either way). */
-    bool cache = true;
     /** Evaluate every *.fwimg under this directory instead of the
-     * standard synthetic corpus. */
+     * standard synthetic corpus. Only the file names are listed up
+     * front; each worker reads its own file. */
     std::string dir;
     /** Called with the "evaluating N samples with J worker
-     * threads...\n\n" header once the corpus is loaded, before the
-     * (long) evaluation runs, so the CLI shows progress. */
+     * threads...\n\n" header before any sample is generated or read,
+     * so the CLI shows progress. */
     std::function<void(const std::string &)> onHeader;
 };
 
 /** Rendered outcome of one corpus evaluation. */
 struct CorpusReport
 {
-    /** False when the corpus could not be loaded at all (bad --dir,
+    /** False when the corpus could not be listed at all (bad --dir,
      * zero samples); `error` carries the exact one-shot diagnostic. */
     bool ok = false;
     std::string error;
@@ -68,9 +67,10 @@ struct CorpusReport
     }
 };
 
-/** Run a corpus evaluation and render it. Loads the corpus (standard
- * or --dir), fans out through a CorpusRunner, and renders exactly the
- * tables `fits corpus` prints. */
+/** Run a corpus evaluation and render it. Names the samples (the
+ * standard dataset or the --dir files), lets the CorpusRunner workers
+ * generate or read them, and renders exactly the tables `fits corpus`
+ * prints. */
 CorpusReport runCorpusReport(const CorpusOptions &options);
 
 /** "wall clock: %.1f ms with %zu jobs\n" — the one-shot timing line. */

@@ -104,13 +104,4 @@ generateFirmware(const SampleSpec &spec)
     return out;
 }
 
-std::vector<GeneratedFirmware>
-generateStandardCorpus()
-{
-    std::vector<GeneratedFirmware> corpus;
-    for (const auto &spec : standardDataset())
-        corpus.push_back(generateFirmware(spec));
-    return corpus;
-}
-
 } // namespace fits::synth

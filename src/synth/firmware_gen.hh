@@ -28,9 +28,6 @@ struct GeneratedFirmware
  */
 GeneratedFirmware generateFirmware(const SampleSpec &spec);
 
-/** Generate the whole standard 59-sample corpus. */
-std::vector<GeneratedFirmware> generateStandardCorpus();
-
 } // namespace fits::synth
 
 #endif // FITS_SYNTH_FIRMWARE_GEN_HH_

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -21,6 +22,7 @@
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
 #include "eval/harness.hh"
+#include "support/file.hh"
 #include "synth/firmware_gen.hh"
 
 namespace fits {
@@ -72,10 +74,10 @@ class CacheTest : public ::testing::Test
 };
 
 /** A small deterministic corpus of distinct Tenda samples. */
-std::vector<synth::GeneratedFirmware>
+std::vector<synth::SampleSpec>
 smallCorpus(std::size_t n)
 {
-    std::vector<synth::GeneratedFirmware> corpus;
+    std::vector<synth::SampleSpec> corpus;
     for (std::size_t i = 0; i < n; ++i) {
         synth::SampleSpec spec;
         spec.profile = synth::tendaProfile();
@@ -85,7 +87,7 @@ smallCorpus(std::size_t n)
         spec.version = "V1";
         spec.name = "cache-sample-" + std::to_string(i);
         spec.seed = 0xcac4e + i;
-        corpus.push_back(synth::generateFirmware(spec));
+        corpus.push_back(std::move(spec));
     }
     return corpus;
 }
@@ -99,40 +101,35 @@ scoreBits(double score)
 }
 
 void
-expectIdenticalOutcomes(const std::vector<eval::InferenceOutcome> &a,
-                        const std::vector<eval::InferenceOutcome> &b)
+expectIdenticalOutcomes(
+    const std::vector<eval::CorpusRunner::FullOutcome> &fullA,
+    const std::vector<eval::CorpusRunner::FullOutcome> &fullB)
 {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].ok, b[i].ok) << "sample " << i;
-        EXPECT_EQ(a[i].firstItsRank, b[i].firstItsRank);
-        ASSERT_EQ(a[i].ranking.size(), b[i].ranking.size());
-        for (std::size_t r = 0; r < a[i].ranking.size(); ++r) {
-            EXPECT_EQ(a[i].ranking[r].id, b[i].ranking[r].id);
-            EXPECT_EQ(a[i].ranking[r].entry, b[i].ranking[r].entry);
-            EXPECT_EQ(a[i].ranking[r].name, b[i].ranking[r].name);
-            EXPECT_EQ(scoreBits(a[i].ranking[r].score),
-                      scoreBits(b[i].ranking[r].score))
+    ASSERT_EQ(fullA.size(), fullB.size());
+    for (std::size_t i = 0; i < fullA.size(); ++i) {
+        const auto &a = fullA[i].inference;
+        const auto &b = fullB[i].inference;
+        ASSERT_EQ(a.ok, b.ok) << "sample " << i;
+        EXPECT_EQ(a.firstItsRank, b.firstItsRank);
+        ASSERT_EQ(a.ranking.size(), b.ranking.size());
+        for (std::size_t r = 0; r < a.ranking.size(); ++r) {
+            EXPECT_EQ(a.ranking[r].id, b.ranking[r].id);
+            EXPECT_EQ(a.ranking[r].entry, b.ranking[r].entry);
+            EXPECT_EQ(a.ranking[r].name, b.ranking[r].name);
+            EXPECT_EQ(scoreBits(a.ranking[r].score),
+                      scoreBits(b.ranking[r].score))
                 << "sample " << i << " rank " << r;
         }
     }
-}
-
-core::PipelineConfig
-cachingPipelineConfig()
-{
-    core::PipelineConfig config;
-    config.behaviorCache = true;
-    return config;
 }
 
 // ---- behavior-bundle serialization -------------------------------------
 
 TEST_F(CacheTest, BundleRoundTripIsBitIdentical)
 {
-    const auto corpus = smallCorpus(1);
+    const auto fw = synth::generateFirmware(smallCorpus(1)[0]);
     const core::FitsPipeline pipeline{core::PipelineConfig{}};
-    const auto result = pipeline.analyze(corpus[0].bytes);
+    const auto result = pipeline.analyze(fw.bytes);
     ASSERT_TRUE(result.ok);
 
     core::BehaviorBundle bundle;
@@ -173,9 +170,9 @@ TEST_F(CacheTest, BundleRoundTripIsBitIdentical)
 
 TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
 {
-    const auto corpus = smallCorpus(1);
+    const auto fw = synth::generateFirmware(smallCorpus(1)[0]);
     const core::FitsPipeline pipeline{core::PipelineConfig{}};
-    const auto result = pipeline.analyze(corpus[0].bytes);
+    const auto result = pipeline.analyze(fw.bytes);
     ASSERT_TRUE(result.ok);
     core::BehaviorBundle bundle;
     bundle.behavior = result.behavior;
@@ -200,6 +197,22 @@ TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
     EXPECT_FALSE(core::decodeBehaviorBundle(badVersion).has_value());
     EXPECT_FALSE(
         core::decodeBehaviorBundle(payload + '\0').has_value());
+
+    // Custom and anchor ids past the end of `records`, behind an
+    // otherwise valid encoding: inference would index records[id].
+    ASSERT_FALSE(bundle.behavior.customFns.empty());
+    ASSERT_FALSE(bundle.behavior.anchorFns.empty());
+    core::BehaviorBundle badCustom = bundle;
+    badCustom.behavior.customFns[0] = 50000000;
+    EXPECT_FALSE(
+        core::decodeBehaviorBundle(core::encodeBehaviorBundle(badCustom))
+            .has_value());
+    core::BehaviorBundle badAnchor = bundle;
+    badAnchor.behavior.anchorFns.back() = static_cast<analysis::FnId>(
+        bundle.behavior.records.size());
+    EXPECT_FALSE(
+        core::decodeBehaviorBundle(core::encodeBehaviorBundle(badAnchor))
+            .has_value());
 }
 
 // ---- memory tier -------------------------------------------------------
@@ -209,14 +222,13 @@ TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
     const auto corpus = smallCorpus(3);
     eval::CorpusRunner::Config config;
     config.jobs = 1;
-    config.pipeline = cachingPipelineConfig();
 
     const eval::CorpusRunner runner(config);
-    const auto cold = runner.runInference(corpus);
+    const auto cold = runner.run(corpus);
     const auto coldStats = cache::stats();
     EXPECT_GT(coldStats.misses, 0u);
 
-    const auto warm = runner.runInference(corpus);
+    const auto warm = runner.run(corpus);
     const auto warmStats = cache::stats();
     EXPECT_GT(warmStats.hits, coldStats.hits);
     expectIdenticalOutcomes(cold, warm);
@@ -226,11 +238,7 @@ TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
     off.memory = false;
     off.disk = false;
     cache::configure(off);
-    eval::CorpusRunner::Config rawConfig;
-    rawConfig.jobs = 1;
-    rawConfig.cache = false;
-    const eval::CorpusRunner raw(rawConfig);
-    expectIdenticalOutcomes(cold, raw.runInference(corpus));
+    expectIdenticalOutcomes(cold, runner.run(corpus));
 }
 
 TEST_F(CacheTest, SerialAndParallelRankingsIdentical)
@@ -238,20 +246,19 @@ TEST_F(CacheTest, SerialAndParallelRankingsIdentical)
     const auto corpus = smallCorpus(4);
     eval::CorpusRunner::Config serialConfig;
     serialConfig.jobs = 1;
-    serialConfig.pipeline = cachingPipelineConfig();
     eval::CorpusRunner::Config parallelConfig = serialConfig;
     parallelConfig.jobs = 4;
 
     const auto serial =
-        eval::CorpusRunner(serialConfig).runInference(corpus);
+        eval::CorpusRunner(serialConfig).run(corpus);
     cache::clearMemory();
     const auto parallel =
-        eval::CorpusRunner(parallelConfig).runInference(corpus);
+        eval::CorpusRunner(parallelConfig).run(corpus);
     expectIdenticalOutcomes(serial, parallel);
 
     // Warm parallel run (workers race on a hot cache) agrees too.
     const auto warmParallel =
-        eval::CorpusRunner(parallelConfig).runInference(corpus);
+        eval::CorpusRunner(parallelConfig).run(corpus);
     expectIdenticalOutcomes(serial, warmParallel);
 }
 
@@ -260,17 +267,14 @@ TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
     const auto corpus = smallCorpus(2);
     eval::CorpusRunner::Config config;
     config.jobs = 1;
-    config.pipeline = cachingPipelineConfig();
-    const auto cached = eval::CorpusRunner(config).runFull(corpus);
+    const eval::CorpusRunner runner(config);
+    const auto cached = runner.run(corpus, /*taint=*/true);
 
     cache::Options off;
     off.memory = false;
     off.disk = false;
     cache::configure(off);
-    eval::CorpusRunner::Config rawConfig;
-    rawConfig.jobs = 1;
-    rawConfig.cache = false;
-    const auto raw = eval::CorpusRunner(rawConfig).runFull(corpus);
+    const auto raw = runner.run(corpus, /*taint=*/true);
 
     ASSERT_EQ(cached.size(), raw.size());
     for (std::size_t i = 0; i < cached.size(); ++i) {
@@ -313,15 +317,14 @@ TEST_F(CacheTest, DiskTierSurvivesProcessMemoryLoss)
     const auto corpus = smallCorpus(2);
     eval::CorpusRunner::Config config;
     config.jobs = 1;
-    config.pipeline = cachingPipelineConfig();
     const eval::CorpusRunner runner(config);
 
-    const auto cold = runner.runInference(corpus);
+    const auto cold = runner.run(corpus);
     // Dropping the memory tier simulates a fresh process; the second
     // run must be served from disk, bit-identically.
     cache::clearMemory();
     cache::resetStats();
-    const auto warm = runner.runInference(corpus);
+    const auto warm = runner.run(corpus);
     const auto stats = cache::stats();
     EXPECT_GT(stats.diskHits, 0u);
     expectIdenticalOutcomes(cold, warm);
@@ -344,12 +347,9 @@ TEST_F(CacheTest, CorruptDiskEntriesDegradeToMisses)
         out.write(bytes.data(),
                   static_cast<std::streamsize>(bytes.size()));
     };
-    std::string raw;
-    {
-        std::ifstream in(path, std::ios::binary);
-        raw.assign(std::istreambuf_iterator<char>(in),
-                   std::istreambuf_iterator<char>());
-    }
+    const auto bytes = support::readFile(path);
+    ASSERT_TRUE(bytes.has_value());
+    const std::string raw(bytes->begin(), bytes->end());
     ASSERT_GT(raw.size(), 8u);
 
     // Bit flip in the payload: checksum mismatch.
@@ -413,10 +413,13 @@ TEST_F(CacheTest, UnwritableDiskDirSkipsEntry)
     const auto corpus = smallCorpus(2);
     eval::CorpusRunner::Config config;
     config.jobs = 1;
-    config.pipeline = cachingPipelineConfig();
-    const auto cached = eval::CorpusRunner(config).runInference(corpus);
-    config.cache = false;
-    const auto uncached = eval::CorpusRunner(config).runInference(corpus);
+    const eval::CorpusRunner runner(config);
+    const auto cached = runner.run(corpus);
+    cache::Options off;
+    off.memory = false;
+    off.disk = false;
+    cache::configure(off);
+    const auto uncached = runner.run(corpus);
     expectIdenticalOutcomes(uncached, cached);
 }
 

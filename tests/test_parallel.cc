@@ -8,12 +8,17 @@
 #include <atomic>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
+#include "eval/report.hh"
 #include "mlkit/dbscan.hh"
 #include "mlkit/scaling.hh"
 #include "support/logging.hh"
@@ -120,14 +125,15 @@ expectIdenticalInference(const eval::InferenceOutcome &a,
 
 TEST(CorpusRunner, ParallelInferenceMatchesSerialOnStandardCorpus)
 {
-    const auto corpus = synth::generateStandardCorpus();
-    const auto serial = runnerWithJobs(1).runInference(corpus);
-    const auto parallel = runnerWithJobs(4).runInference(corpus);
-    ASSERT_EQ(serial.size(), corpus.size());
-    ASSERT_EQ(parallel.size(), corpus.size());
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        SCOPED_TRACE(corpus[i].spec.name);
-        expectIdenticalInference(serial[i], parallel[i]);
+    const auto specs = synth::standardDataset();
+    const auto serial = runnerWithJobs(1).run(specs);
+    const auto parallel = runnerWithJobs(4).run(specs);
+    ASSERT_EQ(serial.size(), specs.size());
+    ASSERT_EQ(parallel.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i].name);
+        expectIdenticalInference(serial[i].inference,
+                                 parallel[i].inference);
     }
 }
 
@@ -157,10 +163,10 @@ expectIdenticalTaint(const eval::TaintOutcome &a,
 
 /** A miniature corpus (one sample per vendor plus one failure) so the
  * heavier taint comparisons stay fast. */
-std::vector<synth::GeneratedFirmware>
+std::vector<synth::SampleSpec>
 miniCorpus()
 {
-    std::vector<synth::GeneratedFirmware> corpus;
+    std::vector<synth::SampleSpec> corpus;
     const synth::VendorProfile profiles[] = {
         synth::netgearProfile(), synth::dlinkProfile(),
         synth::tplinkProfile(), synth::tendaProfile(),
@@ -174,7 +180,7 @@ miniCorpus()
         spec.version = "V1";
         spec.name = spec.product + "-V1";
         spec.seed = 0xab00 + i;
-        corpus.push_back(synth::generateFirmware(spec));
+        corpus.push_back(std::move(spec));
     }
     synth::SampleSpec broken;
     broken.profile = synth::dlinkProfile();
@@ -184,18 +190,18 @@ miniCorpus()
     broken.seed = 0xdead;
     broken.failure = synth::SampleSpec::FailureMode::OpaqueEncoding;
     broken.profile.encoding = fw::Encoding::Opaque;
-    corpus.push_back(synth::generateFirmware(broken));
+    corpus.push_back(std::move(broken));
     return corpus;
 }
 
 TEST(CorpusRunner, ParallelTaintMatchesSerial)
 {
     const auto corpus = miniCorpus();
-    const auto serial = runnerWithJobs(1).runFull(corpus);
-    const auto parallel = runnerWithJobs(4).runFull(corpus);
+    const auto serial = runnerWithJobs(1).run(corpus, /*taint=*/true);
+    const auto parallel = runnerWithJobs(4).run(corpus, /*taint=*/true);
     ASSERT_EQ(serial.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
-        SCOPED_TRACE(corpus[i].spec.name);
+        SCOPED_TRACE(corpus[i].name);
         expectIdenticalTaint(serial[i].taint, parallel[i].taint);
     }
     // The broken sample failed alone; the rest analyzed fine.
@@ -208,34 +214,107 @@ TEST(CorpusRunner, RunFullSharesOneAnalysisPerSample)
 {
     const auto corpus = miniCorpus();
     const auto runner = runnerWithJobs(3);
-    const auto full = runner.runFull(corpus);
-    const auto inference = runner.runInference(corpus);
+    const auto full = runner.run(corpus, /*taint=*/true);
+    const auto inference = runner.run(corpus);
     ASSERT_EQ(full.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
-        SCOPED_TRACE(corpus[i].spec.name);
-        expectIdenticalInference(full[i].inference, inference[i]);
+        SCOPED_TRACE(corpus[i].name);
+        expectIdenticalInference(full[i].inference,
+                                 inference[i].inference);
+        const auto fw = synth::generateFirmware(corpus[i]);
         expectIdenticalTaint(
             full[i].taint,
-            eval::taintOutcome(core::FitsPipeline().analyze(corpus[i].bytes),
-                               corpus[i].spec, corpus[i].truth));
+            eval::taintOutcome(core::FitsPipeline().analyze(fw.bytes),
+                               fw.spec, fw.truth));
     }
 }
 
 TEST(CorpusRunner, TaintOutcomesCarrySampleIdentityEvenOnFailure)
 {
-    // Regression: the runFull failure path used to discard the sample
+    // Regression: the taint failure path used to discard the sample
     // index, so an errored TaintOutcome could not be traced back to
     // the sample that produced it.
     const auto corpus = miniCorpus();
-    const auto full = runnerWithJobs(2).runFull(corpus);
+    const auto runner = runnerWithJobs(2);
+    const auto full = runner.run(corpus, /*taint=*/true);
     ASSERT_EQ(full.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
-        EXPECT_EQ(full[i].taint.spec.name, corpus[i].spec.name);
-        EXPECT_EQ(full[i].inference.spec.name, corpus[i].spec.name);
+        EXPECT_EQ(full[i].taint.spec.name, corpus[i].name);
+        EXPECT_EQ(full[i].inference.spec.name, corpus[i].name);
     }
     // The broken sample still failed.
     EXPECT_FALSE(full.back().taint.ok);
     EXPECT_FALSE(full.back().taint.spec.name.empty());
+
+    // A loader that throws fails only its own sample, and the failed
+    // outcome still names that sample: identity is known before the
+    // load.
+    const std::string unloadable = corpus[1].name;
+    const auto loaded = runner.run(
+        corpus, /*taint=*/true, [&](const synth::SampleSpec &spec) {
+            if (spec.name == unloadable)
+                throw std::runtime_error("cannot read " + spec.name);
+            return synth::generateFirmware(spec);
+        });
+    ASSERT_EQ(loaded.size(), corpus.size());
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        SCOPED_TRACE(corpus[i].name);
+        EXPECT_EQ(loaded[i].inference.spec.name, corpus[i].name);
+        EXPECT_EQ(loaded[i].taint.spec.name, corpus[i].name);
+        if (i == 1) {
+            EXPECT_FALSE(loaded[i].inference.ok);
+            EXPECT_FALSE(loaded[i].taint.ok);
+            EXPECT_NE(loaded[i].taint.error.find("cannot read " +
+                                                 unloadable),
+                      std::string::npos)
+                << loaded[i].taint.error;
+        } else {
+            expectIdenticalInference(loaded[i].inference,
+                                     full[i].inference);
+            expectIdenticalTaint(loaded[i].taint, full[i].taint);
+        }
+    }
+}
+
+TEST(CorpusRunner, DirReportIsIdenticalAcrossJobCounts)
+{
+    // `fits corpus --dir`: each worker reads its own file. The report
+    // must not depend on the worker count.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "fits_dir_report_test";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    for (const auto &spec : miniCorpus()) {
+        const auto fw = synth::generateFirmware(spec);
+        std::ofstream out(dir / (spec.name + ".fwimg"), std::ios::binary);
+        out.write(reinterpret_cast<const char *>(fw.bytes.data()),
+                  static_cast<std::streamsize>(fw.bytes.size()));
+    }
+    std::ofstream(dir / "garbage.fwimg") << "not a firmware image";
+    std::ofstream(dir / "notes.txt") << "not listed";
+
+    eval::CorpusOptions options;
+    options.dir = dir.string();
+    options.taint = true;
+    std::string header;
+    options.onHeader = [&](const std::string &text) { header = text; };
+    options.jobs = 1;
+    const auto serial = eval::runCorpusReport(options);
+    options.jobs = 4;
+    const auto parallel = eval::runCorpusReport(options);
+    fs::remove_all(dir);
+
+    ASSERT_TRUE(serial.ok) << serial.error;
+    ASSERT_TRUE(parallel.ok) << parallel.error;
+    EXPECT_EQ(serial.samples, 7u);
+    EXPECT_EQ(header.rfind("evaluating 7 samples with 4 worker", 0), 0u)
+        << header;
+    EXPECT_EQ(serial.text, parallel.text);
+    EXPECT_EQ(serial.diagnostics, parallel.diagnostics);
+    EXPECT_EQ(serial.failed, 2u); // the opaque image and the garbage
+    EXPECT_NE(serial.diagnostics.find("sample failed: garbage.fwimg: "),
+              std::string::npos)
+        << serial.diagnostics;
 }
 
 TEST(CorpusRunner, ThrowingTaskFailsOnlyItsOwnSample)

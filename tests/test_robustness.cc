@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "binary/bytebuf.hh"
+#include "core/behavior_io.hh"
 #include "core/pipeline.hh"
 #include "eval/harness.hh"
 #include "firmware/fwimg.hh"
@@ -379,6 +380,50 @@ TEST(Corruption, MutatedPayloadsBehindValidChecksumFailTypedOrParse)
         EXPECT_NE(artifact.status.code(), support::ErrorCode::Internal)
             << "round " << round << ": " << artifact.status.toString();
     }
+}
+
+TEST(Corruption, BitFlippedBehaviorBundlesDecodeCleanlyOrRank)
+{
+    // The behavior-cache codec behind a valid checksum: a cache entry
+    // whose checksum matches can still carry flipped bits. Each
+    // mutation must be rejected, or decode to a bundle that inference
+    // ranks without crashing.
+    const auto artifact = core::FitsPipeline().analyze(sampleFw().bytes);
+    ASSERT_TRUE(artifact.ok) << artifact.error;
+    core::BehaviorBundle bundle;
+    bundle.imageInfo = artifact.imageInfo;
+    bundle.binaryName = artifact.binaryName;
+    bundle.numFunctions = artifact.numFunctions;
+    bundle.binaryBytes = artifact.binaryBytes;
+    bundle.behavior = artifact.behavior;
+    const std::string payload = core::encodeBehaviorBundle(bundle);
+
+    support::Rng rng(0xb1b);
+    int decoded = 0;
+    for (int round = 0; round < 400; ++round) {
+        std::string mutated = payload;
+        // Half the rounds aim at the tail, where the custom and anchor
+        // id lists sit.
+        const std::size_t tail =
+            std::min<std::size_t>(mutated.size(), 1024);
+        const std::size_t flips = 1 + rng.index(4);
+        for (std::size_t i = 0; i < flips; ++i) {
+            const std::size_t at =
+                round % 2 == 0 ? mutated.size() - 1 - rng.index(tail)
+                               : rng.index(mutated.size());
+            mutated[at] = static_cast<char>(
+                mutated[at] ^ static_cast<char>(1u << rng.index(8)));
+        }
+        const auto decodedBundle = core::decodeBehaviorBundle(mutated);
+        if (!decodedBundle)
+            continue;
+        ++decoded;
+        const auto &behavior = decodedBundle->behavior;
+        const auto result = core::inferIts(behavior, core::InferConfig{});
+        EXPECT_LE(result.ranking.size(), behavior.customFns.size())
+            << "round " << round;
+    }
+    EXPECT_GT(decoded, 0);
 }
 
 // ---- missing libraries -------------------------------------------------

@@ -1,10 +1,14 @@
-/** @file Unit tests for the support utilities (RNG, strings, Result). */
+/** @file Unit tests for the support utilities (RNG, strings, Result,
+ * file reading). */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 
+#include "support/file.hh"
 #include "support/result.hh"
 #include "support/rng.hh"
 #include "support/strings.hh"
@@ -218,6 +222,36 @@ TEST(Result, TakeMovesValue)
     auto r = Result<std::string>::ok("payload");
     const std::string v = r.take();
     EXPECT_EQ(v, "payload");
+}
+
+TEST(ReadFile, MissingEmptyAndExactBinaryBytes)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "fits_read_file_test";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    EXPECT_FALSE(readFile((dir / "missing").string()).has_value());
+    EXPECT_FALSE(readFile(dir.string()).has_value()) << "a directory";
+
+    std::ofstream(dir / "empty").close();
+    const auto empty = readFile((dir / "empty").string());
+    ASSERT_TRUE(empty.has_value());
+    EXPECT_TRUE(empty->empty());
+
+    // Every byte value, NUL, CR/LF and 0x1a included, twice over.
+    std::vector<std::uint8_t> binary;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (int b = 0; b < 256; ++b)
+            binary.push_back(static_cast<std::uint8_t>(b));
+    }
+    {
+        std::ofstream out(dir / "binary", std::ios::binary);
+        out.write(reinterpret_cast<const char *>(binary.data()),
+                  static_cast<std::streamsize>(binary.size()));
+    }
+    EXPECT_EQ(readFile((dir / "binary").string()), binary);
+    fs::remove_all(dir);
 }
 
 } // namespace

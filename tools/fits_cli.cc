@@ -26,12 +26,13 @@
  *       Evaluate the standard 59-sample corpus in parallel (per-vendor
  *       precision; with --taint also the four engine configurations,
  *       from one shared analysis pass per sample). --dir evaluates
- *       every *.fwimg under DIR instead of the synthetic corpus;
- *       --metrics-out enables the fits::obs registry and writes its
- *       JSON snapshot after the run; --no-cache disables the analysis
- *       cache (results are identical either way — set FITS_CACHE_DIR
- *       to persist the cache across invocations). Exits non-zero when
- *       every sample fails.
+ *       every *.fwimg under DIR instead of the synthetic corpus, each
+ *       file read by the worker that analyzes it (an unreadable file
+ *       is a failed sample); --metrics-out enables the fits::obs
+ *       registry and writes its JSON snapshot after the run;
+ *       --no-cache disables the analysis cache (results are
+ *       identical either way — set FITS_CACHE_DIR to persist the cache
+ *       across invocations). Exits non-zero when every sample fails.
  *
  * A numeric argument (--seed, --top, --its, --jobs) that is not a
  * whole unsigned number — decimal, 0x-hex or 0-octal — is a usage
@@ -47,6 +48,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -58,6 +60,7 @@
 #include "firmware/select.hh"
 #include "ir/printer.hh"
 #include "obs/metrics.hh"
+#include "support/file.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 #include "taint/sta.hh"
@@ -104,17 +107,6 @@ parseNumber(const char *text, std::uint64_t &value)
     return *end == '\0' && errno == 0;
 }
 
-bool
-readFile(const std::string &path, std::vector<std::uint8_t> &bytes)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-    return true;
-}
-
 /** Read an image argument, or print WHY it cannot be read (missing,
  * a directory, unreadable) to stderr and return false. */
 bool
@@ -135,12 +127,14 @@ readImageArg(const std::string &path, std::vector<std::uint8_t> &bytes)
                      path.c_str());
         return false;
     }
-    if (!readFile(path, bytes)) {
+    auto read = support::readFile(path);
+    if (!read) {
         std::fprintf(stderr, "cannot read %s: open failed "
                              "(permissions?)\n",
                      path.c_str());
         return false;
     }
+    bytes = std::move(*read);
     return true;
 }
 
@@ -457,6 +451,7 @@ cmdCorpus(int argc, char **argv)
 {
     eval::CorpusOptions options;
     std::string metricsOut;
+    bool noCache = false;
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
@@ -467,7 +462,7 @@ cmdCorpus(int argc, char **argv)
         } else if (arg == "--taint") {
             options.taint = true;
         } else if (arg == "--no-cache") {
-            options.cache = false;
+            noCache = true;
         } else if (arg == "--dir" && i + 1 < argc) {
             options.dir = argv[++i];
         } else if (arg == "--metrics-out" && i + 1 < argc) {
@@ -479,7 +474,7 @@ cmdCorpus(int argc, char **argv)
 
     if (!metricsOut.empty())
         obs::setEnabled(true);
-    if (!options.cache) {
+    if (noCache) {
         // Turn off both tiers: the in-process one as well as a disk
         // tier that FITS_CACHE_DIR armed at startup.
         cache::Options off;
