@@ -15,9 +15,11 @@
 #include "binary/fbin.hh"
 #include "core/behavior.hh"
 #include "core/infer.hh"
+#include "core/pipeline.hh"
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
 #include "mlkit/dbscan.hh"
+#include "mlkit/scaling.hh"
 #include "support/rng.hh"
 #include "synth/firmware_gen.hh"
 
@@ -181,8 +183,23 @@ BM_ReachingDefs(benchmark::State &state)
 }
 BENCHMARK(BM_ReachingDefs);
 
-void
-BM_Dbscan(benchmark::State &state)
+/** The first standard-corpus sample's custom-function BFVs, max-abs
+ * scaled: the matrix core::inferIts clusters. Corpus-wide only 3.4 %
+ * of these rows are distinct. */
+ml::Matrix
+corpusSampleBfvs()
+{
+    const auto fw = synth::generateFirmware(synth::standardDataset().front());
+    const auto artifact = core::FitsPipeline().analyze(fw.bytes);
+    ml::Matrix custom;
+    for (analysis::FnId id : artifact.behavior.customFns)
+        custom.push_back(artifact.behavior.records[id].bfv.toVector());
+    return ml::maxAbsScale(custom);
+}
+
+/** 800 uniform-random 11-dimensional rows: no duplicates at all. */
+ml::Matrix
+uniformRows()
 {
     support::Rng rng(7);
     ml::Matrix points;
@@ -192,13 +209,22 @@ BM_Dbscan(benchmark::State &state)
             v = rng.uniformReal();
         points.push_back(std::move(row));
     }
-    const ml::DbscanConfig config{0.35, 3, ml::Metric::Euclidean};
+    return points;
+}
+
+void
+BM_Dbscan(benchmark::State &state, ml::Matrix (*input)())
+{
+    const ml::Matrix points = input();
+    const ml::DbscanConfig config = core::InferConfig{}.dbscan;
     for (auto _ : state) {
         auto clusters = ml::dbscan(points, config);
         benchmark::DoNotOptimize(clusters);
     }
+    state.counters["rows"] = static_cast<double>(points.size());
 }
-BENCHMARK(BM_Dbscan);
+BENCHMARK_CAPTURE(BM_Dbscan, corpus_bfv, corpusSampleBfvs);
+BENCHMARK_CAPTURE(BM_Dbscan, uniform_800x11, uniformRows);
 
 } // namespace
 

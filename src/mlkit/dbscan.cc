@@ -1,7 +1,11 @@
 #include "dbscan.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <deque>
+#include <span>
+#include <stdexcept>
+#include <string_view>
+#include <unordered_map>
 
 namespace fits::ml {
 
@@ -44,14 +48,14 @@ DbscanResult::noiseCount() const
 namespace {
 
 /**
- * Pairwise-distance scanner over a flattened copy of the points.
+ * Pairwise-distance scanner over a flattened copy of the distinct rows.
  *
- * DBSCAN's cost is regionQuery: n scans of all n points. The generic
- * path pays a `distance()` dispatch, two `Vec` indirections, and (for
- * cosine/Pearson) redundant per-row norm/mean recomputation on every
- * pair. This scanner flattens the matrix into one contiguous buffer,
- * hoists the metric dispatch out of the scan, and precomputes the
- * per-row invariants (norms for cosine, means for Pearson) once.
+ * The generic path pays a `distance()` dispatch, two `Vec`
+ * indirections, and (for cosine/Pearson) redundant per-row norm/mean
+ * recomputation on every pair. This scanner flattens the rows into one
+ * contiguous buffer, hoists the metric dispatch out of the scan, and
+ * precomputes the per-row invariants (norms for cosine, means for
+ * Pearson) once.
  *
  * Every per-pair formula below keeps the exact operation order of
  * distance.cc — same accumulation sequence, same zero checks, same
@@ -62,53 +66,38 @@ namespace {
 class DistanceScanner
 {
   public:
-    DistanceScanner(const Matrix &points, const DbscanConfig &config)
-        : points_(points), config_(config), n_(points.size())
+    /** Scans the rows `points[r]` for r in `rows`, all of length
+     * `dim`. */
+    DistanceScanner(const Matrix &points,
+                    const std::vector<std::size_t> &rows,
+                    std::size_t dim, const DbscanConfig &config)
+        : config_(config), n_(rows.size()), dim_(dim)
     {
-        dim_ = n_ > 0 ? points[0].size() : 0;
-        flat_ = true;
-        for (const Vec &row : points) {
-            if (row.size() != dim_) {
-                flat_ = false; // ragged input: generic path only
-                break;
-            }
-        }
-        if (flat_) {
-            buffer_.reserve(n_ * dim_);
-            for (const Vec &row : points)
-                buffer_.insert(buffer_.end(), row.begin(), row.end());
-            if (config.metric == Metric::Cosine) {
-                norms_.reserve(n_);
-                for (const Vec &row : points)
-                    norms_.push_back(norm(row));
-            } else if (config.metric == Metric::Pearson) {
-                means_.reserve(n_);
-                for (const Vec &row : points) {
-                    double mean = 0.0;
-                    for (double v : row)
-                        mean += v;
-                    means_.push_back(
-                        dim_ > 0 ? mean / static_cast<double>(dim_)
-                                 : 0.0);
-                }
+        buffer_.reserve(n_ * dim_);
+        for (std::size_t r : rows)
+            buffer_.insert(buffer_.end(), points[r].begin(),
+                           points[r].end());
+        if (config.metric == Metric::Cosine) {
+            norms_.reserve(n_);
+            for (std::size_t r : rows)
+                norms_.push_back(norm(points[r]));
+        } else if (config.metric == Metric::Pearson) {
+            means_.reserve(n_);
+            for (std::size_t r : rows) {
+                double mean = 0.0;
+                for (double v : points[r])
+                    mean += v;
+                means_.push_back(
+                    dim_ > 0 ? mean / static_cast<double>(dim_) : 0.0);
             }
         }
     }
 
-    /** All points within eps of `p` (including p), into `out`. The
-     * buffer is caller-owned so one allocation serves every query. */
+    /** Appends every row within eps of row `p` (p itself only when its
+     * self-distance is within eps) to `out`, in ascending order. */
     void
     neighbors(std::size_t p, std::vector<std::size_t> &out) const
     {
-        out.clear();
-        if (!flat_) {
-            for (std::size_t q = 0; q < n_; ++q) {
-                if (distance(config_.metric, points_[p], points_[q]) <=
-                    config_.eps)
-                    out.push_back(q);
-            }
-            return;
-        }
         switch (config_.metric) {
           case Metric::Euclidean: scan<Metric::Euclidean>(p, out); break;
           case Metric::Manhattan: scan<Metric::Manhattan>(p, out); break;
@@ -122,20 +111,24 @@ class DistanceScanner
     void
     scan(std::size_t p, std::vector<std::size_t> &out) const
     {
-        const double *a = buffer_.data() + p * dim_;
+        // Locals, not members: the appends to `out` could otherwise
+        // alias them and force a reload on every pair.
+        const std::size_t dim = dim_;
+        const double eps = config_.eps;
+        const double *a = buffer_.data() + p * dim;
         const double *b = buffer_.data();
-        for (std::size_t q = 0; q < n_; ++q, b += dim_) {
+        for (std::size_t q = 0; q < n_; ++q, b += dim) {
             double d = 0.0;
             if constexpr (M == Metric::Euclidean) {
                 double s = 0.0;
-                for (std::size_t i = 0; i < dim_; ++i) {
+                for (std::size_t i = 0; i < dim; ++i) {
                     const double diff = a[i] - b[i];
                     s += diff * diff;
                 }
                 d = std::sqrt(s);
             } else if constexpr (M == Metric::Manhattan) {
                 double s = 0.0;
-                for (std::size_t i = 0; i < dim_; ++i)
+                for (std::size_t i = 0; i < dim; ++i)
                     s += std::fabs(a[i] - b[i]);
                 d = s;
             } else if constexpr (M == Metric::Cosine) {
@@ -144,18 +137,18 @@ class DistanceScanner
                 double sim = 0.0;
                 if (na != 0.0 && nb != 0.0) {
                     double s = 0.0;
-                    for (std::size_t i = 0; i < dim_; ++i)
+                    for (std::size_t i = 0; i < dim; ++i)
                         s += a[i] * b[i];
                     sim = s / (na * nb);
                 }
                 d = 1.0 - sim;
             } else { // Pearson
                 double corr = 0.0;
-                if (dim_ > 0) {
+                if (dim > 0) {
                     const double meanA = means_[p];
                     const double meanB = means_[q];
                     double cov = 0.0, varA = 0.0, varB = 0.0;
-                    for (std::size_t i = 0; i < dim_; ++i) {
+                    for (std::size_t i = 0; i < dim; ++i) {
                         const double da = a[i] - meanA;
                         const double db = b[i] - meanB;
                         cov += da * db;
@@ -167,16 +160,14 @@ class DistanceScanner
                 }
                 d = 1.0 - corr;
             }
-            if (d <= config_.eps)
+            if (d <= eps)
                 out.push_back(q);
         }
     }
 
-    const Matrix &points_;
     const DbscanConfig &config_;
     std::size_t n_;
-    std::size_t dim_ = 0;
-    bool flat_ = false;
+    std::size_t dim_;
     std::vector<double> buffer_; ///< row-major n_ x dim_
     std::vector<double> norms_;  ///< per-row L2 norms (cosine)
     std::vector<double> means_;  ///< per-row means (Pearson)
@@ -184,57 +175,132 @@ class DistanceScanner
 
 } // namespace
 
+/*
+ * Rows with the same bit pattern have the same distance to every row,
+ * so the region queries run once per distinct row ("class"), and a
+ * class's neighbor count is the summed size of its adjacent classes.
+ * The labels equal the sequential point-by-point algorithm's because
+ * that algorithm numbers each cluster by its lowest-index core point
+ * and fully expands one cluster before starting the next, so a border
+ * point lands in the lowest-numbered cluster with a core neighbor.
+ */
 DbscanResult
 dbscan(const Matrix &points, const DbscanConfig &config)
 {
-    constexpr int kUnvisited = -2;
     constexpr int kNoise = -1;
+    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    const std::size_t n = points.size();
+    const std::size_t dim = n > 0 ? points[0].size() : 0;
 
-    DbscanResult result;
-    result.labels.assign(points.size(), kUnvisited);
-
-    const DistanceScanner scanner(points, config);
-    std::vector<std::size_t> neighbors;
-    std::vector<std::size_t> qNeighbors;
-
-    int cluster = 0;
-    for (std::size_t p = 0; p < points.size(); ++p) {
-        if (result.labels[p] != kUnvisited)
-            continue;
-
-        scanner.neighbors(p, neighbors);
-        if (neighbors.size() < config.minPts) {
-            result.labels[p] = kNoise;
-            continue;
+    // 1. Group the rows by exact bit pattern, numbering the classes in
+    //    first-occurrence order.
+    std::unordered_map<std::string_view, std::size_t> classIds;
+    classIds.reserve(n);
+    std::vector<std::size_t> classOf(n);
+    std::vector<std::size_t> firstRow; ///< class -> its first row
+    std::vector<std::size_t> size;     ///< class -> its row count
+    for (std::size_t i = 0; i < n; ++i) {
+        if (points[i].size() != dim)
+            throw std::invalid_argument("dbscan: rows of unequal length");
+        const std::string_view bits(
+            reinterpret_cast<const char *>(points[i].data()),
+            dim * sizeof(double));
+        const auto [it, added] = classIds.try_emplace(bits, size.size());
+        if (added) {
+            firstRow.push_back(i);
+            size.push_back(0);
         }
+        classOf[i] = it->second;
+        ++size[it->second];
+    }
+    const std::size_t k = size.size();
 
-        result.labels[p] = cluster;
-        std::deque<std::size_t> seeds(neighbors.begin(),
-                                      neighbors.end());
-        while (!seeds.empty()) {
-            const std::size_t q = seeds.front();
-            seeds.pop_front();
-            if (result.labels[q] == kNoise)
-                result.labels[q] = cluster; // border point
-            if (result.labels[q] != kUnvisited)
-                continue;
-            result.labels[q] = cluster;
-            scanner.neighbors(q, qNeighbors);
-            if (qNeighbors.size() >= config.minPts) {
-                // Only unvisited and noise points can still change
-                // label; re-enqueueing cluster-assigned neighbors is a
-                // no-op on pop but grows the deque O(n^2) on dense
-                // blobs, so skip them at push time.
-                for (std::size_t r : qNeighbors) {
-                    if (result.labels[r] < 0)
-                        seeds.push_back(r);
+    // 2. One region query per class. A class is core when its adjacent
+    //    classes (itself only if within eps of itself: an all-zero row
+    //    under cosine is not) hold at least minPts rows.
+    const DistanceScanner scanner(points, firstRow, dim, config);
+    std::vector<std::size_t> adjacency;         ///< all classes' lists
+    std::vector<std::size_t> adjacencyStart{0}; ///< class -> offset
+    std::vector<char> core(k);
+    for (std::size_t c = 0; c < k; ++c) {
+        scanner.neighbors(c, adjacency);
+        std::size_t weight = 0;
+        for (std::size_t j = adjacencyStart[c]; j < adjacency.size(); ++j)
+            weight += size[adjacency[j]];
+        core[c] = weight >= config.minPts;
+        adjacencyStart.push_back(adjacency.size());
+    }
+    auto adjacent = [&](std::size_t c) {
+        return std::span<const std::size_t>(
+            adjacency.data() + adjacencyStart[c],
+            adjacencyStart[c + 1] - adjacencyStart[c]);
+    };
+
+    // 3. Connected components of the core classes. A lone core class
+    //    that is not its own neighbor does not connect its rows: each
+    //    of them is a cluster by itself.
+    std::vector<std::size_t> component(k, kNone);
+    std::vector<char> splits; ///< component -> one cluster per row
+    std::vector<std::size_t> stack;
+    for (std::size_t root = 0; root < k; ++root) {
+        if (!core[root] || component[root] != kNone)
+            continue;
+        const std::size_t id = splits.size();
+        std::size_t classes = 0;
+        component[root] = id;
+        stack.push_back(root);
+        while (!stack.empty()) {
+            const std::size_t c = stack.back();
+            stack.pop_back();
+            ++classes;
+            for (std::size_t d : adjacent(c)) {
+                if (core[d] && component[d] == kNone) {
+                    component[d] = id;
+                    stack.push_back(d);
                 }
             }
         }
-        ++cluster;
+        const auto own = adjacent(root); // ascending
+        splits.push_back(classes == 1 &&
+                         !std::binary_search(own.begin(), own.end(), root));
     }
 
+    // 4. Number the clusters by their lowest-index core row and label
+    //    the core rows; clusterOf is a component's lowest cluster.
+    DbscanResult result;
+    result.labels.assign(n, kNoise);
+    std::vector<int> clusterOf(splits.size(), kNoise);
+    int cluster = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t c = classOf[i];
+        if (!core[c])
+            continue;
+        int &lowest = clusterOf[component[c]];
+        if (lowest == kNoise)
+            result.labels[i] = lowest = cluster++;
+        else
+            result.labels[i] = splits[component[c]] ? cluster++ : lowest;
+    }
     result.numClusters = cluster;
+
+    // 5. A non-core class joins the lowest-numbered cluster with a core
+    //    neighbor, or stays noise; its rows copy that label.
+    std::vector<int> borderLabel(k, kNoise);
+    for (std::size_t c = 0; c < k; ++c) {
+        if (core[c])
+            continue;
+        for (std::size_t d : adjacent(c)) {
+            if (!core[d])
+                continue;
+            const int label = clusterOf[component[d]];
+            if (borderLabel[c] == kNoise || label < borderLabel[c])
+                borderLabel[c] = label;
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!core[classOf[i]])
+            result.labels[i] = borderLabel[classOf[i]];
+    }
     return result;
 }
 

@@ -34,9 +34,14 @@ struct DbscanResult
 
 /**
  * Density-based spatial clustering (Ester et al.), the algorithm FITS
- * uses for behavior clustering. The classic O(n^2) region-query
- * formulation: corpora here are a few thousand functions per binary,
- * where quadratic scans are faster than index structures.
+ * uses for behavior clustering. Rows are first grouped by exact bit
+ * pattern, since BFVs of small-integer features collide heavily (about
+ * 3 % of a binary's rows are distinct); region queries then run once
+ * per distinct row and weight each by its row count, for O(k^2 d + n)
+ * over k distinct rows instead of O(n^2 d). Labels and cluster
+ * numbering equal the sequential point-by-point algorithm's.
+ *
+ * @throws std::invalid_argument when the rows differ in length.
  */
 DbscanResult dbscan(const Matrix &points, const DbscanConfig &config);
 

@@ -6,6 +6,9 @@
  * function, cluster and candidate counts; the top-10 ranking as
  * entry:score-bits; and for Karonte, Karonte+ITS, STA and STA+ITS the
  * raw alert count plus an FNV-1a hash over the sorted alert tuples.
+ * After the samples, one `table3` line per vendor (in first-sample
+ * order) and one for the whole corpus pin the Table-3 top-1/2/3 counts
+ * that `fits corpus` prints as percentages.
  *
  * On a mismatch the test writes the digest it computed to
  * <build>/tests/corpus.digest and names the first differing sample.
@@ -98,9 +101,16 @@ alertDigest(const std::vector<taint::Alert> &alerts)
     return std::to_string(alerts.size()) + "/" + support::hex(fnv.h);
 }
 
+struct SampleDigest
+{
+    std::string line;
+    /** 1-based rank of the first true ITS; -1 if absent or failed. */
+    int firstItsRank = -1;
+};
+
 /** The digest line of one sample. */
-std::string
-digestLine(const synth::GeneratedFirmware &fw)
+SampleDigest
+digestSample(const synth::GeneratedFirmware &fw)
 {
     core::PipelineConfig config;
     config.budgets.behaviorMs = 0.0;
@@ -126,8 +136,10 @@ digestLine(const synth::GeneratedFirmware &fw)
              << support::hex(std::bit_cast<std::uint64_t>(
                     ranking[i].score));
     }
+    const int firstItsRank =
+        artifact.ok ? eval::rankOfFirstIts(ranking, fw.truth) : -1;
     if (!artifact.hasAnalysis())
-        return line.str();
+        return {line.str(), firstItsRank};
 
     // The sources of eval::taintOutcome.
     const auto cts = taint::classicalTaintSources();
@@ -142,7 +154,17 @@ digestLine(const synth::GeneratedFirmware &fw)
          << alertDigest(karonte.run(pa, ctsPlusIts).alerts)
          << " sta=" << alertDigest(sta.run(pa, cts).alerts)
          << " sta+its=" << alertDigest(sta.run(pa, ctsPlusIts).alerts);
-    return line.str();
+    return {line.str(), firstItsRank};
+}
+
+/** "table3 <vendor> fw=N top1=A top2=B top3=C" */
+std::string
+table3Line(const std::string &vendor, const eval::PrecisionStats &stats)
+{
+    return "table3 " + vendor + " fw=" + std::to_string(stats.total) +
+           " top1=" + std::to_string(stats.top1) +
+           " top2=" + std::to_string(stats.top2) +
+           " top3=" + std::to_string(stats.top3);
 }
 
 std::vector<std::string>
@@ -159,14 +181,38 @@ TEST(GoldenCorpus, MatchesCommittedDigest)
 {
     const auto specs = synth::standardDataset();
     const eval::CorpusRunner runner;
-    const auto actual = runner.map<std::string>(
+    const auto samples = runner.map<SampleDigest>(
         specs.size(),
         [&](std::size_t i) {
-            return digestLine(synth::generateFirmware(specs[i]));
+            return digestSample(synth::generateFirmware(specs[i]));
         },
         [&](std::size_t i, const std::string &error) {
-            return specs[i].name + " exception " + error;
+            return SampleDigest{specs[i].name + " exception " + error};
         });
+
+    std::vector<std::string> actual;
+    std::vector<std::string> vendors;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        actual.push_back(samples[i].line);
+        const std::string &vendor = specs[i].profile.vendor;
+        if (std::find(vendors.begin(), vendors.end(), vendor) ==
+            vendors.end())
+            vendors.push_back(vendor);
+    }
+    eval::PrecisionStats overall;
+    for (const auto &vendor : vendors) {
+        eval::PrecisionStats stats;
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            if (specs[i].profile.vendor == vendor)
+                stats.addRank(samples[i].firstItsRank);
+        }
+        actual.push_back(table3Line(vendor, stats));
+        overall.total += stats.total;
+        overall.top1 += stats.top1;
+        overall.top2 += stats.top2;
+        overall.top3 += stats.top3;
+    }
+    actual.push_back(table3Line("Overall", overall));
 
     const auto expected = readLines(FITS_GOLDEN_DIGEST);
     std::size_t firstDiff = 0;
@@ -182,10 +228,10 @@ TEST(GoldenCorpus, MatchesCommittedDigest)
         for (const auto &line : actual)
             out << line << '\n';
     }
-    const std::string where =
-        firstDiff < specs.size() ? specs[firstDiff].name
-                                 : std::string("<line count>");
-    FAIL() << "golden corpus digest differs first at sample " << where
+    const std::string where = firstDiff < specs.size()
+                                  ? "sample " + specs[firstDiff].name
+                                  : std::string("the table3 lines");
+    FAIL() << "golden corpus digest differs first at " << where
            << " (line " << firstDiff + 1 << ")\n  expected: "
            << (firstDiff < expected.size() ? expected[firstDiff]
                                            : "<none>")

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "mlkit/dbscan.hh"
 #include "mlkit/distance.hh"
@@ -138,6 +139,13 @@ TEST(Dbscan, EmptyInput)
     const DbscanResult r = dbscan({}, {0.5, 3, Metric::Euclidean});
     EXPECT_EQ(r.numClusters, 0);
     EXPECT_TRUE(r.labels.empty());
+}
+
+TEST(Dbscan, RejectsRowsOfUnequalLength)
+{
+    const Matrix ragged = {{0, 0}, {1}, {0, 1}};
+    EXPECT_THROW(dbscan(ragged, {1.0, 1, Metric::Euclidean}),
+                 std::invalid_argument);
 }
 
 TEST(Scaling, MaxAbs)

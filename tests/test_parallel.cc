@@ -10,10 +10,12 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hh"
@@ -532,6 +534,80 @@ corpusSamplePoints()
     return ml::maxAbsScale(custom);
 }
 
+/** Unscaled small-integer rows with heavy duplication, as raw BFVs
+ * collide, plus repeated all-zero rows (cosine distance 1 from every
+ * row, themselves included) and repeated constant rows (Pearson
+ * distance 1 likewise): classes that are not their own neighbors. */
+ml::Matrix
+smallIntegerPoints()
+{
+    support::Rng rng(0x51a7);
+    ml::Matrix distinct;
+    for (int i = 0; i < 25; ++i) {
+        ml::Vec v(6);
+        for (auto &x : v)
+            x = static_cast<double>(rng.uniformInt(0, 3));
+        distinct.push_back(std::move(v));
+    }
+    ml::Matrix points;
+    for (int i = 0; i < 240; ++i) {
+        if (i % 37 == 5) {
+            points.push_back(ml::Vec(6, 0.0));
+        } else if (i % 41 == 7) {
+            points.push_back(ml::Vec(6, 2.0));
+        } else {
+            const double u = rng.uniformReal();
+            points.push_back(distinct[static_cast<std::size_t>(
+                u * u * static_cast<double>(distinct.size()))]);
+        }
+    }
+    return points;
+}
+
+/** Rows whose bit patterns differ while every distance agrees (+0.0
+ * and -0.0: two rows each, so only together do they reach minPts 3),
+ * NaN rows (within eps of nothing, themselves included), and
+ * duplicated regular rows around them. */
+ml::Matrix
+signedZeroAndNanPoints()
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const ml::Matrix rows = {
+        {0.0, 1.0, 0.5},  {-0.0, 1.0, 0.5}, {nan, 1.0, 0.5},
+        {1.0, 0.0, -1.0}, {0.5, 0.5, 0.5},  {nan, 1.0, 0.5},
+        {1.0, 0.1, -1.0}, {2.0, 2.0, 2.0},  {-0.0, -0.0, -0.0},
+        {1.0, 0.0, -1.0}, {0.0, 0.0, 0.0},  {1.0, 0.1, -1.0},
+        {nan, nan, nan},  {2.0, 2.0, 2.0},  {1.0, 0.0, -1.0},
+    };
+    ml::Matrix points;
+    for (int copy = 0; copy < 2; ++copy)
+        points.insert(points.end(), rows.begin(), rows.end());
+    return points;
+}
+
+/** Two copies of a row whose L2 norm overflows, which puts it at
+ * cosine distance NaN from itself but exactly 1 from each of four
+ * mutually obtuse (tetrahedron) rows. Under eps 1 and minPts 4 both
+ * copies are core yet not neighbors and have no core neighbor, so
+ * each is a cluster by itself; the tetrahedron rows are borders of
+ * the first. */
+ml::Matrix
+overflowingNormPoints()
+{
+    const ml::Vec huge(3, 1e200);
+    return {{1, 1, 1}, huge, {1, -1, -1}, {-1, 1, -1}, huge, {-1, -1, 1}};
+}
+
+/** A border row (1.875) adjacent to two clusters. Its first adjacent
+ * core row in class order (2.75) belongs to the second cluster; the
+ * first cluster (0.0 and 1.0) reaches it only through a later class.
+ * Under eps 1 and minPts 4 it must join the first cluster. */
+ml::Matrix
+borderBetweenClustersPoints()
+{
+    return {{0.0}, {2.75}, {1.875}, {1.0}, {3.5}, {3.5}, {0.0}, {0.0}};
+}
+
 struct OracleCase
 {
     const char *name;
@@ -581,6 +657,38 @@ TEST(Dbscan, LabelsMatchReferenceOracle)
     };
     for (const auto &c : cases)
         expectMatchesOracle(c);
+
+    // Every metric over duplicate-heavy and self-distant rows, with
+    // minPts from 0 (every row core) through n (core only when
+    // adjacent to every row).
+    const std::pair<ml::Metric, double> metrics[] = {
+        {ml::Metric::Euclidean, 1.0},
+        {ml::Metric::Manhattan, 1.5},
+        {ml::Metric::Cosine, 0.05},
+        {ml::Metric::Pearson, 0.1},
+    };
+    const std::pair<const char *, ml::Matrix (*)()> inputs[] = {
+        {"small integers", smallIntegerPoints},
+        {"signed zeros and NaN", signedZeroAndNanPoints},
+        {"all identical", allIdenticalPoints},
+    };
+    for (const auto &[metric, eps] : metrics) {
+        for (const auto &[name, points] : inputs) {
+            const std::size_t n = points().size();
+            for (std::size_t minPts : {std::size_t{0}, std::size_t{1},
+                                       std::size_t{3}, n}) {
+                SCOPED_TRACE(std::string(ml::metricName(metric)) +
+                             " minPts=" + std::to_string(minPts));
+                expectMatchesOracle(
+                    {name, points, {eps, minPts, metric}, 0, -1});
+            }
+        }
+    }
+    expectMatchesOracle({"overflowing cosine norm", overflowingNormPoints,
+                         {1.0, 4, ml::Metric::Cosine}, 2, 0});
+    expectMatchesOracle({"border between clusters",
+                         borderBetweenClustersPoints,
+                         {1.0, 4, ml::Metric::Euclidean}, 2, 0});
 }
 
 } // namespace
