@@ -8,7 +8,11 @@
  * raw alert count plus an FNV-1a hash over the sorted alert tuples.
  * After the samples, one `table3` line per vendor (in first-sample
  * order) and one for the whole corpus pin the Table-3 top-1/2/3 counts
- * that `fits corpus` prints as percentages.
+ * that `fits corpus` prints as percentages. Last, one `codec` line per
+ * sample that reached analysis pins the FBIN and behavior-bundle
+ * codecs byte for byte: an FNV-1a hash of writeBinary() over the
+ * selected main binary and one of encodeBehaviorBundle() over the
+ * artifact's behavior product.
  *
  * On a mismatch the test writes the digest it computed to
  * <build>/tests/corpus.digest and names the first differing sample.
@@ -26,6 +30,8 @@
 #include <tuple>
 #include <vector>
 
+#include "binary/fbin.hh"
+#include "core/behavior_io.hh"
 #include "core/pipeline.hh"
 #include "eval/corpus_runner.hh"
 #include "eval/harness.hh"
@@ -106,7 +112,27 @@ struct SampleDigest
     std::string line;
     /** 1-based rank of the first true ITS; -1 if absent or failed. */
     int firstItsRank = -1;
+    /** The `codec` line; empty when the sample never reached analysis. */
+    std::string codec;
 };
+
+/** "codec <sample> fbin=<hash> bundle=<hash>" over the bytes the FBIN
+ * writer and the behavior-bundle encoder produce for `artifact`. */
+std::string
+codecLine(const std::string &name, const core::PipelineArtifact &artifact)
+{
+    const auto fbin = bin::writeBinary(*artifact.target->main);
+    core::BehaviorBundle bundle;
+    bundle.imageInfo = artifact.imageInfo;
+    bundle.binaryName = artifact.binaryName;
+    bundle.numFunctions = artifact.numFunctions;
+    bundle.binaryBytes = artifact.binaryBytes;
+    bundle.behavior = artifact.behavior;
+    return "codec " + name + " fbin=" +
+           support::hex(support::fnv1a(fbin.data(), fbin.size())) +
+           " bundle=" +
+           support::hex(support::fnv1a(core::encodeBehaviorBundle(bundle)));
+}
 
 /** The digest line of one sample. */
 SampleDigest
@@ -139,7 +165,7 @@ digestSample(const synth::GeneratedFirmware &fw)
     const int firstItsRank =
         artifact.ok ? eval::rankOfFirstIts(ranking, fw.truth) : -1;
     if (!artifact.hasAnalysis())
-        return {line.str(), firstItsRank};
+        return {line.str(), firstItsRank, {}};
 
     // The sources of eval::taintOutcome.
     const auto cts = taint::classicalTaintSources();
@@ -154,7 +180,7 @@ digestSample(const synth::GeneratedFirmware &fw)
          << alertDigest(karonte.run(pa, ctsPlusIts).alerts)
          << " sta=" << alertDigest(sta.run(pa, cts).alerts)
          << " sta+its=" << alertDigest(sta.run(pa, ctsPlusIts).alerts);
-    return {line.str(), firstItsRank};
+    return {line.str(), firstItsRank, codecLine(fw.spec.name, artifact)};
 }
 
 /** "table3 <vendor> fw=N top1=A top2=B top3=C" */
@@ -187,7 +213,8 @@ TEST(GoldenCorpus, MatchesCommittedDigest)
             return digestSample(synth::generateFirmware(specs[i]));
         },
         [&](std::size_t i, const std::string &error) {
-            return SampleDigest{specs[i].name + " exception " + error};
+            return SampleDigest{specs[i].name + " exception " + error, -1,
+                                {}};
         });
 
     std::vector<std::string> actual;
@@ -213,6 +240,11 @@ TEST(GoldenCorpus, MatchesCommittedDigest)
         overall.top3 += stats.top3;
     }
     actual.push_back(table3Line("Overall", overall));
+    const std::size_t codecStart = actual.size();
+    for (const auto &sample : samples) {
+        if (!sample.codec.empty())
+            actual.push_back(sample.codec);
+    }
 
     const auto expected = readLines(FITS_GOLDEN_DIGEST);
     std::size_t firstDiff = 0;
@@ -228,9 +260,10 @@ TEST(GoldenCorpus, MatchesCommittedDigest)
         for (const auto &line : actual)
             out << line << '\n';
     }
-    const std::string where = firstDiff < specs.size()
-                                  ? "sample " + specs[firstDiff].name
-                                  : std::string("the table3 lines");
+    const std::string where =
+        firstDiff < specs.size()  ? "sample " + specs[firstDiff].name
+        : firstDiff < codecStart ? std::string("the table3 lines")
+                                 : std::string("the codec lines");
     FAIL() << "golden corpus digest differs first at " << where
            << " (line " << firstDiff + 1 << ")\n  expected: "
            << (firstDiff < expected.size() ? expected[firstDiff]
