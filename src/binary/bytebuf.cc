@@ -1,58 +1,57 @@
 #include "bytebuf.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace fits::bin {
 
-void
-ByteWriter::u8(std::uint8_t v)
-{
-    out_.push_back(v);
-}
+namespace {
+
+/** Zero-filled room kept past the cursor: one page. */
+constexpr std::size_t kCommitBytes = 4096;
+
+} // namespace
 
 void
-ByteWriter::u16(std::uint16_t v)
+ByteWriter::grow(std::size_t n)
 {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void
-ByteWriter::u32(std::uint32_t v)
-{
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void
-ByteWriter::u64(std::uint64_t v)
-{
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
+    const std::size_t need = size_ + n;
+    if (need > out_.capacity())
+        out_.reserve(std::max({need, 2 * out_.capacity(), kCommitBytes}));
+    out_.resize(
+        std::min(out_.capacity(), std::max(need, size_ + kCommitBytes)));
 }
 
 void
 ByteWriter::str(const std::string &s)
 {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+    if (!s.empty())
+        std::memcpy(claim(s.size()), s.data(), s.size());
 }
 
 void
 ByteWriter::raw(const std::vector<std::uint8_t> &bytes)
 {
-    out_.insert(out_.end(), bytes.begin(), bytes.end());
+    if (!bytes.empty())
+        std::memcpy(claim(bytes.size()), bytes.data(), bytes.size());
+}
+
+std::vector<std::uint8_t>
+ByteWriter::take()
+{
+    out_.resize(size_);
+    size_ = 0;
+    return std::exchange(out_, {});
 }
 
 void
 ByteWriter::patchU32(std::size_t offset, std::uint32_t v)
 {
-    if (offset + 4 > out_.size())
+    if (offset > size_ || size_ - offset < 4)
         return;
-    out_[offset + 0] = static_cast<std::uint8_t>(v);
-    out_[offset + 1] = static_cast<std::uint8_t>(v >> 8);
-    out_[offset + 2] = static_cast<std::uint8_t>(v >> 16);
-    out_[offset + 3] = static_cast<std::uint8_t>(v >> 24);
+    store(out_.data() + offset, v, 4);
 }
 
 bool

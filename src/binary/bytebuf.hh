@@ -7,28 +7,61 @@
 
 namespace fits::bin {
 
-/** Little-endian byte-stream writer used by the FBIN/FWIMG encoders. */
+/**
+ * Little-endian byte-stream writer used by the FBIN/FWIMG encoders.
+ *
+ * The writer owns a cursor into a buffer it grows itself, so each
+ * value costs one capacity check and one store. Capacity grows
+ * geometrically (reserve, which leaves new pages untouched), but
+ * only up to one page past the cursor is zero-filled at a time, so
+ * take() never hands back a vector whose spare capacity has been
+ * paged in.
+ */
 class ByteWriter
 {
   public:
-    void u8(std::uint8_t v);
-    void u16(std::uint16_t v);
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u8(std::uint8_t v) { *claim(1) = v; }
+    void u16(std::uint16_t v) { store(claim(2), v, 2); }
+    void u32(std::uint32_t v) { store(claim(4), v, 4); }
+    void u64(std::uint64_t v) { store(claim(8), v, 8); }
     /** Length-prefixed (u32) byte string. */
     void str(const std::string &s);
     /** Raw bytes without a length prefix. */
     void raw(const std::vector<std::uint8_t> &bytes);
 
-    const std::vector<std::uint8_t> &bytes() const { return out_; }
-    std::vector<std::uint8_t> take() { return std::move(out_); }
-    std::size_t size() const { return out_.size(); }
+    /** The bytes written so far; leaves the writer empty. */
+    std::vector<std::uint8_t> take();
+    std::size_t size() const { return size_; }
 
     /** Overwrite 4 bytes at an earlier offset (for patching lengths). */
     void patchU32(std::size_t offset, std::uint32_t v);
 
   private:
+    /** Advance the cursor by n bytes; returns where they go. */
+    std::uint8_t *
+    claim(std::size_t n)
+    {
+        if (out_.size() - size_ < n)
+            grow(n);
+        std::uint8_t *p = out_.data() + size_;
+        size_ += n;
+        return p;
+    }
+
+    /** Make room for n more bytes past the cursor. */
+    void grow(std::size_t n);
+
+    /** The low `n` bytes of v, least significant first. */
+    static void
+    store(std::uint8_t *p, std::uint64_t v, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
+    /** [0, size_) is written; [size_, out_.size()) is zeroed room. */
     std::vector<std::uint8_t> out_;
+    std::size_t size_ = 0;
 };
 
 /**

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -11,16 +12,18 @@
 #include <utility>
 
 #include "obs/metrics.hh"
-#include "support/file.hh"
 #include "support/strings.hh"
 
 namespace fits::cache {
 
 namespace {
 
-/** Disk entry format version; a mismatch reads as a miss. */
-constexpr std::uint32_t kDiskFormatVersion = 1;
+/** Disk entry format version; a mismatch reads as a miss. Version 2
+ * checksums the payload with XXH64 (support::hash64), not FNV-1a. */
+constexpr std::uint32_t kDiskFormatVersion = 2;
 constexpr char kDiskMagic[4] = {'F', 'C', 'H', '1'};
+/** Magic, version, both keys, payload size, payload checksum. */
+constexpr std::size_t kDiskHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 
 // ---- counters (lock-free; the mutex below guards only the maps) ----
 
@@ -146,21 +149,23 @@ evictLocked(State &s)
     }
 }
 
-/** Put `payload` in the memory tier under `key`. Keys are
- * content-derived, so an existing entry already holds these bytes and
- * only has its recency refreshed. */
-void
-rememberLocked(State &s, const std::string &key, std::string_view payload)
+/** Put `payload` in the memory tier under `key` and return the bytes
+ * the tier holds. Keys are content-derived, so an existing entry
+ * already holds these bytes and only has its recency refreshed. */
+std::shared_ptr<const std::string>
+rememberLocked(State &s, const std::string &key, std::string payload)
 {
     auto &entry = s.blobs[key];
     entry.tick = ++s.tick;
     if (entry.payload != nullptr)
-        return;
-    entry.payload = std::make_shared<const std::string>(payload);
+        return entry.payload;
     entry.bytes = key.size() + payload.size() + 64;
+    entry.payload = std::make_shared<const std::string>(std::move(payload));
+    auto held = entry.payload;
     s.totalBytes += entry.bytes;
     evictLocked(s);
     publishBytesLocked(s);
+    return held;
 }
 
 std::string
@@ -175,83 +180,64 @@ blobKeyOf(std::string_view kind, std::uint64_t key1,
 
 // ---- disk tier -----------------------------------------------------
 
+/** Append the low `n` bytes of v, least significant first. */
 void
-putU32(std::string &out, std::uint32_t v)
+appendLe(std::string &out, std::uint64_t v, int n)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    for (int i = 0; i < n; ++i)
+        out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
-void
-putU64(std::string &out, std::uint64_t v)
+/** The `n`-byte little-endian integer at `p`. */
+std::uint64_t
+readLe(const char *p, int n)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-bool
-getU32(std::string_view in, std::size_t &pos, std::uint32_t &v)
-{
-    if (in.size() - pos < 4)
-        return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(in[pos + i]))
+    std::uint64_t v = 0;
+    for (int i = 0; i < n; ++i)
+        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
              << (8 * i);
-    pos += 4;
-    return true;
+    return v;
 }
 
-bool
-getU64(std::string_view in, std::size_t &pos, std::uint64_t &v)
-{
-    if (in.size() - pos < 8)
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(in[pos + i]))
-             << (8 * i);
-    pos += 8;
-    return true;
-}
-
-/** Read + validate one disk entry; nullopt on any defect. */
+/** Read + validate one disk entry; nullopt on any defect. The payload
+ * is read straight into the string that is returned. */
 std::optional<std::string>
 readDiskEntry(const std::string &path, std::uint64_t key1,
               std::uint64_t key2)
 {
-    const auto bytes = support::readFile(path);
-    if (!bytes)
+    std::error_code ec;
+    const std::uintmax_t fileSize = std::filesystem::file_size(path, ec);
+    if (ec)
         return std::nullopt;
-    const std::string_view raw(
-        reinterpret_cast<const char *>(bytes->data()), bytes->size());
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
 
     const auto corrupt = [] {
         bumpDiskCorrupt();
         return std::nullopt;
     };
 
-    std::size_t pos = 0;
-    if (raw.size() < 4 ||
-        raw.compare(0, 4, kDiskMagic, 4) != 0)
+    char header[kDiskHeaderBytes];
+    if (fileSize < kDiskHeaderBytes)
         return corrupt();
-    pos = 4;
-    std::uint32_t version = 0;
-    std::uint64_t k1 = 0, k2 = 0, size = 0, checksum = 0;
-    if (!getU32(raw, pos, version) || !getU64(raw, pos, k1) ||
-        !getU64(raw, pos, k2) || !getU64(raw, pos, size) ||
-        !getU64(raw, pos, checksum))
+    if (!in.read(header, kDiskHeaderBytes))
+        return std::nullopt;
+    if (std::memcmp(header, kDiskMagic, 4) != 0 ||
+        readLe(header + 4, 4) != kDiskFormatVersion ||
+        readLe(header + 8, 8) != key1 || readLe(header + 16, 8) != key2)
         return corrupt();
-    if (version != kDiskFormatVersion || k1 != key1 || k2 != key2)
+    const std::uint64_t size = readLe(header + 24, 8);
+    const std::uint64_t checksum = readLe(header + 32, 8);
+    if (fileSize - kDiskHeaderBytes != size)
         return corrupt();
-    if (raw.size() - pos != size)
+
+    std::string payload(static_cast<std::size_t>(size), '\0');
+    if (!in.read(payload.data(), static_cast<std::streamsize>(size)))
+        return std::nullopt;
+    if (support::hash64(payload.data(), payload.size()) != checksum)
         return corrupt();
-    const std::string_view payload = raw.substr(pos);
-    if (support::fnv1a(payload) != checksum)
-        return corrupt();
-    return std::string(payload);
+    return payload;
 }
 
 /** Write one disk entry atomically (temp file + rename). Failures are
@@ -266,25 +252,26 @@ writeDiskEntry(const std::string &dir, const std::string &path,
     if (ec)
         return;
 
-    std::string entry;
-    entry.reserve(40 + payload.size());
-    entry.append(kDiskMagic, 4);
-    putU32(entry, kDiskFormatVersion);
-    putU64(entry, key1);
-    putU64(entry, key2);
-    putU64(entry, payload.size());
-    putU64(entry, support::fnv1a(payload));
-    entry.append(payload);
+    std::string header;
+    header.reserve(kDiskHeaderBytes);
+    header.append(kDiskMagic, 4);
+    appendLe(header, kDiskFormatVersion, 4);
+    appendLe(header, key1, 8);
+    appendLe(header, key2, 8);
+    appendLe(header, payload.size(), 8);
+    appendLe(header, support::hash64(payload.data(), payload.size()), 8);
 
     const std::string tmp = path + support::format(
         ".tmp.%llu", static_cast<unsigned long long>(
-                         reinterpret_cast<std::uintptr_t>(&entry)));
+                         reinterpret_cast<std::uintptr_t>(&header)));
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out)
             return;
-        out.write(entry.data(),
-                  static_cast<std::streamsize>(entry.size()));
+        out.write(header.data(),
+                  static_cast<std::streamsize>(header.size()));
+        out.write(payload.data(),
+                  static_cast<std::streamsize>(payload.size()));
         if (!out) {
             out.close();
             std::filesystem::remove(tmp, ec);
@@ -442,8 +429,14 @@ fetchBlob(std::string_view kind, std::uint64_t key1,
 
     if (memTier) {
         // Promote so the next fetch in this process skips the disk.
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        rememberLocked(s, key, *payload);
+        // The tier keeps the buffer the file was read into; the caller
+        // gets a copy.
+        std::shared_ptr<const std::string> held;
+        {
+            const std::lock_guard<std::mutex> lock(s.mutex);
+            held = rememberLocked(s, key, std::move(*payload));
+        }
+        return *held;
     }
     return payload;
 }
@@ -462,7 +455,7 @@ storeBlob(std::string_view kind, std::uint64_t key1,
 
     if (memTier) {
         const std::lock_guard<std::mutex> lock(s.mutex);
-        rememberLocked(s, key, payload);
+        rememberLocked(s, key, std::string(payload));
     }
 
     if (diskTier) {

@@ -1,6 +1,7 @@
 #include "behavior_io.hh"
 
 #include <bit>
+#include <cstring>
 
 #include "cache/fingerprint.hh"
 
@@ -26,15 +27,19 @@ putU8(std::string &out, std::uint8_t v)
 void
 putU32(std::string &out, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    const char le[4] = {
+        static_cast<char>(v), static_cast<char>(v >> 8),
+        static_cast<char>(v >> 16), static_cast<char>(v >> 24)};
+    out.append(le, 4);
 }
 
 void
 putU64(std::string &out, std::uint64_t v)
 {
+    char le[8];
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        le[i] = static_cast<char>(v >> (8 * i));
+    out.append(le, 8);
 }
 
 void
@@ -54,8 +59,13 @@ void
 putVec(std::string &out, const ml::Vec &v)
 {
     putU32(out, static_cast<std::uint32_t>(v.size()));
-    for (double x : v)
-        putF64(out, x);
+    if constexpr (std::endian::native == std::endian::little) {
+        out.append(reinterpret_cast<const char *>(v.data()),
+                   8 * v.size());
+    } else {
+        for (double x : v)
+            putF64(out, x);
+    }
 }
 
 void
@@ -154,10 +164,16 @@ struct Cursor
             bad = true;
             return {};
         }
-        ml::Vec v;
-        v.reserve(n);
-        for (std::uint32_t i = 0; i < n; ++i)
-            v.push_back(f64());
+        ml::Vec v(n);
+        if constexpr (std::endian::native == std::endian::little) {
+            // The wire is the little-endian bit pattern of each double.
+            if (n != 0)
+                std::memcpy(v.data(), data.data() + pos, 8 * n);
+            pos += 8 * std::size_t{n};
+        } else {
+            for (double &x : v)
+                x = f64();
+        }
         return v;
     }
 
@@ -180,12 +196,34 @@ struct Cursor
     }
 };
 
+/** Wire size of a record without its name and vectors: id, entry,
+ * name length, two flags, the BFV (six f64, five u8), two vector
+ * lengths. */
+constexpr std::size_t kRecordFixedBytes = 4 + 8 + 4 + 2 + (6 * 8 + 5) + 2 * 4;
+
+/** The exact size encodeBehaviorBundle writes, so it allocates once. */
+std::size_t
+encodedSize(const BehaviorBundle &bundle)
+{
+    const fw::ImageInfo &info = bundle.imageInfo;
+    std::size_t size = 4 + 4 + 3 * 4 + info.vendor.size() +
+                       info.product.size() + info.version.size() + 1 +
+                       4 + bundle.binaryName.size() + 8 + 8 + 4;
+    for (const FunctionRecord &rec : bundle.behavior.records) {
+        size += kRecordFixedBytes + rec.name.size() +
+                8 * (rec.augmentedCfg.size() + rec.attributedCfg.size());
+    }
+    return size + 4 + 4 * bundle.behavior.customFns.size() + 4 +
+           4 * bundle.behavior.anchorFns.size();
+}
+
 } // namespace
 
 std::string
 encodeBehaviorBundle(const BehaviorBundle &bundle)
 {
     std::string out;
+    out.reserve(encodedSize(bundle));
     out.append(kBundleMagic, 4);
     putU32(out, static_cast<std::uint32_t>(kBundleFormatVersion));
 

@@ -1,6 +1,6 @@
 #include "fwimg.hh"
 
-#include <string_view>
+#include <cstring>
 
 #include "binary/bytebuf.hh"
 #include "support/status.hh"
@@ -11,13 +11,52 @@ namespace fits::fw {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'W', 'I', 'M'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 std::uint64_t
 payloadChecksum(const std::vector<std::uint8_t> &payload)
 {
-    return support::fnv1a(std::string_view(
-        reinterpret_cast<const char *>(payload.data()), payload.size()));
+    return support::hash64(payload.data(), payload.size());
+}
+
+// SWAR byte lanes: the codec keys every byte with the same key, so a
+// u64 word carries eight independent lanes whatever the host's byte
+// order.
+constexpr std::uint64_t kEachByte = 0x0101010101010101ULL;
+constexpr std::uint64_t kHighBits = 0x8080808080808080ULL;
+
+/** Lane-wise (x + y) mod 256: the low seven bits add without carrying
+ * into the next lane, and the top bit is restored by XOR. */
+std::uint64_t
+addLanes(std::uint64_t x, std::uint64_t y)
+{
+    return ((x & ~kHighBits) + (y & ~kHighBits)) ^ ((x ^ y) & kHighBits);
+}
+
+/** Lane-wise (x - y) mod 256: each lane borrows from its own forced
+ * top bit only, which the XOR then corrects. */
+std::uint64_t
+subLanes(std::uint64_t x, std::uint64_t y)
+{
+    return ((x | kHighBits) - (y & ~kHighBits)) ^ ((x ^ ~y) & kHighBits);
+}
+
+/** Rewrite `bytes` eight at a time with `word`, then the tail (fewer
+ * than eight bytes) one at a time with `byte`. */
+template <typename WordOp, typename ByteOp>
+void
+mapBytes(std::vector<std::uint8_t> &bytes, WordOp word, ByteOp byte)
+{
+    std::uint8_t *p = bytes.data();
+    std::uint8_t *const end = p + bytes.size();
+    for (; end - p >= 8; p += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, p, 8);
+        w = word(w);
+        std::memcpy(p, &w, 8);
+    }
+    for (; p != end; ++p)
+        *p = byte(*p);
 }
 
 } // namespace
@@ -48,16 +87,23 @@ void
 encodePayload(std::vector<std::uint8_t> &payload, Encoding encoding,
               std::uint8_t key)
 {
+    const std::uint64_t keys = key * kEachByte;
     switch (encoding) {
       case Encoding::None:
         break;
       case Encoding::Xor:
-        for (auto &b : payload)
-            b ^= key;
+        mapBytes(
+            payload, [keys](std::uint64_t w) { return w ^ keys; },
+            [key](std::uint8_t b) {
+                return static_cast<std::uint8_t>(b ^ key);
+            });
         break;
       case Encoding::Rot:
-        for (auto &b : payload)
-            b = static_cast<std::uint8_t>(b + key);
+        mapBytes(
+            payload, [keys](std::uint64_t w) { return addLanes(w, keys); },
+            [key](std::uint8_t b) {
+                return static_cast<std::uint8_t>(b + key);
+            });
         break;
       case Encoding::Opaque:
         // An unpublished scheme: a position-dependent scramble the
@@ -74,16 +120,23 @@ void
 decodePayload(std::vector<std::uint8_t> &payload, Encoding encoding,
               std::uint8_t key)
 {
+    const std::uint64_t keys = key * kEachByte;
     switch (encoding) {
       case Encoding::None:
         break;
       case Encoding::Xor:
-        for (auto &b : payload)
-            b ^= key;
+        mapBytes(
+            payload, [keys](std::uint64_t w) { return w ^ keys; },
+            [key](std::uint8_t b) {
+                return static_cast<std::uint8_t>(b ^ key);
+            });
         break;
       case Encoding::Rot:
-        for (auto &b : payload)
-            b = static_cast<std::uint8_t>(b - key);
+        mapBytes(
+            payload, [keys](std::uint64_t w) { return subLanes(w, keys); },
+            [key](std::uint8_t b) {
+                return static_cast<std::uint8_t>(b - key);
+            });
         break;
       case Encoding::Opaque:
         // Deliberately not implemented: this is the unsupported-vendor-

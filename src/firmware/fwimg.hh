@@ -39,12 +39,13 @@ struct FirmwareImage
 };
 
 /**
- * Pack an image into FWIMG bytes. The payload (file table) is encoded
- * per info.encoding and protected by an FNV checksum; `bootPadding`
+ * Pack an image into FWIMG bytes (format version 3). The payload (file
+ * table) is encoded per info.encoding and protected by an XXH64
+ * checksum (support::hash64) of its plain bytes; `bootPadding`
  * bytes of opaque bootloader blob are prepended before the magic, so
  * unpacking requires a magic scan (what Binwalk does for real images).
  *
- * Layout: [padding] "FWIM" u32 version, vendor, product, fwversion,
+ * Layout: [padding] "FWIM" u32 version (3), vendor, product, fwversion,
  *         u8 encoding, u64 checksum(plain payload), u32 payloadSize,
  *         encoded payload.
  * Payload: u32 nFiles { path, u8 type, u32 size, bytes }.
@@ -55,8 +56,9 @@ std::vector<std::uint8_t> packFirmware(const FirmwareImage &image,
 /**
  * Scan for the FWIM magic, decode the header, decrypt the payload and
  * verify its checksum, then parse the file table. Fails (with a
- * diagnostic) on missing magic, Opaque encoding, bad checksum, or a
- * malformed file table.
+ * diagnostic) on missing magic, a format version other than 3 (so
+ * images whose checksum is the older FNV-1a fail with BadVersion),
+ * Opaque encoding, bad checksum, or a malformed file table.
  */
 support::Result<FirmwareImage> unpackFirmware(
     const std::vector<std::uint8_t> &bytes);
@@ -64,7 +66,9 @@ support::Result<FirmwareImage> unpackFirmware(
 /**
  * XOR/ROT codec used by packFirmware; exposed for tests. The key is
  * derived from the vendor string, mirroring magic-byte-keyed vendor
- * schemes.
+ * schemes. Xor and Rot process eight bytes per step (byte-lane SWAR
+ * arithmetic on u64 words) and give exactly the bytes of the
+ * byte-at-a-time definition.
  */
 std::uint8_t vendorKey(const std::string &vendor);
 void encodePayload(std::vector<std::uint8_t> &payload, Encoding encoding,

@@ -37,6 +37,15 @@ std::uint64_t fnv1a(std::string_view bytes);
 /** FNV-1a 64-bit hash of a raw byte buffer (same stream as above). */
 std::uint64_t fnv1a(const std::uint8_t *data, std::size_t size);
 
+/**
+ * XXH64 (seed 0) of a byte buffer: the published xxHash64 stream,
+ * read four 8-byte lanes at a time, so it runs an order of magnitude
+ * faster than FNV-1a on large payloads. Loads are little-endian
+ * whatever the host, so the value is stable across platforms. Used
+ * for the payload checksums of FWIMG images and disk cache entries.
+ */
+std::uint64_t hash64(const void *data, std::size_t size);
+
 } // namespace fits::support
 
 #endif // FITS_SUPPORT_STRINGS_HH_

@@ -21,7 +21,8 @@ TEST(ByteBuf, ScalarRoundTrip)
     w.u64(0x0123456789abcdefULL);
     w.str("hello");
 
-    ByteReader r(w.bytes());
+    const auto bytes = w.take();
+    ByteReader r(bytes);
     std::uint8_t a;
     std::uint16_t b;
     std::uint32_t c;
@@ -45,7 +46,8 @@ TEST(ByteBuf, ReadPastEndFailsSticky)
 {
     ByteWriter w;
     w.u8(1);
-    ByteReader r(w.bytes());
+    const auto bytes = w.take();
+    ByteReader r(bytes);
     std::uint32_t v;
     EXPECT_FALSE(r.u32(v));
     EXPECT_FALSE(r.ok());
@@ -58,7 +60,8 @@ TEST(ByteBuf, StringLengthBeyondBufferFails)
     ByteWriter w;
     w.u32(1000); // claims 1000 bytes follow
     w.u8('x');
-    ByteReader r(w.bytes());
+    const auto bytes = w.take();
+    ByteReader r(bytes);
     std::string s;
     EXPECT_FALSE(r.str(s));
 }
@@ -69,10 +72,100 @@ TEST(ByteBuf, PatchU32)
     const std::size_t at = w.size();
     w.u32(0);
     w.patchU32(at, 0xcafebabe);
-    ByteReader r(w.bytes());
+    const auto bytes = w.take();
+    ByteReader r(bytes);
     std::uint32_t v;
     ASSERT_TRUE(r.u32(v));
     EXPECT_EQ(v, 0xcafebabeu);
+}
+
+/** The reference ByteWriter: every byte is one push_back. */
+struct ByteAtATimeWriter
+{
+    std::vector<std::uint8_t> out;
+
+    void
+    le(std::uint64_t v, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+
+    void
+    patchU32(std::size_t offset, std::uint32_t v)
+    {
+        if (offset + 4 > out.size())
+            return;
+        for (int i = 0; i < 4; ++i)
+            out[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+};
+
+TEST(ByteBuf, WriterMatchesByteAtATimeReference)
+{
+    // A seeded random mix of every writer call, with strings and raw
+    // runs from empty to several pages long so claims land on, inside
+    // and across the writer's growth boundaries. Each round ends in
+    // take(), which also leaves the writer empty for the next round.
+    support::Rng rng(0xb17e);
+    ByteWriter w;
+    for (int round = 0; round < 4; ++round) {
+        ByteAtATimeWriter ref;
+        for (int op = 0; op < 3000; ++op) {
+            const std::uint64_t v = rng.next();
+            const std::size_t len = rng.chance(0.02)
+                                        ? rng.index(20000)
+                                        : rng.index(40);
+            switch (rng.index(7)) {
+              case 0:
+                w.u8(static_cast<std::uint8_t>(v));
+                ref.le(v, 1);
+                break;
+              case 1:
+                w.u16(static_cast<std::uint16_t>(v));
+                ref.le(v, 2);
+                break;
+              case 2:
+                w.u32(static_cast<std::uint32_t>(v));
+                ref.le(v, 4);
+                break;
+              case 3:
+                w.u64(v);
+                ref.le(v, 8);
+                break;
+              case 4: {
+                std::string s(len, '\0');
+                for (auto &c : s)
+                    c = static_cast<char>(rng.index(256));
+                w.str(s);
+                ref.le(s.size(), 4);
+                ref.out.insert(ref.out.end(), s.begin(), s.end());
+                break;
+              }
+              case 5: {
+                std::vector<std::uint8_t> bytes(len);
+                for (auto &b : bytes)
+                    b = static_cast<std::uint8_t>(rng.index(256));
+                w.raw(bytes);
+                ref.out.insert(ref.out.end(), bytes.begin(), bytes.end());
+                break;
+              }
+              case 6: {
+                // Offsets up to a few bytes past the end: those must
+                // be ignored by both writers.
+                const std::size_t at = rng.index(ref.out.size() + 8);
+                w.patchU32(at, static_cast<std::uint32_t>(v));
+                ref.patchU32(at, static_cast<std::uint32_t>(v));
+                break;
+              }
+            }
+            ASSERT_EQ(w.size(), ref.out.size()) << "round " << round
+                                                << " op " << op;
+        }
+        const auto bytes = w.take();
+        EXPECT_EQ(bytes, ref.out) << "round " << round;
+        EXPECT_EQ(w.size(), 0u);
+    }
 }
 
 TEST(ByteBuf, Seek)
@@ -80,7 +173,8 @@ TEST(ByteBuf, Seek)
     ByteWriter w;
     w.u8(1);
     w.u8(2);
-    ByteReader r(w.bytes());
+    const auto bytes = w.take();
+    ByteReader r(bytes);
     ASSERT_TRUE(r.seek(1));
     std::uint8_t v;
     ASSERT_TRUE(r.u8(v));

@@ -8,6 +8,7 @@
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
 #include "ir/builder.hh"
+#include "support/status.hh"
 
 namespace fits::fw {
 namespace {
@@ -144,6 +145,70 @@ TEST(Fwimg, CodecInverses)
         decodePayload(copy, enc, 0x5a);
         EXPECT_EQ(copy, payload) << encodingName(enc);
     }
+}
+
+/** The Xor/Rot codec one byte at a time: the definition the word
+ * codec must reproduce. */
+std::vector<std::uint8_t>
+byteLoopCodec(std::vector<std::uint8_t> bytes, Encoding encoding,
+              std::uint8_t key, bool decode)
+{
+    for (auto &b : bytes) {
+        if (encoding == Encoding::Xor)
+            b = static_cast<std::uint8_t>(b ^ key);
+        else if (encoding == Encoding::Rot)
+            b = static_cast<std::uint8_t>(decode ? b - key : b + key);
+    }
+    return bytes;
+}
+
+TEST(Fwimg, WordCodecMatchesByteLoop)
+{
+    // Lengths 0..17 cover an empty payload, tails only, one and two
+    // whole words with every tail length; the 256-byte payload puts
+    // every byte value under every key, in every lane position of a
+    // word.
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (std::size_t len = 0; len <= 17; ++len) {
+        std::vector<std::uint8_t> bytes(len);
+        for (std::size_t i = 0; i < len; ++i)
+            bytes[i] = static_cast<std::uint8_t>(i * 151 + len * 29 + 0x7e);
+        payloads.push_back(std::move(bytes));
+    }
+    std::vector<std::uint8_t> all(256);
+    for (std::size_t i = 0; i < all.size(); ++i)
+        all[i] = static_cast<std::uint8_t>(i * 77);
+    payloads.push_back(all);
+
+    for (Encoding enc : {Encoding::Xor, Encoding::Rot}) {
+        for (unsigned k = 0; k <= 255; ++k) {
+            const auto key = static_cast<std::uint8_t>(k);
+            for (const auto &payload : payloads) {
+                auto encoded = payload;
+                encodePayload(encoded, enc, key);
+                ASSERT_EQ(encoded, byteLoopCodec(payload, enc, key, false))
+                    << encodingName(enc) << " encode key " << k
+                    << " length " << payload.size();
+                auto decoded = payload;
+                decodePayload(decoded, enc, key);
+                ASSERT_EQ(decoded, byteLoopCodec(payload, enc, key, true))
+                    << encodingName(enc) << " decode key " << k
+                    << " length " << payload.size();
+            }
+        }
+    }
+}
+
+TEST(Fwimg, RejectsOlderFormatVersion)
+{
+    // Version 2 images carry an FNV-1a checksum; the unpacker reads
+    // only version 3 and says so with a typed error.
+    auto bytes = packFirmware(makeImage());
+    ASSERT_EQ(bytes[4], 3);
+    bytes[4] = 2;
+    const auto unpacked = unpackFirmware(bytes);
+    ASSERT_FALSE(unpacked);
+    EXPECT_EQ(unpacked.status().code(), support::ErrorCode::BadVersion);
 }
 
 // ---- network binary selection --------------------------------------

@@ -85,12 +85,12 @@ plainImage(const std::vector<std::uint8_t> &payload)
     bin::ByteWriter w;
     for (const char m : {'F', 'W', 'I', 'M'})
         w.u8(static_cast<std::uint8_t>(m));
-    w.u32(2); // format version
+    w.u32(3); // format version
     w.str("ACME");
     w.str("AC1");
     w.str("V1");
     w.u8(static_cast<std::uint8_t>(fw::Encoding::None));
-    w.u64(support::fnv1a(payload.data(), payload.size()));
+    w.u64(support::hash64(payload.data(), payload.size()));
     w.u32(static_cast<std::uint32_t>(payload.size()));
     w.raw(payload);
     return w.take();

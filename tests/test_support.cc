@@ -198,6 +198,36 @@ TEST(Strings, Fnv1aStableAndDistinct)
     EXPECT_NE(fnv1a(""), fnv1a(std::string_view("\0", 1)));
 }
 
+TEST(Hash64, KnownAnswers)
+{
+    const auto h = [](std::string_view s) {
+        return hash64(s.data(), s.size());
+    };
+    // Published XXH64 (seed 0) vectors; the 39-byte string runs the
+    // four-lane loop, then the 4- and 1-byte tails.
+    EXPECT_EQ(h(""), 0xef46db3751d8e999ULL);
+    EXPECT_EQ(h("a"), 0xd24ec4f1a98c6e5bULL);
+    EXPECT_EQ(h("abc"), 0x44bc2cf5ad770999ULL);
+    EXPECT_EQ(h("Nobody inspects the spammish repetition"),
+              0xfbcea83c8a378bf1ULL);
+
+    // Every single-bit flip changes the hash, at every length through
+    // two full four-lane stripes, and so does appending a byte.
+    std::vector<unsigned char> bytes(65);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 101 + 7);
+    for (std::size_t len = 0; len <= 64; ++len) {
+        const std::uint64_t base = hash64(bytes.data(), len);
+        EXPECT_NE(base, hash64(bytes.data(), len + 1)) << "length " << len;
+        for (std::size_t bit = 0; bit < 8 * len; ++bit) {
+            bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+            EXPECT_NE(hash64(bytes.data(), len), base)
+                << "length " << len << " bit " << bit;
+            bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+        }
+    }
+}
+
 TEST(Result, OkCarriesValue)
 {
     auto r = Result<int>::ok(42);
