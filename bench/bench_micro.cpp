@@ -1,10 +1,11 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) of the analysis primitives the
- * FITS pipeline is built on: FBIN decode/lift, UCSE exploration, CFG +
- * loop analysis, reaching definitions, Table-2 backtracking, DBSCAN,
- * and Eq.-2 scoring. These are the ingredients whose costs compose
- * into the Figure 4 curves.
+ * FITS pipeline is built on: the sample byte path (payload hashing,
+ * FWIMG pack/unpack, FBIN write/load, behavior-bundle decode), UCSE
+ * exploration, CFG + loop analysis, reaching definitions, Table-2
+ * backtracking, DBSCAN, and Eq.-2 scoring. These are the ingredients
+ * whose costs compose into the Figure 4 curves.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "obs/metrics.hh"
 #include "binary/fbin.hh"
 #include "core/behavior.hh"
+#include "core/behavior_io.hh"
 #include "core/infer.hh"
 #include "core/pipeline.hh"
 #include "firmware/fwimg.hh"
@@ -21,6 +23,7 @@
 #include "mlkit/dbscan.hh"
 #include "mlkit/scaling.hh"
 #include "support/rng.hh"
+#include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 
 namespace {
@@ -65,6 +68,73 @@ BM_FirmwareUnpack(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FirmwareUnpack);
+
+void
+BM_Hash64(benchmark::State &state)
+{
+    const auto &bytes = sample().bytes;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            support::hash64(bytes.data(), bytes.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Hash64);
+
+void
+BM_Fnv1a(benchmark::State &state)
+{
+    const auto &bytes = sample().bytes;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            support::fnv1a(bytes.data(), bytes.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Fnv1a);
+
+void
+BM_FirmwarePack(benchmark::State &state)
+{
+    const auto image = fw::unpackFirmware(sample().bytes).take();
+    for (auto _ : state) {
+        auto bytes = fw::packFirmware(image,
+                                      sample().spec.profile.bootPadding);
+        benchmark::DoNotOptimize(bytes);
+    }
+}
+BENCHMARK(BM_FirmwarePack);
+
+void
+BM_FbinWrite(benchmark::State &state)
+{
+    const bin::BinaryImage &main = *target().main;
+    for (auto _ : state) {
+        auto bytes = bin::writeBinary(main);
+        benchmark::DoNotOptimize(bytes);
+    }
+}
+BENCHMARK(BM_FbinWrite);
+
+void
+BM_BehaviorBundleDecode(benchmark::State &state)
+{
+    const auto artifact = core::FitsPipeline().analyze(sample().bytes);
+    core::BehaviorBundle bundle;
+    bundle.imageInfo = artifact.imageInfo;
+    bundle.binaryName = artifact.binaryName;
+    bundle.numFunctions = artifact.numFunctions;
+    bundle.binaryBytes = artifact.binaryBytes;
+    bundle.behavior = artifact.behavior;
+    const std::string payload = core::encodeBehaviorBundle(bundle);
+    for (auto _ : state) {
+        auto decoded = core::decodeBehaviorBundle(payload);
+        benchmark::DoNotOptimize(decoded);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(payload.size()));
+}
+BENCHMARK(BM_BehaviorBundleDecode);
 
 void
 BM_FbinLoad(benchmark::State &state)

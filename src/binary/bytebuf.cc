@@ -51,7 +51,7 @@ ByteWriter::patchU32(std::size_t offset, std::uint32_t v)
 {
     if (offset > size_ || size_ - offset < 4)
         return;
-    store(out_.data() + offset, v, 4);
+    store(out_.data() + offset, v);
 }
 
 bool

@@ -1,7 +1,9 @@
 #ifndef FITS_BINARY_BYTEBUF_HH_
 #define FITS_BINARY_BYTEBUF_HH_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,9 +23,9 @@ class ByteWriter
 {
   public:
     void u8(std::uint8_t v) { *claim(1) = v; }
-    void u16(std::uint16_t v) { store(claim(2), v, 2); }
-    void u32(std::uint32_t v) { store(claim(4), v, 4); }
-    void u64(std::uint64_t v) { store(claim(8), v, 8); }
+    void u16(std::uint16_t v) { store(claim(2), v); }
+    void u32(std::uint32_t v) { store(claim(4), v); }
+    void u64(std::uint64_t v) { store(claim(8), v); }
     /** Length-prefixed (u32) byte string. */
     void str(const std::string &s);
     /** Raw bytes without a length prefix. */
@@ -51,12 +53,17 @@ class ByteWriter
     /** Make room for n more bytes past the cursor. */
     void grow(std::size_t n);
 
-    /** The low `n` bytes of v, least significant first. */
+    /** The bytes of v, least significant first. */
+    template <typename T>
     static void
-    store(std::uint8_t *p, std::uint64_t v, int n)
+    store(std::uint8_t *p, T v)
     {
-        for (int i = 0; i < n; ++i)
-            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(p, &v, sizeof v);
+        } else {
+            for (std::size_t i = 0; i < sizeof v; ++i)
+                p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        }
     }
 
     /** [0, size_) is written; [size_, out_.size()) is zeroed room. */

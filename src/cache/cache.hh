@@ -20,8 +20,10 @@ namespace fits::cache {
  *  - *Memory tier:* a byte-keyed LRU of payloads, so a sample analyzed
  *    earlier in the same process is not re-analyzed.
  *  - *Disk tier:* an optional persistent store under a cache directory
- *    (`FITS_CACHE_DIR` or `configure()`), with a versioned,
- *    checksummed entry format. Any validation failure — bad magic,
+ *    (`FITS_CACHE_DIR` or `configure()`), with a versioned entry
+ *    format whose payload is checksummed with XXH64
+ *    (support::hash64). A disk hit is read straight into the buffer
+ *    the memory tier keeps. Any validation failure — bad magic,
  *    version skew, length or checksum mismatch, a short read — quietly
  *    degrades to a miss; repeated `fits corpus` invocations become
  *    incremental.

@@ -111,10 +111,12 @@ constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ULL;
 constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ULL;
 constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ULL;
 
-std::uint64_t
+// Byte-by-byte little-endian loads: compilers fuse each into one load,
+// but only after deciding not to inline the long expression, hence
+// the attribute.
+[[gnu::always_inline]] inline std::uint64_t
 load64(const unsigned char *p)
 {
-    // Byte-by-byte little-endian: compilers fuse this into one load.
     return static_cast<std::uint64_t>(p[0]) |
            static_cast<std::uint64_t>(p[1]) << 8 |
            static_cast<std::uint64_t>(p[2]) << 16 |
@@ -125,7 +127,7 @@ load64(const unsigned char *p)
            static_cast<std::uint64_t>(p[7]) << 56;
 }
 
-std::uint64_t
+[[gnu::always_inline]] inline std::uint64_t
 load32(const unsigned char *p)
 {
     return static_cast<std::uint64_t>(p[0]) |
