@@ -211,6 +211,24 @@ TEST(Hash64, KnownAnswers)
     EXPECT_EQ(h("Nobody inspects the spammish repetition"),
               0xfbcea83c8a378bf1ULL);
 
+    // xxHash's own sanity vectors over its generated test buffer:
+    // 14 bytes run the 8-, 4- and 1-byte tails without the lanes, 222
+    // bytes six stripes and then every tail.
+    std::vector<unsigned char> sanity(222);
+    std::uint64_t gen = 2654435761ULL;
+    for (auto &b : sanity) {
+        b = static_cast<unsigned char>(gen >> 56);
+        gen *= 11400714785074694797ULL;
+    }
+    EXPECT_EQ(hash64(sanity.data(), 1), 0xe934a84adb052768ULL);
+    EXPECT_EQ(hash64(sanity.data(), 14), 0x8282dcc4994e35c8ULL);
+    EXPECT_EQ(hash64(sanity.data(), 222), 0xb641ae8cb691c174ULL);
+    // Regression pins from this implementation, which matches every
+    // vector above: tails of exactly 4 and exactly 8 bytes, the
+    // boundaries of the 4- and 8-byte tail steps.
+    EXPECT_EQ(hash64(sanity.data(), 4), 0x9136a0dca57457eeULL);
+    EXPECT_EQ(hash64(sanity.data(), 8), 0xcdbcf538e71d1348ULL);
+
     // Every single-bit flip changes the hash, at every length through
     // two full four-lane stripes, and so does appending a byte.
     std::vector<unsigned char> bytes(65);
