@@ -16,8 +16,8 @@ namespace fits::bin {
  * value costs one capacity check and one store. Capacity grows
  * geometrically (reserve, which leaves new pages untouched), but
  * only up to one page past the cursor is zero-filled at a time, so
- * take() never hands back a vector whose spare capacity has been
- * paged in.
+ * the vector take() hands back has at most one page of its spare
+ * capacity paged in.
  */
 class ByteWriter
 {
