@@ -14,6 +14,7 @@
  *      actually needs.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -26,33 +27,6 @@
 namespace {
 
 using namespace fits;
-
-eval::PrecisionStats
-rerank(const std::vector<eval::CorpusRunner::FullOutcome> &outcomes,
-       const core::InferConfig &config,
-       std::size_t anchorLimit = SIZE_MAX)
-{
-    eval::PrecisionStats stats;
-    for (const auto &full : outcomes) {
-        const auto &outcome = full.inference;
-        if (!outcome.ok) {
-            stats.addRank(-1);
-            continue;
-        }
-        if (anchorLimit < outcome.behavior.anchorFns.size()) {
-            core::BehaviorRepr trimmed = outcome.behavior;
-            trimmed.anchorFns.resize(anchorLimit);
-            stats.addRank(eval::rankOfFirstIts(
-                core::inferIts(trimmed, config).ranking,
-                outcome.truth));
-        } else {
-            stats.addRank(eval::rankOfFirstIts(
-                core::inferIts(outcome.behavior, config).ranking,
-                outcome.truth));
-        }
-    }
-    return stats;
-}
 
 void
 addRow(eval::TablePrinter &table, const std::string &label,
@@ -83,10 +57,11 @@ main()
 
     // ---- A: vendor mode ---------------------------------------------
     std::printf("A. Symbol-name prior (Discussion §5 vendor mode)\n");
-    const auto strippedStats = rerank(stripped, core::InferConfig{});
+    const auto strippedStats =
+        eval::rerank(stripped, core::InferConfig{});
     core::InferConfig namesOn;
     namesOn.useSymbolNames = true;
-    const auto vendorPriorStats = rerank(vendor, namesOn);
+    const auto vendorPriorStats = eval::rerank(vendor, namesOn);
     {
         eval::TablePrinter table({"Configuration", "Top-1", "Top-2",
                                   "Top-3"});
@@ -94,7 +69,7 @@ main()
                strippedStats);
         core::InferConfig namesOff;
         addRow(table, "unstripped, prior unused",
-               rerank(vendor, namesOff));
+               eval::rerank(vendor, namesOff));
         addRow(table, "unstripped + symbol prior", vendorPriorStats);
         table.print();
         std::printf("The prior pushes websGetVar-style names above "
@@ -110,7 +85,7 @@ main()
             core::InferConfig config;
             config.dbscan.eps = eps;
             addRow(table, eval::fixed(eps, 2),
-                   rerank(stripped, config));
+                   eval::rerank(stripped, config));
         }
         table.print();
         std::printf("Precision is eps-insensitive here because the "
@@ -126,10 +101,10 @@ main()
                                   "Top-3"});
         core::InferConfig keep;
         addRow(table, "singleton classes (ours)",
-               rerank(stripped, keep));
+               eval::rerank(stripped, keep));
         core::InferConfig drop;
         drop.noiseAsSingletons = false;
-        addRow(table, "discard noise", rerank(stripped, drop));
+        addRow(table, "discard noise", eval::rerank(stripped, drop));
         table.print();
         std::printf("Rare behaviours (the ITS often is one) must "
                     "reach the complexity filter;\ndiscarding noise "
@@ -146,8 +121,9 @@ main()
         eval::TablePrinter table({"Configuration", "Top-1", "Top-2",
                                   "Top-3"});
         addRow(table, "UCSE on (ours)",
-               rerank(stripped, core::InferConfig{}));
-        addRow(table, "UCSE off", rerank(noUcse, core::InferConfig{}));
+               eval::rerank(stripped, core::InferConfig{}));
+        addRow(table, "UCSE off",
+               eval::rerank(noUcse, core::InferConfig{}));
         table.print();
         std::printf("Measured finding: inference precision is robust "
                     "to losing indirect call\nedges — the ITS's "
@@ -163,12 +139,17 @@ main()
         eval::TablePrinter table({"#Anchors", "Top-1", "Top-2",
                                   "Top-3"});
         for (std::size_t n : {std::size_t{1}, std::size_t{3},
-                              std::size_t{6}, std::size_t{10},
-                              SIZE_MAX}) {
-            addRow(table,
-                   n == SIZE_MAX ? "all (15)" : std::to_string(n),
-                   rerank(stripped, core::InferConfig{}, n));
+                              std::size_t{6}, std::size_t{10}}) {
+            auto trimmed = stripped;
+            for (auto &outcome : trimmed) {
+                auto &anchors = outcome.behavior.anchorFns;
+                anchors.resize(std::min(anchors.size(), n));
+            }
+            addRow(table, std::to_string(n),
+                   eval::rerank(trimmed, core::InferConfig{}));
         }
+        addRow(table, "all (15)",
+               eval::rerank(stripped, core::InferConfig{}));
         table.print();
         std::printf("A handful of anchor implementations already "
                     "spans the behaviour profile;\nthe full set "

@@ -27,10 +27,9 @@ main()
                 "===\n\n");
 
     std::vector<double> fns, bytes, ms;
-    for (const auto &full :
+    for (const auto &outcome :
          eval::CorpusRunner().run(synth::standardDataset())) {
-        const auto &outcome = full.inference;
-        if (!outcome.ok)
+        if (!outcome.ok())
             continue;
         fns.push_back(static_cast<double>(outcome.numFunctions));
         bytes.push_back(static_cast<double>(outcome.binaryBytes));

@@ -16,35 +16,11 @@
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 
-namespace {
-
-using namespace fits;
-
-/** Re-rank every analyzed sample under one inference config. */
-eval::PrecisionStats
-rerank(const std::vector<eval::CorpusRunner::FullOutcome> &outcomes,
-       const core::InferConfig &config)
-{
-    eval::PrecisionStats stats;
-    for (const auto &full : outcomes) {
-        const auto &outcome = full.inference;
-        if (!outcome.ok) {
-            stats.addRank(-1);
-            continue;
-        }
-        const auto inference = core::inferIts(outcome.behavior,
-                                              config);
-        stats.addRank(eval::rankOfFirstIts(inference.ranking,
-                                           outcome.truth));
-    }
-    return stats;
-}
-
-} // namespace
-
 int
 main()
 {
+    using namespace fits;
+
     std::printf("=== Figure 5: BFV ablation (CF-k removes feature k) "
                 "===\n\n");
 
@@ -55,7 +31,7 @@ main()
 
     eval::TablePrinter table(
         {"Variant", "Removed feature", "Top-1", "Top-2", "Top-3"});
-    const auto full = rerank(outcomes, core::InferConfig{});
+    const auto full = eval::rerank(outcomes, core::InferConfig{});
     {
         table.addRow({"BFV", "-", eval::percent(full.p1()),
                       eval::percent(full.p2()),
@@ -65,7 +41,7 @@ main()
     for (int k = 0; k < core::Bfv::kNumFeatures; ++k) {
         core::InferConfig config;
         config.dropFeature = k;
-        const auto stats = rerank(outcomes, config);
+        const auto stats = eval::rerank(outcomes, config);
         table.addRow({support::format("CF-%d", k + 1),
                       core::Bfv::featureName(k),
                       eval::percent(stats.p1()),
@@ -83,7 +59,7 @@ main()
     for (int k = 0; k < core::Bfv::kNumFeatures; ++k) {
         core::InferConfig config;
         config.onlyFeature = k;
-        const auto stats = rerank(outcomes, config);
+        const auto stats = eval::rerank(outcomes, config);
         single.addRow({core::Bfv::featureName(k),
                        eval::percent(stats.p1()),
                        eval::percent(stats.p2()),

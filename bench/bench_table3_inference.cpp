@@ -61,7 +61,7 @@ main()
 
     for (std::size_t s = 0; s < specs.size(); ++s) {
         const auto &spec = specs[s];
-        const auto &outcome = outcomes[s].inference;
+        const auto &outcome = outcomes[s];
         auto &group = groups[{spec.latest, spec.profile.vendor}];
         ++group.count;
         group.totalMs += outcome.analysisMs;
@@ -70,13 +70,13 @@ main()
         // The paper's top-n criterion: at least one of the top n
         // ranked custom functions is a usable ITS. Failed samples
         // count as misses.
-        const int rank = outcome.ok ? outcome.firstItsRank : -1;
+        const int rank = outcome.ok() ? outcome.firstItsRank : -1;
         group.precision.addRank(rank);
         overall.addRank(rank);
 
-        if (!outcome.ok) {
+        if (!outcome.ok()) {
             failures.push_back(spec.profile.vendor + " " + spec.name +
-                               ": " + outcome.error);
+                               ": " + outcome.status.message());
         } else if (rank < 0) {
             failures.push_back(
                 spec.profile.vendor + " " + spec.name +
@@ -88,21 +88,14 @@ main()
     eval::TablePrinter table({"Dataset", "Vendor", "Series", "#FW",
                               "Top-1", "Top-2", "Top-3",
                               "Avg time (mm:ss)"});
-    const std::vector<std::string> vendorOrder = {
-        "NETGEAR", "D-Link", "TP-Link", "Tenda", "Cisco"};
+    const auto profiles = synth::vendorProfiles();
     for (bool latest : {false, true}) {
-        for (const auto &vendor : vendorOrder) {
-            auto it = groups.find({latest, vendor});
+        for (const auto &profile : profiles) {
+            auto it = groups.find({latest, profile.vendor});
             if (it == groups.end())
                 continue;
             const GroupStats &g = it->second;
-            synth::VendorProfile profile =
-                vendor == "NETGEAR"   ? synth::netgearProfile()
-                : vendor == "D-Link"  ? synth::dlinkProfile()
-                : vendor == "TP-Link" ? synth::tplinkProfile()
-                : vendor == "Tenda"   ? synth::tendaProfile()
-                                      : synth::ciscoProfile();
-            table.addRow({latest ? "Latest" : "Karonte", vendor,
+            table.addRow({latest ? "Latest" : "Karonte", profile.vendor,
                           seriesLabel(profile),
                           std::to_string(g.count),
                           eval::percent(g.precision.p1()),

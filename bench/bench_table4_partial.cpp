@@ -32,11 +32,11 @@ main()
     std::map<std::string, int> shown;
     for (std::size_t s = 0; s < specs.size(); ++s) {
         const auto &spec = specs[s];
-        const auto &outcome = outcomes[s].inference;
+        const auto &outcome = outcomes[s];
         const std::string &vendor = spec.profile.vendor;
         if (shown[vendor] >= 3)
             continue;
-        if (!outcome.ok || outcome.firstItsRank < 0)
+        if (!outcome.ok() || outcome.firstItsRank < 0)
             continue;
         ++shown[vendor];
 

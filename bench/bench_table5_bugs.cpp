@@ -50,9 +50,9 @@ main()
 
     for (std::size_t s = 0; s < specs.size(); ++s) {
         const auto &spec = specs[s];
-        const auto &outcome = outcomes[s].taint;
-        if (!outcome.ok)
+        if (!outcomes[s].taint)
             continue; // pre-processing failures have no taint run
+        const auto &outcome = *outcomes[s].taint;
         auto &g = groups[{spec.latest, spec.profile.vendor}];
         ++g.count;
         g.karonte += outcome.karonte;
@@ -98,15 +98,14 @@ main()
          "K-ITS alerts", "K-ITS bugs", "K-ITS ms", "STA alerts",
          "STA bugs", "STA ms", "STA-ITS alerts", "STA-ITS bugs",
          "STA-ITS ms"});
-    const std::vector<std::string> vendorOrder = {
-        "NETGEAR", "D-Link", "TP-Link", "Tenda", "Cisco"};
+    const auto profiles = synth::vendorProfiles();
     for (bool latest : {false, true}) {
-        for (const auto &vendor : vendorOrder) {
-            auto it = groups.find({latest, vendor});
+        for (const auto &profile : profiles) {
+            auto it = groups.find({latest, profile.vendor});
             if (it == groups.end())
                 continue;
             const GroupRow &g = it->second;
-            table.addRow({latest ? "Latest" : "Karonte", vendor,
+            table.addRow({latest ? "Latest" : "Karonte", profile.vendor,
                           std::to_string(g.count),
                           std::to_string(g.karonte.alerts),
                           std::to_string(g.karonte.bugs),
@@ -163,8 +162,7 @@ main()
     // ---- Case study (§4.3) ------------------------------------------
     std::printf("\nCase study (CVE-2022-20825 analogue, Cisco "
                 "profile):\n");
-    for (const auto &full : outcomes) {
-        const auto &sample = full.inference;
+    for (const auto &sample : outcomes) {
         if (sample.spec.profile.vendor != "Cisco")
             continue;
         // Path length: the deep-chain bugs need >= 5 custom calls

@@ -27,15 +27,14 @@ main()
     eval::EngineStats karonte, karonteIts, sta, staIts;
     std::size_t filteredSystemData = 0;
 
-    for (const auto &full : outcomes) {
-        const auto &outcome = full.taint;
-        if (!outcome.ok)
+    for (const auto &outcome : outcomes) {
+        if (!outcome.taint)
             continue;
-        karonte += outcome.karonte;
-        karonteIts += outcome.karonteIts;
-        sta += outcome.sta;
-        staIts += outcome.staIts;
-        for (const auto &site : full.inference.truth.sinkSites) {
+        karonte += outcome.taint->karonte;
+        karonteIts += outcome.taint->karonteIts;
+        sta += outcome.taint->sta;
+        staIts += outcome.taint->staIts;
+        for (const auto &site : outcome.truth.sinkSites) {
             if (site.cls == synth::SiteClass::SystemData)
                 ++filteredSystemData;
         }

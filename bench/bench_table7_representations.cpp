@@ -36,17 +36,7 @@ main()
     for (int r = 0; r < 3; ++r) {
         core::InferConfig config;
         config.representation = reprs[r];
-        for (const auto &full : outcomes) {
-            const auto &outcome = full.inference;
-            if (!outcome.ok) {
-                stats[r].addRank(-1);
-                continue;
-            }
-            const auto inference =
-                core::inferIts(outcome.behavior, config);
-            stats[r].addRank(eval::rankOfFirstIts(inference.ranking,
-                                                  outcome.truth));
-        }
+        stats[r] = eval::rerank(outcomes, config);
     }
 
     table.addRow({"Top-1", eval::percent(stats[0].p1()),

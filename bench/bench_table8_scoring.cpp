@@ -14,34 +14,11 @@
 #include "obs/bench_record.hh"
 #include "synth/firmware_gen.hh"
 
-namespace {
-
-using namespace fits;
-
-eval::PrecisionStats
-rerank(const std::vector<eval::CorpusRunner::FullOutcome> &outcomes,
-       const core::InferConfig &config)
-{
-    eval::PrecisionStats stats;
-    for (const auto &full : outcomes) {
-        const auto &outcome = full.inference;
-        if (!outcome.ok) {
-            stats.addRank(-1);
-            continue;
-        }
-        const auto inference = core::inferIts(outcome.behavior,
-                                              config);
-        stats.addRank(eval::rankOfFirstIts(inference.ranking,
-                                           outcome.truth));
-    }
-    return stats;
-}
-
-} // namespace
-
 int
 main()
 {
+    using namespace fits;
+
     std::printf("=== Table 8: inference results based on different "
                 "scoring methods ===\n\n");
 
@@ -58,7 +35,7 @@ main()
     for (int m = 0; m < 4; ++m) {
         core::InferConfig config;
         config.scoreMetric = metrics[m];
-        stats[m] = rerank(outcomes, config);
+        stats[m] = eval::rerank(outcomes, config);
     }
     table.addRow({"Top-1", eval::percent(stats[0].p1()),
                   eval::percent(stats[1].p1()),
@@ -91,7 +68,7 @@ main()
     for (const auto strategy : strategies) {
         core::InferConfig config;
         config.strategy = strategy;
-        const auto s = rerank(outcomes, config);
+        const auto s = eval::rerank(outcomes, config);
         strat.addRow({core::candidateStrategyName(strategy),
                       eval::percent(s.p1()), eval::percent(s.p2()),
                       eval::percent(s.p3())});

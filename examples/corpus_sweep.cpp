@@ -26,11 +26,6 @@ main(int argc, char **argv)
     if (argc > 1)
         perVendor = std::max(1, std::atoi(argv[1]));
 
-    const synth::VendorProfile profiles[] = {
-        synth::netgearProfile(), synth::dlinkProfile(),
-        synth::tplinkProfile(), synth::tendaProfile(),
-        synth::ciscoProfile()};
-
     const eval::CorpusRunner runner;
     std::printf("sweeping %d samples per vendor across %zu workers "
                 "(FITS_JOBS overrides)...\n\n",
@@ -41,7 +36,7 @@ main(int argc, char **argv)
                               "Avg time (ms)"});
     eval::PrecisionStats overall;
 
-    for (const auto &profile : profiles) {
+    for (const auto &profile : synth::vendorProfiles()) {
         std::vector<synth::SampleSpec> specs;
         for (int i = 0; i < perVendor; ++i) {
             synth::SampleSpec spec;
@@ -59,9 +54,8 @@ main(int argc, char **argv)
         eval::PrecisionStats stats;
         double totalMs = 0.0;
         std::size_t totalFns = 0;
-        for (const auto &full : runner.run(specs)) {
-            const auto &outcome = full.inference;
-            const int rank = outcome.ok ? outcome.firstItsRank : -1;
+        for (const auto &outcome : runner.run(specs)) {
+            const int rank = outcome.ok() ? outcome.firstItsRank : -1;
             stats.addRank(rank);
             overall.addRank(rank);
             totalMs += outcome.analysisMs;

@@ -40,17 +40,16 @@ main()
     const core::FitsPipeline pipeline;
     const core::PipelineArtifact artifact =
         pipeline.analyze(firmware.bytes);
-    if (!artifact.ok) {
-        std::printf("pipeline failed: %s\n", artifact.error.c_str());
+    if (!artifact.ok()) {
+        std::printf("pipeline failed: %s\n",
+                    artifact.status.message().c_str());
         return 1;
     }
 
     std::printf("network binary: %s (%zu functions, %zu bytes)\n",
                 artifact.binaryName.c_str(), artifact.numFunctions,
                 artifact.binaryBytes);
-    std::printf("analysis time: %.1f ms (behavior %.1f ms)\n",
-                artifact.timings.totalMs(),
-                artifact.timings.behaviorMs);
+    std::printf("analysis time: %.1f ms\n", artifact.analysisMs);
     std::printf("custom functions: %zu, anchors: %zu, "
                 "candidates after clustering: %zu\n",
                 artifact.inference.numCustom,

@@ -240,10 +240,10 @@ inferIts(const BehaviorRepr &repr, const InferConfig &config)
     }
 
     result.numCandidates = candidates.size();
-    result.clusterMs = clusterTimer.stopMs();
+    clusterTimer.stopMs();
 
     // ---- Scoring (Eq. 2): mean similarity to the anchor matrix -----
-    obs::ScopedTimer rankTimer("rank");
+    const obs::ScopedTimer rankTimer("rank");
     const obs::ScopedTimer kernelRankTimer("kernel.rank");
     const ml::Matrix &custom = *scoreCustom;
     const ml::Matrix &anchors = *scoreAnchor;
@@ -302,7 +302,6 @@ inferIts(const BehaviorRepr &repr, const InferConfig &config)
     if (ranked.size() > config.maxRanked)
         ranked.resize(config.maxRanked);
     result.ranking = std::move(ranked);
-    result.rankMs = rankTimer.stopMs();
 
     return result;
 }

@@ -86,11 +86,6 @@ struct InferenceResult
     std::size_t numClusters = 0;
     std::size_t numCandidates = 0;
     double avgClassComplexity = 0.0;
-    /** Wall time of the candidate-selection (clustering) and the
-     * scoring/ranking stages — views over the "…/infer/cluster" and
-     * "…/infer/rank" obs spans. */
-    double clusterMs = 0.0;
-    double rankMs = 0.0;
     std::string error; // non-empty when inference could not run
 
     bool ok() const { return error.empty(); }

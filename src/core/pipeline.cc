@@ -10,38 +10,24 @@ namespace fits::core {
 
 namespace {
 
-const char *
-failureStageName(PipelineArtifact::FailureStage stage)
-{
-    switch (stage) {
-      case PipelineArtifact::FailureStage::None:      return "none";
-      case PipelineArtifact::FailureStage::Unpack:    return "unpack";
-      case PipelineArtifact::FailureStage::Select:    return "select";
-      case PipelineArtifact::FailureStage::Inference: return "inference";
-    }
-    return "?";
-}
-
 void
 recordRunCounters(const PipelineArtifact &artifact)
 {
     if (!obs::enabled())
         return;
     obs::addCounter("pipeline.runs");
-    if (artifact.ok) {
+    if (artifact.ok()) {
         obs::addCounter("pipeline.ok");
         obs::addCounter("pipeline.functions",
                         artifact.numFunctions);
     } else {
-        obs::addCounter(std::string("pipeline.failures.") +
-                        failureStageName(artifact.failureStage));
+        const std::string stage =
+            support::stageName(artifact.status.stage());
+        obs::addCounter("pipeline.failures." + stage);
+        obs::addCounter("pipeline.errors." + stage);
     }
     if (artifact.degraded)
         obs::addCounter("pipeline.degraded");
-    if (!artifact.status.isOk()) {
-        obs::addCounter(std::string("pipeline.errors.") +
-                        support::stageName(artifact.status.stage()));
-    }
     for (const auto &issue : artifact.issues) {
         obs::addCounter(std::string("pipeline.errors.") +
                         support::stageName(issue.stage()));
@@ -60,7 +46,16 @@ FitsPipeline::analyze(const std::vector<std::uint8_t> &firmware) const
 {
     obs::ScopedTimer pipelineSpan("pipeline");
     PipelineArtifact artifact;
+    runStages(firmware, artifact);
+    artifact.analysisMs = pipelineSpan.stopMs();
+    recordRunCounters(artifact);
+    return artifact;
+}
 
+void
+FitsPipeline::runStages(const std::vector<std::uint8_t> &firmware,
+                        PipelineArtifact &artifact) const
+{
     // Behavior-cache fast path: the whole-sample behavior product is
     // keyed by (firmware content hash, behavior-config fingerprint).
     // An active stage budget disqualifies the sample — budget-bound
@@ -90,36 +85,31 @@ FitsPipeline::analyze(const std::vector<std::uint8_t> &firmware) const
                     static_cast<std::size_t>(bundle->binaryBytes);
                 artifact.behavior = std::move(bundle->behavior);
                 runInferenceStage(artifact);
-                recordRunCounters(artifact);
-                return artifact;
+                return;
             }
         }
     }
 
     // Stage 1a: unpack.
-    obs::ScopedTimer unpackTimer("unpack");
-    auto unpacked = fw::unpackFirmware(firmware);
-    artifact.timings.unpackMs = unpackTimer.stopMs();
+    auto unpacked = [&] {
+        const obs::ScopedTimer unpackTimer("unpack");
+        return fw::unpackFirmware(firmware);
+    }();
     if (!unpacked) {
-        artifact.failureStage = PipelineArtifact::FailureStage::Unpack;
-        artifact.error = unpacked.errorMessage();
         artifact.status = unpacked.status();
-        recordRunCounters(artifact);
-        return artifact;
+        return;
     }
 
     artifact.imageInfo = unpacked.value().info;
 
     // Stage 1b: select the network binary and resolve libraries.
-    obs::ScopedTimer selectTimer("select");
-    auto target = fw::selectAnalysisTarget(unpacked.value().filesystem);
-    artifact.timings.selectMs = selectTimer.stopMs();
+    auto target = [&] {
+        const obs::ScopedTimer selectTimer("select");
+        return fw::selectAnalysisTarget(unpacked.value().filesystem);
+    }();
     if (!target) {
-        artifact.failureStage = PipelineArtifact::FailureStage::Select;
-        artifact.error = target.errorMessage();
         artifact.status = target.status();
-        recordRunCounters(artifact);
-        return artifact;
+        return;
     }
     artifact.target =
         std::make_unique<fw::AnalysisTarget>(target.take());
@@ -142,13 +132,12 @@ FitsPipeline::analyze(const std::vector<std::uint8_t> &firmware) const
     // are retained on the artifact so taint engines can reuse them
     // without re-analyzing the binary.
     {
-        obs::ScopedTimer liftTimer("lift");
+        const obs::ScopedTimer liftTimer("lift");
         artifact.linked = std::make_unique<analysis::LinkedProgram>(
             *artifact.target->main, artifact.target->libraries);
-        artifact.timings.liftMs = liftTimer.stopMs();
     }
     {
-        obs::ScopedTimer ucseTimer("ucse");
+        const obs::ScopedTimer ucseTimer("ucse");
         analysis::UcseConfig ucseConfig = config_.behavior.ucse;
         if (config_.budgets.behaviorMs > 0.0) {
             // One deadline for the whole stage, shared by every
@@ -161,31 +150,25 @@ FitsPipeline::analyze(const std::vector<std::uint8_t> &firmware) const
             std::make_unique<analysis::ProgramAnalysis>(
                 analysis::ProgramAnalysis::analyze(*artifact.linked,
                                                    ucseConfig));
-        artifact.timings.ucseMs = ucseTimer.stopMs();
-
-        std::size_t expired = 0;
-        for (const auto &fa : artifact.analysis->fns) {
-            if (fa.ucse.deadlineExpired || fa.flow.deadlineExpired)
-                ++expired;
-        }
-        if (expired > 0) {
-            artifact.degraded = true;
-            artifact.issues.push_back(support::Status::error(
-                support::Stage::Ucse, support::ErrorCode::Timeout,
-                "behavior stage budget expired; " +
-                    std::to_string(expired) +
-                    " function(s) analyzed partially"));
-        }
+    }
+    std::size_t expired = 0;
+    for (const auto &fa : artifact.analysis->fns) {
+        if (fa.ucse.deadlineExpired || fa.flow.deadlineExpired)
+            ++expired;
+    }
+    if (expired > 0) {
+        artifact.degraded = true;
+        artifact.issues.push_back(support::Status::error(
+            support::Stage::Ucse, support::ErrorCode::Timeout,
+            "behavior stage budget expired; " +
+                std::to_string(expired) +
+                " function(s) analyzed partially"));
     }
     {
-        obs::ScopedTimer bfvTimer("bfv");
+        const obs::ScopedTimer bfvTimer("bfv");
         const BehaviorAnalyzer analyzer(config_.behavior);
         artifact.behavior = analyzer.analyze(*artifact.analysis);
-        artifact.timings.bfvMs = bfvTimer.stopMs();
     }
-    artifact.timings.behaviorMs = artifact.timings.liftMs +
-                                  artifact.timings.ucseMs +
-                                  artifact.timings.bfvMs;
 
     // Stage 3: inference (Algorithm 2).
     runInferenceStage(artifact);
@@ -203,24 +186,16 @@ FitsPipeline::analyze(const std::vector<std::uint8_t> &firmware) const
         cache::storeBlob("behavior", cacheKey1, cacheKey2,
                          encodeBehaviorBundle(bundle));
     }
-
-    recordRunCounters(artifact);
-    return artifact;
 }
 
 void
 FitsPipeline::runInferenceStage(PipelineArtifact &artifact) const
 {
-    obs::ScopedTimer inferTimer("infer");
-    artifact.inference = inferIts(artifact.behavior, config_.infer);
-    artifact.timings.inferMs = inferTimer.stopMs();
-    artifact.timings.clusterMs = artifact.inference.clusterMs;
-    artifact.timings.rankMs = artifact.inference.rankMs;
-
+    {
+        const obs::ScopedTimer inferTimer("infer");
+        artifact.inference = inferIts(artifact.behavior, config_.infer);
+    }
     if (!artifact.inference.ok()) {
-        artifact.failureStage =
-            PipelineArtifact::FailureStage::Inference;
-        artifact.error = artifact.inference.error;
         artifact.status = support::Status::error(
             support::Stage::Infer, support::ErrorCode::NotFound,
             artifact.inference.error);
@@ -232,8 +207,6 @@ FitsPipeline::runInferenceStage(PipelineArtifact &artifact) const
         artifact.binaryName + ": ranked " +
             std::to_string(artifact.inference.ranking.size()) +
             " ITS candidates");
-
-    artifact.ok = true;
 }
 
 } // namespace fits::core

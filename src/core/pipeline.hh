@@ -50,35 +50,6 @@ struct PipelineConfig
 };
 
 /**
- * Wall-clock time of each pipeline stage, in milliseconds. These are
- * plain-data views over the `fits::obs` span timers ("pipeline/…"):
- * the same measurement that lands in the metrics registry is copied
- * here so per-sample results stay self-contained.
- */
-struct StageTimings
-{
-    double unpackMs = 0.0;
-    double selectMs = 0.0;
-    double behaviorMs = 0.0; ///< lift + UCSE + BFV extraction
-    double inferMs = 0.0;    ///< clustering + ranking
-
-    /** Sub-stages of behaviorMs ("pipeline/lift|ucse|bfv" spans). */
-    double liftMs = 0.0;
-    double ucseMs = 0.0;
-    double bfvMs = 0.0;
-
-    /** Sub-stages of inferMs ("pipeline/infer/cluster|rank" spans). */
-    double clusterMs = 0.0;
-    double rankMs = 0.0;
-
-    double
-    totalMs() const
-    {
-        return unpackMs + selectMs + behaviorMs + inferMs;
-    }
-};
-
-/**
  * Everything one pipeline pass over a firmware image computes: the
  * outcome, the selected target, the whole-program analysis, the
  * behavior representations, and the ranking. Taint engines,
@@ -93,22 +64,14 @@ struct StageTimings
  */
 struct PipelineArtifact
 {
-    enum class FailureStage : std::uint8_t {
-        None,
-        Unpack,    ///< image did not unpack (magic / crypto / corrupt)
-        Select,    ///< no network binary found
-        Inference, ///< no anchors or no custom functions
-    };
-
-    bool ok = false;
-    FailureStage failureStage = FailureStage::None;
-    std::string error;
-    /** Typed form of `error` (stage + code); Ok when the run passed. */
+    /** Ok when every stage passed; otherwise the typed failure, whose
+     * stage names where the run stopped (unpack, filesystem, select,
+     * infer, ...). */
     support::Status status;
 
     /** The run produced usable but partial output: a library failed to
      * lift, or a stage budget expired mid-analysis. `issues` lists the
-     * typed reasons. A degraded run still has ok == true. */
+     * typed reasons. A degraded run still has ok() == true. */
     bool degraded = false;
     std::vector<support::Status> issues;
 
@@ -126,7 +89,16 @@ struct PipelineArtifact
 
     BehaviorRepr behavior;
     InferenceResult inference;
-    StageTimings timings;
+    /** Wall time of the whole analyze() call, cache lookup included:
+     * a view over the "pipeline" obs span. */
+    double analysisMs = 0.0;
+
+    /** True when every stage passed (a degraded run included). */
+    bool
+    ok() const
+    {
+        return status.isOk();
+    }
 
     /** True once stage 1 succeeded (analysis chain is populated). */
     bool
@@ -151,6 +123,11 @@ class FitsPipeline
         const std::vector<std::uint8_t> &firmware) const;
 
   private:
+    /** Every stage of analyze() inside its "pipeline" span; returns
+     * early at the first failing stage. */
+    void runStages(const std::vector<std::uint8_t> &firmware,
+                   PipelineArtifact &artifact) const;
+
     /** Stage 3 on an artifact whose `behavior` is populated; shared by
      * the full path and the behavior-cache hit path. */
     void runInferenceStage(PipelineArtifact &artifact) const;

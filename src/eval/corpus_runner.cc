@@ -8,38 +8,26 @@ CorpusRunner::CorpusRunner(Config config)
 {
 }
 
-std::vector<CorpusRunner::FullOutcome>
+std::vector<SampleOutcome>
 CorpusRunner::run(const std::vector<synth::SampleSpec> &specs,
                   bool taint, const Loader &load) const
 {
     core::PipelineConfig config = config_.pipeline;
     config.behaviorCache = !taint;
-    return map<FullOutcome>(
+    return map<SampleOutcome>(
         specs.size(),
         [&](std::size_t i) {
-            const synth::GeneratedFirmware fw = load(specs[i]);
-            const core::PipelineArtifact artifact =
-                core::FitsPipeline(config).analyze(fw.bytes);
-            FullOutcome full;
-            full.inference =
-                inferenceOutcome(artifact, specs[i], fw.truth);
-            if (taint) {
-                full.taint = taintOutcome(artifact, specs[i], fw.truth,
-                                          config.budgets.taintMs);
-            }
-            return full;
+            synth::GeneratedFirmware fw = load(specs[i]);
+            return sampleOutcome(
+                core::FitsPipeline(config).analyze(fw.bytes), specs[i],
+                std::move(fw.truth), taint, config.budgets.taintMs);
         },
         [&](std::size_t i, const std::string &message) {
-            FullOutcome full;
-            const auto fail = [&](auto &outcome) {
-                outcome.spec = specs[i];
-                outcome.error = "worker exception: " + message;
-                outcome.status =
-                    support::Status::internal(outcome.error);
-            };
-            fail(full.inference);
-            fail(full.taint);
-            return full;
+            SampleOutcome outcome;
+            outcome.spec = specs[i];
+            outcome.status = support::Status::internal(
+                "worker exception: " + message);
+            return outcome;
         });
 }
 

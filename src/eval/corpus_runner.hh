@@ -53,16 +53,6 @@ class CorpusRunner
     /** Resolved worker count actually used for fan-out. */
     std::size_t jobs() const { return jobs_; }
 
-    /** Inference and (optionally) taint outcomes of one sample, both
-     * derived from ONE pipeline artifact: the sample is unpacked,
-     * selected and analyzed exactly once. */
-    struct FullOutcome
-    {
-        InferenceOutcome inference;
-        /** Empty unless run() was asked for taint. */
-        TaintOutcome taint;
-    };
-
     /** Turns a sample identity into the sample's bytes and ground
      * truth. Runs inside the workers, concurrently. */
     using Loader = std::function<synth::GeneratedFirmware(
@@ -70,15 +60,15 @@ class CorpusRunner
 
     /**
      * Evaluate specs[i] into outcome i. Worker i loads its own sample
-     * with `load`, analyzes it once, and drops its bytes before it
-     * takes the next one, so the corpus is never resident at once.
-     * With `taint`, the four Table-5 configurations also run on that
-     * artifact; the behavior cache serves only runs without taint,
-     * since a cache hit carries no analysis for the engines. A sample
-     * whose load or analysis throws gets a failed outcome that still
-     * names specs[i].
+     * with `load`, analyzes it once into sampleOutcome(), and drops its
+     * bytes before it takes the next one, so the corpus is never
+     * resident at once. With `taint`, the four Table-5 configurations
+     * also run on that artifact; the behavior cache serves only runs
+     * without taint, since a cache hit carries no analysis for the
+     * engines. A sample whose load or analysis throws gets an Internal
+     * outcome that still names specs[i].
      */
-    std::vector<FullOutcome>
+    std::vector<SampleOutcome>
     run(const std::vector<synth::SampleSpec> &specs, bool taint = false,
         const Loader &load = synth::generateFirmware) const;
 

@@ -9,40 +9,84 @@
 
 namespace fits::eval {
 
-InferenceOutcome
-runInference(const synth::GeneratedFirmware &fw,
-             const core::PipelineConfig &config)
+namespace {
+
+/** The four Table 5 runs on the artifact's analysis, into
+ * outcome.taint. ITS runs apply the §4.3 system-data filter. A report
+ * cut short by the wall-clock budget is still scored — its alerts are
+ * valid, just not a full sweep — and degrades the outcome so aggregate
+ * tables can exclude or annotate it. */
+void
+runTaint(const core::PipelineArtifact &artifact, double taintBudgetMs,
+         SampleOutcome &outcome)
 {
-    const core::FitsPipeline pipeline(config);
-    return inferenceOutcome(pipeline.analyze(fw.bytes), fw.spec,
-                            fw.truth);
+    const analysis::ProgramAnalysis &pa = *artifact.analysis;
+    const auto cts = taint::classicalTaintSources();
+    auto ctsPlusIts = cts;
+    const auto itsSources =
+        verifiedItsSources(artifact.inference.ranking, outcome.truth);
+    ctsPlusIts.insert(ctsPlusIts.end(), itsSources.begin(),
+                      itsSources.end());
+
+    taint::KaronteEngine::Config karonteConfig;
+    karonteConfig.deadlineMs = taintBudgetMs;
+    taint::StaEngine::Config staConfig;
+    staConfig.deadlineMs = taintBudgetMs;
+    const taint::KaronteEngine karonte(karonteConfig);
+    const taint::StaEngine sta(staConfig);
+
+    TaintOutcome &runs = outcome.taint.emplace();
+    const auto score = [&](const taint::TaintReport &report, bool its,
+                           const char *engine, EngineStats &stats,
+                           std::vector<ir::Addr> &bugs) {
+        if (report.deadlineExpired) {
+            outcome.degraded = true;
+            outcome.issues.push_back(support::Status::error(
+                support::Stage::Taint, support::ErrorCode::Timeout,
+                std::string(engine) + " stopped at the stage deadline"));
+        }
+        stats = scoreReport(its ? report.filteredAlerts() : report.alerts,
+                            outcome.truth, report.analysisMs, &bugs);
+    };
+    score(karonte.run(pa, cts), false, "karonte", runs.karonte,
+          runs.karonteBugs);
+    score(karonte.run(pa, ctsPlusIts), true, "karonte+its",
+          runs.karonteIts, runs.karonteItsBugs);
+    score(sta.run(pa, cts), false, "sta", runs.sta, runs.staBugs);
+    score(sta.run(pa, ctsPlusIts), true, "sta+its", runs.staIts,
+          runs.staItsBugs);
 }
 
-InferenceOutcome
-inferenceOutcome(const core::PipelineArtifact &artifact,
-                 const synth::SampleSpec &spec,
-                 const synth::GroundTruth &truth)
-{
-    InferenceOutcome outcome;
-    outcome.spec = spec;
-    outcome.truth = truth;
+} // namespace
 
-    outcome.failureStage = artifact.failureStage;
-    outcome.error = artifact.error;
+SampleOutcome
+sampleOutcome(core::PipelineArtifact artifact,
+              const synth::SampleSpec &spec, synth::GroundTruth truth,
+              bool taint, double taintBudgetMs)
+{
+    SampleOutcome outcome;
+    outcome.spec = spec;
+    outcome.truth = std::move(truth);
     outcome.status = artifact.status;
     outcome.degraded = artifact.degraded;
-    outcome.issues = artifact.issues;
-    outcome.binaryName = artifact.binaryName;
+    outcome.issues = std::move(artifact.issues);
+    outcome.binaryName = std::move(artifact.binaryName);
     outcome.numFunctions = artifact.numFunctions;
     outcome.binaryBytes = artifact.binaryBytes;
-    outcome.analysisMs = artifact.timings.totalMs();
-    if (!artifact.ok)
-        return outcome;
+    outcome.analysisMs = artifact.analysisMs;
 
-    outcome.ok = true;
-    outcome.ranking = artifact.inference.ranking;
-    outcome.behavior = artifact.behavior;
-    outcome.firstItsRank = rankOfFirstIts(outcome.ranking, truth);
+    // Stage-1 failures have nothing to run the engines on. An
+    // inference-stage failure still does: the engines run with the
+    // classical sources alone (the ranking is simply empty).
+    if (taint && artifact.hasAnalysis())
+        runTaint(artifact, taintBudgetMs, outcome);
+
+    if (artifact.ok()) {
+        outcome.ranking = std::move(artifact.inference.ranking);
+        outcome.behavior = std::move(artifact.behavior);
+        outcome.firstItsRank =
+            rankOfFirstIts(outcome.ranking, outcome.truth);
+    }
     return outcome;
 }
 
@@ -58,6 +102,22 @@ rankOfFirstIts(const std::vector<core::RankedFunction> &ranking,
         }
     }
     return -1;
+}
+
+PrecisionStats
+rerank(const std::vector<SampleOutcome> &outcomes,
+       const core::InferConfig &config)
+{
+    PrecisionStats stats;
+    for (const auto &outcome : outcomes) {
+        stats.addRank(
+            outcome.ok()
+                ? rankOfFirstIts(
+                      core::inferIts(outcome.behavior, config).ranking,
+                      outcome.truth)
+                : -1);
+    }
+    return stats;
 }
 
 void
@@ -146,68 +206,6 @@ verifiedItsSources(const std::vector<core::RankedFunction> &ranking,
         }
     }
     return sources;
-}
-
-TaintOutcome
-taintOutcome(const core::PipelineArtifact &artifact,
-             const synth::SampleSpec &spec,
-             const synth::GroundTruth &truth, double taintBudgetMs)
-{
-    TaintOutcome outcome;
-    outcome.spec = spec;
-    outcome.degraded = artifact.degraded;
-    outcome.issues = artifact.issues;
-
-    // Stage-1 failures have nothing to run the engines on. An
-    // inference-stage failure still does: the engines run with the
-    // classical sources alone (the ranking is simply empty).
-    if (!artifact.hasAnalysis()) {
-        outcome.error = artifact.error;
-        outcome.status = artifact.status;
-        return outcome;
-    }
-    const analysis::ProgramAnalysis &pa = *artifact.analysis;
-
-    const auto cts = taint::classicalTaintSources();
-    auto ctsPlusIts = cts;
-    const auto itsSources =
-        verifiedItsSources(artifact.inference.ranking, truth);
-    ctsPlusIts.insert(ctsPlusIts.end(), itsSources.begin(),
-                      itsSources.end());
-
-    taint::KaronteEngine::Config karonteConfig;
-    karonteConfig.deadlineMs = taintBudgetMs;
-    taint::StaEngine::Config staConfig;
-    staConfig.deadlineMs = taintBudgetMs;
-    const taint::KaronteEngine karonte(karonteConfig);
-    const taint::StaEngine sta(staConfig);
-
-    // Score one run; ITS runs apply the §4.3 system-data filter. A
-    // report cut short by the wall-clock budget is still scored — its
-    // alerts are valid, just not a full sweep — and the outcome is
-    // flagged so aggregate tables can exclude or annotate it.
-    const auto score = [&](const taint::TaintReport &report, bool its,
-                           const char *engine, EngineStats &stats,
-                           std::vector<ir::Addr> &bugs) {
-        if (report.deadlineExpired) {
-            outcome.degraded = true;
-            outcome.issues.push_back(support::Status::error(
-                support::Stage::Taint, support::ErrorCode::Timeout,
-                std::string(engine) + " stopped at the stage deadline"));
-        }
-        stats = scoreReport(its ? report.filteredAlerts() : report.alerts,
-                            truth, report.analysisMs, &bugs);
-    };
-    score(karonte.run(pa, cts), false, "karonte", outcome.karonte,
-          outcome.karonteBugs);
-    score(karonte.run(pa, ctsPlusIts), true, "karonte+its",
-          outcome.karonteIts, outcome.karonteItsBugs);
-    score(sta.run(pa, cts), false, "sta", outcome.sta, outcome.staBugs);
-    score(sta.run(pa, ctsPlusIts), true, "sta+its", outcome.staIts,
-          outcome.staItsBugs);
-
-    outcome.ok = true;
-    return outcome;
 }
 
 } // namespace fits::eval

@@ -1,6 +1,7 @@
 #ifndef FITS_EVAL_HARNESS_HH_
 #define FITS_EVAL_HARNESS_HH_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -9,57 +10,6 @@
 #include "taint/common.hh"
 
 namespace fits::eval {
-
-/**
- * Result of running the FITS inference pipeline on one corpus sample,
- * with everything the experiment tables need: the ranking, the rank of
- * the first true ITS (the paper's top-n criterion), per-stage timing,
- * and the retained behavior representation so ablation experiments can
- * re-rank without re-analyzing the binary.
- */
-struct InferenceOutcome
-{
-    synth::SampleSpec spec;
-    bool ok = false;
-    std::string error;
-    /** Typed form of `error`; Ok when the pipeline passed. */
-    support::Status status;
-    core::PipelineArtifact::FailureStage failureStage =
-        core::PipelineArtifact::FailureStage::None;
-
-    /** Partial result: see core::PipelineArtifact::degraded. */
-    bool degraded = false;
-    std::vector<support::Status> issues;
-
-    std::vector<core::RankedFunction> ranking;
-    /** 1-based rank of the first verified ITS; -1 if absent. */
-    int firstItsRank = -1;
-
-    std::string binaryName;
-    std::size_t numFunctions = 0;
-    std::size_t binaryBytes = 0;
-    double analysisMs = 0.0;
-
-    core::BehaviorRepr behavior;
-    synth::GroundTruth truth;
-};
-
-/** Run the full pipeline on one generated sample. */
-InferenceOutcome runInference(const synth::GeneratedFirmware &fw,
-                              const core::PipelineConfig &config = {});
-
-/**
- * Score an already-computed pipeline artifact as an InferenceOutcome.
- * Lets inference- and taint-side evaluation share one per-sample
- * analysis instead of re-running unpack/select/behavior per consumer.
- */
-InferenceOutcome inferenceOutcome(const core::PipelineArtifact &artifact,
-                                  const synth::SampleSpec &spec,
-                                  const synth::GroundTruth &truth);
-
-/** 1-based rank of the first true ITS in a ranking (-1 if none). */
-int rankOfFirstIts(const std::vector<core::RankedFunction> &ranking,
-                   const synth::GroundTruth &truth);
 
 /** Top-n success counters ("at least one true ITS in the top n"). */
 struct PrecisionStats
@@ -97,18 +47,6 @@ struct EngineStats
 /** The four engine configurations of Table 5 on one sample. */
 struct TaintOutcome
 {
-    /** Identity of the sample this outcome describes — populated on
-     * success AND failure paths so an errored outcome still says
-     * which sample it came from. */
-    synth::SampleSpec spec;
-    bool ok = false;
-    std::string error;
-    /** Typed form of `error`; Ok when the engines ran. */
-    support::Status status;
-    /** Partial result: the shared artifact was degraded or an engine
-     * hit its wall-clock budget; `issues` lists the reasons. */
-    bool degraded = false;
-    std::vector<support::Status> issues;
     EngineStats karonte;
     EngineStats karonteIts;
     EngineStats sta;
@@ -121,6 +59,79 @@ struct TaintOutcome
 };
 
 /**
+ * Everything the experiment tables need from one corpus sample: its
+ * identity and ground truth, how its pipeline run ended, the ranking
+ * and the rank of the first true ITS (the paper's top-n criterion),
+ * the retained behavior representation (so ablations re-rank without
+ * re-analyzing the binary), and, when asked for, the four Table-5
+ * engine runs. A sample that failed — or whose worker threw — still
+ * names its spec.
+ */
+struct SampleOutcome
+{
+    synth::SampleSpec spec;
+    synth::GroundTruth truth;
+    /** Ok when the pipeline passed; else where and why it stopped. */
+    support::Status status;
+
+    /** Partial result: the pipeline artifact was degraded, or a taint
+     * engine hit its wall-clock budget. `issues` lists the artifact's
+     * reasons first, then one Timeout per engine run cut short. */
+    bool degraded = false;
+    std::vector<support::Status> issues;
+
+    /** Empty unless the pipeline passed. */
+    std::vector<core::RankedFunction> ranking;
+    /** 1-based rank of the first verified ITS; -1 if absent. */
+    int firstItsRank = -1;
+
+    std::string binaryName;
+    std::size_t numFunctions = 0;
+    std::size_t binaryBytes = 0;
+    /** core::PipelineArtifact::analysisMs. */
+    double analysisMs = 0.0;
+
+    /** Empty unless the pipeline passed. */
+    core::BehaviorRepr behavior;
+    /** Engaged when taint was requested and the sample reached
+     * analysis (an inference-stage failure included). */
+    std::optional<TaintOutcome> taint;
+
+    bool
+    ok() const
+    {
+        return status.isOk();
+    }
+};
+
+/**
+ * Score one pipeline artifact as a SampleOutcome; the ranking and the
+ * behavior representation move out of `artifact`. With `taint`, the
+ * four Table 5 configurations also run on the artifact's whole-program
+ * analysis (no unpack/select/behavior re-run): each engine with CTS or
+ * CTS + verifiedItsSources, the ITS-sourced runs with the §4.3
+ * system-data string filter, each under `taintBudgetMs` (0 =
+ * unlimited). The engines still run when only the inference stage
+ * failed, then with classical sources alone.
+ */
+SampleOutcome sampleOutcome(core::PipelineArtifact artifact,
+                            const synth::SampleSpec &spec,
+                            synth::GroundTruth truth, bool taint = false,
+                            double taintBudgetMs = 0.0);
+
+/** 1-based rank of the first true ITS in a ranking (-1 if none). */
+int rankOfFirstIts(const std::vector<core::RankedFunction> &ranking,
+                   const synth::GroundTruth &truth);
+
+/**
+ * Re-rank every analyzed sample's retained behavior under `config` and
+ * count where its first true ITS lands; failed samples count as
+ * misses. The ablation tables vary `config` over one corpus run.
+ */
+PrecisionStats rerank(const std::vector<SampleOutcome> &outcomes,
+                      const core::InferConfig &config);
+
+/**
  * The ITS sources of a taint run: the top-3 ranked functions that
  * ground truth confirms, in rank order (the paper's manual
  * verification step of §4.1).
@@ -128,19 +139,6 @@ struct TaintOutcome
 std::vector<taint::TaintSource>
 verifiedItsSources(const std::vector<core::RankedFunction> &ranking,
                    const synth::GroundTruth &truth);
-
-/**
- * The four Table 5 configurations on one analyzed sample: each engine
- * runs with CTS or CTS + verifiedItsSources, over the artifact's
- * whole-program analysis (no unpack/select/behavior re-run).
- * ITS-sourced runs apply the §4.3 system-data string filter. Engines
- * still execute when only the inference stage failed — they then run
- * with classical sources alone.
- */
-TaintOutcome taintOutcome(const core::PipelineArtifact &artifact,
-                          const synth::SampleSpec &spec,
-                          const synth::GroundTruth &truth,
-                          double taintBudgetMs = 0.0);
 
 /** Score a taint report against ground truth. */
 EngineStats scoreReport(const std::vector<taint::Alert> &alerts,

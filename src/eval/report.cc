@@ -119,23 +119,19 @@ runCorpusReport(const CorpusOptions &options)
                         .count();
 
     // Per-vendor inference precision.
-    const std::vector<std::string> vendorOrder = {
-        "NETGEAR", "D-Link", "TP-Link", "Tenda", "Cisco"};
     TablePrinter table({"Vendor", "#FW", "Top-1", "Top-2", "Top-3"});
     PrecisionStats overall;
-    for (const auto &vendor : vendorOrder) {
+    for (const auto &profile : synth::vendorProfiles()) {
         PrecisionStats stats;
         for (const auto &outcome : outcomes) {
-            const auto &inference = outcome.inference;
-            if (inference.spec.profile.vendor != vendor)
-                continue;
-            stats.addRank(inference.ok ? inference.firstItsRank : -1);
+            if (outcome.spec.profile.vendor == profile.vendor)
+                stats.addRank(outcome.ok() ? outcome.firstItsRank : -1);
         }
         overall.total += stats.total;
         overall.top1 += stats.top1;
         overall.top2 += stats.top2;
         overall.top3 += stats.top3;
-        table.addRow({vendor, std::to_string(stats.total),
+        table.addRow({profile.vendor, std::to_string(stats.total),
                       percent(stats.p1()), percent(stats.p2()),
                       percent(stats.p3())});
     }
@@ -149,13 +145,13 @@ runCorpusReport(const CorpusOptions &options)
         EngineStats karonte, karonteIts, sta, staIts;
         int analyzed = 0;
         for (const auto &outcome : outcomes) {
-            if (!outcome.taint.ok)
+            if (!outcome.taint)
                 continue;
             ++analyzed;
-            karonte += outcome.taint.karonte;
-            karonteIts += outcome.taint.karonteIts;
-            sta += outcome.taint.sta;
-            staIts += outcome.taint.staIts;
+            karonte += outcome.taint->karonte;
+            karonteIts += outcome.taint->karonteIts;
+            sta += outcome.taint->sta;
+            staIts += outcome.taint->staIts;
         }
         report.text += support::format(
             "\ntaint engines (%d analyzable samples, one "
@@ -178,40 +174,31 @@ runCorpusReport(const CorpusOptions &options)
         report.text += engines.render();
     }
 
-    // Failure accounting: every sample whose pipeline (or taint
-    // batch) errored, identified by its spec. Degraded samples
-    // (partial results) are listed separately and are not failures.
+    // Failure accounting: every sample whose pipeline errored,
+    // identified by its spec. Degraded samples (partial results) are
+    // listed separately and are not failures.
     std::size_t degraded = 0;
     for (const auto &outcome : outcomes) {
-        const std::string &name = outcome.inference.spec.name;
-        if (outcome.inference.degraded ||
-            (options.taint && outcome.taint.degraded)) {
+        const std::string &name = outcome.spec.name;
+        const char *label = name.empty() ? "<unnamed>" : name.c_str();
+        if (outcome.degraded) {
             ++degraded;
-            const auto &issues = outcome.inference.degraded
-                                     ? outcome.inference.issues
-                                     : outcome.taint.issues;
             std::string why;
-            for (const auto &issue : issues) {
+            for (const auto &issue : outcome.issues) {
                 if (!why.empty())
                     why += "; ";
                 why += issue.toString();
             }
             report.diagnostics += support::format(
-                "sample degraded: %s: %s\n",
-                name.empty() ? "<unnamed>" : name.c_str(),
+                "sample degraded: %s: %s\n", label,
                 why.empty() ? "partial result" : why.c_str());
         }
-        const bool bad = !outcome.inference.ok ||
-                         (options.taint && !outcome.taint.ok);
-        if (!bad)
+        if (outcome.ok())
             continue;
         ++report.failed;
-        const std::string &error = outcome.inference.error.empty()
-                                       ? outcome.taint.error
-                                       : outcome.inference.error;
+        const std::string &error = outcome.status.message();
         report.diagnostics += support::format(
-            "sample failed: %s: %s\n",
-            name.empty() ? "<unnamed>" : name.c_str(),
+            "sample failed: %s: %s\n", label,
             error.empty() ? "unknown error" : error.c_str());
     }
     report.text += support::format("\nfailed samples: %zu/%zu\n",
@@ -267,9 +254,9 @@ runRankReport(const std::vector<std::uint8_t> &bytes, std::size_t top,
 
     const core::FitsPipeline pipeline(config);
     const auto artifact = pipeline.analyze(bytes);
-    if (!artifact.ok) {
-        report.error = support::format("pipeline failed: %s\n",
-                                       artifact.error.c_str());
+    if (!artifact.ok()) {
+        report.error = support::format(
+            "pipeline failed: %s\n", artifact.status.message().c_str());
         return report;
     }
     report.ok = true;
@@ -277,7 +264,7 @@ runRankReport(const std::vector<std::uint8_t> &bytes, std::size_t top,
         "analyzed %s: %zu functions in %.1f ms "
         "(%zu candidates after clustering)\n\n",
         artifact.binaryName.c_str(), artifact.numFunctions,
-        artifact.timings.totalMs(), artifact.inference.numCandidates);
+        artifact.analysisMs, artifact.inference.numCandidates);
     for (std::size_t i = 0;
          i < top && i < artifact.inference.ranking.size(); ++i) {
         const auto &rf = artifact.inference.ranking[i];

@@ -160,6 +160,13 @@ ciscoProfile()
     return p;
 }
 
+std::vector<VendorProfile>
+vendorProfiles()
+{
+    return {netgearProfile(), dlinkProfile(), tplinkProfile(),
+            tendaProfile(), ciscoProfile()};
+}
+
 namespace {
 
 /** Deterministic per-sample jitter so the corpus is not uniform. */

@@ -66,6 +66,10 @@ VendorProfile tplinkProfile();
 VendorProfile tendaProfile();
 VendorProfile ciscoProfile();
 
+/** The five vendor profiles in the paper's table row order: NETGEAR,
+ * D-Link, TP-Link, Tenda, Cisco. */
+std::vector<VendorProfile> vendorProfiles();
+
 /** One firmware sample to generate. */
 struct SampleSpec
 {

@@ -102,14 +102,14 @@ scoreBits(double score)
 
 void
 expectIdenticalOutcomes(
-    const std::vector<eval::CorpusRunner::FullOutcome> &fullA,
-    const std::vector<eval::CorpusRunner::FullOutcome> &fullB)
+    const std::vector<eval::SampleOutcome> &outcomesA,
+    const std::vector<eval::SampleOutcome> &outcomesB)
 {
-    ASSERT_EQ(fullA.size(), fullB.size());
-    for (std::size_t i = 0; i < fullA.size(); ++i) {
-        const auto &a = fullA[i].inference;
-        const auto &b = fullB[i].inference;
-        ASSERT_EQ(a.ok, b.ok) << "sample " << i;
+    ASSERT_EQ(outcomesA.size(), outcomesB.size());
+    for (std::size_t i = 0; i < outcomesA.size(); ++i) {
+        const auto &a = outcomesA[i];
+        const auto &b = outcomesB[i];
+        ASSERT_EQ(a.ok(), b.ok()) << "sample " << i;
         EXPECT_EQ(a.firstItsRank, b.firstItsRank);
         ASSERT_EQ(a.ranking.size(), b.ranking.size());
         for (std::size_t r = 0; r < a.ranking.size(); ++r) {
@@ -130,7 +130,7 @@ TEST_F(CacheTest, BundleRoundTripIsBitIdentical)
     const auto fw = synth::generateFirmware(smallCorpus(1)[0]);
     const core::FitsPipeline pipeline{core::PipelineConfig{}};
     const auto result = pipeline.analyze(fw.bytes);
-    ASSERT_TRUE(result.ok);
+    ASSERT_TRUE(result.ok());
 
     core::BehaviorBundle bundle;
     bundle.imageInfo = result.imageInfo;
@@ -173,7 +173,7 @@ TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
     const auto fw = synth::generateFirmware(smallCorpus(1)[0]);
     const core::FitsPipeline pipeline{core::PipelineConfig{}};
     const auto result = pipeline.analyze(fw.bytes);
-    ASSERT_TRUE(result.ok);
+    ASSERT_TRUE(result.ok());
     core::BehaviorBundle bundle;
     bundle.behavior = result.behavior;
     const std::string payload = core::encodeBehaviorBundle(bundle);
@@ -278,15 +278,16 @@ TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
 
     ASSERT_EQ(cached.size(), raw.size());
     for (std::size_t i = 0; i < cached.size(); ++i) {
-        EXPECT_EQ(cached[i].inference.firstItsRank,
-                  raw[i].inference.firstItsRank);
-        EXPECT_EQ(cached[i].taint.ok, raw[i].taint.ok);
-        EXPECT_EQ(cached[i].taint.sta.alerts, raw[i].taint.sta.alerts);
-        EXPECT_EQ(cached[i].taint.staIts.alerts,
-                  raw[i].taint.staIts.alerts);
-        EXPECT_EQ(cached[i].taint.karonte.alerts,
-                  raw[i].taint.karonte.alerts);
-        EXPECT_EQ(cached[i].taint.sta.bugs, raw[i].taint.sta.bugs);
+        EXPECT_EQ(cached[i].firstItsRank, raw[i].firstItsRank);
+        ASSERT_EQ(cached[i].taint.has_value(), raw[i].taint.has_value());
+        if (!raw[i].taint)
+            continue;
+        EXPECT_EQ(cached[i].taint->sta.alerts, raw[i].taint->sta.alerts);
+        EXPECT_EQ(cached[i].taint->staIts.alerts,
+                  raw[i].taint->staIts.alerts);
+        EXPECT_EQ(cached[i].taint->karonte.alerts,
+                  raw[i].taint->karonte.alerts);
+        EXPECT_EQ(cached[i].taint->sta.bugs, raw[i].taint->sta.bugs);
     }
 }
 

@@ -62,8 +62,9 @@ TEST(VendorMode, SymbolPriorImprovesRanking)
     spec.keepSymbols = true;
     const auto fw = synth::generateFirmware(spec);
 
-    const auto outcome = eval::runInference(fw);
-    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const auto outcome = eval::sampleOutcome(
+        FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
+    ASSERT_TRUE(outcome.ok()) << outcome.status.toString();
     const int plainRank = outcome.firstItsRank;
     ASSERT_GT(plainRank, 1); // confounders win without the prior
 
@@ -84,8 +85,9 @@ TEST(VendorMode, NoEffectOnStrippedBinaries)
     spec.name = "AC9-V1";
     spec.seed = 0x77;
     const auto fw = synth::generateFirmware(spec); // stripped
-    const auto outcome = eval::runInference(fw);
-    ASSERT_TRUE(outcome.ok);
+    const auto outcome = eval::sampleOutcome(
+        FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
+    ASSERT_TRUE(outcome.ok());
 
     InferConfig config;
     config.useSymbolNames = true;

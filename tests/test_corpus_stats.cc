@@ -28,23 +28,20 @@ struct CorpusResults
             CorpusResults r;
             for (const auto &spec : synth::standardDataset()) {
                 const auto fw = synth::generateFirmware(spec);
-                const auto artifact =
-                    core::FitsPipeline().analyze(fw.bytes);
-                const auto outcome =
-                    eval::inferenceOutcome(artifact, fw.spec, fw.truth);
+                const auto outcome = eval::sampleOutcome(
+                    core::FitsPipeline().analyze(fw.bytes), fw.spec,
+                    fw.truth, /*taint=*/true);
                 const int rank =
-                    outcome.ok ? outcome.firstItsRank : -1;
+                    outcome.ok() ? outcome.firstItsRank : -1;
                 r.precision.addRank(rank);
-                if (!outcome.ok || rank < 0)
+                if (!outcome.ok() || rank < 0)
                     ++r.failures;
 
-                const auto taint =
-                    eval::taintOutcome(artifact, fw.spec, fw.truth);
-                if (taint.ok) {
-                    r.karonte += taint.karonte;
-                    r.karonteIts += taint.karonteIts;
-                    r.sta += taint.sta;
-                    r.staIts += taint.staIts;
+                if (outcome.taint) {
+                    r.karonte += outcome.taint->karonte;
+                    r.karonteIts += outcome.taint->karonteIts;
+                    r.sta += outcome.taint->sta;
+                    r.staIts += outcome.taint->staIts;
                 }
             }
             return r;

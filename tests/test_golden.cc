@@ -2,7 +2,7 @@
  * Table-5 engine runs give on the standard 59-sample dataset, pinned
  * bit-for-bit against tests/golden/corpus.digest.
  *
- * One line per sample: name; `ok` or failure stage + error code;
+ * One line per sample: name; `ok` or the failure's stage + error code;
  * function, cluster and candidate counts; the top-10 ranking as
  * entry:score-bits; and for Karonte, Karonte+ITS, STA and STA+ITS the
  * raw alert count plus an FNV-1a hash over the sorted alert tuples.
@@ -42,20 +42,6 @@
 
 namespace fits {
 namespace {
-
-using FailureStage = core::PipelineArtifact::FailureStage;
-
-const char *
-failureStageName(FailureStage stage)
-{
-    switch (stage) {
-      case FailureStage::None:      return "none";
-      case FailureStage::Unpack:    return "unpack";
-      case FailureStage::Select:    return "select";
-      case FailureStage::Inference: return "inference";
-    }
-    return "?";
-}
 
 /** 64-bit FNV-1a, fed field by field. */
 struct Fnv1a
@@ -145,10 +131,10 @@ digestSample(const synth::GeneratedFirmware &fw)
 
     std::ostringstream line;
     line << fw.spec.name << ' ';
-    if (artifact.ok) {
+    if (artifact.ok()) {
         line << "ok";
     } else {
-        line << failureStageName(artifact.failureStage) << '/'
+        line << support::stageName(artifact.status.stage()) << '/'
              << support::errorCodeName(artifact.status.code());
     }
     line << " fns=" << artifact.numFunctions
@@ -163,7 +149,7 @@ digestSample(const synth::GeneratedFirmware &fw)
                     ranking[i].score));
     }
     const int firstItsRank =
-        artifact.ok ? eval::rankOfFirstIts(ranking, fw.truth) : -1;
+        artifact.ok() ? eval::rankOfFirstIts(ranking, fw.truth) : -1;
     if (!artifact.hasAnalysis())
         return {line.str(), firstItsRank, {}};
 

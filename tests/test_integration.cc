@@ -32,14 +32,12 @@ TEST(PipelineIntegration, EndToEndSuccess)
         synth::generateFirmware(spec(synth::netgearProfile(), 0xf00));
     const core::FitsPipeline pipeline;
     const auto result = pipeline.analyze(fw.bytes);
-    ASSERT_TRUE(result.ok) << result.error;
-    EXPECT_EQ(result.failureStage,
-              core::PipelineArtifact::FailureStage::None);
+    ASSERT_TRUE(result.ok()) << result.status.toString();
     EXPECT_GT(result.numFunctions, 100u);
     EXPECT_GT(result.binaryBytes, 0u);
     EXPECT_FALSE(result.inference.ranking.empty());
     EXPECT_GT(result.inference.numAnchors, 10u);
-    EXPECT_GT(result.timings.totalMs(), 0.0);
+    EXPECT_GT(result.analysisMs, 0.0);
 }
 
 TEST(PipelineIntegration, ItsRanksHighAcrossVendors)
@@ -59,9 +57,10 @@ TEST(PipelineIntegration, ItsRanksHighAcrossVendors)
         s.name = s.product + "-V1";
         s.seed = 0x5000 + i;
         const auto fw = synth::generateFirmware(s);
-        const auto outcome = eval::runInference(fw);
-        ASSERT_TRUE(outcome.ok)
-            << profiles[i].vendor << ": " << outcome.error;
+        const auto outcome = eval::sampleOutcome(
+            core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
+        ASSERT_TRUE(outcome.ok())
+            << profiles[i].vendor << ": " << outcome.status.toString();
         EXPECT_GE(outcome.firstItsRank, 1) << profiles[i].vendor;
         EXPECT_LE(outcome.firstItsRank, 3) << profiles[i].vendor;
     }
@@ -75,9 +74,8 @@ TEST(PipelineIntegration, UnpackFailureReported)
     const auto firmware = synth::generateFirmware(s);
     const core::FitsPipeline pipeline;
     const auto result = pipeline.analyze(firmware.bytes);
-    EXPECT_FALSE(result.ok);
-    EXPECT_EQ(result.failureStage,
-              core::PipelineArtifact::FailureStage::Unpack);
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(result.status.stage(), support::Stage::Unpack);
 }
 
 TEST(PipelineIntegration, SelectFailureReported)
@@ -87,9 +85,8 @@ TEST(PipelineIntegration, SelectFailureReported)
     const auto firmware = synth::generateFirmware(s);
     const core::FitsPipeline pipeline;
     const auto result = pipeline.analyze(firmware.bytes);
-    EXPECT_FALSE(result.ok);
-    EXPECT_EQ(result.failureStage,
-              core::PipelineArtifact::FailureStage::Select);
+    EXPECT_FALSE(result.ok());
+    EXPECT_EQ(result.status.stage(), support::Stage::Select);
 }
 
 TEST(PipelineIntegration, StructOffsetDesignYieldsNoIts)
@@ -97,8 +94,10 @@ TEST(PipelineIntegration, StructOffsetDesignYieldsNoIts)
     auto s = spec(synth::tplinkProfile(), 0x3);
     s.failure = synth::SampleSpec::FailureMode::StructOffset;
     const auto firmware = synth::generateFirmware(s);
-    const auto outcome = eval::runInference(firmware);
-    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const auto outcome = eval::sampleOutcome(
+        core::FitsPipeline().analyze(firmware.bytes), firmware.spec,
+        firmware.truth);
+    ASSERT_TRUE(outcome.ok()) << outcome.status.toString();
     // The pipeline runs, but nothing it ranks is a true ITS.
     EXPECT_EQ(outcome.firstItsRank, -1);
 }
@@ -110,8 +109,8 @@ TEST(PipelineIntegration, DeterministicAcrossRuns)
     const core::FitsPipeline pipeline;
     const auto a = pipeline.analyze(fw.bytes);
     const auto b = pipeline.analyze(fw.bytes);
-    ASSERT_TRUE(a.ok);
-    ASSERT_TRUE(b.ok);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
     ASSERT_EQ(a.inference.ranking.size(), b.inference.ranking.size());
     for (std::size_t i = 0; i < a.inference.ranking.size(); ++i) {
         EXPECT_EQ(a.inference.ranking[i].entry,
@@ -125,9 +124,11 @@ TEST(TaintIntegration, EngineRelationsHoldEndToEnd)
 {
     const auto fw = synth::generateFirmware(
         spec(synth::netgearProfile(), 0x9001));
-    const auto outcome = eval::taintOutcome(
-        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
-    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const auto sample = eval::sampleOutcome(
+        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth,
+        /*taint=*/true);
+    ASSERT_TRUE(sample.taint) << sample.status.toString();
+    const auto &outcome = *sample.taint;
 
     // The paper's structural claims, per sample:
     //  - ITS-augmented runs find supersets of the vanilla runs;
@@ -157,9 +158,11 @@ TEST(TaintIntegration, AlertsOnlyAtPlantedSites)
 {
     const auto fw = synth::generateFirmware(
         spec(synth::tendaProfile(), 0x9002));
-    const auto outcome = eval::taintOutcome(
-        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
-    ASSERT_TRUE(outcome.ok);
+    const auto sample = eval::sampleOutcome(
+        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth,
+        /*taint=*/true);
+    ASSERT_TRUE(sample.taint);
+    const auto &outcome = *sample.taint;
     // Every bug the engines report is a planted real-bug site.
     for (const auto &bugs :
          {outcome.karonteBugs, outcome.karonteItsBugs,

@@ -467,7 +467,7 @@ TEST_F(ObsPipeline, StageSpansNestUnderPipelineAndSumBelowTotal)
     const auto fw = smallSample();
     const core::FitsPipeline pipeline;
     const auto artifact = pipeline.analyze(fw.bytes);
-    ASSERT_TRUE(artifact.ok) << artifact.error;
+    ASSERT_TRUE(artifact.ok()) << artifact.status.toString();
 
     const auto snap = obs::Registry::instance().snapshot();
     const char *stages[] = {"pipeline/unpack", "pipeline/select",
@@ -483,14 +483,40 @@ TEST_F(ObsPipeline, StageSpansNestUnderPipelineAndSumBelowTotal)
     // Per-stage spans cover disjoint stretches of the pipeline span,
     // so their sum cannot exceed the total (allow scheduling noise).
     EXPECT_LE(stageSum, snap.timers.at("pipeline").totalMs + 1.0);
+    // Inference keeps its two sub-spans, and analysisMs is the
+    // pipeline span's own measurement.
+    EXPECT_EQ(snap.timers.count("pipeline/infer/cluster"), 1u);
+    EXPECT_EQ(snap.timers.count("pipeline/infer/rank"), 1u);
+    EXPECT_NEAR(artifact.analysisMs, snap.timers.at("pipeline").totalMs,
+                1e-3);
 
-    // StageTimings stay consistent views over the same spans.
-    const auto &t = artifact.timings;
-    EXPECT_NEAR(t.behaviorMs, t.liftMs + t.ucseMs + t.bfvMs, 1e-6);
-    EXPECT_NEAR(t.totalMs(),
-                t.unpackMs + t.selectMs + t.behaviorMs + t.inferMs,
-                1e-6);
-    EXPECT_LE(t.clusterMs + t.rankMs, t.inferMs + 1.0);
+    // A failed run counts under the stage its status names, once as a
+    // failure and once as an error.
+    using FailureMode = synth::SampleSpec::FailureMode;
+    const std::pair<FailureMode, std::string> failures[] = {
+        {FailureMode::OpaqueEncoding, "unpack"},
+        {FailureMode::NoNetworkBinary, "select"}};
+    for (const auto &[mode, stage] : failures) {
+        auto spec = fw.spec;
+        spec.failure = mode;
+        if (mode == FailureMode::OpaqueEncoding)
+            spec.profile.encoding = fw::Encoding::Opaque;
+        obs::Registry::instance().reset();
+        const auto failed =
+            pipeline.analyze(synth::generateFirmware(spec).bytes);
+        ASSERT_FALSE(failed.ok()) << stage;
+        EXPECT_EQ(support::stageName(failed.status.stage()), stage);
+        const auto counters =
+            obs::Registry::instance().snapshot().counters;
+        const auto count = [&](const std::string &name) {
+            const auto it = counters.find(name);
+            return it == counters.end() ? 0u : it->second;
+        };
+        EXPECT_EQ(count("pipeline.runs"), 1u) << stage;
+        EXPECT_EQ(count("pipeline.ok"), 0u) << stage;
+        EXPECT_EQ(count("pipeline.failures." + stage), 1u);
+        EXPECT_EQ(count("pipeline.errors." + stage), 1u);
+    }
 }
 
 TEST_F(ObsPipeline, OutputsAreIdenticalWithMetricsOnAndOff)
@@ -503,7 +529,7 @@ TEST_F(ObsPipeline, OutputsAreIdenticalWithMetricsOnAndOff)
     obs::setEnabled(true);
     const auto on = pipeline.analyze(fw.bytes);
 
-    ASSERT_EQ(off.ok, on.ok);
+    ASSERT_EQ(off.ok(), on.ok());
     ASSERT_EQ(off.inference.ranking.size(),
               on.inference.ranking.size());
     for (std::size_t i = 0; i < off.inference.ranking.size(); ++i) {

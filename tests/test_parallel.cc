@@ -107,12 +107,18 @@ runnerWithJobs(std::size_t jobs)
 }
 
 void
-expectIdenticalInference(const eval::InferenceOutcome &a,
-                         const eval::InferenceOutcome &b)
+expectIdenticalStatus(const support::Status &a, const support::Status &b)
 {
-    EXPECT_EQ(a.ok, b.ok);
-    EXPECT_EQ(a.error, b.error);
-    EXPECT_EQ(a.failureStage, b.failureStage);
+    EXPECT_EQ(a.stage(), b.stage());
+    EXPECT_EQ(a.code(), b.code());
+    EXPECT_EQ(a.message(), b.message());
+}
+
+void
+expectIdenticalInference(const eval::SampleOutcome &a,
+                         const eval::SampleOutcome &b)
+{
+    expectIdenticalStatus(a.status, b.status);
     EXPECT_EQ(a.firstItsRank, b.firstItsRank);
     EXPECT_EQ(a.binaryName, b.binaryName);
     EXPECT_EQ(a.numFunctions, b.numFunctions);
@@ -134,8 +140,7 @@ TEST(CorpusRunner, ParallelInferenceMatchesSerialOnStandardCorpus)
     ASSERT_EQ(parallel.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE(specs[i].name);
-        expectIdenticalInference(serial[i].inference,
-                                 parallel[i].inference);
+        expectIdenticalInference(serial[i], parallel[i]);
     }
 }
 
@@ -148,19 +153,21 @@ expectIdenticalEngine(const eval::EngineStats &a,
 }
 
 void
-expectIdenticalTaint(const eval::TaintOutcome &a,
-                     const eval::TaintOutcome &b)
+expectIdenticalTaint(const eval::SampleOutcome &a,
+                     const eval::SampleOutcome &b)
 {
-    EXPECT_EQ(a.ok, b.ok);
-    EXPECT_EQ(a.error, b.error);
-    expectIdenticalEngine(a.karonte, b.karonte);
-    expectIdenticalEngine(a.karonteIts, b.karonteIts);
-    expectIdenticalEngine(a.sta, b.sta);
-    expectIdenticalEngine(a.staIts, b.staIts);
-    EXPECT_EQ(a.karonteBugs, b.karonteBugs);
-    EXPECT_EQ(a.karonteItsBugs, b.karonteItsBugs);
-    EXPECT_EQ(a.staBugs, b.staBugs);
-    EXPECT_EQ(a.staItsBugs, b.staItsBugs);
+    expectIdenticalStatus(a.status, b.status);
+    ASSERT_EQ(a.taint.has_value(), b.taint.has_value());
+    if (!a.taint)
+        return;
+    expectIdenticalEngine(a.taint->karonte, b.taint->karonte);
+    expectIdenticalEngine(a.taint->karonteIts, b.taint->karonteIts);
+    expectIdenticalEngine(a.taint->sta, b.taint->sta);
+    expectIdenticalEngine(a.taint->staIts, b.taint->staIts);
+    EXPECT_EQ(a.taint->karonteBugs, b.taint->karonteBugs);
+    EXPECT_EQ(a.taint->karonteItsBugs, b.taint->karonteItsBugs);
+    EXPECT_EQ(a.taint->staBugs, b.taint->staBugs);
+    EXPECT_EQ(a.taint->staItsBugs, b.taint->staItsBugs);
 }
 
 /** A miniature corpus (one sample per vendor plus one failure) so the
@@ -204,12 +211,12 @@ TEST(CorpusRunner, ParallelTaintMatchesSerial)
     ASSERT_EQ(serial.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         SCOPED_TRACE(corpus[i].name);
-        expectIdenticalTaint(serial[i].taint, parallel[i].taint);
+        expectIdenticalTaint(serial[i], parallel[i]);
     }
     // The broken sample failed alone; the rest analyzed fine.
-    EXPECT_FALSE(parallel.back().taint.ok);
+    EXPECT_FALSE(parallel.back().taint.has_value());
     for (std::size_t i = 0; i + 1 < corpus.size(); ++i)
-        EXPECT_TRUE(parallel[i].taint.ok);
+        EXPECT_TRUE(parallel[i].taint.has_value());
 }
 
 TEST(CorpusRunner, RunFullSharesOneAnalysisPerSample)
@@ -221,32 +228,30 @@ TEST(CorpusRunner, RunFullSharesOneAnalysisPerSample)
     ASSERT_EQ(full.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         SCOPED_TRACE(corpus[i].name);
-        expectIdenticalInference(full[i].inference,
-                                 inference[i].inference);
+        expectIdenticalInference(full[i], inference[i]);
         const auto fw = synth::generateFirmware(corpus[i]);
         expectIdenticalTaint(
-            full[i].taint,
-            eval::taintOutcome(core::FitsPipeline().analyze(fw.bytes),
-                               fw.spec, fw.truth));
+            full[i],
+            eval::sampleOutcome(core::FitsPipeline().analyze(fw.bytes),
+                                fw.spec, fw.truth, /*taint=*/true));
     }
 }
 
 TEST(CorpusRunner, TaintOutcomesCarrySampleIdentityEvenOnFailure)
 {
     // Regression: the taint failure path used to discard the sample
-    // index, so an errored TaintOutcome could not be traced back to
+    // index, so an errored taint outcome could not be traced back to
     // the sample that produced it.
     const auto corpus = miniCorpus();
     const auto runner = runnerWithJobs(2);
     const auto full = runner.run(corpus, /*taint=*/true);
     ASSERT_EQ(full.size(), corpus.size());
-    for (std::size_t i = 0; i < corpus.size(); ++i) {
-        EXPECT_EQ(full[i].taint.spec.name, corpus[i].name);
-        EXPECT_EQ(full[i].inference.spec.name, corpus[i].name);
-    }
-    // The broken sample still failed.
-    EXPECT_FALSE(full.back().taint.ok);
-    EXPECT_FALSE(full.back().taint.spec.name.empty());
+    for (std::size_t i = 0; i < corpus.size(); ++i)
+        EXPECT_EQ(full[i].spec.name, corpus[i].name);
+    // The broken sample still failed, with no analysis to taint.
+    EXPECT_FALSE(full.back().ok());
+    EXPECT_FALSE(full.back().taint.has_value());
+    EXPECT_FALSE(full.back().spec.name.empty());
 
     // A loader that throws fails only its own sample, and the failed
     // outcome still names that sample: identity is known before the
@@ -261,19 +266,19 @@ TEST(CorpusRunner, TaintOutcomesCarrySampleIdentityEvenOnFailure)
     ASSERT_EQ(loaded.size(), corpus.size());
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         SCOPED_TRACE(corpus[i].name);
-        EXPECT_EQ(loaded[i].inference.spec.name, corpus[i].name);
-        EXPECT_EQ(loaded[i].taint.spec.name, corpus[i].name);
+        EXPECT_EQ(loaded[i].spec.name, corpus[i].name);
         if (i == 1) {
-            EXPECT_FALSE(loaded[i].inference.ok);
-            EXPECT_FALSE(loaded[i].taint.ok);
-            EXPECT_NE(loaded[i].taint.error.find("cannot read " +
-                                                 unloadable),
+            EXPECT_FALSE(loaded[i].ok());
+            EXPECT_FALSE(loaded[i].taint.has_value());
+            EXPECT_EQ(loaded[i].status.code(),
+                      support::ErrorCode::Internal);
+            EXPECT_NE(loaded[i].status.message().find("cannot read " +
+                                                      unloadable),
                       std::string::npos)
-                << loaded[i].taint.error;
+                << loaded[i].status.message();
         } else {
-            expectIdenticalInference(loaded[i].inference,
-                                     full[i].inference);
-            expectIdenticalTaint(loaded[i].taint, full[i].taint);
+            expectIdenticalInference(loaded[i], full[i]);
+            expectIdenticalTaint(loaded[i], full[i]);
         }
     }
 }
@@ -527,7 +532,7 @@ corpusSamplePoints()
     const auto firmware =
         synth::generateFirmware(synth::standardDataset().front());
     const auto artifact = core::FitsPipeline().analyze(firmware.bytes);
-    EXPECT_TRUE(artifact.ok) << artifact.error;
+    EXPECT_TRUE(artifact.ok()) << artifact.status.toString();
     ml::Matrix custom;
     for (analysis::FnId id : artifact.behavior.customFns)
         custom.push_back(artifact.behavior.records[id].bfv.toVector());

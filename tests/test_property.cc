@@ -79,10 +79,13 @@ TEST_P(SeedSweep, FirmwarePackUnpackPreservesFiles)
 TEST_P(SeedSweep, InferencePipelineNeverCrashesAndRanksDeterministically)
 {
     const auto fw = synth::generateFirmware(seededSpec(GetParam()));
-    const auto a = eval::runInference(fw);
-    const auto b = eval::runInference(fw);
-    ASSERT_EQ(a.ok, b.ok);
-    if (!a.ok)
+    const core::FitsPipeline pipeline;
+    const auto a = eval::sampleOutcome(pipeline.analyze(fw.bytes),
+                                       fw.spec, fw.truth);
+    const auto b = eval::sampleOutcome(pipeline.analyze(fw.bytes),
+                                       fw.spec, fw.truth);
+    ASSERT_EQ(a.ok(), b.ok());
+    if (!a.ok())
         return;
     ASSERT_EQ(a.ranking.size(), b.ranking.size());
     for (std::size_t i = 0; i < a.ranking.size(); ++i)
@@ -92,8 +95,9 @@ TEST_P(SeedSweep, InferencePipelineNeverCrashesAndRanksDeterministically)
 TEST_P(SeedSweep, BfvInvariants)
 {
     const auto fw = synth::generateFirmware(seededSpec(GetParam()));
-    const auto outcome = eval::runInference(fw);
-    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const auto outcome = eval::sampleOutcome(
+        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
+    ASSERT_TRUE(outcome.ok()) << outcome.status.toString();
     for (const auto &rec : outcome.behavior.records) {
         const core::Bfv &bfv = rec.bfv;
         EXPECT_GE(bfv.numBlocks, 1.0);
@@ -120,9 +124,11 @@ TEST_P(SeedSweep, BfvInvariants)
 TEST_P(SeedSweep, TaintEngineInvariants)
 {
     const auto fw = synth::generateFirmware(seededSpec(GetParam()));
-    const auto outcome = eval::taintOutcome(
-        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth);
-    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const auto sample = eval::sampleOutcome(
+        core::FitsPipeline().analyze(fw.bytes), fw.spec, fw.truth,
+        /*taint=*/true);
+    ASSERT_TRUE(sample.taint) << sample.status.toString();
+    const auto &outcome = *sample.taint;
 
     auto contains = [](const std::vector<ir::Addr> &super,
                        const std::vector<ir::Addr> &sub) {

@@ -155,7 +155,7 @@ TEST(Deadline, ExpiredBehaviorBudgetDegradesPipeline)
     config.budgets.behaviorMs = 1e-6; // expires immediately
     const core::FitsPipeline pipeline(config);
     const auto artifact = pipeline.analyze(fw.bytes);
-    ASSERT_TRUE(artifact.ok) << artifact.error;
+    ASSERT_TRUE(artifact.ok()) << artifact.status.toString();
     EXPECT_TRUE(artifact.degraded);
     bool sawTimeout = false;
     for (const auto &issue : artifact.issues) {
@@ -195,19 +195,11 @@ TEST(Deadline, ExpiredTaintBudgetFlagsReports)
     const auto fw = synth::generateFirmware(spec);
 
     const core::FitsPipeline pipeline;
-    const auto artifact = pipeline.analyze(fw.bytes);
-    ASSERT_TRUE(artifact.ok) << artifact.error;
+    auto artifact = pipeline.analyze(fw.bytes);
+    ASSERT_TRUE(artifact.ok()) << artifact.status.toString();
 
-    const auto outcome =
-        eval::taintOutcome(artifact, fw.spec, fw.truth, 1e-6);
-    EXPECT_TRUE(outcome.ok);
-    EXPECT_TRUE(outcome.degraded);
-    EXPECT_FALSE(outcome.issues.empty());
-    for (const auto &issue : outcome.issues)
-        EXPECT_EQ(issue.code(), support::ErrorCode::Timeout);
-
-    // Each engine, run directly under the same budget, stops at its
-    // own deadline check and flags its report.
+    // Each engine, run directly under the budget, stops at its own
+    // deadline check and flags its report.
     const auto sources = taint::classicalTaintSources();
     taint::StaEngine::Config staConfig;
     staConfig.deadlineMs = 1e-6;
@@ -219,6 +211,17 @@ TEST(Deadline, ExpiredTaintBudgetFlagsReports)
     EXPECT_TRUE(taint::KaronteEngine(karonteConfig)
                     .run(*artifact.analysis, sources)
                     .deadlineExpired);
+
+    // The sample outcome keeps the scored runs and records one
+    // Timeout per engine run cut short.
+    const auto outcome = eval::sampleOutcome(
+        std::move(artifact), fw.spec, fw.truth, /*taint=*/true, 1e-6);
+    EXPECT_TRUE(outcome.ok());
+    EXPECT_TRUE(outcome.taint.has_value());
+    EXPECT_TRUE(outcome.degraded);
+    EXPECT_FALSE(outcome.issues.empty());
+    for (const auto &issue : outcome.issues)
+        EXPECT_EQ(issue.code(), support::ErrorCode::Timeout);
 }
 
 // ---- corrupted whole images --------------------------------------------
@@ -234,7 +237,7 @@ TEST(Corruption, TruncatedImagesFailTypedNeverCrash)
         const std::vector<std::uint8_t> prefix(bytes.begin(),
                                                bytes.begin() + cut);
         const auto artifact = pipeline.analyze(prefix);
-        ASSERT_FALSE(artifact.ok) << "prefix length " << cut;
+        ASSERT_FALSE(artifact.ok()) << "prefix length " << cut;
         EXPECT_FALSE(artifact.status.isOk()) << cut;
         EXPECT_EQ(artifact.status.stage(), support::Stage::Unpack)
             << "prefix length " << cut << ": "
@@ -260,9 +263,9 @@ TEST(Corruption, BitFlippedImagesFailCleanlyOrParse)
             mutated[rng.index(limit)] ^=
                 static_cast<std::uint8_t>(1u << rng.index(8));
         const auto artifact = pipeline.analyze(mutated);
-        if (!artifact.ok) {
+        if (!artifact.ok()) {
             EXPECT_FALSE(artifact.status.isOk()) << "round " << round;
-            EXPECT_FALSE(artifact.error.empty()) << "round " << round;
+            EXPECT_FALSE(artifact.status.message().empty()) << "round " << round;
         }
     }
     SUCCEED();
@@ -274,7 +277,7 @@ TEST(Corruption, HandMadeImagesFailTypedAtTheirStage)
     // Control: the sample's own file table in a hand-made container
     // analyzes, so each row below fails for its defect alone.
     const auto control = pipeline.analyze(plainImage(fileTable(sampleFiles())));
-    ASSERT_TRUE(control.ok) << control.error;
+    ASSERT_TRUE(control.ok()) << control.status.toString();
 
     const auto entry = [](std::uint32_t count, std::uint8_t type,
                           std::uint32_t size) {
@@ -303,54 +306,50 @@ TEST(Corruption, HandMadeImagesFailTypedAtTheirStage)
     truncated.bytes.resize(truncated.bytes.size() / 2);
     files.push_back(std::move(truncated));
 
-    using FailureStage = core::PipelineArtifact::FailureStage;
     struct Row
     {
         const char *name;
         std::vector<std::uint8_t> payload;
-        FailureStage failureStage;
         support::Stage stage;
         support::ErrorCode code;
         const char *message;
     };
     std::vector<Row> rows;
     rows.push_back({"truncated file count", {0x01, 0x00},
-                    FailureStage::Unpack, support::Stage::Filesystem,
+                    support::Stage::Filesystem,
                     support::ErrorCode::Truncated, "truncated file table"});
     {
         auto w = entry(1, executable, 1000);
         w.raw(std::vector<std::uint8_t>(10, 0xaa));
         rows.push_back({"entry size past the end", w.take(),
-                        FailureStage::Unpack, support::Stage::Filesystem,
+                        support::Stage::Filesystem,
                         support::ErrorCode::Truncated,
                         "malformed file entry"});
     }
     {
         auto w = entry(1, 0xee, 0);
         rows.push_back({"unknown file type", w.take(),
-                        FailureStage::Unpack, support::Stage::Filesystem,
+                        support::Stage::Filesystem,
                         support::ErrorCode::Corrupt, "unknown file type"});
     }
     {
         auto w = entry(3, executable, 0);
         rows.push_back({"file count past the last entry", w.take(),
-                        FailureStage::Unpack, support::Stage::Filesystem,
+                        support::Stage::Filesystem,
                         support::ErrorCode::Truncated,
                         "malformed file entry"});
     }
     rows.push_back({"only executable is a truncated FBIN",
-                    fileTable(files), FailureStage::Select,
-                    support::Stage::Select, support::ErrorCode::NotFound,
-                    "parses as FBIN"});
+                    fileTable(files), support::Stage::Select,
+                    support::ErrorCode::NotFound, "parses as FBIN"});
 
     for (const auto &row : rows) {
         const auto artifact = pipeline.analyze(plainImage(row.payload));
-        EXPECT_FALSE(artifact.ok) << row.name;
-        EXPECT_EQ(artifact.failureStage, row.failureStage) << row.name;
+        EXPECT_FALSE(artifact.ok()) << row.name;
         EXPECT_EQ(artifact.status.stage(), row.stage) << row.name;
         EXPECT_EQ(artifact.status.code(), row.code) << row.name;
-        EXPECT_NE(artifact.error.find(row.message), std::string::npos)
-            << row.name << ": " << artifact.error;
+        EXPECT_NE(artifact.status.message().find(row.message), std::string::npos)
+            << row.name << ": " << artifact.status.toString();
     }
 }
 
@@ -373,10 +372,10 @@ TEST(Corruption, MutatedPayloadsBehindValidChecksumFailTypedOrParse)
             mutated[rng.index(limit)] ^=
                 static_cast<std::uint8_t>(1u << rng.index(8));
         const auto artifact = pipeline.analyze(plainImage(mutated));
-        if (artifact.ok)
+        if (artifact.ok())
             continue;
         EXPECT_FALSE(artifact.status.isOk()) << "round " << round;
-        EXPECT_FALSE(artifact.error.empty()) << "round " << round;
+        EXPECT_FALSE(artifact.status.message().empty()) << "round " << round;
         EXPECT_NE(artifact.status.code(), support::ErrorCode::Internal)
             << "round " << round << ": " << artifact.status.toString();
     }
@@ -389,7 +388,7 @@ TEST(Corruption, BitFlippedBehaviorBundlesDecodeCleanlyOrRank)
     // mutation must be rejected, or decode to a bundle that inference
     // ranks without crashing.
     const auto artifact = core::FitsPipeline().analyze(sampleFw().bytes);
-    ASSERT_TRUE(artifact.ok) << artifact.error;
+    ASSERT_TRUE(artifact.ok()) << artifact.status.toString();
     core::BehaviorBundle bundle;
     bundle.imageInfo = artifact.imageInfo;
     bundle.binaryName = artifact.binaryName;
@@ -449,7 +448,7 @@ TEST(Robustness, MissingLibrariesDegradeNotFail)
 
     const core::FitsPipeline pipeline;
     const auto artifact = pipeline.analyze(fw::packFirmware(stripped));
-    if (artifact.ok) {
+    if (artifact.ok()) {
         EXPECT_TRUE(artifact.degraded);
         bool sawMissingLibrary = false;
         for (const auto &issue : artifact.issues) {
@@ -459,8 +458,6 @@ TEST(Robustness, MissingLibrariesDegradeNotFail)
         }
         EXPECT_TRUE(sawMissingLibrary);
     } else {
-        EXPECT_EQ(artifact.failureStage,
-                  core::PipelineArtifact::FailureStage::Inference);
         EXPECT_EQ(artifact.status.stage(), support::Stage::Infer)
             << artifact.status.toString();
     }

@@ -155,16 +155,10 @@ writeFile(const std::string &path,
 std::optional<synth::VendorProfile>
 profileByName(const std::string &vendor)
 {
-    if (vendor == "NETGEAR")
-        return synth::netgearProfile();
-    if (vendor == "D-Link")
-        return synth::dlinkProfile();
-    if (vendor == "TP-Link")
-        return synth::tplinkProfile();
-    if (vendor == "Tenda")
-        return synth::tendaProfile();
-    if (vendor == "Cisco")
-        return synth::ciscoProfile();
+    for (const auto &profile : synth::vendorProfiles()) {
+        if (profile.vendor == vendor)
+            return profile;
+    }
     return std::nullopt;
 }
 
@@ -373,9 +367,9 @@ cmdScore(const std::string &path)
 
     const core::FitsPipeline pipeline;
     const auto artifact = pipeline.analyze(bytes);
-    if (!artifact.ok) {
+    if (!artifact.ok()) {
         std::fprintf(stderr, "pipeline failed: %s\n",
-                     artifact.error.c_str());
+                     artifact.status.message().c_str());
         return 1;
     }
 
