@@ -90,7 +90,7 @@ UcseExplorer::explore(const ir::Function &fn) const
         PathState state = std::move(worklist.back());
         worklist.pop_back();
 
-        if (visits[state.block] >= config_.maxVisitsPerBlock)
+        if (visits[state.block] >= kUcseMaxVisitsPerBlock)
             continue;
         ++visits[state.block];
         result.reachedBlocks[state.block] = true;

@@ -56,13 +56,15 @@ struct AbsVal
     bool isUnknown() const { return kind == Kind::Unknown; }
 };
 
+/** Re-entry bound per block, which also bounds loop unrolling. A
+ * constant: every caller explores with this one bound. */
+inline constexpr std::size_t kUcseMaxVisitsPerBlock = 4;
+
 /** Tuning knobs for the explorer. */
 struct UcseConfig
 {
     /** Overall statement budget per function. */
     std::size_t maxSteps = 50000;
-    /** Re-entry bound per block, which also bounds loop unrolling. */
-    std::size_t maxVisitsPerBlock = 4;
     /** Wall-clock budget; default never expires. Checked coarsely in
      * the exploration loop, so expiry yields partial results rather
      * than an error. */

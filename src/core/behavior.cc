@@ -125,7 +125,7 @@ BehaviorAnalyzer::analyze(const ProgramAnalysis &pa) const
                 tracker.resolveArg(site.blockIdx, site.stmtIdx, arg);
             std::size_t classified = 0;
             for (std::uint64_t value : consts) {
-                if (classified >= config_.maxStringsPerArg)
+                if (classified >= kMaxStringsPerArg)
                     break;
                 if (auto s = tracker.classifyString(value)) {
                     strings[callee].insert(s->text);

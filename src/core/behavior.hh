@@ -54,9 +54,11 @@ class BehaviorAnalyzer
     struct Config
     {
         analysis::UcseConfig ucse;
-        /** Cap on backtracked constants classified per argument. */
-        std::size_t maxStringsPerArg = 4;
     };
+
+    /** Cap on backtracked constants classified per argument. A
+     * constant: every caller extracts BFVs with this one cap. */
+    static constexpr std::size_t kMaxStringsPerArg = 4;
 
     BehaviorAnalyzer();
     explicit BehaviorAnalyzer(Config config);

@@ -329,8 +329,8 @@ behaviorConfigFingerprint(const BehaviorAnalyzer::Config &config)
     return cache::Fingerprint()
         .mix(kBundleFormatVersion)
         .mix(static_cast<std::uint64_t>(config.ucse.maxSteps))
-        .mix(static_cast<std::uint64_t>(config.ucse.maxVisitsPerBlock))
-        .mix(static_cast<std::uint64_t>(config.maxStringsPerArg))
+        .mix(static_cast<std::uint64_t>(analysis::kUcseMaxVisitsPerBlock))
+        .mix(static_cast<std::uint64_t>(BehaviorAnalyzer::kMaxStringsPerArg))
         .value();
 }
 

@@ -45,7 +45,10 @@ std::optional<BehaviorBundle> decodeBehaviorBundle(
  * Fingerprint of every configuration knob that shapes a BehaviorRepr,
  * plus the serialization format version. Used as the second cache key
  * next to the firmware content hash. The UCSE deadline is excluded
- * because deadline-bearing runs never consult the cache.
+ * because deadline-bearing runs never consult the cache. It also mixes
+ * the fixed UCSE visit bound and strings-per-argument cap, at the
+ * positions they held when both were options, so cache entries written
+ * then stay valid.
  */
 std::uint64_t behaviorConfigFingerprint(
     const BehaviorAnalyzer::Config &config);

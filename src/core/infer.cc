@@ -44,6 +44,17 @@ functionComplexity(const Bfv &bfv, const Bfv &maxima)
 
 namespace {
 
+/*
+ * Fixed settings of two comparison modes. Each mode runs with one
+ * setting, so these are constants rather than options.
+ */
+
+/** PCA components of the Pca strategy's §4.5 baseline. */
+constexpr std::size_t kPcaComponents = 4;
+
+/** Weight of the symbol-name prior in vendor mode. */
+constexpr double kSymbolWeight = 0.3;
+
 /** Representation choice plus the drop/keep-only feature transform. */
 ml::Vec
 featureVector(const FunctionRecord &rec, const InferConfig &config)
@@ -207,8 +218,7 @@ inferIts(const BehaviorRepr &repr, const InferConfig &config)
         // Fit on the union so both sides live in one component space.
         ml::Matrix all = customVecs;
         all.insert(all.end(), anchorVecs.begin(), anchorVecs.end());
-        const ml::PcaModel pca =
-            ml::fitPca(all, config.pcaComponents);
+        const ml::PcaModel pca = ml::fitPca(all, kPcaComponents);
         transformedCustom = pca.transformAll(customVecs);
         transformedAnchor = pca.transformAll(anchorVecs);
         scoreTransformed();
@@ -287,8 +297,8 @@ inferIts(const BehaviorRepr &repr, const InferConfig &config)
         rf.score = sum / static_cast<double>(anchors.size());
         if (config.useSymbolNames && !rf.name.empty()) {
             // Vendor mode: blend the symbol-name prior (0.5-neutral).
-            rf.score += config.symbolWeight *
-                        (semanticNameScore(rf.name) - 0.5);
+            rf.score +=
+                kSymbolWeight * (semanticNameScore(rf.name) - 0.5);
         }
         ranked.push_back(std::move(rf));
     }

@@ -35,8 +35,8 @@ struct InferConfig
      * (the Table-7 comparison swaps this). */
     Representation representation = Representation::Bfv;
 
-    /** DBSCAN runs on max-abs-scaled BFVs. */
-    ml::DbscanConfig dbscan{0.35, 3, ml::Metric::Euclidean};
+    /** DBSCAN runs on max-abs-scaled BFVs, under Euclidean distance. */
+    ml::DbscanConfig dbscan{0.35, 3};
 
     /** Similarity metric of the scoring stage (Table 8). */
     ml::Metric scoreMetric = ml::Metric::Cosine;
@@ -47,22 +47,17 @@ struct InferConfig
     /** Single-feature inference: keep only this feature (-1 = all). */
     int onlyFeature = -1;
 
-    /** PCA components when strategy == Pca. */
-    std::size_t pcaComponents = 4;
-
     /** Treat DBSCAN noise points as singleton classes (the default)
      * rather than discarding them before the complexity filter. */
     bool noiseAsSingletons = true;
 
     /**
      * Vendor mode (Discussion §5): blend the symbol-name prior into
-     * the score when function names are available (unstripped
-     * builds). No effect on stripped binaries — names are empty.
+     * the score, with a fixed weight, when function names are
+     * available (unstripped builds). No effect on stripped binaries —
+     * names are empty.
      */
     bool useSymbolNames = false;
-
-    /** Weight of the name prior when useSymbolNames is set. */
-    double symbolWeight = 0.3;
 
     /** Cap on returned ranking length. */
     std::size_t maxRanked = 50;

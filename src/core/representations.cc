@@ -2,17 +2,6 @@
 
 namespace fits::core {
 
-const char *
-representationName(Representation representation)
-{
-    switch (representation) {
-      case Representation::Bfv:           return "BFV";
-      case Representation::AugmentedCfg:  return "Augmented-CFG";
-      case Representation::AttributedCfg: return "Attributed-CFG";
-    }
-    return "?";
-}
-
 namespace {
 
 struct StmtCounts

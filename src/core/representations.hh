@@ -20,8 +20,6 @@ enum class Representation : std::uint8_t {
     AttributedCfg, ///< Gemini-style: aggregated per-block attributes
 };
 
-const char *representationName(Representation representation);
-
 /**
  * NERO-style augmented-CFG vector: graph-shape statistics plus call
  * counts — [blocks, edges, backEdges, stmts, avgBlockLen, maxOutDeg,

@@ -25,13 +25,4 @@ printFunction(const Function &fn)
     return out;
 }
 
-std::string
-printProgram(const Program &program)
-{
-    std::string out;
-    for (const auto &fn : program.functions())
-        out += printFunction(fn);
-    return out;
-}
-
 } // namespace fits::ir

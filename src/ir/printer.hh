@@ -10,9 +10,6 @@ namespace fits::ir {
 /** Render a function as readable IR text (for debugging and tests). */
 std::string printFunction(const Function &fn);
 
-/** Render a whole program. */
-std::string printProgram(const Program &program);
-
 } // namespace fits::ir
 
 #endif // FITS_IR_PRINTER_HH_

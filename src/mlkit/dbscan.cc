@@ -48,20 +48,10 @@ DbscanResult::noiseCount() const
 namespace {
 
 /**
- * Pairwise-distance scanner over a flattened copy of the distinct rows.
- *
- * The generic path pays a `distance()` dispatch, two `Vec`
- * indirections, and (for cosine/Pearson) redundant per-row norm/mean
- * recomputation on every pair. This scanner flattens the rows into one
- * contiguous buffer, hoists the metric dispatch out of the scan, and
- * precomputes the per-row invariants (norms for cosine, means for
- * Pearson) once.
- *
- * Every per-pair formula below keeps the exact operation order of
- * distance.cc — same accumulation sequence, same zero checks, same
- * final sqrt/divide — and the precomputed invariants are obtained by
- * calling the very same norm()/mean computation those formulas use, so
- * clustering output is bit-identical to the generic path.
+ * Euclidean region queries over a flattened copy of the distinct rows.
+ * The per-pair formula keeps the exact operation order of distance.cc
+ * (same accumulation sequence, same final sqrt), so clustering output
+ * is bit-identical to `distance(Metric::Euclidean, ...)`.
  */
 class DistanceScanner
 {
@@ -70,27 +60,13 @@ class DistanceScanner
      * `dim`. */
     DistanceScanner(const Matrix &points,
                     const std::vector<std::size_t> &rows,
-                    std::size_t dim, const DbscanConfig &config)
-        : config_(config), n_(rows.size()), dim_(dim)
+                    std::size_t dim, double eps)
+        : n_(rows.size()), dim_(dim), eps_(eps)
     {
         buffer_.reserve(n_ * dim_);
         for (std::size_t r : rows)
             buffer_.insert(buffer_.end(), points[r].begin(),
                            points[r].end());
-        if (config.metric == Metric::Cosine) {
-            norms_.reserve(n_);
-            for (std::size_t r : rows)
-                norms_.push_back(norm(points[r]));
-        } else if (config.metric == Metric::Pearson) {
-            means_.reserve(n_);
-            for (std::size_t r : rows) {
-                double mean = 0.0;
-                for (double v : points[r])
-                    mean += v;
-                means_.push_back(
-                    dim_ > 0 ? mean / static_cast<double>(dim_) : 0.0);
-            }
-        }
     }
 
     /** Appends every row within eps of row `p` (p itself only when its
@@ -98,79 +74,28 @@ class DistanceScanner
     void
     neighbors(std::size_t p, std::vector<std::size_t> &out) const
     {
-        switch (config_.metric) {
-          case Metric::Euclidean: scan<Metric::Euclidean>(p, out); break;
-          case Metric::Manhattan: scan<Metric::Manhattan>(p, out); break;
-          case Metric::Cosine:    scan<Metric::Cosine>(p, out); break;
-          case Metric::Pearson:   scan<Metric::Pearson>(p, out); break;
-        }
-    }
-
-  private:
-    template <Metric M>
-    void
-    scan(std::size_t p, std::vector<std::size_t> &out) const
-    {
         // Locals, not members: the appends to `out` could otherwise
         // alias them and force a reload on every pair.
         const std::size_t dim = dim_;
-        const double eps = config_.eps;
+        const double eps = eps_;
         const double *a = buffer_.data() + p * dim;
         const double *b = buffer_.data();
         for (std::size_t q = 0; q < n_; ++q, b += dim) {
-            double d = 0.0;
-            if constexpr (M == Metric::Euclidean) {
-                double s = 0.0;
-                for (std::size_t i = 0; i < dim; ++i) {
-                    const double diff = a[i] - b[i];
-                    s += diff * diff;
-                }
-                d = std::sqrt(s);
-            } else if constexpr (M == Metric::Manhattan) {
-                double s = 0.0;
-                for (std::size_t i = 0; i < dim; ++i)
-                    s += std::fabs(a[i] - b[i]);
-                d = s;
-            } else if constexpr (M == Metric::Cosine) {
-                const double na = norms_[p];
-                const double nb = norms_[q];
-                double sim = 0.0;
-                if (na != 0.0 && nb != 0.0) {
-                    double s = 0.0;
-                    for (std::size_t i = 0; i < dim; ++i)
-                        s += a[i] * b[i];
-                    sim = s / (na * nb);
-                }
-                d = 1.0 - sim;
-            } else { // Pearson
-                double corr = 0.0;
-                if (dim > 0) {
-                    const double meanA = means_[p];
-                    const double meanB = means_[q];
-                    double cov = 0.0, varA = 0.0, varB = 0.0;
-                    for (std::size_t i = 0; i < dim; ++i) {
-                        const double da = a[i] - meanA;
-                        const double db = b[i] - meanB;
-                        cov += da * db;
-                        varA += da * da;
-                        varB += db * db;
-                    }
-                    if (varA != 0.0 && varB != 0.0)
-                        corr = cov / std::sqrt(varA * varB);
-                }
-                d = 1.0 - corr;
+            double s = 0.0;
+            for (std::size_t i = 0; i < dim; ++i) {
+                const double diff = a[i] - b[i];
+                s += diff * diff;
             }
-            if (d <= eps)
+            if (std::sqrt(s) <= eps)
                 out.push_back(q);
         }
     }
 
-    const DbscanConfig &config_;
+  private:
     std::size_t n_;
     std::size_t dim_;
+    double eps_;
     std::vector<double> buffer_; ///< row-major n_ x dim_
-    std::vector<double> norms_;  ///< per-row L2 norms (cosine)
-    std::vector<double> means_;  ///< per-row means (Pearson)
 };
 
 } // namespace
@@ -216,9 +141,9 @@ dbscan(const Matrix &points, const DbscanConfig &config)
     const std::size_t k = size.size();
 
     // 2. One region query per class. A class is core when its adjacent
-    //    classes (itself only if within eps of itself: an all-zero row
-    //    under cosine is not) hold at least minPts rows.
-    const DistanceScanner scanner(points, firstRow, dim, config);
+    //    classes (itself only if within eps of itself: a row holding a
+    //    NaN is not) hold at least minPts rows.
+    const DistanceScanner scanner(points, firstRow, dim, config.eps);
     std::vector<std::size_t> adjacency;         ///< all classes' lists
     std::vector<std::size_t> adjacencyStart{0}; ///< class -> offset
     std::vector<char> core(k);

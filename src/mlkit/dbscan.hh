@@ -8,12 +8,12 @@
 
 namespace fits::ml {
 
-/** DBSCAN parameters. */
+/** DBSCAN parameters. Distances are Euclidean, the one metric FITS
+ * clusters BFVs with. */
 struct DbscanConfig
 {
     double eps = 0.5;
     std::size_t minPts = 3;
-    Metric metric = Metric::Euclidean;
 };
 
 /** Clustering outcome; label -1 marks noise points. */

@@ -66,10 +66,4 @@ logWarn(std::string_view component, std::string_view message)
     Logger::instance().log(LogLevel::Warn, component, message);
 }
 
-void
-logError(std::string_view component, std::string_view message)
-{
-    Logger::instance().log(LogLevel::Error, component, message);
-}
-
 } // namespace fits::support

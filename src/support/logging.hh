@@ -54,7 +54,6 @@ class Logger
 void logDebug(std::string_view component, std::string_view message);
 void logInfo(std::string_view component, std::string_view message);
 void logWarn(std::string_view component, std::string_view message);
-void logError(std::string_view component, std::string_view message);
 
 } // namespace fits::support
 

@@ -7,18 +7,13 @@ stageName(Stage stage)
 {
     switch (stage) {
       case Stage::None:       return "none";
-      case Stage::Io:         return "io";
       case Stage::Unpack:     return "unpack";
       case Stage::Filesystem: return "filesystem";
       case Stage::Select:     return "select";
       case Stage::Lift:       return "lift";
-      case Stage::IrParse:    return "ir-parse";
       case Stage::Ucse:       return "ucse";
-      case Stage::Flow:       return "flow";
-      case Stage::Bfv:        return "bfv";
       case Stage::Infer:      return "infer";
       case Stage::Taint:      return "taint";
-      case Stage::Corpus:     return "corpus";
     }
     return "?";
 }

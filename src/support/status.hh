@@ -15,18 +15,13 @@ namespace fits::support {
  */
 enum class Stage : std::uint8_t {
     None,       ///< not attributed (legacy string-only errors)
-    Io,         ///< reading the image from disk
     Unpack,     ///< firmware container decode (magic/crypto/checksum)
     Filesystem, ///< file-table / file-system structure
     Select,     ///< network-binary selection
     Lift,       ///< FBIN decode ("lifting") of a binary or library
-    IrParse,    ///< textual FIR parsing
     Ucse,       ///< under-constrained symbolic exploration
-    Flow,       ///< reaching definitions / dataflow
-    Bfv,        ///< behavior feature extraction
     Infer,      ///< clustering + ranking
     Taint,      ///< taint engines
-    Corpus,     ///< corpus-level driver
 };
 
 const char *stageName(Stage stage);

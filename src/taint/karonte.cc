@@ -21,6 +21,28 @@ using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
 
+/*
+ * The rest of the fixed limits (karonte.hh holds the call depth and
+ * the CTS step budget). Compare-guarded tainted data always counts as
+ * sanitized.
+ */
+
+/**
+ * Additional budget granted for ITS-rooted exploration. The CTS phases
+ * always run first and to the same limit, so the ITS-augmented run
+ * finds a strict superset of the vanilla run's bugs — but only as many
+ * more as this slice allows, which is why Karonte-ITS gains far fewer
+ * bugs than STA-ITS (and why its analysis takes longer, as the paper
+ * notes).
+ */
+constexpr std::size_t kMaxItsExtraSteps = 60;
+
+/** Per-(function, block) visit cap across all paths of a root. */
+constexpr std::size_t kMaxVisitsPerBlock = 6;
+
+/** Follow UCSE-resolved indirect call edges. */
+constexpr bool kResolveIndirectCalls = true;
+
 /** A symbolic value with a taint mask. */
 struct Value
 {
@@ -62,7 +84,6 @@ struct PathState
 struct Engine
 {
     const ProgramAnalysis &pa;
-    const KaronteEngine::Config &config;
     const std::vector<TaintSource> &sources;
     RunIndex index;
 
@@ -82,10 +103,9 @@ struct Engine
     std::size_t deadlineTick = 0;
 
     Engine(const ProgramAnalysis &pa_,
-           const KaronteEngine::Config &config_,
            const std::vector<TaintSource> &sources_)
-        : pa(pa_), config(config_), sources(sources_),
-          index(pa_, sources_, config_.resolveIndirectCalls)
+        : pa(pa_), sources(sources_),
+          index(pa_, sources_, kResolveIndirectCalls)
     {
     }
 
@@ -96,8 +116,8 @@ struct Engine
             committedCells[key] |= mask;
     }
 
-    /** Explore all paths from the entry of `root`, respecting both
-     * the per-root and the whole-binary step budgets. */
+    /** Explore all paths from the entry of `root` within what is
+     * left of the whole-binary step budget. */
     void
     exploreRoot(FnId root)
     {
@@ -124,8 +144,7 @@ struct Engine
         }
         init.memTaint = committedCells;
 
-        const std::size_t rootBudget = std::min(
-            config.maxStepsPerEntry, budgetLimit - totalSteps);
+        const std::size_t rootBudget = budgetLimit - totalSteps;
 
         std::vector<PathState> stack;
         stack.push_back(std::move(init));
@@ -173,7 +192,7 @@ struct Engine
                 const std::uint64_t vkey =
                     (static_cast<std::uint64_t>(frame.fn) << 32) |
                     frame.block;
-                if (++visits[vkey] > config.maxVisitsPerBlock)
+                if (++visits[vkey] > kMaxVisitsPerBlock)
                     return; // loop bound / path-explosion cutoff
             }
 
@@ -277,7 +296,7 @@ struct Engine
                 // Conditional side exit: taken -> target block, not
                 // taken -> next statement.
                 const Value cond = evalOp(stmt.a);
-                if (config.constraintSanitization && cond.fromOrderCmp)
+                if (cond.fromOrderCmp)
                     path.checkedMask |= cond.taint;
                 const std::size_t takenIdx =
                     fn.blockIndexAt(stmt.target);
@@ -376,8 +395,7 @@ struct Engine
                     if (arg >= 0 && arg < ir::kNumArgRegs)
                         hit |= path.regs[arg].taint;
                 }
-                if (config.constraintSanitization)
-                    hit &= ~path.checkedMask;
+                hit &= ~path.checkedMask;
                 index.recordAlert(caller, stmtAddr, *sink, hit);
                 modeled = true;
             }
@@ -420,8 +438,7 @@ struct Engine
                     modeled = true;
                     continue;
                 }
-                if (static_cast<int>(path.frames.size()) <
-                    config.maxCallDepth) {
+                if (path.frames.size() < KaronteEngine::kMaxCallDepth) {
                     descendTargets.emplace_back(siteIdx, callee);
                 } else {
                     // Depth budget reached: approximate with a
@@ -494,7 +511,7 @@ KaronteEngine::run(const ProgramAnalysis &pa,
                    const std::vector<TaintSource> &sources) const
 {
     obs::ScopedTimer runSpan("taint/karonte");
-    Engine engine(pa, config_, sources);
+    Engine engine(pa, sources);
     if (config_.deadlineMs > 0.0)
         engine.deadline = support::Deadline::afterMs(config_.deadlineMs);
 
@@ -556,7 +573,7 @@ KaronteEngine::run(const ProgramAnalysis &pa,
     };
 
     // Phase A: CTS roots under the vanilla budget.
-    engine.budgetLimit = config_.maxTotalSteps;
+    engine.budgetLimit = kMaxTotalSteps;
     for (const auto &site : pa.callGraph.sites()) {
         if (!pa.linked->isMainFn(site.caller))
             continue;
@@ -570,8 +587,7 @@ KaronteEngine::run(const ProgramAnalysis &pa,
     // Phase B: ITS roots under the extra budget slice (relative to
     // what phase A actually consumed — the vanilla cap is a limit,
     // not a quota).
-    engine.budgetLimit =
-        engine.totalSteps + config_.maxItsExtraSteps;
+    engine.budgetLimit = engine.totalSteps + kMaxItsExtraSteps;
     queue.clear();
     for (const auto &site : pa.callGraph.sites()) {
         if (!pa.linked->isMainFn(site.caller))

@@ -29,40 +29,25 @@ namespace fits::taint {
 class KaronteEngine
 {
   public:
+    /*
+     * Fixed limits. The paper runs Karonte with one setting, so these
+     * are constants rather than options (karonte.cc holds the rest).
+     */
+
+    /** Maximum call-frame depth from an entry function, the root's
+     * frame included (the paper observes Karonte reaching depth ~4 on
+     * large firmware). */
+    static constexpr std::size_t kMaxCallDepth = 4;
+
+    /**
+     * Whole-binary statement budget for the CTS-rooted exploration —
+     * the analysis-time limit the paper describes. Each root gets
+     * what the roots before it left over.
+     */
+    static constexpr std::size_t kMaxTotalSteps = 30000;
+
     struct Config
     {
-        /** Maximum call-frame depth from an entry function (the paper
-         * observes Karonte reaching depth ~4 on large firmware). */
-        int maxCallDepth = 4;
-
-        /** Statement budget per entry function. */
-        std::size_t maxStepsPerEntry = 400000;
-
-        /**
-         * Whole-binary statement budget for the CTS-rooted
-         * exploration — the analysis-time limit the paper describes.
-         */
-        std::size_t maxTotalSteps = 30000;
-
-        /**
-         * Additional budget granted for ITS-rooted exploration. The
-         * CTS phases always run first and to the same limit, so the
-         * ITS-augmented run finds a strict superset of the vanilla
-         * run's bugs — but only as many more as this slice allows,
-         * which is why Karonte-ITS gains far fewer bugs than STA-ITS
-         * (and why its analysis takes longer, as the paper notes).
-         */
-        std::size_t maxItsExtraSteps = 60;
-
-        /** Per-(function, block) visit cap across all paths. */
-        std::size_t maxVisitsPerBlock = 6;
-
-        /** Treat compare-guarded tainted data as sanitized. */
-        bool constraintSanitization = true;
-
-        /** Follow UCSE-resolved indirect call edges. */
-        bool resolveIndirectCalls = true;
-
         /** Wall-clock budget in milliseconds; 0 = unlimited. On
          * expiry exploration stops and the report carries the alerts
          * found so far with deadlineExpired set. */

@@ -18,6 +18,21 @@ using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
 
+/*
+ * Fixed limits. The paper runs STA with one setting, so these are
+ * constants rather than options.
+ */
+
+/** Follow UCSE-resolved indirect call edges: never, because the
+ * paper's STA is built on an IDA CFG/CG without indirect resolution. */
+constexpr bool kResolveIndirectCalls = false;
+
+/** Fixpoint cap: function visits, in whole-program rounds. */
+constexpr std::size_t kMaxRounds = 24;
+
+/** Per-function layout-order iterations per visit. */
+constexpr std::size_t kPassesPerFunction = 2;
+
 /** Per-function interprocedural summary state. */
 struct FnState
 {
@@ -29,7 +44,6 @@ struct FnState
 struct Engine
 {
     const ProgramAnalysis &pa;
-    const StaEngine::Config &config;
     const std::vector<TaintSource> &sources;
     RunIndex index;
 
@@ -43,10 +57,9 @@ struct Engine
     bool recording = false;
 
     explicit Engine(const ProgramAnalysis &pa_,
-                    const StaEngine::Config &config_,
                     const std::vector<TaintSource> &sources_)
-        : pa(pa_), config(config_), sources(sources_),
-          index(pa_, sources_, config_.resolveIndirectCalls),
+        : pa(pa_), sources(sources_),
+          index(pa_, sources_, kResolveIndirectCalls),
           fnStates(pa_.linked->fnCount())
     {
     }
@@ -82,8 +95,7 @@ struct Engine
             return op.tmp < tmps.size() ? tmps[op.tmp] : 0;
         };
 
-        for (std::size_t pass = 0; pass < config.passesPerFunction;
-             ++pass) {
+        for (std::size_t pass = 0; pass < kPassesPerFunction; ++pass) {
             for (int i = 0; i < ir::kNumArgRegs; ++i)
                 regs[i] |= state.paramIn[i];
 
@@ -333,7 +345,7 @@ StaEngine::run(const ProgramAnalysis &pa,
 {
     obs::ScopedTimer runSpan("taint/sta");
 
-    Engine engine(pa, config_, sources);
+    Engine engine(pa, sources);
 
     std::deque<FnId> worklist;
     std::vector<bool> queued(pa.linked->fnCount(), true);
@@ -348,8 +360,7 @@ StaEngine::run(const ProgramAnalysis &pa,
 
     std::size_t processed = 0;
     const std::size_t cap =
-        config_.maxRounds * std::max<std::size_t>(
-                                1, pa.linked->fnCount());
+        kMaxRounds * std::max<std::size_t>(1, pa.linked->fnCount());
     bool exhausted = false;
     while (!worklist.empty()) {
         if (deadline.expiredCoarse(processed)) {

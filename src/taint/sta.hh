@@ -29,17 +29,6 @@ class StaEngine
   public:
     struct Config
     {
-        /** Follow UCSE-resolved indirect call edges. Off by default:
-         * the paper's STA is built on an IDA CFG/CG without indirect
-         * resolution. */
-        bool resolveIndirectCalls = false;
-
-        /** Fixpoint round cap (whole-program sweeps). */
-        std::size_t maxRounds = 24;
-
-        /** Per-function layout-order iterations per sweep. */
-        std::size_t passesPerFunction = 2;
-
         /** Wall-clock budget in milliseconds; 0 = unlimited. On
          * expiry the fixpoint stops where it is and the collection
          * sweep still runs, so the report carries partial alerts with

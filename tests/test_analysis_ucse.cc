@@ -178,9 +178,7 @@ TEST(Ucse, LoopBounded)
     b.jump(header);
     b.switchTo(header);
     b.jump(header); // infinite loop
-    UcseConfig config;
-    config.maxVisitsPerBlock = 3;
-    const UcseExplorer explorer(image, config);
+    const UcseExplorer explorer(image);
     const UcseResult result = explorer.explore(b.build(0));
     EXPECT_LT(result.steps, 100u); // bounded, no hang
 }

@@ -340,5 +340,57 @@ TEST(PrinterTest, ContainsAddressesAndMnemonics)
     EXPECT_NE(text.find("RET"), std::string::npos);
 }
 
+/** The exact text of every statement form, a branch to a later block
+ * and a direct call and jump: what `fits disasm` prints. */
+TEST(PrinterTest, PinsEveryDirectStatementForm)
+{
+    FunctionBuilder b("my_getter");
+    const auto exit = b.newBlock();
+    const auto arg = b.get(kRegR0);
+    const auto off = b.cnst(0x40);
+    const auto addr =
+        b.binop(BinOp::Add, Operand::ofTmp(arg), Operand::ofTmp(off));
+    const auto val = b.load(Operand::ofTmp(addr));
+    b.store(Operand::ofImm(0x9000), Operand::ofTmp(val));
+    b.call(0x8000);
+    b.branch(Operand::ofTmp(val), exit);
+    b.jump(exit);
+    b.switchTo(exit);
+    b.put(kRegR0, Operand::ofTmp(val));
+    b.ret();
+    EXPECT_EQ(printFunction(b.build(0x1000)),
+              "function my_getter @ 0x1000 (2 blocks, 4 tmps)\n"
+              "  block 0x1000:\n"
+              "    0x1000: t0 = GET(r0)\n"
+              "    0x1004: t1 = 0x40\n"
+              "    0x1008: t2 = Add(t0, t1)\n"
+              "    0x100c: t3 = LOAD(t2)\n"
+              "    0x1010: STORE(0x9000) = t3\n"
+              "    0x1014: CALL 0x8000\n"
+              "    0x1018: IF (t3) GOTO 0x1020\n"
+              "    0x101c: GOTO 0x1020\n"
+              "  block 0x1020:\n"
+              "    0x1020: PUT(r0) = t3\n"
+              "    0x1024: RET\n");
+}
+
+/** A function without a name prints as `<stripped>`; indirect calls
+ * and jumps print their operand. */
+TEST(PrinterTest, PinsStrippedNameAndIndirectForms)
+{
+    FunctionBuilder b;
+    const auto target = b.get(kRegR1);
+    b.callIndirect(Operand::ofTmp(target));
+    b.put(kRegR0, Operand::ofImm(0x7));
+    b.jumpIndirect(Operand::ofTmp(target));
+    EXPECT_EQ(printFunction(b.build(0x100)),
+              "function <stripped> @ 0x100 (1 blocks, 1 tmps)\n"
+              "  block 0x100:\n"
+              "    0x100: t0 = GET(r1)\n"
+              "    0x104: CALL t0\n"
+              "    0x108: PUT(r0) = 0x7\n"
+              "    0x10c: GOTO t0\n");
+}
+
 } // namespace
 } // namespace fits::ir

@@ -102,8 +102,7 @@ TEST(Dbscan, TwoBlobsAndNoise)
                           rng.uniformReal(5, 5.2)});
     points.push_back({2.5, 2.5}); // isolated noise point
 
-    const DbscanResult r =
-        dbscan(points, {0.5, 3, Metric::Euclidean});
+    const DbscanResult r = dbscan(points, {0.5, 3});
     EXPECT_EQ(r.numClusters, 2);
     EXPECT_EQ(r.noiseCount(), 1u);
     EXPECT_EQ(r.labels[40], -1);
@@ -119,8 +118,7 @@ TEST(Dbscan, TwoBlobsAndNoise)
 TEST(Dbscan, AllNoiseWhenSparse)
 {
     Matrix points = {{0, 0}, {10, 0}, {0, 10}, {10, 10}};
-    const DbscanResult r = dbscan(points, {1.0, 3,
-                                           Metric::Euclidean});
+    const DbscanResult r = dbscan(points, {1.0, 3});
     EXPECT_EQ(r.numClusters, 0);
     EXPECT_EQ(r.noiseCount(), 4u);
 }
@@ -128,15 +126,14 @@ TEST(Dbscan, AllNoiseWhenSparse)
 TEST(Dbscan, MinPtsOneMakesEverythingCore)
 {
     Matrix points = {{0, 0}, {10, 0}};
-    const DbscanResult r = dbscan(points, {1.0, 1,
-                                           Metric::Euclidean});
+    const DbscanResult r = dbscan(points, {1.0, 1});
     EXPECT_EQ(r.numClusters, 2);
     EXPECT_EQ(r.noiseCount(), 0u);
 }
 
 TEST(Dbscan, EmptyInput)
 {
-    const DbscanResult r = dbscan({}, {0.5, 3, Metric::Euclidean});
+    const DbscanResult r = dbscan({}, {0.5, 3});
     EXPECT_EQ(r.numClusters, 0);
     EXPECT_TRUE(r.labels.empty());
 }
@@ -144,7 +141,7 @@ TEST(Dbscan, EmptyInput)
 TEST(Dbscan, RejectsRowsOfUnequalLength)
 {
     const Matrix ragged = {{0, 0}, {1}, {0, 1}};
-    EXPECT_THROW(dbscan(ragged, {1.0, 1, Metric::Euclidean}),
+    EXPECT_THROW(dbscan(ragged, {1.0, 1}),
                  std::invalid_argument);
 }
 

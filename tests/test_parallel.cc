@@ -405,8 +405,8 @@ referenceDbscan(const ml::Matrix &points, const ml::DbscanConfig &config)
     auto regionQuery = [&](std::size_t p) {
         std::vector<std::size_t> neighbors;
         for (std::size_t q = 0; q < points.size(); ++q) {
-            if (ml::distance(config.metric, points[p], points[q]) <=
-                config.eps) {
+            if (ml::distance(ml::Metric::Euclidean, points[p],
+                             points[q]) <= config.eps) {
                 neighbors.push_back(q);
             }
         }
@@ -540,9 +540,7 @@ corpusSamplePoints()
 }
 
 /** Unscaled small-integer rows with heavy duplication, as raw BFVs
- * collide, plus repeated all-zero rows (cosine distance 1 from every
- * row, themselves included) and repeated constant rows (Pearson
- * distance 1 likewise): classes that are not their own neighbors. */
+ * collide, plus repeated all-zero and repeated constant rows. */
 ml::Matrix
 smallIntegerPoints()
 {
@@ -590,19 +588,6 @@ signedZeroAndNanPoints()
     return points;
 }
 
-/** Two copies of a row whose L2 norm overflows, which puts it at
- * cosine distance NaN from itself but exactly 1 from each of four
- * mutually obtuse (tetrahedron) rows. Under eps 1 and minPts 4 both
- * copies are core yet not neighbors and have no core neighbor, so
- * each is a cluster by itself; the tetrahedron rows are borders of
- * the first. */
-ml::Matrix
-overflowingNormPoints()
-{
-    const ml::Vec huge(3, 1e200);
-    return {{1, 1, 1}, huge, {1, -1, -1}, {-1, 1, -1}, huge, {-1, -1, 1}};
-}
-
 /** A border row (1.875) adjacent to two clusters. Its first adjacent
  * core row in class order (2.75) belongs to the second cluster; the
  * first cluster (0.0 and 1.0) reaches it only through a later class.
@@ -641,13 +626,13 @@ expectMatchesOracle(const OracleCase &c)
 TEST(Dbscan, DedupedSeedsPreserveLabelsOnDenseBlob)
 {
     expectMatchesOracle({"dense blob", denseBlobPoints,
-                         {0.5, 4, ml::Metric::Euclidean}, 3, 5});
+                         {0.5, 4}, 3, 5});
 }
 
 TEST(Dbscan, UniformNoiseStillMatchesReference)
 {
     expectMatchesOracle({"uniform noise", uniformNoisePoints,
-                         {0.8, 3, ml::Metric::Euclidean}, 0, -1});
+                         {0.8, 3}, 0, -1});
 }
 
 /** Duplicate-heavy inputs shaped like the BFV matrices inference
@@ -663,37 +648,24 @@ TEST(Dbscan, LabelsMatchReferenceOracle)
     for (const auto &c : cases)
         expectMatchesOracle(c);
 
-    // Every metric over duplicate-heavy and self-distant rows, with
-    // minPts from 0 (every row core) through n (core only when
-    // adjacent to every row).
-    const std::pair<ml::Metric, double> metrics[] = {
-        {ml::Metric::Euclidean, 1.0},
-        {ml::Metric::Manhattan, 1.5},
-        {ml::Metric::Cosine, 0.05},
-        {ml::Metric::Pearson, 0.1},
-    };
+    // Duplicate-heavy and self-distant (NaN) rows, with minPts from 0
+    // (every row core) through n (core only when adjacent to every
+    // row).
     const std::pair<const char *, ml::Matrix (*)()> inputs[] = {
         {"small integers", smallIntegerPoints},
         {"signed zeros and NaN", signedZeroAndNanPoints},
         {"all identical", allIdenticalPoints},
     };
-    for (const auto &[metric, eps] : metrics) {
-        for (const auto &[name, points] : inputs) {
-            const std::size_t n = points().size();
-            for (std::size_t minPts : {std::size_t{0}, std::size_t{1},
-                                       std::size_t{3}, n}) {
-                SCOPED_TRACE(std::string(ml::metricName(metric)) +
-                             " minPts=" + std::to_string(minPts));
-                expectMatchesOracle(
-                    {name, points, {eps, minPts, metric}, 0, -1});
-            }
+    for (const auto &[name, points] : inputs) {
+        const std::size_t n = points().size();
+        for (std::size_t minPts : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{3}, n}) {
+            SCOPED_TRACE("minPts=" + std::to_string(minPts));
+            expectMatchesOracle({name, points, {1.0, minPts}, 0, -1});
         }
     }
-    expectMatchesOracle({"overflowing cosine norm", overflowingNormPoints,
-                         {1.0, 4, ml::Metric::Cosine}, 2, 0});
     expectMatchesOracle({"border between clusters",
-                         borderBetweenClustersPoints,
-                         {1.0, 4, ml::Metric::Euclidean}, 2, 0});
+                         borderBetweenClustersPoints, {1.0, 4}, 2, 0});
 }
 
 } // namespace

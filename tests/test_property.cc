@@ -191,7 +191,7 @@ TEST_P(DbscanSweep, LabelsAreWellFormed)
             v = rng.uniformReal(0, 2);
         points.push_back(std::move(row));
     }
-    const ml::DbscanConfig config{0.4, 3, ml::Metric::Euclidean};
+    const ml::DbscanConfig config{0.4, 3};
     const auto result = ml::dbscan(points, config);
     ASSERT_EQ(result.labels.size(), n);
     for (int label : result.labels) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/program_analysis.hh"
 #include "ir/builder.hh"
@@ -33,8 +34,12 @@ constexpr ir::Addr kBuf = bin::kBssBase;
 constexpr ir::Addr kOut = bin::kBssBase + 0x200;
 
 /**
- * recvRoot: recv(0, kBuf, 64); v = *(kBuf+off); chain1(v)
+ * recvRoot: recv(0, kBuf, 64); v = *(kBuf+off); <filler>; chain1(v)
  * chain1(v) -> chain2(v) -> ... -> chainN(v) -> strcpy(kOut, v)
+ *
+ * ChainWorld(N) has N chain functions. The root is frame 1, so chainN,
+ * which calls the sink, runs in frame N + 1. `filler` pads the root
+ * with that many constant statements between the seed and the chain.
  */
 struct ChainWorld
 {
@@ -42,7 +47,8 @@ struct ChainWorld
     std::vector<bin::BinaryImage> libs;
     ir::Addr sink = 0;
 
-    explicit ChainWorld(int depth, ir::Addr loadOffset = 4)
+    explicit ChainWorld(int depth, ir::Addr loadOffset = 4,
+                        std::size_t filler = 0)
     {
         main.name = "httpd";
         const auto recvPlt = main.addImport("recv", "libc.so");
@@ -94,6 +100,8 @@ struct ChainWorld
             b.setArg(2, imm(64));
             b.call(recvPlt);
             auto v = b.load(imm(kBuf + loadOffset));
+            for (std::size_t i = 0; i < filler; ++i)
+                b.cnst(i);
             b.setArg(0, t(v));
             b.call(callee);
             b.ret();
@@ -124,7 +132,7 @@ TEST(KaronteBudget, FindsSinkWithinDepth)
 
 TEST(KaronteBudget, DepthLimitCutsDeepChains)
 {
-    const ChainWorld world(6); // deeper than the default limit of 4
+    const ChainWorld world(6); // deeper than the limit of 4
     const analysis::LinkedProgram linked(world.main, world.libs);
     const auto pa = analysis::ProgramAnalysis::analyze(linked);
     const KaronteEngine karonte;
@@ -132,29 +140,43 @@ TEST(KaronteBudget, DepthLimitCutsDeepChains)
     EXPECT_FALSE(alertAt(report.alerts, world.sink));
 }
 
-TEST(KaronteBudget, RaisingDepthRecoversTheSink)
+TEST(KaronteBudget, DepthLimitBoundary)
 {
-    const ChainWorld world(6);
-    const analysis::LinkedProgram linked(world.main, world.libs);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    KaronteEngine::Config config;
-    config.maxCallDepth = 10;
-    const KaronteEngine karonte(config);
-    const auto report = karonte.run(pa, classicalTaintSources());
-    EXPECT_TRUE(alertAt(report.alerts, world.sink));
+    // A call descends only from fewer than kMaxCallDepth frames, so
+    // the sink's caller may run in frame 4 at most: chain 3 is the
+    // deepest that alerts, chain 4 the shallowest that does not.
+    static_assert(KaronteEngine::kMaxCallDepth == 4);
+    for (const auto &[depth, alerts] : {std::pair{3, true},
+                                        std::pair{4, false}}) {
+        SCOPED_TRACE(depth);
+        const ChainWorld world(depth);
+        const analysis::LinkedProgram linked(world.main, world.libs);
+        const auto pa = analysis::ProgramAnalysis::analyze(linked);
+        const auto report =
+            KaronteEngine().run(pa, classicalTaintSources());
+        EXPECT_EQ(alertAt(report.alerts, world.sink), alerts);
+    }
 }
 
 TEST(KaronteBudget, StepBudgetExhaustionIsReported)
 {
-    const ChainWorld world(3);
-    const analysis::LinkedProgram linked(world.main, world.libs);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    KaronteEngine::Config config;
-    config.maxTotalSteps = 5; // far too small
-    const KaronteEngine karonte(config);
-    const auto report = karonte.run(pa, classicalTaintSources());
-    EXPECT_TRUE(report.budgetExhausted);
-    EXPECT_FALSE(alertAt(report.alerts, world.sink));
+    // The root spends the whole-binary budget on filler before the
+    // sink chain; with a few statements of filler the sink alerts.
+    for (const auto &[filler, exhausted] :
+         {std::pair{std::size_t{16}, false},
+          std::pair{KaronteEngine::kMaxTotalSteps, true}}) {
+        SCOPED_TRACE(filler);
+        const ChainWorld world(1, 4, filler);
+        const analysis::LinkedProgram linked(world.main, world.libs);
+        const auto pa = analysis::ProgramAnalysis::analyze(linked);
+        const auto report =
+            KaronteEngine().run(pa, classicalTaintSources());
+        EXPECT_EQ(report.budgetExhausted, exhausted);
+        EXPECT_EQ(alertAt(report.alerts, world.sink), !exhausted);
+        if (exhausted) {
+            EXPECT_EQ(report.steps, KaronteEngine::kMaxTotalSteps);
+        }
+    }
 }
 
 TEST(StaBudget, DepthDoesNotLimitDataflow)

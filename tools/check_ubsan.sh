@@ -25,6 +25,6 @@ fits_sanitized_tests "$BUILD" undefined
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='Deadline.*:Hash64.*:Corruption.*:Robustness.*:Parse.RejectsGarbage:CacheTest.*:Fbin.*:ByteBuf.*:Fwimg.*:Taint*:GoldenCorpus.*:ReachDef*:Dbscan.*'
+    --gtest_filter='Deadline.*:Hash64.*:Corruption.*:Robustness.*:CacheTest.*:Fbin.*:ByteBuf.*:Fwimg.*:Taint*:GoldenCorpus.*:ReachDef*:Dbscan.*'
 
 echo "ubsan: no undefined behavior detected"
