@@ -374,17 +374,27 @@ TEST(PrinterTest, PinsEveryDirectStatementForm)
               "    0x1024: RET\n");
 }
 
-/** A function without a name prints as `<stripped>`; indirect calls
- * and jumps print their operand. */
-TEST(PrinterTest, PinsStrippedNameAndIndirectForms)
+/** A function without a name prints as `<stripped>`. */
+TEST(PrinterTest, PinsStrippedName)
 {
     FunctionBuilder b;
+    b.ret();
+    EXPECT_EQ(printFunction(b.build(0x2000)),
+              "function <stripped> @ 0x2000 (1 blocks, 0 tmps)\n"
+              "  block 0x2000:\n"
+              "    0x2000: RET\n");
+}
+
+/** Indirect calls and jumps print their operand. */
+TEST(PrinterTest, PinsIndirectForms)
+{
+    FunctionBuilder b("f");
     const auto target = b.get(kRegR1);
     b.callIndirect(Operand::ofTmp(target));
     b.put(kRegR0, Operand::ofImm(0x7));
     b.jumpIndirect(Operand::ofTmp(target));
     EXPECT_EQ(printFunction(b.build(0x100)),
-              "function <stripped> @ 0x100 (1 blocks, 1 tmps)\n"
+              "function f @ 0x100 (1 blocks, 1 tmps)\n"
               "  block 0x100:\n"
               "    0x100: t0 = GET(r1)\n"
               "    0x104: CALL t0\n"
