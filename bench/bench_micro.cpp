@@ -3,9 +3,10 @@
  * Micro-benchmarks (google-benchmark) of the analysis primitives the
  * FITS pipeline is built on: the sample byte path (payload hashing,
  * FWIMG pack/unpack, FBIN write/load, behavior-bundle decode), UCSE
- * exploration, CFG + loop analysis, reaching definitions, Table-2
- * backtracking, DBSCAN, and Eq.-2 scoring. These are the ingredients
- * whose costs compose into the Figure 4 curves.
+ * exploration, CFG + loop analysis, reaching definitions, the call
+ * graph, Table-2 backtracking, DBSCAN, Eq.-2 scoring, and STA runs.
+ * These are the ingredients whose costs compose into the Figure 4
+ * curves.
  */
 
 #include <benchmark/benchmark.h>
@@ -25,6 +26,7 @@
 #include "support/rng.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
+#include "taint/sta.hh"
 
 namespace {
 
@@ -253,6 +255,58 @@ BM_ReachingDefs(benchmark::State &state)
 }
 BENCHMARK(BM_ReachingDefs);
 
+/** The shared sample's linked program and whole-program analysis. */
+const analysis::ProgramAnalysis &
+programAnalysis()
+{
+    static const analysis::LinkedProgram linked(*target().main,
+                                                target().libraries);
+    static const analysis::ProgramAnalysis pa =
+        analysis::ProgramAnalysis::analyze(linked);
+    return pa;
+}
+
+/** The CTS set, or the CTS set plus the sample's true ITSs. */
+std::vector<taint::TaintSource>
+staSources(bool its)
+{
+    auto sources = taint::classicalTaintSources();
+    if (its) {
+        for (ir::Addr entry : sample().truth.itsFunctions)
+            sources.push_back(
+                taint::TaintSource::its(entry, support::hex(entry)));
+    }
+    return sources;
+}
+
+void
+BM_CallGraphBuild(benchmark::State &state)
+{
+    const auto &pa = programAnalysis();
+    std::vector<const analysis::UcseResult *> ucse;
+    for (const auto &fa : pa.fns)
+        ucse.push_back(&fa.ucse);
+    for (auto _ : state) {
+        auto cg = analysis::CallGraph::build(*pa.linked, &ucse);
+        benchmark::DoNotOptimize(cg);
+    }
+}
+BENCHMARK(BM_CallGraphBuild);
+
+void
+BM_StaRun(benchmark::State &state, bool its)
+{
+    const auto &pa = programAnalysis();
+    const auto sources = staSources(its);
+    const taint::StaEngine sta;
+    for (auto _ : state) {
+        auto report = sta.run(pa, sources);
+        benchmark::DoNotOptimize(report);
+    }
+}
+BENCHMARK_CAPTURE(BM_StaRun, cts, false);
+BENCHMARK_CAPTURE(BM_StaRun, cts_its, true);
+
 /** The first standard-corpus sample's custom-function BFVs, max-abs
  * scaled: the matrix core::inferIts clusters. Corpus-wide only 3.4 %
  * of these rows are distinct. */
@@ -328,6 +382,16 @@ main(int argc, char **argv)
 
     fits::obs::BenchRecord record("micro");
     record.add("benchmarks_run", static_cast<double>(run));
+    // STA's fixpoint steps on the shared sample, CTS and CTS+ITS runs
+    // together: a deterministic count, unlike the timings.
+    {
+        std::size_t staSteps = 0;
+        for (const bool its : {false, true})
+            staSteps += fits::taint::StaEngine()
+                            .run(programAnalysis(), staSources(its))
+                            .steps;
+        record.add("sta_steps", static_cast<double>(staSteps));
+    }
     const auto addKernel = [&](const std::string &key,
                                const std::string &span) {
         // Spans nest under their parent ("cluster/kernel.cluster"),

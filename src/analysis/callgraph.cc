@@ -1,26 +1,22 @@
 #include "callgraph.hh"
 
-#include <unordered_set>
-
 namespace fits::analysis {
-
-const std::vector<std::size_t> CallGraph::kEmpty_;
 
 CallGraph
 CallGraph::build(const LinkedProgram &linked,
-                 const std::unordered_map<FnId, const UcseResult *>
-                     *ucseByFn)
+                 const std::vector<const UcseResult *> *ucseByFn)
 {
     CallGraph cg;
+    const std::size_t fnCount = linked.fnCount();
+    cg.callerOffsets_.resize(fnCount + 1);
 
-    for (FnId caller = 0; caller < linked.fnCount(); ++caller) {
+    for (FnId caller = 0; caller < fnCount; ++caller) {
+        cg.callerOffsets_[caller] = cg.sites_.size();
         const FnRef &ref = linked.fn(caller);
-        const UcseResult *ucse = nullptr;
-        if (ucseByFn != nullptr) {
-            auto it = ucseByFn->find(caller);
-            if (it != ucseByFn->end())
-                ucse = it->second;
-        }
+        const UcseResult *ucse = ucseByFn != nullptr &&
+                                         caller < ucseByFn->size()
+                                     ? (*ucseByFn)[caller]
+                                     : nullptr;
 
         for (std::size_t bi = 0; bi < ref.fn->blocks.size(); ++bi) {
             const ir::BasicBlock &block = ref.fn->blocks[bi];
@@ -29,73 +25,69 @@ CallGraph::build(const LinkedProgram &linked,
                 if (stmt.kind != ir::StmtKind::Call)
                     continue;
 
-                const Addr stmtAddr = block.stmtAddr(si);
-
-                auto emit = [&](Addr targetAddr, bool indirect) {
-                    CallSite site;
-                    site.caller = caller;
-                    site.blockIdx = bi;
-                    site.stmtIdx = si;
-                    site.stmtAddr = stmtAddr;
-                    site.indirect = indirect;
-                    site.target = linked.resolve(ref.image, targetAddr);
-                    const std::size_t idx = cg.sites_.size();
-                    cg.byCaller_[caller].push_back(idx);
-                    if (site.resolvesToFunction())
-                        cg.byCallee_[site.target.fn].push_back(idx);
-                    cg.sites_.push_back(std::move(site));
-                };
-
+                auto &site = cg.sites_.emplace_back();
+                site.caller = caller;
+                site.blockIdx = bi;
+                site.stmtIdx = si;
+                site.stmtAddr = block.stmtAddr(si);
+                site.indirect = stmt.indirect;
                 if (!stmt.indirect) {
-                    emit(stmt.target, false);
-                } else if (ucse != nullptr) {
-                    auto it = ucse->resolvedCalls.find(stmtAddr);
-                    if (it != ucse->resolvedCalls.end()) {
-                        for (Addr t : it->second)
-                            emit(t, true);
-                    } else {
-                        // Unresolved indirect call: keep the site with
-                        // an Unknown target so engines can account for
-                        // interrupted data flow.
-                        CallSite site;
-                        site.caller = caller;
-                        site.blockIdx = bi;
-                        site.stmtIdx = si;
-                        site.stmtAddr = stmtAddr;
-                        site.indirect = true;
-                        cg.byCaller_[caller].push_back(
-                            cg.sites_.size());
-                        cg.sites_.push_back(std::move(site));
-                    }
-                } else {
-                    CallSite site;
-                    site.caller = caller;
-                    site.blockIdx = bi;
-                    site.stmtIdx = si;
-                    site.stmtAddr = stmtAddr;
-                    site.indirect = true;
-                    cg.byCaller_[caller].push_back(cg.sites_.size());
-                    cg.sites_.push_back(std::move(site));
+                    site.target = linked.resolve(ref.image, stmt.target);
+                    continue;
+                }
+                const std::vector<Addr> *targets = nullptr;
+                if (ucse != nullptr) {
+                    auto it = ucse->resolvedCalls.find(site.stmtAddr);
+                    if (it != ucse->resolvedCalls.end())
+                        targets = &it->second;
+                }
+                // An unresolved indirect call keeps one site with an
+                // Unknown target, so engines can account for the
+                // interrupted data flow; a resolved one gets a site per
+                // target.
+                if (targets == nullptr)
+                    continue;
+                const CallSite proto = site;
+                for (std::size_t t = 0; t < targets->size(); ++t) {
+                    CallSite &out =
+                        t == 0 ? cg.sites_.back()
+                               : cg.sites_.emplace_back(proto);
+                    out.target =
+                        linked.resolve(ref.image, (*targets)[t]);
                 }
             }
         }
+    }
+    cg.callerOffsets_[fnCount] = cg.sites_.size();
+
+    // Callee index: a counting sort of the resolved sites by target,
+    // stable in site order.
+    cg.calleeOffsets_.assign(fnCount + 1, 0);
+    for (const CallSite &site : cg.sites_) {
+        if (site.resolvesToFunction())
+            ++cg.calleeOffsets_[site.target.fn + std::size_t{1}];
+    }
+    for (std::size_t f = 0; f < fnCount; ++f)
+        cg.calleeOffsets_[f + 1] += cg.calleeOffsets_[f];
+    cg.calleeSites_.resize(cg.calleeOffsets_[fnCount]);
+    std::vector<std::size_t> fill(cg.calleeOffsets_.begin(),
+                                  cg.calleeOffsets_.end() - 1);
+    for (std::size_t idx = 0; idx < cg.sites_.size(); ++idx) {
+        const CallSite &site = cg.sites_[idx];
+        if (site.resolvesToFunction())
+            cg.calleeSites_[fill[site.target.fn]++] = idx;
     }
 
     return cg;
 }
 
-const std::vector<std::size_t> &
-CallGraph::sitesOfCaller(FnId caller) const
-{
-    auto it = byCaller_.find(caller);
-    return it == byCaller_.end() ? kEmpty_ : it->second;
-}
-
-const std::vector<std::size_t> &
+std::span<const std::size_t>
 CallGraph::sitesOfCallee(FnId callee) const
 {
-    auto it = byCallee_.find(callee);
-    return it == byCallee_.end() ? kEmpty_ : it->second;
+    if (callee + std::size_t{1} >= calleeOffsets_.size())
+        return {};
+    return {calleeSites_.data() + calleeOffsets_[callee],
+            calleeOffsets_[callee + 1] - calleeOffsets_[callee]};
 }
 
 std::size_t
@@ -107,10 +99,16 @@ CallGraph::callerSiteCount(FnId callee) const
 std::size_t
 CallGraph::distinctCallerCount(FnId callee) const
 {
-    std::unordered_set<FnId> callers;
-    for (std::size_t idx : sitesOfCallee(callee))
-        callers.insert(sites_[idx].caller);
-    return callers.size();
+    // Sites are in caller order, so each caller's sites are adjacent.
+    std::size_t n = 0;
+    const CallSite *last = nullptr;
+    for (std::size_t idx : sitesOfCallee(callee)) {
+        const CallSite &site = sites_[idx];
+        if (last == nullptr || last->caller != site.caller)
+            ++n;
+        last = &site;
+    }
+    return n;
 }
 
 std::size_t

@@ -1,43 +1,77 @@
 #include "cfg.hh"
 
-#include <algorithm>
+#include "analysis/scratch.hh"
 
 namespace fits::analysis {
 
-void
-Cfg::addEdge(std::size_t from, std::size_t to)
+namespace detail {
+
+Scratch &
+scratch()
 {
-    auto &out = succs_[from];
-    if (std::find(out.begin(), out.end(), to) != out.end())
-        return;
-    out.push_back(to);
-    preds_[to].push_back(from);
+    thread_local Scratch s;
+    return s;
 }
+
+void
+postorder(const Cfg &cfg, Scratch &s)
+{
+    const std::size_t n = cfg.numBlocks();
+    s.seen.assign(n, 0);
+    s.order.clear();
+    s.dfs.clear();
+    if (n == 0)
+        return;
+    s.seen[cfg.entry()] = 1;
+    s.dfs.emplace_back(cfg.entry(), 0);
+    while (!s.dfs.empty()) {
+        auto &[b, next] = s.dfs.back();
+        const auto succs = cfg.succs(b);
+        if (next < succs.size()) {
+            const std::size_t succ = succs[next++];
+            if (!s.seen[succ]) {
+                s.seen[succ] = 1;
+                s.dfs.emplace_back(succ, 0);
+            }
+        } else {
+            s.order.push_back(b);
+            s.dfs.pop_back();
+        }
+    }
+}
+
+} // namespace detail
 
 Cfg
 Cfg::build(const ir::Function &fn,
            const std::unordered_map<Addr, std::vector<Addr>>
                *resolvedTargets)
 {
-    Cfg cfg;
     const std::size_t n = fn.blocks.size();
-    cfg.succs_.resize(n);
-    cfg.preds_.resize(n);
+    auto &edges = detail::scratch().edges;
+    edges.clear();
 
-    std::unordered_map<Addr, std::size_t> blockAt;
-    for (std::size_t i = 0; i < n; ++i)
-        blockAt[fn.blocks[i].addr] = i;
+    // Edges leave the blocks in index order, so the duplicates of an
+    // edge are among those its source block added.
+    std::size_t rowStart = 0;
+    auto addEdge = [&](std::size_t from, std::size_t to) {
+        if (to == ir::Function::npos)
+            return;
+        for (std::size_t e = rowStart; e < edges.size(); ++e) {
+            if (edges[e].second == to)
+                return;
+        }
+        edges.emplace_back(from, to);
+    };
 
     for (std::size_t i = 0; i < n; ++i) {
         const ir::BasicBlock &block = fn.blocks[i];
+        rowStart = edges.size();
 
         // Conditional side exits may appear anywhere in the block.
         for (const auto &stmt : block.stmts) {
-            if (stmt.kind != ir::StmtKind::Branch)
-                continue;
-            auto it = blockAt.find(stmt.target);
-            if (it != blockAt.end())
-                cfg.addEdge(i, it->second);
+            if (stmt.kind == ir::StmtKind::Branch)
+                addEdge(i, fn.blockIndexAt(stmt.target));
         }
 
         // Final control transfer.
@@ -46,30 +80,52 @@ Cfg::build(const ir::Function &fn,
             // Implicit fallthrough (also the not-taken path of a
             // trailing Branch).
             if (i + 1 < n)
-                cfg.addEdge(i, i + 1);
+                addEdge(i, i + 1);
             continue;
         }
         if (term->kind == ir::StmtKind::Jump) {
             if (!term->indirect) {
-                auto it = blockAt.find(term->target);
-                if (it != blockAt.end())
-                    cfg.addEdge(i, it->second);
+                addEdge(i, fn.blockIndexAt(term->target));
             } else if (resolvedTargets != nullptr) {
                 const Addr stmtAddr =
                     block.stmtAddr(block.stmts.size() - 1);
                 auto rt = resolvedTargets->find(stmtAddr);
                 if (rt != resolvedTargets->end()) {
-                    for (Addr target : rt->second) {
-                        auto it = blockAt.find(target);
-                        if (it != blockAt.end())
-                            cfg.addEdge(i, it->second);
-                    }
+                    for (Addr target : rt->second)
+                        addEdge(i, fn.blockIndexAt(target));
                 }
             }
         }
         // Ret: no successors.
     }
 
+    Cfg cfg;
+    cfg.n_ = n;
+    if (n == 0)
+        return cfg;
+    const std::size_t m = edges.size();
+    cfg.offsets_.assign(2 * n + 2, 0);
+    cfg.edges_.resize(2 * m);
+    std::size_t *succOff = cfg.offsets_.data();
+    std::size_t *predOff = succOff + n + 1;
+
+    // Successor rows: the edges are already grouped by source.
+    for (std::size_t e = 0; e < m; ++e) {
+        ++succOff[edges[e].first + 1];
+        ++predOff[edges[e].second + 1];
+        cfg.edges_[e] = edges[e].second;
+    }
+    for (std::size_t b = 0; b < n; ++b)
+        succOff[b + 1] += succOff[b];
+
+    // Predecessor rows: a stable counting sort by target.
+    predOff[0] = m;
+    for (std::size_t b = 0; b < n; ++b)
+        predOff[b + 1] += predOff[b];
+    auto &fill = detail::scratch().order;
+    fill.assign(predOff, predOff + n);
+    for (std::size_t e = 0; e < m; ++e)
+        cfg.edges_[fill[edges[e].second]++] = edges[e].first;
     return cfg;
 }
 
@@ -79,12 +135,13 @@ Cfg::reachable() const
     std::vector<bool> seen(numBlocks(), false);
     if (numBlocks() == 0)
         return seen;
-    std::vector<std::size_t> stack = {entry()};
+    auto &stack = detail::scratch().stack;
+    stack.assign(1, entry());
     seen[entry()] = true;
     while (!stack.empty()) {
         const std::size_t b = stack.back();
         stack.pop_back();
-        for (std::size_t s : succs_[b]) {
+        for (std::size_t s : succs(b)) {
             if (!seen[s]) {
                 seen[s] = true;
                 stack.push_back(s);
@@ -92,15 +149,6 @@ Cfg::reachable() const
         }
     }
     return seen;
-}
-
-std::size_t
-Cfg::numEdges() const
-{
-    std::size_t n = 0;
-    for (const auto &out : succs_)
-        n += out.size();
-    return n;
 }
 
 } // namespace fits::analysis

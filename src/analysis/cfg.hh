@@ -1,6 +1,7 @@
 #ifndef FITS_ANALYSIS_CFG_HH_
 #define FITS_ANALYSIS_CFG_HH_
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +27,11 @@ using ir::Addr;
  *
  * Calls are not block terminators in FIR (as in VEX, control returns to
  * the following statement), so they contribute no CFG edges.
+ *
+ * Stored in compressed sparse row form: one offsets array (successor
+ * rows, then predecessor rows) into one edge array (successor lists,
+ * then predecessor lists). Successors are in insertion order,
+ * predecessors in edge order.
  */
 class Cfg
 {
@@ -39,32 +45,40 @@ class Cfg
                      const std::unordered_map<Addr, std::vector<Addr>>
                          *resolvedTargets = nullptr);
 
-    std::size_t numBlocks() const { return succs_.size(); }
+    std::size_t numBlocks() const { return n_; }
     std::size_t entry() const { return 0; }
 
-    const std::vector<std::size_t> &
+    std::span<const std::size_t>
     succs(std::size_t block) const
     {
-        return succs_[block];
+        return row(block);
     }
 
-    const std::vector<std::size_t> &
+    std::span<const std::size_t>
     preds(std::size_t block) const
     {
-        return preds_[block];
+        return row(n_ + 1 + block);
     }
 
     /** Blocks reachable from the entry (DFS over successor edges). */
     std::vector<bool> reachable() const;
 
     /** Number of edges in the graph. */
-    std::size_t numEdges() const;
+    std::size_t numEdges() const { return edges_.size() / 2; }
 
   private:
-    void addEdge(std::size_t from, std::size_t to);
+    std::span<const std::size_t>
+    row(std::size_t r) const
+    {
+        return {edges_.data() + offsets_[r],
+                offsets_[r + 1] - offsets_[r]};
+    }
 
-    std::vector<std::vector<std::size_t>> succs_;
-    std::vector<std::vector<std::size_t>> preds_;
+    std::size_t n_ = 0;
+    /** offsets_[b] .. offsets_[b + 1]: successors of block b;
+     * offsets_[n + 1 + b] .. offsets_[n + 2 + b]: its predecessors. */
+    std::vector<std::size_t> offsets_;
+    std::vector<std::size_t> edges_;
 };
 
 } // namespace fits::analysis

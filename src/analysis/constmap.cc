@@ -6,49 +6,51 @@ TmpConstMap
 TmpConstMap::compute(const ir::Function &fn, const bin::BinaryImage *image)
 {
     TmpConstMap map;
+    map.slots_.resize(fn.numTmps);
 
     // Phase 1: temporaries with more than one definition are never
     // treated as constant (flow-insensitivity would conflate paths).
-    std::unordered_map<ir::TmpId, int> defCount;
     for (const auto &block : fn.blocks) {
         for (const auto &stmt : block.stmts) {
-            if (stmt.definesTmp())
-                ++defCount[stmt.dst];
+            if (!stmt.definesTmp())
+                continue;
+            if (stmt.dst >= map.slots_.size())
+                map.slots_.resize(stmt.dst + std::size_t{1});
+            Slot &slot = map.slots_[stmt.dst];
+            if (slot.defs < 2)
+                ++slot.defs;
         }
     }
-    for (const auto &[tmp, count] : defCount) {
-        if (count > 1)
-            map.conflicted_[tmp] = true;
-    }
-
-    auto eligible = [&map](ir::TmpId t) {
-        auto it = map.conflicted_.find(t);
-        return it == map.conflicted_.end() || !it->second;
-    };
 
     // Phase 2: fold single-definition temporaries to a fixpoint. A
     // Binop/Load may only fold after its inputs did, so iterate until
     // no new values appear.
+    auto fold = [&map](ir::TmpId t, std::uint64_t value) {
+        map.slots_[t].value = value;
+        map.slots_[t].folded = true;
+        ++map.known_;
+    };
     bool changed = true;
     while (changed) {
         changed = false;
         for (const auto &block : fn.blocks) {
             for (const auto &stmt : block.stmts) {
-                if (!stmt.definesTmp() || !eligible(stmt.dst) ||
-                    map.values_.count(stmt.dst) != 0) {
+                if (!stmt.definesTmp())
                     continue;
-                }
+                const Slot &slot = map.slots_[stmt.dst];
+                if (slot.defs > 1 || slot.folded)
+                    continue;
                 switch (stmt.kind) {
                   case ir::StmtKind::Const:
-                    map.values_[stmt.dst] = stmt.a.imm;
+                    fold(stmt.dst, stmt.a.imm);
                     changed = true;
                     break;
                   case ir::StmtKind::Binop: {
                     auto lhs = map.valueOf(stmt.a);
                     auto rhs = map.valueOf(stmt.b);
                     if (lhs && rhs) {
-                        map.values_[stmt.dst] =
-                            ir::evalBinOp(stmt.op, *lhs, *rhs);
+                        fold(stmt.dst,
+                             ir::evalBinOp(stmt.op, *lhs, *rhs));
                         changed = true;
                     }
                     break;
@@ -59,7 +61,7 @@ TmpConstMap::compute(const ir::Function &fn, const bin::BinaryImage *image)
                     if (addr && image != nullptr &&
                         image->isRodata(*addr)) {
                         if (auto word = image->readWord(*addr)) {
-                            map.values_[stmt.dst] = *word;
+                            fold(stmt.dst, *word);
                             changed = true;
                         }
                     }
@@ -78,10 +80,9 @@ TmpConstMap::compute(const ir::Function &fn, const bin::BinaryImage *image)
 std::optional<std::uint64_t>
 TmpConstMap::valueOf(ir::TmpId t) const
 {
-    auto it = values_.find(t);
-    if (it == values_.end())
+    if (t >= slots_.size() || !slots_[t].folded)
         return std::nullopt;
-    return it->second;
+    return slots_[t].value;
 }
 
 std::optional<std::uint64_t>

@@ -2,7 +2,7 @@
 #define FITS_ANALYSIS_CONSTMAP_HH_
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "binary/image.hh"
 #include "ir/function.hh"
@@ -33,11 +33,20 @@ class TmpConstMap
     /** Constant value of an operand (immediates are constants). */
     std::optional<std::uint64_t> valueOf(const ir::Operand &op) const;
 
-    std::size_t knownCount() const { return values_.size(); }
+    std::size_t knownCount() const { return known_; }
 
   private:
-    std::unordered_map<ir::TmpId, std::uint64_t> values_;
-    std::unordered_map<ir::TmpId, bool> conflicted_;
+    /** One slot per temporary: how many statements define it (capped
+     * at 2, which means "never constant") and its folded value. */
+    struct Slot
+    {
+        std::uint64_t value = 0;
+        std::uint8_t defs = 0;
+        bool folded = false;
+    };
+
+    std::vector<Slot> slots_;
+    std::size_t known_ = 0;
 };
 
 } // namespace fits::analysis

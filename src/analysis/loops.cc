@@ -1,6 +1,6 @@
 #include "loops.hh"
 
-#include <algorithm>
+#include "analysis/scratch.hh"
 
 namespace fits::analysis {
 
@@ -21,23 +21,6 @@ LoopInfo::dominates(std::size_t a, std::size_t b) const
     }
 }
 
-namespace {
-
-/** Reverse-postorder numbering of reachable blocks. */
-void
-postorder(const Cfg &cfg, std::size_t block, std::vector<bool> &seen,
-          std::vector<std::size_t> &order)
-{
-    seen[block] = true;
-    for (std::size_t s : cfg.succs(block)) {
-        if (!seen[s])
-            postorder(cfg, s, seen, order);
-    }
-    order.push_back(block);
-}
-
-} // namespace
-
 LoopInfo
 analyzeLoops(const Cfg &cfg, const ir::Function &fn)
 {
@@ -50,11 +33,12 @@ analyzeLoops(const Cfg &cfg, const ir::Function &fn)
         return info;
 
     // Postorder, then RPO index per block.
-    std::vector<bool> seen(n, false);
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    postorder(cfg, cfg.entry(), seen, order);
-    std::vector<std::size_t> rpoIndex(n, LoopInfo::npos);
+    auto &scratch = detail::scratch();
+    detail::postorder(cfg, scratch);
+    const auto &seen = scratch.seen;
+    const auto &order = scratch.order;
+    auto &rpoIndex = scratch.rpoIndex;
+    rpoIndex.assign(n, LoopInfo::npos);
     {
         std::size_t idx = 0;
         for (auto it = order.rbegin(); it != order.rend(); ++it)
@@ -108,21 +92,19 @@ analyzeLoops(const Cfg &cfg, const ir::Function &fn)
 
     // Natural loop bodies: header plus everything reaching the latch
     // without passing through the header.
+    auto &stack = scratch.stack;
+    auto &visited = scratch.visited;
     for (const auto &[latch, header] : info.backEdges) {
         info.inLoop[header] = true;
-        std::vector<std::size_t> stack;
-        if (!info.inLoop[latch] || latch == header) {
-            // (still walk: latch may already be in another loop)
-        }
-        stack.push_back(latch);
-        std::vector<bool> visited(n, false);
-        visited[header] = true;
+        stack.assign(1, latch);
+        visited.assign(n, 0);
+        visited[header] = 1;
         while (!stack.empty()) {
             const std::size_t b = stack.back();
             stack.pop_back();
             if (visited[b])
                 continue;
-            visited[b] = true;
+            visited[b] = 1;
             info.inLoop[b] = true;
             for (std::size_t p : cfg.preds(b))
                 stack.push_back(p);

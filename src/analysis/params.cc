@@ -1,5 +1,6 @@
 #include "params.hh"
 
+#include "analysis/scratch.hh"
 #include "ir/types.hh"
 
 namespace fits::analysis {
@@ -17,13 +18,16 @@ inferParams(const Cfg &cfg, const ir::Function &fn)
 
     // writtenIn[b]: arg registers written on *all* paths from the entry
     // to the start of b (must-analysis, intersection at joins).
-    std::vector<std::uint8_t> writtenIn(n, kAll);
+    auto &scratch = detail::scratch();
+    auto &writtenIn = scratch.out;
+    writtenIn.assign(n, kAll);
     writtenIn[cfg.entry()] = 0;
 
     // Per-block transfer: registers PUT anywhere in the block (once a
     // block both reads and writes, the read is handled in the use scan
     // below with intra-block ordering).
-    std::vector<std::uint8_t> writeMask(n, 0);
+    auto &writeMask = scratch.cur;
+    writeMask.assign(n, 0);
     for (std::size_t b = 0; b < n; ++b) {
         for (const auto &stmt : fn.blocks[b].stmts) {
             if (stmt.kind == ir::StmtKind::Put &&
@@ -53,10 +57,11 @@ inferParams(const Cfg &cfg, const ir::Function &fn)
         }
     }
 
-    // Use scan with intra-block ordering.
-    const auto reachable = cfg.reachable();
+    // Use scan with intra-block ordering, over the blocks reachable
+    // from the entry.
+    detail::postorder(cfg, scratch);
     for (std::size_t b = 0; b < n; ++b) {
-        if (!reachable[b])
+        if (!scratch.seen[b])
             continue;
         std::uint8_t written = writtenIn[b];
         for (const auto &stmt : fn.blocks[b].stmts) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "analysis/scratch.hh"
 #include "ir/types.hh"
 #include "obs/metrics.hh"
 
@@ -17,39 +18,6 @@ using ir::Stmt;
 using ir::StmtKind;
 
 using Mask = std::uint8_t;
-
-/** Blocks in reverse post-order from the entry, then the blocks
- * unreachable from it in index order. */
-std::vector<std::size_t>
-rpoOrder(const Cfg &cfg, std::size_t n)
-{
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    std::vector<char> seen(n, 0);
-    std::vector<std::pair<std::size_t, std::size_t>> stack;
-    seen[cfg.entry()] = 1;
-    stack.emplace_back(cfg.entry(), 0);
-    while (!stack.empty()) {
-        auto &[b, next] = stack.back();
-        const auto &succs = cfg.succs(b);
-        if (next < succs.size()) {
-            const std::size_t succ = succs[next++];
-            if (!seen[succ]) {
-                seen[succ] = 1;
-                stack.emplace_back(succ, 0);
-            }
-        } else {
-            order.push_back(b);
-            stack.pop_back();
-        }
-    }
-    std::reverse(order.begin(), order.end());
-    for (std::size_t b = 0; b < n; ++b) {
-        if (!seen[b])
-            order.push_back(b);
-    }
-    return order;
-}
 
 } // namespace
 
@@ -67,8 +35,11 @@ ReachingDefs::analyze(const Cfg &cfg, const ir::Function &fn,
     if (n == 0)
         return result;
 
+    auto &scratch = detail::scratch();
+
     // One memory cell per distinct constant store address.
-    std::vector<std::uint64_t> cells;
+    auto &cells = scratch.cells;
+    cells.clear();
     for (const auto &block : fn.blocks) {
         for (const Stmt &stmt : block.stmts) {
             if (stmt.kind != StmtKind::Store)
@@ -98,13 +69,16 @@ ReachingDefs::analyze(const Cfg &cfg, const ir::Function &fn,
         return cellBase + static_cast<std::size_t>(it - cells.begin());
     };
 
-    std::vector<Mask> entryIn(width, 0);
+    auto &entryIn = scratch.entryIn;
+    entryIn.assign(width, 0);
     for (int i = 0; i < kNumArgRegs && i < numParams; ++i)
         entryIn[all + static_cast<std::size_t>(i)] =
             static_cast<Mask>(1u << i);
 
-    std::vector<Mask> out(n * width, 0);
-    std::vector<Mask> cur(width);
+    auto &out = scratch.out;
+    out.assign(n * width, 0);
+    auto &cur = scratch.cur;
+    cur.resize(width);
 
     // Transfer one block from its IN (already in `cur`), writing every
     // statement's mask into stmtDeps.
@@ -185,8 +159,15 @@ ReachingDefs::analyze(const Cfg &cfg, const ir::Function &fn,
     // OR-linear and monotone, so this reaches the least fixpoint.
     // Blocks unreachable from the entry are processed too, from an
     // empty IN unless some predecessor feeds them.
-    const std::vector<std::size_t> order = rpoOrder(cfg, n);
-    std::vector<char> dirty(n, 1);
+    detail::postorder(cfg, scratch);
+    auto &order = scratch.order;
+    std::reverse(order.begin(), order.end());
+    for (std::size_t b = 0; b < n; ++b) {
+        if (!scratch.seen[b])
+            order.push_back(b);
+    }
+    auto &dirty = scratch.dirty;
+    dirty.assign(n, 1);
     std::size_t tick = 0;
     for (bool again = true; again && !result.deadlineExpired;) {
         again = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/scratch.hh"
 #include "ir/types.hh"
 
 namespace fits::analysis {
@@ -13,24 +14,6 @@ using ir::kNumRegs;
 using ir::Operand;
 using ir::Stmt;
 using ir::StmtKind;
-
-/** One in-flight path state. */
-struct PathState
-{
-    std::size_t block;
-    std::vector<AbsVal> regs;
-    std::vector<AbsVal> tmps;
-};
-
-AbsVal
-evalOperand(const Operand &op, const PathState &state)
-{
-    if (op.isImm())
-        return AbsVal::constant(op.imm);
-    if (op.tmp < state.tmps.size())
-        return state.tmps[op.tmp];
-    return AbsVal::unknown();
-}
 
 void
 recordTarget(std::unordered_map<Addr, std::vector<Addr>> &map,
@@ -60,25 +43,43 @@ UcseExplorer::explore(const ir::Function &fn) const
     if (n == 0)
         return result;
 
-    std::unordered_map<Addr, std::size_t> blockAt;
-    for (std::size_t i = 0; i < n; ++i)
-        blockAt[fn.blocks[i].addr] = i;
+    // A path state is kNumRegs registers followed by numTmps
+    // temporaries. The running state lives in `state`; pending paths
+    // wait on one flat stack of such frames, popped last-in first-out.
+    auto &scratch = detail::scratch();
+    const std::size_t numTmps = fn.numTmps;
+    const std::size_t width = kNumRegs + numTmps;
+    auto &state = scratch.state;
+    auto &frames = scratch.frames;
+    auto &frameBlocks = scratch.frameBlocks;
+    auto &visits = scratch.visits;
+    frames.clear();
+    frameBlocks.clear();
+    visits.assign(n, 0);
 
     // Initial state: arguments symbolic (under-constrained), everything
     // else unknown.
-    PathState init;
-    init.block = 0;
-    init.regs.assign(kNumRegs, AbsVal::unknown());
+    state.assign(width, AbsVal::unknown());
     for (int i = 0; i < kNumArgRegs; ++i)
-        init.regs[i] = AbsVal::argument(i);
-    init.tmps.assign(fn.numTmps, AbsVal::unknown());
+        state[i] = AbsVal::argument(i);
+    AbsVal *regs = state.data();
+    AbsVal *tmps = regs + kNumRegs;
 
-    std::vector<PathState> worklist;
-    worklist.push_back(std::move(init));
-    std::vector<std::size_t> visits(n, 0);
+    auto push = [&](std::size_t block) {
+        frames.insert(frames.end(), state.begin(), state.end());
+        frameBlocks.push_back(block);
+    };
+    auto evalOperand = [&](const Operand &op) {
+        if (op.isImm())
+            return AbsVal::constant(op.imm);
+        if (op.tmp < numTmps)
+            return tmps[op.tmp];
+        return AbsVal::unknown();
+    };
 
+    push(0);
     std::size_t tick = 0;
-    while (!worklist.empty()) {
+    while (!frameBlocks.empty()) {
         if (result.steps >= config_.maxSteps) {
             result.budgetExhausted = true;
             break;
@@ -87,15 +88,19 @@ UcseExplorer::explore(const ir::Function &fn) const
             result.deadlineExpired = true;
             break;
         }
-        PathState state = std::move(worklist.back());
-        worklist.pop_back();
-
-        if (visits[state.block] >= kUcseMaxVisitsPerBlock)
+        const std::size_t current = frameBlocks.back();
+        frameBlocks.pop_back();
+        if (visits[current] >= kUcseMaxVisitsPerBlock) {
+            frames.resize(frames.size() - width);
             continue;
-        ++visits[state.block];
-        result.reachedBlocks[state.block] = true;
+        }
+        std::copy(frames.end() - static_cast<std::ptrdiff_t>(width),
+                  frames.end(), state.begin());
+        frames.resize(frames.size() - width);
+        ++visits[current];
+        result.reachedBlocks[current] = true;
 
-        const ir::BasicBlock &block = fn.blocks[state.block];
+        const ir::BasicBlock &block = fn.blocks[current];
         bool fellThrough = true;
         bool pathEnded = false;
 
@@ -107,30 +112,30 @@ UcseExplorer::explore(const ir::Function &fn) const
 
             switch (stmt.kind) {
               case StmtKind::Get:
-                state.tmps[stmt.dst] = stmt.reg < state.regs.size()
-                                           ? state.regs[stmt.reg]
-                                           : AbsVal::unknown();
+                tmps[stmt.dst] = stmt.reg < kNumRegs
+                                     ? regs[stmt.reg]
+                                     : AbsVal::unknown();
                 break;
               case StmtKind::Put:
-                if (stmt.reg < state.regs.size())
-                    state.regs[stmt.reg] = evalOperand(stmt.a, state);
+                if (stmt.reg < kNumRegs)
+                    regs[stmt.reg] = evalOperand(stmt.a);
                 break;
               case StmtKind::Const:
-                state.tmps[stmt.dst] = AbsVal::constant(stmt.a.imm);
+                tmps[stmt.dst] = AbsVal::constant(stmt.a.imm);
                 break;
               case StmtKind::Binop: {
-                const AbsVal lhs = evalOperand(stmt.a, state);
-                const AbsVal rhs = evalOperand(stmt.b, state);
+                const AbsVal lhs = evalOperand(stmt.a);
+                const AbsVal rhs = evalOperand(stmt.b);
                 if (lhs.isConst() && rhs.isConst()) {
-                    state.tmps[stmt.dst] = AbsVal::constant(
+                    tmps[stmt.dst] = AbsVal::constant(
                         ir::evalBinOp(stmt.op, lhs.value, rhs.value));
                 } else {
-                    state.tmps[stmt.dst] = AbsVal::unknown();
+                    tmps[stmt.dst] = AbsVal::unknown();
                 }
                 break;
               }
               case StmtKind::Load: {
-                const AbsVal addr = evalOperand(stmt.a, state);
+                const AbsVal addr = evalOperand(stmt.a);
                 AbsVal loaded = AbsVal::unknown();
                 if (addr.isConst() && image_.isRodata(addr.value)) {
                     // Only read-only memory is stable at runtime; this
@@ -139,7 +144,7 @@ UcseExplorer::explore(const ir::Function &fn) const
                     if (auto word = image_.readWord(addr.value))
                         loaded = AbsVal::constant(*word);
                 }
-                state.tmps[stmt.dst] = loaded;
+                tmps[stmt.dst] = loaded;
                 break;
               }
               case StmtKind::Store:
@@ -148,7 +153,7 @@ UcseExplorer::explore(const ir::Function &fn) const
                 break;
               case StmtKind::Call: {
                 if (stmt.indirect) {
-                    const AbsVal target = evalOperand(stmt.a, state);
+                    const AbsVal target = evalOperand(stmt.a);
                     if (target.isConst())
                         recordTarget(result.resolvedCalls, stmtAddr,
                                      target.value);
@@ -156,28 +161,23 @@ UcseExplorer::explore(const ir::Function &fn) const
                 // Caller-saved registers are clobbered by the callee;
                 // the return value is unconstrained.
                 for (int r = 0; r < kNumArgRegs; ++r)
-                    state.regs[r] = AbsVal::unknown();
+                    regs[r] = AbsVal::unknown();
                 break;
               }
               case StmtKind::Branch: {
                 // Conditional side exit: taken -> target block;
                 // not taken -> continue with the next statement.
-                const AbsVal cond = evalOperand(stmt.a, state);
-                auto taken = blockAt.find(stmt.target);
-                const bool haveTaken = taken != blockAt.end();
+                const AbsVal cond = evalOperand(stmt.a);
+                const std::size_t taken = fn.blockIndexAt(stmt.target);
+                const bool haveTaken = taken != ir::Function::npos;
 
                 if (cond.isConst() && cond.value != 0) {
-                    if (haveTaken) {
-                        PathState next = state;
-                        next.block = taken->second;
-                        worklist.push_back(std::move(next));
-                    }
+                    if (haveTaken)
+                        push(taken);
                     fellThrough = false;
                     pathEnded = true;
                 } else if (!cond.isConst() && haveTaken) {
-                    PathState next = state;
-                    next.block = taken->second;
-                    worklist.push_back(std::move(next));
+                    push(taken);
                 }
                 // Constant-false or symbolic: keep executing in place.
                 break;
@@ -186,7 +186,7 @@ UcseExplorer::explore(const ir::Function &fn) const
                 Addr target = stmt.target;
                 bool haveTarget = !stmt.indirect;
                 if (stmt.indirect) {
-                    const AbsVal v = evalOperand(stmt.a, state);
+                    const AbsVal v = evalOperand(stmt.a);
                     if (v.isConst()) {
                         recordTarget(result.resolvedJumps, stmtAddr,
                                      v.value);
@@ -195,12 +195,9 @@ UcseExplorer::explore(const ir::Function &fn) const
                     }
                 }
                 if (haveTarget) {
-                    auto it = blockAt.find(target);
-                    if (it != blockAt.end()) {
-                        PathState next = state;
-                        next.block = it->second;
-                        worklist.push_back(std::move(next));
-                    }
+                    const std::size_t next = fn.blockIndexAt(target);
+                    if (next != ir::Function::npos)
+                        push(next);
                 }
                 fellThrough = false;
                 pathEnded = true;
@@ -213,11 +210,8 @@ UcseExplorer::explore(const ir::Function &fn) const
             }
         }
 
-        if (fellThrough && state.block + 1 < n) {
-            PathState next = std::move(state);
-            next.block += 1;
-            worklist.push_back(std::move(next));
-        }
+        if (fellThrough && current + 1 < n)
+            push(current + 1);
     }
 
     return result;

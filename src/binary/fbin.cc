@@ -323,6 +323,11 @@ loadBinary(const std::vector<std::uint8_t> &bytes)
             std::uint32_t nStmts;
             if (!r.u64(block.addr) || !r.u32(nStmts))
                 return err(ErrorCode::Corrupt, "malformed block header");
+            // Analyses map a block address to one block; a repeated or
+            // descending address would make that mapping ambiguous.
+            if (b > 0 && block.addr <= fn.blocks.back().addr)
+                return err(ErrorCode::Corrupt,
+                           "block addresses not increasing");
             block.stmts.reserve(std::min<std::uint32_t>(nStmts, 4096));
             for (std::uint32_t s = 0; s < nStmts; ++s) {
                 ir::Stmt stmt;

@@ -366,14 +366,14 @@ struct Engine
     {
         Frame &frame = path.frames.back();
         const FnId caller = frame.fn;
-        const auto *callSites =
+        const auto callSites =
             index.sitesAt(caller, frame.block, frame.stmt);
         ++frame.stmt; // resume after the call in all outcomes
 
         const Mask argUnion = path.regs[0].taint | path.regs[1].taint |
                               path.regs[2].taint | path.regs[3].taint;
 
-        if (callSites == nullptr) {
+        if (callSites.empty()) {
             // Unresolved indirect call: the data flow is interrupted.
             path.regs[0] = Value{};
             path.regs[1] = path.regs[2] = path.regs[3] = Value{};
@@ -385,11 +385,11 @@ struct Engine
         Mask retTaint = 0;
         bool modeled = false;
 
-        for (std::size_t siteIdx : *callSites) {
+        for (std::size_t siteIdx : callSites) {
             const auto &site = pa.callGraph.sites()[siteIdx];
-            const std::string &name = site.target.name;
+            const RunIndex::SiteClass &cls = index.siteClass(siteIdx);
 
-            if (const SinkSpec *sink = sinkByName(name)) {
+            if (const SinkSpec *sink = cls.sink) {
                 Mask hit = 0;
                 for (int arg : sink->taintedArgs) {
                     if (arg >= 0 && arg < ir::kNumArgRegs)
@@ -400,7 +400,7 @@ struct Engine
                 modeled = true;
             }
 
-            const std::size_t cts = index.ctsSource(name);
+            const std::size_t cts = cls.cts;
             if (cts != RunIndex::npos) {
                 const TaintSource &src = sources[cts];
                 const Mask label = index.labels().bySource[cts].userBit;
@@ -452,7 +452,7 @@ struct Engine
             if (site.resolvesToFunction()) {
                 // Library implementation: modeled (anchor semantics).
                 retTaint |= argUnion;
-                if (isMemoryWriter(name)) {
+                if (cls.memoryWriter) {
                     const Mask srcMask = path.regs[1].taint |
                                          path.regs[2].taint |
                                          path.regs[3].taint;
@@ -574,11 +574,12 @@ KaronteEngine::run(const ProgramAnalysis &pa,
 
     // Phase A: CTS roots under the vanilla budget.
     engine.budgetLimit = kMaxTotalSteps;
-    for (const auto &site : pa.callGraph.sites()) {
-        if (!pa.linked->isMainFn(site.caller))
+    const auto &sites = pa.callGraph.sites();
+    for (std::size_t s = 0; s < sites.size(); ++s) {
+        if (!pa.linked->isMainFn(sites[s].caller))
             continue;
-        if (engine.index.ctsSource(site.target.name) != RunIndex::npos)
-            enqueue(site.caller);
+        if (engine.index.siteClass(s).cts != RunIndex::npos)
+            enqueue(sites[s].caller);
     }
     runPhases();
     const std::size_t phaseASteps = engine.totalSteps;
@@ -589,7 +590,7 @@ KaronteEngine::run(const ProgramAnalysis &pa,
     // not a quota).
     engine.budgetLimit = engine.totalSteps + kMaxItsExtraSteps;
     queue.clear();
-    for (const auto &site : pa.callGraph.sites()) {
+    for (const auto &site : sites) {
         if (!pa.linked->isMainFn(site.caller))
             continue;
         if (site.resolvesToFunction() &&

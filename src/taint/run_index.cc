@@ -1,5 +1,6 @@
 #include "run_index.hh"
 
+#include <algorithm>
 #include <unordered_set>
 
 namespace fits::taint {
@@ -62,23 +63,28 @@ isMemoryWriter(const std::string &name)
 RunIndex::RunIndex(const analysis::ProgramAnalysis &pa,
                    const std::vector<TaintSource> &sources,
                    bool resolveIndirectCalls)
-    : pa_(pa), labelTable_(buildLabelTable(sources))
+    : pa_(pa), resolveIndirectCalls_(resolveIndirectCalls),
+      labelTable_(buildLabelTable(sources))
 {
     const FnId fnCount = static_cast<FnId>(pa.linked->fnCount());
 
     // Images are numbered in order of first appearance in FnId order,
     // which puts the main binary first.
-    std::unordered_map<const bin::BinaryImage *, std::size_t> byImage;
     imageOf_.resize(fnCount);
+    std::vector<const bin::BinaryImage *> images;
     for (FnId id = 0; id < fnCount; ++id) {
         const auto *image = pa.linked->fn(id).image;
-        imageOf_[id] =
-            byImage.emplace(image, byImage.size()).first->second;
+        auto it = std::find(images.begin(), images.end(), image);
+        if (it == images.end())
+            it = images.insert(images.end(), image);
+        imageOf_[id] = static_cast<std::size_t>(it - images.begin());
     }
 
+    std::unordered_map<std::string, std::size_t> ctsByName;
+    itsByFn_.assign(fnCount, npos);
     for (std::size_t i = 0; i < sources.size(); ++i) {
         if (sources[i].kind == TaintSource::Kind::Cts) {
-            ctsByName_[sources[i].name] = i;
+            ctsByName[sources[i].name] = i;
         } else {
             auto fnId = pa.linked->fnIdOf(&pa.linked->mainImage(),
                                           sources[i].entry);
@@ -87,31 +93,39 @@ RunIndex::RunIndex(const analysis::ProgramAnalysis &pa,
         }
     }
 
-    sites_.resize(fnCount);
     const auto &sites = pa.callGraph.sites();
+    siteClass_.resize(sites.size());
     for (std::size_t s = 0; s < sites.size(); ++s) {
-        const auto &site = sites[s];
-        if (site.indirect && !resolveIndirectCalls)
+        const std::string &name = sites[s].target.name;
+        if (name.empty())
             continue;
-        sites_[site.caller][siteKey(site.blockIdx, site.stmtIdx)]
-            .push_back(s);
+        SiteClass &cls = siteClass_[s];
+        cls.sink = sinkByName(name);
+        auto cts = ctsByName.find(name);
+        if (cts != ctsByName.end())
+            cls.cts = cts->second;
+        cls.memoryWriter = isMemoryWriter(name);
     }
 }
 
-std::size_t
-RunIndex::ctsSource(const std::string &name) const
+analysis::SiteIndexRange
+RunIndex::sitesAt(FnId caller, std::size_t block, std::size_t stmt) const
 {
-    if (name.empty())
-        return npos;
-    auto it = ctsByName_.find(name);
-    return it == ctsByName_.end() ? npos : it->second;
-}
-
-std::size_t
-RunIndex::itsSource(FnId fn) const
-{
-    auto it = itsByFn_.find(fn);
-    return it == itsByFn_.end() ? npos : it->second;
+    // A caller's sites are sorted by (block, statement).
+    const auto &sites = pa_.callGraph.sites();
+    const auto range = pa_.callGraph.sitesOfCaller(caller);
+    const auto [first, last] = std::ranges::equal_range(
+        range, std::make_pair(block, stmt), {},
+        [&sites](std::size_t idx) {
+            return std::make_pair(sites[idx].blockIdx,
+                                  sites[idx].stmtIdx);
+        });
+    // All sites of one statement share its indirect flag.
+    if (first == last ||
+        (sites[*first].indirect && !resolveIndirectCalls_)) {
+        return {};
+    }
+    return {*first, *first + static_cast<std::size_t>(last - first)};
 }
 
 Mask

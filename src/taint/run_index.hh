@@ -64,19 +64,31 @@ bool isMemoryWriter(const std::string &name);
  * The front end both taint engines share for one run: what the
  * sources, sinks and call sites of a ProgramAnalysis mean, decided
  * once. It holds the label table, the image index of every function,
- * the CTS-by-name and ITS-by-function source maps, the per-caller
- * call-site index, the §4.3 user/system labelling of ITS call sites,
- * and the alert map that merges repeated hits on one sink site. The
- * engines own one as a plain member and keep only their propagation.
+ * the ITS source of every function, what each call site's target
+ * means (sink, CTS source, memory writer), the §4.3 user/system
+ * labelling of ITS call sites, and the alert map that merges repeated
+ * hits on one sink site. The engines own one as a plain member and
+ * keep only their propagation.
  */
 class RunIndex
 {
   public:
-    /** Returned by ctsSource / itsSource for "not a source". */
+    /** Returned by itsSource and SiteClass::cts for "not a source". */
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
+    /** What the target name of one call site means to the engines. */
+    struct SiteClass
+    {
+        /** The sink the site calls, or null. */
+        const SinkSpec *sink = nullptr;
+        /** Source index of the CTS import the site calls, or npos. */
+        std::size_t cts = npos;
+        /** The target writes caller memory (isMemoryWriter). */
+        bool memoryWriter = false;
+    };
+
     /** `resolveIndirectCalls` keeps UCSE-resolved indirect call sites
-     * in the call-site index; without it they are invisible. */
+     * visible to sitesAt; without it they are invisible. */
     RunIndex(const analysis::ProgramAnalysis &pa,
              const std::vector<TaintSource> &sources,
              bool resolveIndirectCalls);
@@ -86,22 +98,21 @@ class RunIndex
     /** Index of the image (main binary first) function `id` lives in. */
     std::size_t imageOf(analysis::FnId id) const { return imageOf_[id]; }
 
-    /** Source index of the CTS import `name`, or npos. */
-    std::size_t ctsSource(const std::string &name) const;
-
     /** Source index of the ITS whose entry is function `fn`, or npos. */
-    std::size_t itsSource(analysis::FnId fn) const;
+    std::size_t itsSource(analysis::FnId fn) const { return itsByFn_[fn]; }
+
+    /** What call-graph site `siteIdx` calls. */
+    const SiteClass &
+    siteClass(std::size_t siteIdx) const
+    {
+        return siteClass_[siteIdx];
+    }
 
     /** Call-graph site indices of the call statement (block, stmt) of
-     * `caller`; nullptr when no site is indexed there. */
-    const std::vector<std::size_t> *
-    sitesAt(analysis::FnId caller, std::size_t block,
-            std::size_t stmt) const
-    {
-        const auto &bySite = sites_[caller];
-        auto it = bySite.find(siteKey(block, stmt));
-        return it == bySite.end() ? nullptr : &it->second;
-    }
+     * `caller`; empty when no visible site is there. */
+    analysis::SiteIndexRange sitesAt(analysis::FnId caller,
+                                     std::size_t block,
+                                     std::size_t stmt) const;
 
     /** Seed label for call site `siteIdx` of ITS source `sourceIdx`:
      * its system-data bit when the key string the caller passes
@@ -121,21 +132,12 @@ class RunIndex
     TaintReport takeReport();
 
   private:
-    static std::uint64_t
-    siteKey(std::size_t block, std::size_t stmt)
-    {
-        return (static_cast<std::uint64_t>(block) << 32) | stmt;
-    }
-
     const analysis::ProgramAnalysis &pa_;
+    const bool resolveIndirectCalls_;
     LabelTable labelTable_;
     std::vector<std::size_t> imageOf_;
-    std::unordered_map<std::string, std::size_t> ctsByName_;
-    std::unordered_map<analysis::FnId, std::size_t> itsByFn_;
-    /** Per caller: siteKey(block, stmt) -> call-graph site indices. */
-    std::vector<std::unordered_map<std::uint64_t,
-                                   std::vector<std::size_t>>>
-        sites_;
+    std::vector<std::size_t> itsByFn_;
+    std::vector<SiteClass> siteClass_;
     std::unordered_map<std::size_t, Mask> itsSiteLabel_;
     std::map<std::pair<std::size_t, ir::Addr>, Alert> alerts_;
 };

@@ -11,8 +11,10 @@ namespace fits::taint {
  * summary-propagating dataflow over FIR: taint labels flow through
  * registers, temporaries, addressable memory cells and an "unknown"
  * memory bucket; functions expose parameter-in / return-out / memory-out
- * masks and the engine iterates the call graph to a fixpoint, then
- * sweeps once more to collect sink alerts.
+ * masks, and the engine re-visits a function whenever something it
+ * reads grows, until nothing does. Every visit records the sink alerts
+ * it sees; hit masks only grow, so a completed fixpoint reports what
+ * its final state reaches.
  *
  * Two deliberate precision properties reproduce the paper's findings:
  *  - sanitization is data-only (storing constants over tainted memory
@@ -30,9 +32,10 @@ class StaEngine
     struct Config
     {
         /** Wall-clock budget in milliseconds; 0 = unlimited. On
-         * expiry the fixpoint stops where it is and the collection
-         * sweep still runs, so the report carries partial alerts with
-         * deadlineExpired set. */
+         * expiry the fixpoint stops where it is and one collection
+         * sweep over every function records what the state reached,
+         * so the report carries partial alerts with deadlineExpired
+         * set. */
         double deadlineMs = 0.0;
     };
 

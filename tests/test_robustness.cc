@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "binary/bytebuf.hh"
+#include "binary/fbin.hh"
 #include "core/behavior_io.hh"
 #include "core/pipeline.hh"
 #include "eval/harness.hh"
@@ -350,6 +351,43 @@ TEST(Corruption, HandMadeImagesFailTypedAtTheirStage)
         EXPECT_EQ(artifact.status.code(), row.code) << row.name;
         EXPECT_NE(artifact.status.message().find(row.message), std::string::npos)
             << row.name << ": " << artifact.status.toString();
+    }
+}
+
+TEST(Corruption, BlockAddressesMustStrictlyIncrease)
+{
+    // A three-block function whose third block repeats or undercuts an
+    // earlier block's address: the loader rejects the body, since the
+    // analyses could not map that address to one block.
+    const auto fbin = [](ir::Addr third) {
+        bin::BinaryImage image;
+        image.name = "httpd";
+        ir::Function fn;
+        fn.entry = 0x1000;
+        for (const ir::Addr addr :
+             {ir::Addr{0x1000}, ir::Addr{0x1010}, third}) {
+            ir::BasicBlock block;
+            block.addr = addr;
+            block.stmts.push_back(ir::Stmt::ret());
+            fn.blocks.push_back(std::move(block));
+        }
+        image.program.addFunction(std::move(fn));
+        return bin::writeBinary(image);
+    };
+
+    const auto control = bin::loadBinary(fbin(0x1020));
+    ASSERT_TRUE(control.hasValue()) << control.status().toString();
+    EXPECT_EQ(control.value().program.functions()[0].blockIndexAt(0x1020),
+              2u);
+
+    for (const ir::Addr third : {ir::Addr{0x1010}, ir::Addr{0x1000}}) {
+        const auto loaded = bin::loadBinary(fbin(third));
+        ASSERT_FALSE(loaded.hasValue()) << std::hex << third;
+        EXPECT_EQ(loaded.status().code(), support::ErrorCode::Corrupt);
+        EXPECT_NE(loaded.status().message().find(
+                      "block addresses not increasing"),
+                  std::string::npos)
+            << loaded.status().toString();
     }
 }
 

@@ -286,6 +286,19 @@ TEST_F(TaintFixture, StaFindsDirectGlobalFlow)
     EXPECT_TRUE(alertAt(report.alerts, world.directSink));
 }
 
+TEST_F(TaintFixture, StaDeadlineCutRunStillSweeps)
+{
+    // A deadline that passed before the first visit stops the fixpoint
+    // at once; the collection sweep still visits every function in id
+    // order, and recvLoop's visit taints kBuf before directBug reads it.
+    StaEngine::Config config;
+    config.deadlineMs = 1e-9;
+    const auto report = StaEngine(config).run(*pa, cts);
+    EXPECT_TRUE(report.deadlineExpired);
+    EXPECT_GT(report.steps, 0u);
+    EXPECT_TRUE(alertAt(report.alerts, world.directSink));
+}
+
 TEST_F(TaintFixture, StaReportsDeadGuardAndCheckedSites)
 {
     // STA is flow-insensitive: the dead debug path and the
@@ -338,6 +351,56 @@ TEST_F(TaintFixture, StaAlertCarriesVulnClass)
             EXPECT_EQ(alert.vclass, VulnClass::BufferOverflow);
         }
     }
+}
+
+TEST(StaRequeue, UnknownMemoryReaderSeesALaterWriter)
+{
+    // reader (visited first) loads from an address it cannot resolve
+    // and copies the value into strcpy; writer (visited second) calls
+    // recv with a buffer pointer it cannot resolve either, so the label
+    // lands in the unknown-memory bucket. No call edge or constant cell
+    // links the two: only re-queueing every function with a Load when
+    // that bucket grows lets the reader see the label.
+    bin::BinaryImage main;
+    main.name = "httpd";
+    const auto recvPlt = main.addImport("recv", "libc.so");
+    const auto strcpyPlt = main.addImport("strcpy", "libc.so");
+
+    ir::Addr cursor = bin::kTextBase;
+    ir::Addr sinkSite = 0;
+    {
+        FunctionBuilder b;
+        const auto ptr = b.get(4);
+        const auto v = b.load(t(ptr));
+        b.setArg(0, imm(kOut));
+        b.setArg(1, t(v));
+        const auto blk = b.currentBlock();
+        const auto idx = b.nextStmtIndex();
+        b.call(strcpyPlt);
+        b.ret();
+        ir::Function fn = b.build(cursor);
+        sinkSite = fn.blocks[blk].stmtAddr(idx);
+        cursor += fn.byteSize() + ir::kStmtSize;
+        main.program.addFunction(std::move(fn));
+    }
+    {
+        FunctionBuilder b;
+        const auto ptr = b.get(5);
+        b.setArg(0, imm(0));
+        b.setArg(1, t(ptr));
+        b.setArg(2, imm(64));
+        b.call(recvPlt);
+        b.ret();
+        main.program.addFunction(b.build(cursor));
+    }
+
+    const std::vector<bin::BinaryImage> libs;
+    const analysis::LinkedProgram linked(main, libs);
+    const auto pa = analysis::ProgramAnalysis::analyze(linked);
+    const auto report = StaEngine().run(pa, classicalTaintSources());
+    ASSERT_EQ(report.alerts.size(), 1u);
+    EXPECT_EQ(report.alerts[0].sinkSite, sinkSite);
+    EXPECT_NE(report.alerts[0].labelMask, 0u);
 }
 
 // ---- Karonte ------------------------------------------------------------
