@@ -13,8 +13,9 @@ constexpr std::size_t kCommitBytes = 4096;
 
 } // namespace
 
+template <typename Bytes>
 void
-ByteWriter::grow(std::size_t n)
+BasicByteWriter<Bytes>::grow(std::size_t n)
 {
     const std::size_t need = size_ + n;
     if (need > out_.capacity())
@@ -23,90 +24,75 @@ ByteWriter::grow(std::size_t n)
         std::min(out_.capacity(), std::max(need, size_ + kCommitBytes)));
 }
 
+template <typename Bytes>
 void
-ByteWriter::str(const std::string &s)
+BasicByteWriter<Bytes>::str(const std::string &s)
 {
     u32(static_cast<std::uint32_t>(s.size()));
     if (!s.empty())
         std::memcpy(claim(s.size()), s.data(), s.size());
 }
 
+template <typename Bytes>
 void
-ByteWriter::raw(const std::vector<std::uint8_t> &bytes)
+BasicByteWriter<Bytes>::raw(const std::vector<std::uint8_t> &bytes)
 {
     if (!bytes.empty())
         std::memcpy(claim(bytes.size()), bytes.data(), bytes.size());
 }
 
-std::vector<std::uint8_t>
-ByteWriter::take()
+template <typename Bytes>
+void
+BasicByteWriter<Bytes>::f64s(const std::vector<double> &values)
+{
+    u32(static_cast<std::uint32_t>(values.size()));
+    if constexpr (std::endian::native == std::endian::little) {
+        if (!values.empty())
+            std::memcpy(claim(8 * values.size()), values.data(),
+                        8 * values.size());
+    } else {
+        for (double v : values)
+            f64(v);
+    }
+}
+
+template <typename Bytes>
+Bytes
+BasicByteWriter<Bytes>::take()
 {
     out_.resize(size_);
     size_ = 0;
     return std::exchange(out_, {});
 }
 
+template <typename Bytes>
 void
-ByteWriter::patchU32(std::size_t offset, std::uint32_t v)
+BasicByteWriter<Bytes>::patchU32(std::size_t offset, std::uint32_t v)
 {
     if (offset > size_ || size_ - offset < 4)
         return;
-    store(out_.data() + offset, v);
+    store(reinterpret_cast<std::uint8_t *>(out_.data()) + offset, v);
 }
 
+template class BasicByteWriter<std::vector<std::uint8_t>>;
+template class BasicByteWriter<std::string>;
+
 bool
-ByteReader::take(std::size_t n, const std::uint8_t *&p)
+ByteReader::f64s(std::vector<double> &values)
 {
-    if (!ok_ || size_ - offset_ < n) {
-        ok_ = false;
+    std::uint32_t n;
+    const std::uint8_t *p;
+    if (!u32(n) || !take(8 * std::size_t{n}, p))
         return false;
+    values.resize(n);
+    if constexpr (std::endian::native == std::endian::little) {
+        if (n != 0)
+            std::memcpy(values.data(), p, 8 * std::size_t{n});
+    } else {
+        ByteReader elems(p, 8 * std::size_t{n});
+        for (double &v : values)
+            elems.f64(v);
     }
-    p = data_ + offset_;
-    offset_ += n;
-    return true;
-}
-
-bool
-ByteReader::u8(std::uint8_t &v)
-{
-    const std::uint8_t *p;
-    if (!take(1, p))
-        return false;
-    v = p[0];
-    return true;
-}
-
-bool
-ByteReader::u16(std::uint16_t &v)
-{
-    const std::uint8_t *p;
-    if (!take(2, p))
-        return false;
-    v = static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-    return true;
-}
-
-bool
-ByteReader::u32(std::uint32_t &v)
-{
-    const std::uint8_t *p;
-    if (!take(4, p))
-        return false;
-    v = static_cast<std::uint32_t>(p[0]) |
-        (static_cast<std::uint32_t>(p[1]) << 8) |
-        (static_cast<std::uint32_t>(p[2]) << 16) |
-        (static_cast<std::uint32_t>(p[3]) << 24);
-    return true;
-}
-
-bool
-ByteReader::u64(std::uint64_t &v)
-{
-    std::uint32_t lo, hi;
-    if (!u32(lo) || !u32(hi))
-        return false;
-    v = static_cast<std::uint64_t>(lo) |
-        (static_cast<std::uint64_t>(hi) << 32);
     return true;
 }
 

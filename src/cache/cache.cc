@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "binary/bytebuf.hh"
 #include "obs/metrics.hh"
 #include "support/strings.hh"
 
@@ -180,25 +181,6 @@ blobKeyOf(std::string_view kind, std::uint64_t key1,
 
 // ---- disk tier -----------------------------------------------------
 
-/** Append the low `n` bytes of v, least significant first. */
-void
-appendLe(std::string &out, std::uint64_t v, int n)
-{
-    for (int i = 0; i < n; ++i)
-        out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-/** The `n`-byte little-endian integer at `p`. */
-std::uint64_t
-readLe(const char *p, int n)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i)
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-             << (8 * i);
-    return v;
-}
-
 /** Read + validate one disk entry; nullopt on any defect. The payload
  * is read straight into the string that is returned. */
 std::optional<std::string>
@@ -218,18 +200,24 @@ readDiskEntry(const std::string &path, std::uint64_t key1,
         return std::nullopt;
     };
 
-    char header[kDiskHeaderBytes];
+    std::uint8_t header[kDiskHeaderBytes];
     if (fileSize < kDiskHeaderBytes)
         return corrupt();
-    if (!in.read(header, kDiskHeaderBytes))
+    if (!in.read(reinterpret_cast<char *>(header), kDiskHeaderBytes))
         return std::nullopt;
+    // Every read below fits the fixed-size header.
+    bin::ByteReader fields(header, kDiskHeaderBytes);
+    std::uint32_t version = 0;
+    std::uint64_t entryKey1 = 0, entryKey2 = 0, size = 0, checksum = 0;
+    fields.seek(4);
+    fields.u32(version);
+    fields.u64(entryKey1);
+    fields.u64(entryKey2);
+    fields.u64(size);
+    fields.u64(checksum);
     if (std::memcmp(header, kDiskMagic, 4) != 0 ||
-        readLe(header + 4, 4) != kDiskFormatVersion ||
-        readLe(header + 8, 8) != key1 || readLe(header + 16, 8) != key2)
-        return corrupt();
-    const std::uint64_t size = readLe(header + 24, 8);
-    const std::uint64_t checksum = readLe(header + 32, 8);
-    if (fileSize - kDiskHeaderBytes != size)
+        version != kDiskFormatVersion || entryKey1 != key1 ||
+        entryKey2 != key2 || fileSize - kDiskHeaderBytes != size)
         return corrupt();
 
     std::string payload(static_cast<std::size_t>(size), '\0');
@@ -252,14 +240,15 @@ writeDiskEntry(const std::string &dir, const std::string &path,
     if (ec)
         return;
 
-    std::string header;
-    header.reserve(kDiskHeaderBytes);
-    header.append(kDiskMagic, 4);
-    appendLe(header, kDiskFormatVersion, 4);
-    appendLe(header, key1, 8);
-    appendLe(header, key2, 8);
-    appendLe(header, payload.size(), 8);
-    appendLe(header, support::hash64(payload.data(), payload.size()), 8);
+    bin::StringByteWriter fields;
+    for (const char m : kDiskMagic)
+        fields.u8(static_cast<std::uint8_t>(m));
+    fields.u32(kDiskFormatVersion);
+    fields.u64(key1);
+    fields.u64(key2);
+    fields.u64(payload.size());
+    fields.u64(support::hash64(payload.data(), payload.size()));
+    const std::string header = fields.take();
 
     const std::string tmp = path + support::format(
         ".tmp.%llu", static_cast<unsigned long long>(

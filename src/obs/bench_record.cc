@@ -9,25 +9,6 @@
 
 namespace fits::obs {
 
-namespace {
-
-void
-appendEscaped(std::string &out, const std::string &text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default:   out += c;
-        }
-    }
-    out += '"';
-}
-
-} // namespace
-
 BenchRecord::BenchRecord(std::string name)
     : name_(std::move(name))
 {
@@ -49,13 +30,13 @@ std::string
 BenchRecord::toJson() const
 {
     std::string out = "{\n  \"bench\": ";
-    appendEscaped(out, name_);
+    appendJsonString(out, name_);
     out += ",\n  \"fields\": {";
     bool first = true;
     for (const auto &[key, value] : numbers_) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        appendEscaped(out, key);
+        appendJsonString(out, key);
         out += ": ";
         char buf[32];
         std::snprintf(buf, sizeof buf, "%.6g",
@@ -65,9 +46,9 @@ BenchRecord::toJson() const
     for (const auto &[key, value] : strings_) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        appendEscaped(out, key);
+        appendJsonString(out, key);
         out += ": ";
-        appendEscaped(out, value);
+        appendJsonString(out, value);
     }
     out += "\n  },\n  \"metrics\": ";
     // Indent the registry document to keep the record readable.

@@ -57,6 +57,20 @@ const EnvInit g_envInit;
 thread_local std::vector<std::string> t_spanStack;
 
 void
+appendJsonNumber(std::string &out, double value)
+{
+    if (!std::isfinite(value)) {
+        out += "0"; // JSON has no NaN/Inf; clamp rather than corrupt
+        return;
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.6g", value);
+    out += buf;
+}
+
+} // namespace
+
+void
 appendJsonString(std::string &out, std::string_view text)
 {
     out += '"';
@@ -79,20 +93,6 @@ appendJsonString(std::string &out, std::string_view text)
     }
     out += '"';
 }
-
-void
-appendJsonNumber(std::string &out, double value)
-{
-    if (!std::isfinite(value)) {
-        out += "0"; // JSON has no NaN/Inf; clamp rather than corrupt
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    out += buf;
-}
-
-} // namespace
 
 bool
 enabled()

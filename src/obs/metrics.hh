@@ -249,6 +249,10 @@ void addCounter(std::string_view name, std::uint64_t delta = 1);
 void setGauge(std::string_view name, double value);
 void observe(std::string_view name, double value);
 
+/** Append `text` as a quoted JSON string: quote, backslash and every
+ * control character are escaped. */
+void appendJsonString(std::string &out, std::string_view text);
+
 /**
  * RAII span timer. Always measures wall time (so callers can keep
  * plain-data timing fields as views over the same measurement), but

@@ -61,6 +61,9 @@ expect_usage "$FITS" rank "$IMG" --top -1
 expect_usage "$FITS" corpus --jobs four
 expect_usage "$FITS" gen "$DIR/badseed.fwimg" --seed 7x
 test ! -e "$DIR/badseed.fwimg"
+expect_usage "$FITS" disasm "$IMG" 0xzz
+expect_usage "$FITS" disasm "$IMG" 12abc
+expect_usage "$FITS" disasm "$DIR/missing.fwimg" zz
 
 # An --its address must be a function entry of the network binary.
 rc=0

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "binary/bytebuf.hh"
 #include "binary/fbin.hh"
 #include "binary/image.hh"
@@ -66,6 +68,51 @@ TEST(ByteBuf, StringLengthBeyondBufferFails)
     EXPECT_FALSE(r.str(s));
 }
 
+TEST(ByteBuf, DoublesRoundTripByBitPattern)
+{
+    // -0.0 and a NaN payload survive only if doubles travel as bits.
+    const std::vector<double> values = {
+        -0.0, 1.5, std::bit_cast<double>(0x7ff8dead0000beefULL)};
+    ByteWriter w;
+    w.f64(values[0]);
+    w.f64s(values);
+    w.f64s({});
+    const auto bytes = w.take();
+    EXPECT_EQ(bytes.size(), 8u + 4 + 3 * 8 + 4);
+
+    ByteReader r(bytes);
+    double one = 1.0;
+    std::vector<double> many, none = {2.0};
+    ASSERT_TRUE(r.f64(one));
+    ASSERT_TRUE(r.f64s(many));
+    ASSERT_TRUE(r.f64s(none));
+    EXPECT_TRUE(r.atEnd());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(one),
+              std::bit_cast<std::uint64_t>(values[0]));
+    ASSERT_EQ(many.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(many[i]),
+                  std::bit_cast<std::uint64_t>(values[i]));
+    }
+    EXPECT_TRUE(none.empty());
+}
+
+TEST(ByteBuf, DoubleCountBeyondBufferFails)
+{
+    // A count one element past the bytes that follow is rejected
+    // before anything is allocated, and the output stays untouched.
+    ByteWriter w;
+    w.u32(3);
+    w.f64(1.0);
+    w.f64(2.0);
+    const auto bytes = w.take();
+    ByteReader r(bytes);
+    std::vector<double> values = {9.0};
+    EXPECT_FALSE(r.f64s(values));
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(values, std::vector<double>{9.0});
+}
+
 TEST(ByteBuf, PatchU32)
 {
     ByteWriter w;
@@ -101,14 +148,16 @@ struct ByteAtATimeWriter
     }
 };
 
-TEST(ByteBuf, WriterMatchesByteAtATimeReference)
+/** A seeded random mix of every writer call, with strings and raw
+ * runs from empty to several pages long so claims land on, inside
+ * and across the writer's growth boundaries. Each round ends in
+ * take(), which also leaves the writer empty for the next round. */
+template <typename Writer>
+void
+expectMatchesByteAtATimeReference()
 {
-    // A seeded random mix of every writer call, with strings and raw
-    // runs from empty to several pages long so claims land on, inside
-    // and across the writer's growth boundaries. Each round ends in
-    // take(), which also leaves the writer empty for the next round.
     support::Rng rng(0xb17e);
-    ByteWriter w;
+    Writer w;
     for (int round = 0; round < 4; ++round) {
         ByteAtATimeWriter ref;
         for (int op = 0; op < 3000; ++op) {
@@ -116,7 +165,7 @@ TEST(ByteBuf, WriterMatchesByteAtATimeReference)
             const std::size_t len = rng.chance(0.02)
                                         ? rng.index(20000)
                                         : rng.index(40);
-            switch (rng.index(7)) {
+            switch (rng.index(9)) {
               case 0:
                 w.u8(static_cast<std::uint8_t>(v));
                 ref.le(v, 1);
@@ -158,14 +207,37 @@ TEST(ByteBuf, WriterMatchesByteAtATimeReference)
                 ref.patchU32(at, static_cast<std::uint32_t>(v));
                 break;
               }
+              case 7:
+                w.f64(std::bit_cast<double>(v));
+                ref.le(v, 8);
+                break;
+              case 8: {
+                std::vector<double> values(len);
+                ref.le(len, 4);
+                for (auto &x : values) {
+                    const std::uint64_t bits = rng.next();
+                    x = std::bit_cast<double>(bits);
+                    ref.le(bits, 8);
+                }
+                w.f64s(values);
+                break;
+              }
             }
             ASSERT_EQ(w.size(), ref.out.size()) << "round " << round
                                                 << " op " << op;
         }
         const auto bytes = w.take();
-        EXPECT_EQ(bytes, ref.out) << "round " << round;
+        EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
+                  ref.out)
+            << "round " << round;
         EXPECT_EQ(w.size(), 0u);
     }
+}
+
+TEST(ByteBuf, WriterMatchesByteAtATimeReference)
+{
+    expectMatchesByteAtATimeReference<ByteWriter>();
+    expectMatchesByteAtATimeReference<StringByteWriter>();
 }
 
 TEST(ByteBuf, Seek)

@@ -23,6 +23,7 @@
 #include "eval/corpus_runner.hh"
 #include "eval/harness.hh"
 #include "support/file.hh"
+#include "support/strings.hh"
 #include "synth/firmware_gen.hh"
 
 namespace fits {
@@ -215,6 +216,14 @@ TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
             .has_value());
 }
 
+TEST(BehaviorBundle, ConfigFingerprintIsPinned)
+{
+    // The second key of every behavior blob: disk entries written by
+    // earlier builds stay valid only while the default config keeps
+    // this fingerprint.
+    EXPECT_EQ(core::behaviorConfigFingerprint({}), 0x8570afb0689e8905ULL);
+}
+
 // ---- memory tier -------------------------------------------------------
 
 TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
@@ -386,6 +395,31 @@ TEST_F(CacheTest, CorruptDiskEntriesDegradeToMisses)
     // The intact original still hits.
     cache::clearMemory();
     EXPECT_EQ(cache::fetchBlob("t", 7, 9), payload);
+}
+
+TEST_F(CacheTest, DiskEntryHeaderIsPinned)
+{
+    // Entries persist across builds, so the 40-byte header layout is
+    // part of the on-disk format: magic, version 2, both keys, the
+    // payload size and its XXH64, all little-endian.
+    enableDisk();
+    const std::string payload = "intermediate taint sources";
+    cache::storeBlob("t", 7, 9, payload);
+    const auto bytes = support::readFile(cache::blobPath("t", 7, 9));
+    ASSERT_TRUE(bytes.has_value());
+    ASSERT_EQ(bytes->size(), 40 + payload.size());
+
+    std::vector<std::uint8_t> expected = {'F', 'C', 'H', '1', 2, 0, 0, 0};
+    for (const std::uint64_t field :
+         {std::uint64_t{7}, std::uint64_t{9},
+          std::uint64_t{payload.size()},
+          support::hash64(payload.data(), payload.size())}) {
+        for (int i = 0; i < 8; ++i)
+            expected.push_back(static_cast<std::uint8_t>(field >> (8 * i)));
+    }
+    EXPECT_EQ(std::vector<std::uint8_t>(bytes->begin(), bytes->begin() + 40),
+              expected);
+    EXPECT_EQ(std::string(bytes->begin() + 40, bytes->end()), payload);
 }
 
 TEST_F(CacheTest, UnwritableDiskDirSkipsEntry)

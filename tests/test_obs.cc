@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/pipeline.hh"
+#include "obs/bench_record.hh"
 #include "obs/metrics.hh"
 #include "support/thread_pool.hh"
 #include "synth/firmware_gen.hh"
@@ -56,6 +57,7 @@ using ObsRegistry = ObsTest;
 using ObsConcurrent = ObsTest;
 using ObsSpan = ObsTest;
 using ObsPipeline = ObsTest;
+using BenchRecord = ObsTest;
 
 // ---- instrument semantics ---------------------------------------------
 
@@ -331,6 +333,24 @@ TEST_F(ObsRegistry, ToJsonIsWellFormed)
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("\"json.counter\""), std::string::npos);
     EXPECT_NE(json.find("\"json.timer\""), std::string::npos);
+}
+
+TEST_F(BenchRecord, ToJsonEscapesControlCharacters)
+{
+    obs::BenchRecord record("ctl\tname");
+    record.add("tab\tkey", 1.0);
+    record.add("ctl", std::string("a\x01z\r"));
+    const std::string json = record.toJson();
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    // JSON strings may not hold raw control characters; the newlines
+    // between tokens are the only ones the document may contain.
+    for (const char c : json) {
+        EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+            << "raw control character " << static_cast<int>(c);
+    }
+    EXPECT_NE(json.find("\"ctl\\tname\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"tab\\tkey\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"a\\u0001z\\r\""), std::string::npos) << json;
 }
 
 // ---- concurrency -------------------------------------------------------

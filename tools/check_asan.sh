@@ -16,13 +16,15 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
 
 # Second pass: the real malformed-input tests (truncated, bit-flipped
 # and hand-broken containers, mutated payloads behind a valid checksum,
-# a library-less image, an unwritable cache directory) specifically probe the decoder bounds checks that ASan is
-# best at catching; the DBSCAN suites hash and compare raw row bytes
-# (NaN, signed-zero and ragged rows among them); and the byte-path
-# kernels do word loads, tail loops and their own capacity management
-# (XXH64, the ByteWriter cursor, the SWAR payload codec).
+# a library-less image, corrupt behavior bundles and cache entries, an
+# unwritable cache directory) specifically probe the ByteReader bounds
+# checks that ASan is best at catching; the DBSCAN suites hash and
+# compare raw row bytes (NaN, signed-zero and ragged rows among them);
+# and the byte-path kernels do word loads, tail loops and their own
+# capacity management (XXH64, the ByteWriter cursor, the SWAR payload
+# codec).
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='Corruption.*:Robustness.*:CacheTest.UnwritableDiskDirSkipsEntry:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:Dbscan.*:Hash64.*:ByteBuf.*:Fwimg.*'
+    --gtest_filter='Corruption.*:Robustness.*:CacheTest.UnwritableDiskDirSkipsEntry:CacheTest.DecodeRejectsCorruptPayloads:CacheTest.CorruptDiskEntriesDegradeToMisses:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:Dbscan.*:Hash64.*:ByteBuf.*:Fwimg.*'
 
 echo "asan: no memory errors detected"

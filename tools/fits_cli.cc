@@ -409,8 +409,11 @@ cmdScore(const std::string &path)
 }
 
 int
-cmdDisasm(const std::string &path, const std::string &addrText)
+cmdDisasm(const std::string &path, const char *addrText)
 {
+    std::uint64_t addr = 0;
+    if (!parseNumber(addrText, addr))
+        return usage();
     std::vector<std::uint8_t> bytes;
     if (!readImageArg(path, bytes))
         return 1;
@@ -426,7 +429,6 @@ cmdDisasm(const std::string &path, const std::string &addrText)
                      target.errorMessage().c_str());
         return 1;
     }
-    const ir::Addr addr = std::strtoull(addrText.c_str(), nullptr, 0);
     const ir::Function *fn =
         target.value().main->program.functionAt(addr);
     if (fn == nullptr)
