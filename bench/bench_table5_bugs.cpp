@@ -7,9 +7,10 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
-#include <set>
+#include <string>
 
 #include "eval/corpus_runner.hh"
 #include "eval/tables.hh"
@@ -20,11 +21,16 @@ namespace {
 
 using namespace fits;
 
-struct GroupRow
+/** How many sites of `from` the sorted `in` lacks. */
+std::size_t
+countMissing(const std::vector<ir::Addr> &from,
+             const std::vector<ir::Addr> &in)
 {
-    int count = 0;
-    eval::EngineStats karonte, karonteIts, sta, staIts;
-};
+    return static_cast<std::size_t>(
+        std::count_if(from.begin(), from.end(), [&](ir::Addr a) {
+            return !std::binary_search(in.begin(), in.end(), a);
+        }));
+}
 
 } // namespace
 
@@ -41,123 +47,91 @@ main()
                 specs.size(), runner.jobs());
     const auto outcomes = runner.run(specs, /*taint=*/true);
 
-    std::map<std::pair<bool, std::string>, GroupRow> groups;
-    GroupRow total;
-    bool karonteSuperset = true;
-    bool staSuperset = true;
-    std::set<ir::Addr> staOnly, karonteOnly;
-    std::size_t staOnlyCount = 0, karonteOnlyCount = 0;
+    const auto &runs = eval::kTaintRuns;
+    // The CTS-only run of each run's engine.
+    const auto plainRun = [&](std::size_t r) {
+        return eval::taintRunIndex(runs[r].engine, false);
+    };
+    const std::size_t karonte =
+        eval::taintRunIndex(eval::TaintEngine::Karonte, false);
+    const std::size_t sta =
+        eval::taintRunIndex(eval::TaintEngine::Sta, false);
+
+    std::map<std::pair<bool, std::string>, eval::TaintTotals> groups;
+    eval::TaintTotals total;
+    // missed[a][b]: bugs run b found that run a missed, over samples.
+    std::array<std::array<std::size_t, runs.size()>, runs.size()> missed{};
 
     for (std::size_t s = 0; s < specs.size(); ++s) {
-        const auto &spec = specs[s];
         if (!outcomes[s].taint)
             continue; // pre-processing failures have no taint run
-        const auto &outcome = *outcomes[s].taint;
-        auto &g = groups[{spec.latest, spec.profile.vendor}];
-        ++g.count;
-        g.karonte += outcome.karonte;
-        g.karonteIts += outcome.karonteIts;
-        g.sta += outcome.sta;
-        g.staIts += outcome.staIts;
-        ++total.count;
-        total.karonte += outcome.karonte;
-        total.karonteIts += outcome.karonteIts;
-        total.sta += outcome.sta;
-        total.staIts += outcome.staIts;
+        const auto &taint = *outcomes[s].taint;
+        groups[{specs[s].latest, specs[s].profile.vendor}] += taint;
+        total += taint;
 
-        // Set relations per sample.
-        auto contains = [](const std::vector<ir::Addr> &super,
-                           const std::vector<ir::Addr> &sub) {
-            return std::all_of(
-                sub.begin(), sub.end(), [&](ir::Addr a) {
-                    return std::find(super.begin(), super.end(), a) !=
-                           super.end();
-                });
-        };
-        karonteSuperset &= contains(outcome.karonteItsBugs,
-                                    outcome.karonteBugs);
-        staSuperset &= contains(outcome.staItsBugs, outcome.staBugs);
-        for (ir::Addr a : outcome.staBugs) {
-            if (std::find(outcome.karonteBugs.begin(),
-                          outcome.karonteBugs.end(),
-                          a) == outcome.karonteBugs.end()) {
-                ++staOnlyCount;
-            }
-        }
-        for (ir::Addr a : outcome.karonteBugs) {
-            if (std::find(outcome.staBugs.begin(),
-                          outcome.staBugs.end(),
-                          a) == outcome.staBugs.end()) {
-                ++karonteOnlyCount;
-            }
+        for (std::size_t a = 0; a < runs.size(); ++a) {
+            for (std::size_t b = 0; b < runs.size(); ++b)
+                missed[a][b] += countMissing(taint[b].bugs, taint[a].bugs);
         }
     }
 
-    eval::TablePrinter table(
-        {"Dataset", "Vendor", "#FW", "K alerts", "K bugs", "K ms",
-         "K-ITS alerts", "K-ITS bugs", "K-ITS ms", "STA alerts",
-         "STA bugs", "STA ms", "STA-ITS alerts", "STA-ITS bugs",
-         "STA-ITS ms"});
+    std::vector<std::string> headers{"Dataset", "Vendor", "#FW"};
+    for (const auto &run : runs) {
+        // Karonte abbreviates to K to keep the fifteen columns narrow.
+        std::string title = run.title;
+        if (run.engine == eval::TaintEngine::Karonte)
+            title.replace(0, title.find('-'), "K");
+        for (const char *column : {" alerts", " bugs", " ms"})
+            headers.push_back(title + column);
+    }
+    eval::TablePrinter table(std::move(headers));
+    const auto addRow = [&](std::vector<std::string> cells,
+                            const eval::TaintTotals &totals) {
+        cells.push_back(std::to_string(totals.samples));
+        for (const auto &stats : totals.runs) {
+            cells.push_back(std::to_string(stats.alerts));
+            cells.push_back(std::to_string(stats.bugs));
+            cells.push_back(eval::fixed(stats.ms, 0));
+        }
+        table.addRow(std::move(cells));
+    };
     const auto profiles = synth::vendorProfiles();
     for (bool latest : {false, true}) {
         for (const auto &profile : profiles) {
             auto it = groups.find({latest, profile.vendor});
-            if (it == groups.end())
-                continue;
-            const GroupRow &g = it->second;
-            table.addRow({latest ? "Latest" : "Karonte", profile.vendor,
-                          std::to_string(g.count),
-                          std::to_string(g.karonte.alerts),
-                          std::to_string(g.karonte.bugs),
-                          eval::fixed(g.karonte.ms, 0),
-                          std::to_string(g.karonteIts.alerts),
-                          std::to_string(g.karonteIts.bugs),
-                          eval::fixed(g.karonteIts.ms, 0),
-                          std::to_string(g.sta.alerts),
-                          std::to_string(g.sta.bugs),
-                          eval::fixed(g.sta.ms, 0),
-                          std::to_string(g.staIts.alerts),
-                          std::to_string(g.staIts.bugs),
-                          eval::fixed(g.staIts.ms, 0)});
+            if (it != groups.end()) {
+                addRow({latest ? "Latest" : "Karonte", profile.vendor},
+                       it->second);
+            }
         }
         if (!latest)
             table.addSeparator();
     }
     table.addSeparator();
-    table.addRow({"Total", "-", std::to_string(total.count),
-                  std::to_string(total.karonte.alerts),
-                  std::to_string(total.karonte.bugs),
-                  eval::fixed(total.karonte.ms, 0),
-                  std::to_string(total.karonteIts.alerts),
-                  std::to_string(total.karonteIts.bugs),
-                  eval::fixed(total.karonteIts.ms, 0),
-                  std::to_string(total.sta.alerts),
-                  std::to_string(total.sta.bugs),
-                  eval::fixed(total.sta.ms, 0),
-                  std::to_string(total.staIts.alerts),
-                  std::to_string(total.staIts.bugs),
-                  eval::fixed(total.staIts.ms, 0)});
+    addRow({"Total", "-"}, total);
     table.print();
 
     std::printf("\nSet relations the paper reports:\n");
-    std::printf("  Karonte-ITS found every Karonte bug:    %s "
-                "(paper: yes; +%zd bugs)\n",
-                karonteSuperset ? "yes" : "NO",
-                static_cast<long>(total.karonteIts.bugs) -
-                    static_cast<long>(total.karonte.bugs));
-    std::printf("  STA-ITS found every STA bug:            %s "
-                "(paper: yes; +%zd bugs)\n",
-                staSuperset ? "yes" : "NO",
-                static_cast<long>(total.staIts.bugs) -
-                    static_cast<long>(total.sta.bugs));
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        const std::size_t plain = plainRun(r);
+        if (plain == r)
+            continue;
+        const std::string claim = std::string(runs[r].title) +
+                                  " found every " + runs[plain].title +
+                                  " bug:";
+        std::printf("  %-39s %s (paper: yes; +%ld bugs)\n",
+                    claim.c_str(), missed[r][plain] == 0 ? "yes" : "NO",
+                    static_cast<long>(total.runs[r].bugs) -
+                        static_cast<long>(total.runs[plain].bugs));
+    }
     std::printf("  Bugs STA found that Karonte missed:     %zu "
                 "(paper: 9 — deep flows beyond the\n"
                 "      symbolic engine's depth/path budget)\n",
-                staOnlyCount);
+                missed[karonte][sta]);
     std::printf("  Bugs Karonte found that STA missed:     %zu "
                 "(scan loops / indirect calls the\n"
                 "      IDA-style data-flow recovery cannot see)\n",
-                karonteOnlyCount);
+                missed[sta][karonte]);
 
     // ---- Case study (§4.3) ------------------------------------------
     std::printf("\nCase study (CVE-2022-20825 analogue, Cisco "
@@ -185,24 +159,25 @@ main()
     }
 
     obs::BenchRecord record("table5_bugs");
-    record.add("samples", static_cast<double>(total.count));
-    record.add("karonte_alerts",
-               static_cast<double>(total.karonte.alerts));
-    record.add("karonte_bugs", static_cast<double>(total.karonte.bugs));
-    record.add("karonte_its_alerts",
-               static_cast<double>(total.karonteIts.alerts));
-    record.add("karonte_its_bugs",
-               static_cast<double>(total.karonteIts.bugs));
-    record.add("sta_alerts", static_cast<double>(total.sta.alerts));
-    record.add("sta_bugs", static_cast<double>(total.sta.bugs));
-    record.add("sta_its_alerts",
-               static_cast<double>(total.staIts.alerts));
-    record.add("sta_its_bugs", static_cast<double>(total.staIts.bugs));
-    record.add("sta_only_bugs", static_cast<double>(staOnlyCount));
+    record.add("samples", static_cast<double>(total.samples));
+    // Record keys: "karonte+its" -> "karonte_its".
+    std::array<std::string, runs.size()> keys;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        keys[r] = runs[r].key;
+        std::replace(keys[r].begin(), keys[r].end(), '+', '_');
+        record.add(keys[r] + "_alerts",
+                   static_cast<double>(total.runs[r].alerts));
+        record.add(keys[r] + "_bugs",
+                   static_cast<double>(total.runs[r].bugs));
+    }
+    record.add("sta_only_bugs", static_cast<double>(missed[karonte][sta]));
     record.add("karonte_only_bugs",
-               static_cast<double>(karonteOnlyCount));
-    record.add("karonte_its_superset", karonteSuperset ? 1.0 : 0.0);
-    record.add("sta_its_superset", staSuperset ? 1.0 : 0.0);
+               static_cast<double>(missed[sta][karonte]));
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+        if (runs[r].withIts)
+            record.add(keys[r] + "_superset",
+                       missed[r][plainRun(r)] == 0 ? 1.0 : 0.0);
+    }
     record.write();
     return 0;
 }

@@ -5,8 +5,8 @@
  * positive class showing *why* each engine's rate lands where it does.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "eval/corpus_runner.hh"
 #include "eval/tables.hh"
@@ -24,38 +24,20 @@ main()
     const auto outcomes =
         eval::CorpusRunner().run(synth::standardDataset(), /*taint=*/true);
 
-    eval::EngineStats karonte, karonteIts, sta, staIts;
+    eval::TaintTotals totals;
     std::size_t filteredSystemData = 0;
 
     for (const auto &outcome : outcomes) {
         if (!outcome.taint)
             continue;
-        karonte += outcome.taint->karonte;
-        karonteIts += outcome.taint->karonteIts;
-        sta += outcome.taint->sta;
-        staIts += outcome.taint->staIts;
+        totals += *outcome.taint;
         for (const auto &site : outcome.truth.sinkSites) {
             if (site.cls == synth::SiteClass::SystemData)
                 ++filteredSystemData;
         }
     }
 
-    eval::TablePrinter table(
-        {"", "Karonte", "Karonte-ITS", "STA", "STA-ITS"});
-    table.addRow({"Alerts", std::to_string(karonte.alerts),
-                  std::to_string(karonteIts.alerts),
-                  std::to_string(sta.alerts),
-                  std::to_string(staIts.alerts)});
-    table.addRow({"Bugs", std::to_string(karonte.bugs),
-                  std::to_string(karonteIts.bugs),
-                  std::to_string(sta.bugs),
-                  std::to_string(staIts.bugs)});
-    table.addRow({"FP rate",
-                  eval::percent(karonte.falsePositiveRate()),
-                  eval::percent(karonteIts.falsePositiveRate()),
-                  eval::percent(sta.falsePositiveRate()),
-                  eval::percent(staIts.falsePositiveRate())});
-    table.print();
+    std::fputs(eval::renderEngineTable(totals).c_str(), stdout);
 
     std::printf("\nPaper's Table 6: Karonte 35.6%%, Karonte-ITS "
                 "34.7%%, STA 77.2%%, STA-ITS 27.9%%.\n");
@@ -75,10 +57,11 @@ main()
                 filteredSystemData);
 
     obs::BenchRecord record("table6_fpr");
-    record.add("karonte_fpr", karonte.falsePositiveRate());
-    record.add("karonte_its_fpr", karonteIts.falsePositiveRate());
-    record.add("sta_fpr", sta.falsePositiveRate());
-    record.add("sta_its_fpr", staIts.falsePositiveRate());
+    for (std::size_t r = 0; r < eval::kTaintRuns.size(); ++r) {
+        std::string key = eval::kTaintRuns[r].key; // "karonte+its"
+        std::replace(key.begin(), key.end(), '+', '_');
+        record.add(key + "_fpr", totals.runs[r].falsePositiveRate());
+    }
     record.add("system_data_sites",
                static_cast<double>(filteredSystemData));
     record.write();

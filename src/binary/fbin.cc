@@ -285,6 +285,10 @@ loadBinary(const std::vector<std::uint8_t> &bytes)
             !r.str(imp.library)) {
             return err(ErrorCode::Corrupt, "malformed import");
         }
+        // An empty library means "callee in this image" everywhere a
+        // CallTarget is read; an import must name the library it binds.
+        if (imp.library.empty())
+            return err(ErrorCode::Corrupt, "import without a library");
         image.imports.push_back(std::move(imp));
     }
 

@@ -11,50 +11,31 @@ namespace fits::eval {
 
 namespace {
 
-/** The four Table 5 runs on the artifact's analysis, into
- * outcome.taint. ITS runs apply the §4.3 system-data filter. A report
- * cut short by the wall-clock budget is still scored — its alerts are
- * valid, just not a full sweep — and degrades the outcome so aggregate
- * tables can exclude or annotate it. */
+/** The kTaintRuns on the artifact's analysis, into outcome.taint. A
+ * report cut short by the wall-clock budget is still scored — its
+ * alerts are valid, just not a full sweep — and degrades the outcome
+ * so aggregate tables can exclude or annotate it. */
 void
 runTaint(const core::PipelineArtifact &artifact, double taintBudgetMs,
          SampleOutcome &outcome)
 {
-    const analysis::ProgramAnalysis &pa = *artifact.analysis;
-    const auto cts = taint::classicalTaintSources();
-    auto ctsPlusIts = cts;
-    const auto itsSources =
+    const auto its =
         verifiedItsSources(artifact.inference.ranking, outcome.truth);
-    ctsPlusIts.insert(ctsPlusIts.end(), itsSources.begin(),
-                      itsSources.end());
-
-    taint::KaronteEngine::Config karonteConfig;
-    karonteConfig.deadlineMs = taintBudgetMs;
-    taint::StaEngine::Config staConfig;
-    staConfig.deadlineMs = taintBudgetMs;
-    const taint::KaronteEngine karonte(karonteConfig);
-    const taint::StaEngine sta(staConfig);
-
     TaintOutcome &runs = outcome.taint.emplace();
-    const auto score = [&](const taint::TaintReport &report, bool its,
-                           const char *engine, EngineStats &stats,
-                           std::vector<ir::Addr> &bugs) {
+    for (std::size_t r = 0; r < kTaintRuns.size(); ++r) {
+        const TaintRun &run = kTaintRuns[r];
+        const auto report =
+            runEngine(run, *artifact.analysis, its, taintBudgetMs);
         if (report.deadlineExpired) {
             outcome.degraded = true;
             outcome.issues.push_back(support::Status::error(
                 support::Stage::Taint, support::ErrorCode::Timeout,
-                std::string(engine) + " stopped at the stage deadline"));
+                std::string(run.key) + " stopped at the stage deadline"));
         }
-        stats = scoreReport(its ? report.filteredAlerts() : report.alerts,
-                            outcome.truth, report.analysisMs, &bugs);
-    };
-    score(karonte.run(pa, cts), false, "karonte", runs.karonte,
-          runs.karonteBugs);
-    score(karonte.run(pa, ctsPlusIts), true, "karonte+its",
-          runs.karonteIts, runs.karonteItsBugs);
-    score(sta.run(pa, cts), false, "sta", runs.sta, runs.staBugs);
-    score(sta.run(pa, ctsPlusIts), true, "sta+its", runs.staIts,
-          runs.staItsBugs);
+        runs[r].stats = scoreReport(reportedAlerts(run, report),
+                                    outcome.truth, report.analysisMs,
+                                    &runs[r].bugs);
+    }
 }
 
 } // namespace
@@ -169,6 +150,35 @@ EngineStats::operator+=(const EngineStats &other)
     bugs += other.bugs;
     ms += other.ms;
     return *this;
+}
+
+TaintTotals &
+TaintTotals::operator+=(const TaintOutcome &outcome)
+{
+    ++samples;
+    for (std::size_t r = 0; r < runs.size(); ++r)
+        runs[r] += outcome[r].stats;
+    return *this;
+}
+
+taint::TaintReport
+runEngine(const TaintRun &run, const analysis::ProgramAnalysis &pa,
+          const std::vector<taint::TaintSource> &its, double deadlineMs)
+{
+    auto sources = taint::classicalTaintSources();
+    if (run.withIts)
+        sources.insert(sources.end(), its.begin(), its.end());
+    if (run.engine == TaintEngine::Karonte) {
+        return taint::KaronteEngine({.deadlineMs = deadlineMs})
+            .run(pa, sources);
+    }
+    return taint::StaEngine({.deadlineMs = deadlineMs}).run(pa, sources);
+}
+
+std::vector<taint::Alert>
+reportedAlerts(const TaintRun &run, const taint::TaintReport &report)
+{
+    return run.withIts ? report.filteredAlerts() : report.alerts;
 }
 
 EngineStats

@@ -1,6 +1,7 @@
 #ifndef FITS_EVAL_HARNESS_HH_
 #define FITS_EVAL_HARNESS_HH_
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +24,16 @@ struct PrecisionStats
     double p1() const;
     double p2() const;
     double p3() const;
+
+    PrecisionStats &
+    operator+=(const PrecisionStats &other)
+    {
+        top1 += other.top1;
+        top2 += other.top2;
+        top3 += other.top3;
+        total += other.total;
+        return *this;
+    }
 };
 
 /** Aggregate outcome of one taint-engine run against ground truth. */
@@ -44,18 +55,58 @@ struct EngineStats
     EngineStats &operator+=(const EngineStats &other);
 };
 
-/** The four engine configurations of Table 5 on one sample. */
-struct TaintOutcome
+/** The two taint engines Table 5 compares. */
+enum class TaintEngine { Karonte, Sta };
+
+/** One engine run of Table 5. With ITSs, the verified ITSs join the
+ * CTSs and the run drops the §4.3 system-data flows from its alerts.
+ * `title` heads its table column; `key` names it in degraded-sample
+ * issues and in the golden digest. */
+struct TaintRun
 {
-    EngineStats karonte;
-    EngineStats karonteIts;
-    EngineStats sta;
-    EngineStats staIts;
-    /** Bug-site sets found, for cross-engine set relations. */
-    std::vector<ir::Addr> karonteBugs;
-    std::vector<ir::Addr> karonteItsBugs;
-    std::vector<ir::Addr> staBugs;
-    std::vector<ir::Addr> staItsBugs;
+    TaintEngine engine;
+    bool withIts;
+    const char *title;
+    const char *key;
+};
+
+/** Table 5's four runs, in the order each sample runs them. */
+inline constexpr std::array<TaintRun, 4> kTaintRuns{{
+    {TaintEngine::Karonte, false, "Karonte", "karonte"},
+    {TaintEngine::Karonte, true, "Karonte-ITS", "karonte+its"},
+    {TaintEngine::Sta, false, "STA", "sta"},
+    {TaintEngine::Sta, true, "STA-ITS", "sta+its"},
+}};
+
+/** Position of the (engine, withIts) run in kTaintRuns. */
+constexpr std::size_t
+taintRunIndex(TaintEngine engine, bool withIts)
+{
+    std::size_t i = 0;
+    while (kTaintRuns[i].engine != engine ||
+           kTaintRuns[i].withIts != withIts)
+        ++i;
+    return i;
+}
+
+/** One run on one sample; `bugs` are its distinct true-positive sink
+ * sites, sorted, for cross-run set relations. */
+struct RunOutcome
+{
+    EngineStats stats;
+    std::vector<ir::Addr> bugs;
+};
+
+/** The Table 5 runs on one sample, indexed like kTaintRuns. */
+using TaintOutcome = std::array<RunOutcome, kTaintRuns.size()>;
+
+/** Each run's stats summed over the samples that ran taint. */
+struct TaintTotals
+{
+    std::size_t samples = 0;
+    std::array<EngineStats, kTaintRuns.size()> runs;
+
+    TaintTotals &operator+=(const TaintOutcome &outcome);
 };
 
 /**
@@ -107,10 +158,8 @@ struct SampleOutcome
 /**
  * Score one pipeline artifact as a SampleOutcome; the ranking and the
  * behavior representation move out of `artifact`. With `taint`, the
- * four Table 5 configurations also run on the artifact's whole-program
- * analysis (no unpack/select/behavior re-run): each engine with CTS or
- * CTS + verifiedItsSources, the ITS-sourced runs with the §4.3
- * system-data string filter, each under `taintBudgetMs` (0 =
+ * kTaintRuns also run on the artifact's whole-program analysis (no
+ * unpack/select/behavior re-run), each under `taintBudgetMs` (0 =
  * unlimited). The engines still run when only the inference stage
  * failed, then with classical sources alone.
  */
@@ -139,6 +188,17 @@ PrecisionStats rerank(const std::vector<SampleOutcome> &outcomes,
 std::vector<taint::TaintSource>
 verifiedItsSources(const std::vector<core::RankedFunction> &ranking,
                    const synth::GroundTruth &truth);
+
+/** Run `run`'s engine on `pa` from the CTSs (plus `its` when the run
+ * adds ITSs) under `deadlineMs` (0 = unlimited); the report is raw. */
+taint::TaintReport runEngine(const TaintRun &run,
+                             const analysis::ProgramAnalysis &pa,
+                             const std::vector<taint::TaintSource> &its,
+                             double deadlineMs = 0.0);
+
+/** The alerts `run` reports: filtered when it adds ITSs. */
+std::vector<taint::Alert> reportedAlerts(const TaintRun &run,
+                                         const taint::TaintReport &report);
 
 /** Score a taint report against ground truth. */
 EngineStats scoreReport(const std::vector<taint::Alert> &alerts,

@@ -16,8 +16,6 @@
 #include "support/file.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
-#include "taint/karonte.hh"
-#include "taint/sta.hh"
 
 namespace fits::eval {
 
@@ -127,10 +125,7 @@ runCorpusReport(const CorpusOptions &options)
             if (outcome.spec.profile.vendor == profile.vendor)
                 stats.addRank(outcome.ok() ? outcome.firstItsRank : -1);
         }
-        overall.total += stats.total;
-        overall.top1 += stats.top1;
-        overall.top2 += stats.top2;
-        overall.top3 += stats.top3;
+        overall += stats;
         table.addRow({profile.vendor, std::to_string(stats.total),
                       percent(stats.p1()), percent(stats.p2()),
                       percent(stats.p3())});
@@ -142,36 +137,16 @@ runCorpusReport(const CorpusOptions &options)
     report.text += table.render();
 
     if (options.taint) {
-        EngineStats karonte, karonteIts, sta, staIts;
-        int analyzed = 0;
+        TaintTotals totals;
         for (const auto &outcome : outcomes) {
-            if (!outcome.taint)
-                continue;
-            ++analyzed;
-            karonte += outcome.taint->karonte;
-            karonteIts += outcome.taint->karonteIts;
-            sta += outcome.taint->sta;
-            staIts += outcome.taint->staIts;
+            if (outcome.taint)
+                totals += *outcome.taint;
         }
         report.text += support::format(
-            "\ntaint engines (%d analyzable samples, one "
+            "\ntaint engines (%zu analyzable samples, one "
             "shared analysis per sample):\n",
-            analyzed);
-        TablePrinter engines(
-            {"", "Karonte", "Karonte-ITS", "STA", "STA-ITS"});
-        engines.addRow({"Alerts", std::to_string(karonte.alerts),
-                        std::to_string(karonteIts.alerts),
-                        std::to_string(sta.alerts),
-                        std::to_string(staIts.alerts)});
-        engines.addRow({"Bugs", std::to_string(karonte.bugs),
-                        std::to_string(karonteIts.bugs),
-                        std::to_string(sta.bugs),
-                        std::to_string(staIts.bugs)});
-        engines.addRow({"FP rate", percent(karonte.falsePositiveRate()),
-                        percent(karonteIts.falsePositiveRate()),
-                        percent(sta.falsePositiveRate()),
-                        percent(staIts.falsePositiveRate())});
-        report.text += engines.render();
+            totals.samples);
+        report.text += renderEngineTable(totals);
     }
 
     // Failure accounting: every sample whose pipeline errored,
@@ -299,39 +274,31 @@ runTaintReport(const std::vector<std::uint8_t> &bytes,
     }
     // An ITS is a custom function of the network binary: an address
     // that is no function entry there could never seed anything.
+    std::vector<taint::TaintSource> its;
     for (std::uint64_t addr : itsAddrs) {
         if (target.value().main->program.functionAt(addr) == nullptr) {
             report.error = support::format("no function at %s\n",
                                            support::hex(addr).c_str());
             return report;
         }
+        its.push_back(taint::TaintSource::its(addr, support::hex(addr)));
     }
     const analysis::LinkedProgram linked(*target.value().main,
                                          target.value().libraries);
     const auto pa = analysis::ProgramAnalysis::analyze(linked);
-
-    auto sources = taint::classicalTaintSources();
-    for (std::uint64_t addr : itsAddrs)
-        sources.push_back(
-            taint::TaintSource::its(addr, support::hex(addr)));
-
-    taint::TaintReport taintReport;
-    if (engine == "sta") {
-        taintReport = taint::StaEngine().run(pa, sources);
-    } else {
-        taintReport = taint::KaronteEngine().run(pa, sources);
-    }
-    const auto alerts = itsAddrs.empty()
-                            ? taintReport.alerts
-                            : taintReport.filteredAlerts();
+    const TaintRun &run = kTaintRuns[taintRunIndex(
+        engine == "sta" ? TaintEngine::Sta : TaintEngine::Karonte,
+        !its.empty())];
+    const auto taintReport = runEngine(run, pa, its);
+    const auto alerts = reportedAlerts(run, taintReport);
 
     report.ok = true;
     report.text += support::format(
         "%s: %zu alerts in %.1f ms (%zu sources, %zu of "
         "them ITSs%s)\n\n",
         engine.c_str(), alerts.size(), taintReport.analysisMs,
-        sources.size(), itsAddrs.size(),
-        itsAddrs.empty() ? "" : "; system-data filtered");
+        taint::classicalTaintSources().size() + its.size(), its.size(),
+        run.withIts ? "; system-data filtered" : "");
     for (const auto &alert : alerts) {
         report.text += support::format(
             "  %-8s at %-10s in fn %-10s [%s]\n",

@@ -77,6 +77,23 @@ TablePrinter::print() const
 }
 
 std::string
+renderEngineTable(const TaintTotals &totals)
+{
+    std::vector<std::string> headers{""}, alerts{"Alerts"}, bugs{"Bugs"},
+        fpRate{"FP rate"};
+    for (std::size_t r = 0; r < kTaintRuns.size(); ++r) {
+        headers.push_back(kTaintRuns[r].title);
+        alerts.push_back(std::to_string(totals.runs[r].alerts));
+        bugs.push_back(std::to_string(totals.runs[r].bugs));
+        fpRate.push_back(percent(totals.runs[r].falsePositiveRate()));
+    }
+    TablePrinter table(std::move(headers));
+    for (auto *row : {&alerts, &bugs, &fpRate})
+        table.addRow(std::move(*row));
+    return table.render();
+}
+
+std::string
 percent(double ratio)
 {
     return support::format("%.0f%%", ratio * 100.0);

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "eval/harness.hh"
+
 namespace fits::eval {
 
 /**
@@ -32,6 +34,10 @@ class TablePrinter
     std::vector<std::vector<std::string>> rows_;
     static const std::string kSeparatorTag_;
 };
+
+/** The Alerts / Bugs / FP-rate table over the kTaintRuns columns, as
+ * `fits corpus --taint` and Table 6 print it. */
+std::string renderEngineTable(const TaintTotals &totals);
 
 /** "89%"-style rendering of a [0,1] ratio. */
 std::string percent(double ratio);

@@ -44,6 +44,17 @@ if grep -q '"kernel.reachdef"' "$DIR/score.json"; then
     exit 1
 fi
 
+# A sidecar address that does not parse fails `fits score` (exit 1)
+# with a message naming the line, never a silent 0.
+cp "$IMG" "$DIR/bad.fwimg"
+sed 's/^its .*/its zz/' "$IMG.truth" > "$DIR/bad.fwimg.truth"
+rc=0
+"$FITS" score "$DIR/bad.fwimg" > /dev/null 2> "$DIR/bad.err" || rc=$?
+test "$rc" -eq 1 && grep -q ":2: bad address: its zz" "$DIR/bad.err" || {
+    echo "expected exit 1 naming the bad sidecar address, got $rc" >&2
+    exit 1
+}
+
 # Numeric arguments parse strictly: anything but a whole unsigned
 # number is a usage error (exit 2), never a silent 0.
 expect_usage() {

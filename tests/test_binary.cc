@@ -416,6 +416,14 @@ TEST(Fbin, RejectsTrailingGarbage)
     EXPECT_EQ(loaded.status().code(), support::ErrorCode::Corrupt);
 }
 
+TEST(Fbin, RejectsImportWithoutLibrary)
+{
+    BinaryImage image = makeImage();
+    image.imports[0].library.clear();
+    const auto loaded = loadBinary(writeBinary(image));
+    EXPECT_EQ(loaded.status().code(), support::ErrorCode::Corrupt);
+}
+
 TEST(Fbin, RejectsEveryTruncation)
 {
     // Property: no prefix of a valid FBIN parses (the decoder never

@@ -291,12 +291,12 @@ TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
         ASSERT_EQ(cached[i].taint.has_value(), raw[i].taint.has_value());
         if (!raw[i].taint)
             continue;
-        EXPECT_EQ(cached[i].taint->sta.alerts, raw[i].taint->sta.alerts);
-        EXPECT_EQ(cached[i].taint->staIts.alerts,
-                  raw[i].taint->staIts.alerts);
-        EXPECT_EQ(cached[i].taint->karonte.alerts,
-                  raw[i].taint->karonte.alerts);
-        EXPECT_EQ(cached[i].taint->sta.bugs, raw[i].taint->sta.bugs);
+        for (std::size_t r = 0; r < eval::kTaintRuns.size(); ++r) {
+            SCOPED_TRACE(eval::kTaintRuns[r].key);
+            EXPECT_EQ((*cached[i].taint)[r].stats.alerts,
+                      (*raw[i].taint)[r].stats.alerts);
+            EXPECT_EQ((*cached[i].taint)[r].bugs, (*raw[i].taint)[r].bugs);
+        }
     }
 }
 

@@ -8,41 +8,40 @@
 
 #include "core/pipeline.hh"
 #include "core/triage.hh"
-#include "eval/harness.hh"
+#include "eval/corpus_runner.hh"
 #include "synth/firmware_gen.hh"
 
 namespace fits {
 namespace {
+
+using eval::TaintEngine;
 
 /** Shared corpus evaluation, computed once per test binary run. */
 struct CorpusResults
 {
     eval::PrecisionStats precision;
     int failures = 0;
-    eval::EngineStats karonte, karonteIts, sta, staIts;
+    eval::TaintTotals taint;
+
+    const eval::EngineStats &
+    run(TaintEngine engine, bool withIts) const
+    {
+        return taint.runs[eval::taintRunIndex(engine, withIts)];
+    }
 
     static const CorpusResults &
     get()
     {
         static const CorpusResults results = [] {
             CorpusResults r;
-            for (const auto &spec : synth::standardDataset()) {
-                const auto fw = synth::generateFirmware(spec);
-                const auto outcome = eval::sampleOutcome(
-                    core::FitsPipeline().analyze(fw.bytes), fw.spec,
-                    fw.truth, /*taint=*/true);
-                const int rank =
-                    outcome.ok() ? outcome.firstItsRank : -1;
+            for (const auto &outcome : eval::CorpusRunner().run(
+                     synth::standardDataset(), /*taint=*/true)) {
+                const int rank = outcome.ok() ? outcome.firstItsRank : -1;
                 r.precision.addRank(rank);
-                if (!outcome.ok() || rank < 0)
+                if (rank < 0)
                     ++r.failures;
-
-                if (outcome.taint) {
-                    r.karonte += outcome.taint->karonte;
-                    r.karonteIts += outcome.taint->karonteIts;
-                    r.sta += outcome.taint->sta;
-                    r.staIts += outcome.taint->staIts;
-                }
+                if (outcome.taint)
+                    r.taint += *outcome.taint;
             }
             return r;
         }();
@@ -69,17 +68,18 @@ TEST(CorpusShape, ExactlySixFailures)
 TEST(CorpusShape, ItsRunsFindMoreBugs)
 {
     const auto &r = CorpusResults::get();
-    EXPECT_GT(r.karonteIts.bugs, r.karonte.bugs);
-    EXPECT_GT(r.staIts.bugs, r.sta.bugs);
+    for (const auto engine : {TaintEngine::Karonte, TaintEngine::Sta})
+        EXPECT_GT(r.run(engine, true).bugs, r.run(engine, false).bugs);
 }
 
 TEST(CorpusShape, StaticEngineGainsDwarfSymbolicGains)
 {
     // Paper: +339 vs +15 — at least 4x here.
     const auto &r = CorpusResults::get();
-    const auto staGain = r.staIts.bugs - r.sta.bugs;
-    const auto karonteGain = r.karonteIts.bugs - r.karonte.bugs;
-    EXPECT_GE(staGain, 4 * karonteGain);
+    const auto gain = [&](TaintEngine engine) {
+        return r.run(engine, true).bugs - r.run(engine, false).bugs;
+    };
+    EXPECT_GE(gain(TaintEngine::Sta), 4 * gain(TaintEngine::Karonte));
 }
 
 TEST(CorpusShape, FalsePositiveRateOrdering)
@@ -87,19 +87,24 @@ TEST(CorpusShape, FalsePositiveRateOrdering)
     // Paper's Table 6: STA worst by far; both ITS configurations at or
     // below their vanilla counterparts.
     const auto &r = CorpusResults::get();
-    EXPECT_GT(r.sta.falsePositiveRate(), 0.6);
-    EXPECT_LT(r.karonte.falsePositiveRate(), 0.5);
-    EXPECT_LE(r.karonteIts.falsePositiveRate(),
-              r.karonte.falsePositiveRate() + 0.02);
-    EXPECT_LT(r.staIts.falsePositiveRate(),
-              r.sta.falsePositiveRate() - 0.2);
+    const auto fpr = [&](TaintEngine engine, bool withIts) {
+        return r.run(engine, withIts).falsePositiveRate();
+    };
+    EXPECT_GT(fpr(TaintEngine::Sta, false), 0.6);
+    EXPECT_LT(fpr(TaintEngine::Karonte, false), 0.5);
+    EXPECT_LE(fpr(TaintEngine::Karonte, true),
+              fpr(TaintEngine::Karonte, false) + 0.02);
+    EXPECT_LT(fpr(TaintEngine::Sta, true),
+              fpr(TaintEngine::Sta, false) - 0.2);
 }
 
 TEST(CorpusShape, StaIsTheNoisiestEngine)
 {
     const auto &r = CorpusResults::get();
-    EXPECT_GT(r.sta.alerts, r.karonte.alerts);
-    EXPECT_GT(r.staIts.alerts, r.karonteIts.alerts);
+    for (const bool withIts : {false, true}) {
+        EXPECT_GT(r.run(TaintEngine::Sta, withIts).alerts,
+                  r.run(TaintEngine::Karonte, withIts).alerts);
+    }
 }
 
 TEST(Triage, ItsGetterProfilesAsMemoryOperator)

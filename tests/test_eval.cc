@@ -65,6 +65,16 @@ TEST(EngineStats, Accumulation)
     EXPECT_EQ(a.alerts, 8u);
     EXPECT_EQ(a.bugs, 3u);
     EXPECT_DOUBLE_EQ(a.ms, 5.0);
+
+    // PrecisionStats merges the same way (per-vendor into overall).
+    PrecisionStats vendor, overall;
+    vendor.addRank(1);
+    overall.addRank(3);
+    overall += vendor;
+    EXPECT_EQ(overall.total, 2);
+    EXPECT_EQ(overall.top1, 1);
+    EXPECT_EQ(overall.top2, 1);
+    EXPECT_EQ(overall.top3, 2);
 }
 
 TEST(ScoreReport, ClassifiesAgainstGroundTruth)

@@ -30,6 +30,7 @@
 #include <tuple>
 #include <vector>
 
+#include "binary/bytebuf.hh"
 #include "binary/fbin.hh"
 #include "core/behavior_io.hh"
 #include "core/pipeline.hh"
@@ -37,39 +38,12 @@
 #include "eval/harness.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
-#include "taint/karonte.hh"
-#include "taint/sta.hh"
 
 namespace fits {
 namespace {
 
-/** 64-bit FNV-1a, fed field by field. */
-struct Fnv1a
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    void
-    bytes(const void *data, std::size_t size)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < size; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ULL;
-        }
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            const unsigned char b =
-                static_cast<unsigned char>(v >> (8 * i));
-            bytes(&b, 1);
-        }
-    }
-};
-
-/** "count/hash" over the sorted (image, site, sink, mask, fn) tuples. */
+/** "count/hash": FNV-1a over the sorted (image, site, sink, mask, fn)
+ * tuples, little-endian u64s around the NUL-terminated sink name. */
 std::string
 alertDigest(const std::vector<taint::Alert> &alerts)
 {
@@ -81,16 +55,17 @@ alertDigest(const std::vector<taint::Alert> &alerts)
                             a.labelMask, a.inFunction);
     }
     std::sort(tuples.begin(), tuples.end());
-    Fnv1a fnv;
+    bin::StringByteWriter w;
     for (const auto &[image, site, sink, mask, fn] : tuples) {
-        fnv.u64(image);
-        fnv.u64(site);
-        fnv.bytes(sink.data(), sink.size());
-        fnv.bytes("", 1);
-        fnv.u64(mask);
-        fnv.u64(fn);
+        w.u64(image);
+        w.u64(site);
+        w.raw({sink.begin(), sink.end()});
+        w.u8(0);
+        w.u64(mask);
+        w.u64(fn);
     }
-    return std::to_string(alerts.size()) + "/" + support::hex(fnv.h);
+    return std::to_string(alerts.size()) + "/" +
+           support::hex(support::fnv1a(w.take()));
 }
 
 struct SampleDigest
@@ -126,7 +101,6 @@ digestSample(const synth::GeneratedFirmware &fw)
 {
     core::PipelineConfig config;
     config.budgets.behaviorMs = 0.0;
-    config.budgets.taintMs = 0.0;
     const auto artifact = core::FitsPipeline(config).analyze(fw.bytes);
 
     std::ostringstream line;
@@ -153,19 +127,13 @@ digestSample(const synth::GeneratedFirmware &fw)
     if (!artifact.hasAnalysis())
         return {line.str(), firstItsRank, {}};
 
-    // The sources of eval::taintOutcome.
-    const auto cts = taint::classicalTaintSources();
-    auto ctsPlusIts = cts;
+    // The Table 5 runs, raw alerts (before the system-data filter).
     const auto its = eval::verifiedItsSources(ranking, fw.truth);
-    ctsPlusIts.insert(ctsPlusIts.end(), its.begin(), its.end());
-    const auto &pa = *artifact.analysis;
-    const taint::KaronteEngine karonte;
-    const taint::StaEngine sta;
-    line << " karonte=" << alertDigest(karonte.run(pa, cts).alerts)
-         << " karonte+its="
-         << alertDigest(karonte.run(pa, ctsPlusIts).alerts)
-         << " sta=" << alertDigest(sta.run(pa, cts).alerts)
-         << " sta+its=" << alertDigest(sta.run(pa, ctsPlusIts).alerts);
+    for (const auto &run : eval::kTaintRuns) {
+        line << ' ' << run.key << '='
+             << alertDigest(
+                    eval::runEngine(run, *artifact.analysis, its).alerts);
+    }
     return {line.str(), firstItsRank, codecLine(fw.spec.name, artifact)};
 }
 
@@ -220,10 +188,7 @@ TEST(GoldenCorpus, MatchesCommittedDigest)
                 stats.addRank(samples[i].firstItsRank);
         }
         actual.push_back(table3Line(vendor, stats));
-        overall.total += stats.total;
-        overall.top1 += stats.top1;
-        overall.top2 += stats.top2;
-        overall.top3 += stats.top3;
+        overall += stats;
     }
     actual.push_back(table3Line("Overall", overall));
     const std::size_t codecStart = actual.size();

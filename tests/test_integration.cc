@@ -129,29 +129,26 @@ TEST(TaintIntegration, EngineRelationsHoldEndToEnd)
         /*taint=*/true);
     ASSERT_TRUE(sample.taint) << sample.status.toString();
     const auto &outcome = *sample.taint;
+    const auto &staCts =
+        outcome[eval::taintRunIndex(eval::TaintEngine::Sta, false)];
+    const auto &staWithIts =
+        outcome[eval::taintRunIndex(eval::TaintEngine::Sta, true)];
 
     // The paper's structural claims, per sample:
-    //  - ITS-augmented runs find supersets of the vanilla runs;
-    auto contains = [](const std::vector<ir::Addr> &super,
-                       const std::vector<ir::Addr> &sub) {
-        return std::all_of(sub.begin(), sub.end(), [&](ir::Addr a) {
-            return std::find(super.begin(), super.end(), a) !=
-                   super.end();
-        });
-    };
-    EXPECT_TRUE(
-        contains(outcome.karonteItsBugs, outcome.karonteBugs));
-    EXPECT_TRUE(contains(outcome.staItsBugs, outcome.staBugs));
-
-    //  - STA-ITS dominates every configuration in bugs found;
-    EXPECT_GE(outcome.staIts.bugs, outcome.sta.bugs);
-    EXPECT_GE(outcome.staIts.bugs, outcome.karonteIts.bugs);
-
-    //  - STA's false-positive rate is the worst of the four.
-    EXPECT_GE(outcome.sta.falsePositiveRate(),
-              outcome.karonte.falsePositiveRate());
-    EXPECT_GE(outcome.sta.falsePositiveRate(),
-              outcome.staIts.falsePositiveRate());
+    for (std::size_t r = 0; r < eval::kTaintRuns.size(); ++r) {
+        const eval::TaintRun &run = eval::kTaintRuns[r];
+        SCOPED_TRACE(run.key);
+        //  - ITS-augmented runs find supersets of the vanilla runs;
+        const auto &cts = outcome[eval::taintRunIndex(run.engine, false)];
+        EXPECT_TRUE(std::includes(outcome[r].bugs.begin(),
+                                  outcome[r].bugs.end(), cts.bugs.begin(),
+                                  cts.bugs.end()));
+        //  - STA-ITS dominates every configuration in bugs found;
+        EXPECT_GE(staWithIts.stats.bugs, outcome[r].stats.bugs);
+        //  - STA's false-positive rate is the worst of the four.
+        EXPECT_GE(staCts.stats.falsePositiveRate(),
+                  outcome[r].stats.falsePositiveRate());
+    }
 }
 
 TEST(TaintIntegration, AlertsOnlyAtPlantedSites)
@@ -164,10 +161,8 @@ TEST(TaintIntegration, AlertsOnlyAtPlantedSites)
     ASSERT_TRUE(sample.taint);
     const auto &outcome = *sample.taint;
     // Every bug the engines report is a planted real-bug site.
-    for (const auto &bugs :
-         {outcome.karonteBugs, outcome.karonteItsBugs,
-          outcome.staBugs, outcome.staItsBugs}) {
-        for (ir::Addr site : bugs) {
+    for (const auto &run : outcome) {
+        for (ir::Addr site : run.bugs) {
             const synth::SinkSite *s = fw.truth.siteAt(site);
             ASSERT_NE(s, nullptr);
             EXPECT_TRUE(s->isBug());

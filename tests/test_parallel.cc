@@ -145,14 +145,6 @@ TEST(CorpusRunner, ParallelInferenceMatchesSerialOnStandardCorpus)
 }
 
 void
-expectIdenticalEngine(const eval::EngineStats &a,
-                      const eval::EngineStats &b)
-{
-    EXPECT_EQ(a.alerts, b.alerts);
-    EXPECT_EQ(a.bugs, b.bugs);
-}
-
-void
 expectIdenticalTaint(const eval::SampleOutcome &a,
                      const eval::SampleOutcome &b)
 {
@@ -160,14 +152,11 @@ expectIdenticalTaint(const eval::SampleOutcome &a,
     ASSERT_EQ(a.taint.has_value(), b.taint.has_value());
     if (!a.taint)
         return;
-    expectIdenticalEngine(a.taint->karonte, b.taint->karonte);
-    expectIdenticalEngine(a.taint->karonteIts, b.taint->karonteIts);
-    expectIdenticalEngine(a.taint->sta, b.taint->sta);
-    expectIdenticalEngine(a.taint->staIts, b.taint->staIts);
-    EXPECT_EQ(a.taint->karonteBugs, b.taint->karonteBugs);
-    EXPECT_EQ(a.taint->karonteItsBugs, b.taint->karonteItsBugs);
-    EXPECT_EQ(a.taint->staBugs, b.taint->staBugs);
-    EXPECT_EQ(a.taint->staItsBugs, b.taint->staItsBugs);
+    for (std::size_t r = 0; r < eval::kTaintRuns.size(); ++r) {
+        SCOPED_TRACE(eval::kTaintRuns[r].key);
+        EXPECT_EQ((*a.taint)[r].stats.alerts, (*b.taint)[r].stats.alerts);
+        EXPECT_EQ((*a.taint)[r].bugs, (*b.taint)[r].bugs);
+    }
 }
 
 /** A miniature corpus (one sample per vendor plus one failure) so the

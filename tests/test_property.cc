@@ -13,13 +13,10 @@
 #include "core/pipeline.hh"
 #include "eval/harness.hh"
 #include "firmware/fwimg.hh"
-#include "firmware/select.hh"
 #include "ir/validate.hh"
 #include "support/rng.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
-#include "taint/karonte.hh"
-#include "taint/sta.hh"
 
 namespace fits {
 namespace {
@@ -130,44 +127,34 @@ TEST_P(SeedSweep, TaintEngineInvariants)
     ASSERT_TRUE(sample.taint) << sample.status.toString();
     const auto &outcome = *sample.taint;
 
-    auto contains = [](const std::vector<ir::Addr> &super,
-                       const std::vector<ir::Addr> &sub) {
-        return std::all_of(sub.begin(), sub.end(), [&](ir::Addr a) {
-            return std::find(super.begin(), super.end(), a) !=
-                   super.end();
-        });
-    };
-    // ITS-augmented bug sets are supersets (the paper's claim, and the
-    // budget-split design guarantee).
-    EXPECT_TRUE(contains(outcome.karonteItsBugs,
-                         outcome.karonteBugs));
-    EXPECT_TRUE(contains(outcome.staItsBugs, outcome.staBugs));
-    // Bugs never exceed alerts.
-    for (const auto *stats :
-         {&outcome.karonte, &outcome.karonteIts, &outcome.sta,
-          &outcome.staIts}) {
-        EXPECT_LE(stats->bugs, stats->alerts);
+    for (std::size_t r = 0; r < eval::kTaintRuns.size(); ++r) {
+        const eval::TaintRun &run = eval::kTaintRuns[r];
+        SCOPED_TRACE(run.key);
+        // ITS-augmented bug sets are supersets (the paper's claim, and
+        // the budget-split design guarantee).
+        const auto &cts = outcome[eval::taintRunIndex(run.engine, false)];
+        EXPECT_TRUE(std::includes(outcome[r].bugs.begin(),
+                                  outcome[r].bugs.end(), cts.bugs.begin(),
+                                  cts.bugs.end()));
+        // Bugs never exceed alerts.
+        EXPECT_LE(outcome[r].stats.bugs, outcome[r].stats.alerts);
     }
 }
 
 TEST_P(SeedSweep, AlertsLandOnPlantedSinkSites)
 {
     const auto fw = synth::generateFirmware(seededSpec(GetParam()));
-    auto unpacked = fw::unpackFirmware(fw.bytes);
-    ASSERT_TRUE(unpacked);
-    auto target =
-        fw::selectAnalysisTarget(unpacked.value().filesystem);
-    ASSERT_TRUE(target);
-    const analysis::LinkedProgram linked(*target.value().main,
-                                         target.value().libraries);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    const taint::StaEngine sta;
-    const auto report =
-        sta.run(pa, taint::classicalTaintSources());
-    for (const auto &alert : report.alerts) {
-        EXPECT_NE(fw.truth.siteAt(alert.sinkSite), nullptr)
-            << "alert outside the planted sink sites at "
-            << support::hex(alert.sinkSite);
+    const auto artifact = core::FitsPipeline().analyze(fw.bytes);
+    ASSERT_TRUE(artifact.hasAnalysis()) << artifact.status.toString();
+    const auto its =
+        eval::verifiedItsSources(artifact.inference.ranking, fw.truth);
+    for (const auto &run : eval::kTaintRuns) {
+        const auto report = eval::runEngine(run, *artifact.analysis, its);
+        for (const auto &alert : report.alerts) {
+            EXPECT_NE(fw.truth.siteAt(alert.sinkSite), nullptr)
+                << run.key << " alert outside the planted sink sites at "
+                << support::hex(alert.sinkSite);
+        }
     }
 }
 

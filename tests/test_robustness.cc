@@ -25,8 +25,6 @@
 #include "support/rng.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
-#include "taint/karonte.hh"
-#include "taint/sta.hh"
 
 namespace fits {
 namespace {
@@ -199,19 +197,13 @@ TEST(Deadline, ExpiredTaintBudgetFlagsReports)
     auto artifact = pipeline.analyze(fw.bytes);
     ASSERT_TRUE(artifact.ok()) << artifact.status.toString();
 
-    // Each engine, run directly under the budget, stops at its own
+    // Each run, directly under the budget, stops at its engine's own
     // deadline check and flags its report.
-    const auto sources = taint::classicalTaintSources();
-    taint::StaEngine::Config staConfig;
-    staConfig.deadlineMs = 1e-6;
-    EXPECT_TRUE(taint::StaEngine(staConfig)
-                    .run(*artifact.analysis, sources)
-                    .deadlineExpired);
-    taint::KaronteEngine::Config karonteConfig;
-    karonteConfig.deadlineMs = 1e-6;
-    EXPECT_TRUE(taint::KaronteEngine(karonteConfig)
-                    .run(*artifact.analysis, sources)
-                    .deadlineExpired);
+    for (const auto &run : eval::kTaintRuns) {
+        EXPECT_TRUE(
+            eval::runEngine(run, *artifact.analysis, {}, 1e-6).deadlineExpired)
+            << run.key;
+    }
 
     // The sample outcome keeps the scored runs and records one
     // Timeout per engine run cut short.

@@ -109,6 +109,16 @@ struct ChainWorld
         }
         main.strip();
     }
+
+    /** `Engine`'s report on this world from the classical sources. */
+    template <typename Engine>
+    TaintReport
+    run() const
+    {
+        const analysis::LinkedProgram linked(main, libs);
+        return Engine().run(analysis::ProgramAnalysis::analyze(linked),
+                            classicalTaintSources());
+    }
 };
 
 bool
@@ -123,21 +133,13 @@ alertAt(const std::vector<Alert> &alerts, ir::Addr site)
 TEST(KaronteBudget, FindsSinkWithinDepth)
 {
     const ChainWorld world(2); // root -> wrapper -> sink: depth 3
-    const analysis::LinkedProgram linked(world.main, world.libs);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    const KaronteEngine karonte;
-    const auto report = karonte.run(pa, classicalTaintSources());
-    EXPECT_TRUE(alertAt(report.alerts, world.sink));
+    EXPECT_TRUE(alertAt(world.run<KaronteEngine>().alerts, world.sink));
 }
 
 TEST(KaronteBudget, DepthLimitCutsDeepChains)
 {
     const ChainWorld world(6); // deeper than the limit of 4
-    const analysis::LinkedProgram linked(world.main, world.libs);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    const KaronteEngine karonte;
-    const auto report = karonte.run(pa, classicalTaintSources());
-    EXPECT_FALSE(alertAt(report.alerts, world.sink));
+    EXPECT_FALSE(alertAt(world.run<KaronteEngine>().alerts, world.sink));
 }
 
 TEST(KaronteBudget, DepthLimitBoundary)
@@ -150,11 +152,8 @@ TEST(KaronteBudget, DepthLimitBoundary)
                                         std::pair{4, false}}) {
         SCOPED_TRACE(depth);
         const ChainWorld world(depth);
-        const analysis::LinkedProgram linked(world.main, world.libs);
-        const auto pa = analysis::ProgramAnalysis::analyze(linked);
-        const auto report =
-            KaronteEngine().run(pa, classicalTaintSources());
-        EXPECT_EQ(alertAt(report.alerts, world.sink), alerts);
+        EXPECT_EQ(alertAt(world.run<KaronteEngine>().alerts, world.sink),
+                  alerts);
     }
 }
 
@@ -167,10 +166,7 @@ TEST(KaronteBudget, StepBudgetExhaustionIsReported)
           std::pair{KaronteEngine::kMaxTotalSteps, true}}) {
         SCOPED_TRACE(filler);
         const ChainWorld world(1, 4, filler);
-        const analysis::LinkedProgram linked(world.main, world.libs);
-        const auto pa = analysis::ProgramAnalysis::analyze(linked);
-        const auto report =
-            KaronteEngine().run(pa, classicalTaintSources());
+        const auto report = world.run<KaronteEngine>();
         EXPECT_EQ(report.budgetExhausted, exhausted);
         EXPECT_EQ(alertAt(report.alerts, world.sink), !exhausted);
         if (exhausted) {
@@ -184,33 +180,16 @@ TEST(StaBudget, DepthDoesNotLimitDataflow)
     // STA's summaries propagate through arbitrarily deep direct call
     // chains — the mechanism behind the 9 bugs only STA found.
     const ChainWorld world(9);
-    const analysis::LinkedProgram linked(world.main, world.libs);
-    const auto pa = analysis::ProgramAnalysis::analyze(linked);
-    const StaEngine sta;
-    const auto report = sta.run(pa, classicalTaintSources());
-    EXPECT_TRUE(alertAt(report.alerts, world.sink));
+    EXPECT_TRUE(alertAt(world.run<StaEngine>().alerts, world.sink));
 }
 
 TEST(SeedRange, BufferCellsWithinRangeAreTainted)
 {
     const ChainWorld inRange(2, kPointerSeedRange - 1);
-    {
-        const analysis::LinkedProgram linked(inRange.main,
-                                             inRange.libs);
-        const auto pa = analysis::ProgramAnalysis::analyze(linked);
-        const auto report =
-            StaEngine().run(pa, classicalTaintSources());
-        EXPECT_TRUE(alertAt(report.alerts, inRange.sink));
-    }
+    EXPECT_TRUE(alertAt(inRange.run<StaEngine>().alerts, inRange.sink));
     const ChainWorld outOfRange(2, kPointerSeedRange + 16);
-    {
-        const analysis::LinkedProgram linked(outOfRange.main,
-                                             outOfRange.libs);
-        const auto pa = analysis::ProgramAnalysis::analyze(linked);
-        const auto report =
-            StaEngine().run(pa, classicalTaintSources());
-        EXPECT_FALSE(alertAt(report.alerts, outOfRange.sink));
-    }
+    EXPECT_FALSE(
+        alertAt(outOfRange.run<StaEngine>().alerts, outOfRange.sink));
 }
 
 } // namespace

@@ -47,6 +47,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,7 +64,6 @@
 #include "support/file.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
-#include "taint/sta.hh"
 
 namespace {
 
@@ -338,35 +338,61 @@ cmdTaint(const std::string &path, int argc, char **argv)
     return 0;
 }
 
+/** Read the `its ADDR` and `sink ADDR CLASS ...` lines of a `fits gen`
+ * ground-truth sidecar. On an unreadable file, an address that does
+ * not parse or an unknown site class, say why and return false. */
+bool
+readTruthSidecar(const std::string &path, synth::GroundTruth &truth)
+{
+    using synth::SiteClass;
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr, "cannot read %s\n", path.c_str());
+        return false;
+    }
+    std::string line;
+    for (int lineNo = 1; std::getline(in, line); ++lineNo) {
+        std::istringstream fields(line);
+        std::string kind, addr, className;
+        fields >> kind >> addr >> className;
+        if (kind != "its" && kind != "sink")
+            continue;
+        synth::SinkSite site;
+        bool knownClass = kind == "its";
+        for (const SiteClass cls :
+             {SiteClass::RealBug, SiteClass::BoundsChecked,
+              SiteClass::DeadGuard, SiteClass::Escaped,
+              SiteClass::SystemData}) {
+            if (className == synth::siteClassName(cls)) {
+                site.cls = cls;
+                knownClass = true;
+            }
+        }
+        if (!knownClass || !parseNumber(addr.c_str(), site.addr)) {
+            std::fprintf(stderr, "%s:%d: bad %s: %s\n", path.c_str(),
+                         lineNo, knownClass ? "address" : "site class",
+                         line.c_str());
+            return false;
+        }
+        if (kind == "its")
+            truth.itsFunctions.push_back(site.addr);
+        else
+            truth.sinkSites.push_back(site);
+    }
+    return true;
+}
+
 int
 cmdScore(const std::string &path)
 {
     std::vector<std::uint8_t> bytes;
     if (!readImageArg(path, bytes))
         return 1;
-    // Parse the ground-truth sidecar.
-    std::ifstream truthIn(path + ".truth");
-    if (!truthIn) {
-        std::fprintf(stderr, "cannot read %s.truth\n", path.c_str());
-        return 1;
-    }
     synth::GroundTruth truth;
-    std::vector<std::pair<ir::Addr, bool>> sites; // (addr, isBug)
-    std::string line;
-    while (std::getline(truthIn, line)) {
-        const auto fields = support::split(line, ' ');
-        if (fields.size() >= 2 && fields[0] == "its") {
-            truth.itsFunctions.push_back(
-                std::strtoull(fields[1].c_str(), nullptr, 0));
-        } else if (fields.size() >= 3 && fields[0] == "sink") {
-            sites.emplace_back(
-                std::strtoull(fields[1].c_str(), nullptr, 0),
-                fields[2] == "real-bug");
-        }
-    }
+    if (!readTruthSidecar(path + ".truth", truth))
+        return 1;
 
-    const core::FitsPipeline pipeline;
-    const auto artifact = pipeline.analyze(bytes);
+    const auto artifact = core::FitsPipeline().analyze(bytes);
     if (!artifact.ok()) {
         std::fprintf(stderr, "pipeline failed: %s\n",
                      artifact.status.message().c_str());
@@ -378,32 +404,23 @@ cmdScore(const std::string &path)
     std::printf("ITS rank: %d (top-3 %s)\n", rank,
                 rank >= 1 && rank <= 3 ? "hit" : "miss");
 
-    // Taint with the verified top-3 ITSs over the analysis the ranking
-    // came from; score against the sidecar.
-    auto sources = taint::classicalTaintSources();
-    const auto its = eval::verifiedItsSources(ranking, truth);
-    sources.insert(sources.end(), its.begin(), its.end());
-    const auto report = taint::StaEngine().run(*artifact.analysis, sources);
-    const auto alerts = report.filteredAlerts();
-    std::size_t tp = 0, fp = 0;
-    for (const auto &alert : alerts) {
-        bool bug = false;
-        for (const auto &[addr, isBug] : sites) {
-            if (addr == alert.sinkSite && isBug)
-                bug = true;
-        }
-        bug ? ++tp : ++fp;
-    }
-    std::size_t plantedBugs = 0;
-    for (const auto &[addr, isBug] : sites)
-        plantedBugs += isBug ? 1 : 0;
-    std::printf("STA-ITS: %zu alerts, %zu true positives, %zu false "
+    // STA-ITS over the analysis the ranking came from, scored by
+    // Table 5's rule: a bug is a distinct real-bug sink site alerted.
+    const auto &run = eval::kTaintRuns[eval::taintRunIndex(
+        eval::TaintEngine::Sta, /*withIts=*/true)];
+    const auto report = eval::runEngine(
+        run, *artifact.analysis, eval::verifiedItsSources(ranking, truth));
+    const auto stats = eval::scoreReport(eval::reportedAlerts(run, report),
+                                         truth, report.analysisMs);
+    const std::size_t plantedBugs = truth.bugCount();
+    std::printf("%s: %zu alerts, %zu true positives, %zu false "
                 "positives\n",
-                alerts.size(), tp, fp);
+                run.title, stats.alerts, stats.bugs,
+                stats.alerts - stats.bugs);
     std::printf("planted bugs: %zu, recall %.0f%%\n", plantedBugs,
                 plantedBugs == 0
                     ? 0.0
-                    : 100.0 * static_cast<double>(tp) /
+                    : 100.0 * static_cast<double>(stats.bugs) /
                           static_cast<double>(plantedBugs));
     return 0;
 }
