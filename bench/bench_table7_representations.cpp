@@ -3,42 +3,89 @@
  * Reproduces Table 7 of the FITS paper: ITS-inference precision with
  * the BFV versus the two code-structure representations (NERO-style
  * Augmented-CFG and Gemini-style Attributed-CFG).
+ *
+ * The pipeline keeps only BFVs, so each worker analyzes its sample
+ * live and builds the two structural matrices from the per-function
+ * analyses, ranking them through the same Algorithm 2.
  */
 
+#include <array>
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "core/representations.hh"
 #include "eval/corpus_runner.hh"
 #include "eval/tables.hh"
 #include "obs/bench_record.hh"
 #include "synth/firmware_gen.hh"
 
+namespace {
+
+using namespace fits;
+
+/** The two code-structure representations, in column order. */
+constexpr std::array kStructural = {&core::augmentedCfgVector,
+                                    &core::attributedCfgVector};
+
+/** Rank of the first true ITS per column (Augmented-CFG,
+ * Attributed-CFG, BFV); -1 is a miss. */
+constexpr std::size_t kColumns = kStructural.size() + 1;
+using SampleRanks = std::array<int, kColumns>;
+
+constexpr SampleRanks kMissed = {-1, -1, -1};
+
+SampleRanks
+rankSample(const synth::SampleSpec &spec)
+{
+    const synth::GeneratedFirmware fw = synth::generateFirmware(spec);
+    const core::PipelineArtifact artifact =
+        core::FitsPipeline{}.analyze(fw.bytes);
+    if (!artifact.ok())
+        return kMissed;
+
+    const core::BehaviorRepr &repr = artifact.behavior;
+    SampleRanks ranks = kMissed;
+    for (std::size_t r = 0; r < kStructural.size(); ++r) {
+        const auto rows = [&](const std::vector<analysis::FnId> &ids) {
+            ml::Matrix m;
+            m.reserve(ids.size());
+            for (analysis::FnId id : ids)
+                m.push_back(kStructural[r](artifact.analysis->fn(id)));
+            return m;
+        };
+        ranks[r] = eval::rankOfFirstIts(
+            core::inferIts(repr, rows(repr.customFns),
+                           rows(repr.anchorFns))
+                .ranking,
+            fw.truth);
+    }
+    ranks.back() =
+        eval::rankOfFirstIts(artifact.inference.ranking, fw.truth);
+    return ranks;
+}
+
+} // namespace
+
 int
 main()
 {
-    using namespace fits;
-
     std::printf("=== Table 7: inference results based on different "
                 "representations ===\n\n");
 
-    const auto outcomes =
-        eval::CorpusRunner().run(synth::standardDataset());
+    const auto specs = synth::standardDataset();
+    const auto samples = eval::CorpusRunner().map<SampleRanks>(
+        specs.size(), [&](std::size_t i) { return rankSample(specs[i]); },
+        [](std::size_t, const std::string &) { return kMissed; });
+
+    std::array<eval::PrecisionStats, kColumns> stats;
+    for (const SampleRanks &ranks : samples) {
+        for (std::size_t r = 0; r < stats.size(); ++r)
+            stats[r].addRank(ranks[r]);
+    }
 
     eval::TablePrinter table(
         {"", "Augmented-CFG", "Attributed-CFG", "BFV"});
-
-    std::vector<eval::PrecisionStats> stats(3);
-    const core::Representation reprs[3] = {
-        core::Representation::AugmentedCfg,
-        core::Representation::AttributedCfg,
-        core::Representation::Bfv,
-    };
-    for (int r = 0; r < 3; ++r) {
-        core::InferConfig config;
-        config.representation = reprs[r];
-        stats[r] = eval::rerank(outcomes, config);
-    }
-
     table.addRow({"Top-1", eval::percent(stats[0].p1()),
                   eval::percent(stats[1].p1()),
                   eval::percent(stats[2].p1())});
@@ -59,8 +106,9 @@ main()
                 "loop-over-memory function.\n");
 
     obs::BenchRecord record("table7_representations");
-    const char *names[3] = {"augmented_cfg", "attributed_cfg", "bfv"};
-    for (int r = 0; r < 3; ++r) {
+    const char *names[kColumns] = {"augmented_cfg", "attributed_cfg",
+                                   "bfv"};
+    for (std::size_t r = 0; r < kColumns; ++r) {
         record.add(std::string(names[r]) + "_top1", stats[r].p1());
         record.add(std::string(names[r]) + "_top3", stats[r].p3());
     }

@@ -18,8 +18,6 @@
 #include "firmware/select.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
-#include "taint/karonte.hh"
-#include "taint/sta.hh"
 
 namespace {
 
@@ -124,22 +122,15 @@ main()
         }
     }
 
-    // Stage 4: taint analysis, CTS-only vs CTS+ITS.
-    const auto cts = taint::classicalTaintSources();
-    auto withIts = cts;
-    withIts.insert(withIts.end(), its.begin(), its.end());
-
+    // Stage 4: taint analysis, the four Table-5 runs (CTS-only vs
+    // CTS+ITS, per engine).
     std::printf("\n--- taint analysis ---\n");
-    const taint::KaronteEngine karonte;
-    const taint::StaEngine sta;
-    printReport("Karonte", karonte.run(pa, cts).alerts,
-                firmware.truth);
-    printReport("Karonte-ITS",
-                karonte.run(pa, withIts).filteredAlerts(),
-                firmware.truth);
-    printReport("STA", sta.run(pa, cts).alerts, firmware.truth);
-    printReport("STA-ITS", sta.run(pa, withIts).filteredAlerts(),
-                firmware.truth);
+    for (const eval::TaintRun &run : eval::kTaintRuns) {
+        printReport(run.title,
+                    eval::reportedAlerts(run,
+                                         eval::runEngine(run, pa, its)),
+                    firmware.truth);
+    }
 
     std::printf("\nground truth: %zu planted bugs across %zu sink "
                 "sites\n",

@@ -42,21 +42,6 @@ BasicByteWriter<Bytes>::raw(const std::vector<std::uint8_t> &bytes)
 }
 
 template <typename Bytes>
-void
-BasicByteWriter<Bytes>::f64s(const std::vector<double> &values)
-{
-    u32(static_cast<std::uint32_t>(values.size()));
-    if constexpr (std::endian::native == std::endian::little) {
-        if (!values.empty())
-            std::memcpy(claim(8 * values.size()), values.data(),
-                        8 * values.size());
-    } else {
-        for (double v : values)
-            f64(v);
-    }
-}
-
-template <typename Bytes>
 Bytes
 BasicByteWriter<Bytes>::take()
 {
@@ -76,25 +61,6 @@ BasicByteWriter<Bytes>::patchU32(std::size_t offset, std::uint32_t v)
 
 template class BasicByteWriter<std::vector<std::uint8_t>>;
 template class BasicByteWriter<std::string>;
-
-bool
-ByteReader::f64s(std::vector<double> &values)
-{
-    std::uint32_t n;
-    const std::uint8_t *p;
-    if (!u32(n) || !take(8 * std::size_t{n}, p))
-        return false;
-    values.resize(n);
-    if constexpr (std::endian::native == std::endian::little) {
-        if (n != 0)
-            std::memcpy(values.data(), p, 8 * std::size_t{n});
-    } else {
-        ByteReader elems(p, 8 * std::size_t{n});
-        for (double &v : values)
-            elems.f64(v);
-    }
-    return true;
-}
 
 bool
 ByteReader::str(std::string &s)

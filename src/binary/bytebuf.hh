@@ -32,8 +32,6 @@ class BasicByteWriter
     void u32(std::uint32_t v) { store(claim(4), v); }
     void u64(std::uint64_t v) { store(claim(8), v); }
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    /** Count-prefixed (u32) array of doubles. */
-    void f64s(const std::vector<double> &values);
     /** Length-prefixed (u32) byte string. */
     void str(const std::string &s);
     /** Raw bytes without a length prefix. */
@@ -122,9 +120,6 @@ class ByteReader
         return true;
     }
 
-    /** Count-prefixed (u32) array of doubles. The count is checked
-     * against the remaining bytes before anything is allocated. */
-    bool f64s(std::vector<double> &values);
     bool str(std::string &s);
     /** Read exactly n raw bytes. */
     bool raw(std::vector<std::uint8_t> &bytes, std::size_t n);

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "core/anchors.hh"
-#include "core/representations.hh"
 
 namespace fits::core {
 
@@ -56,8 +55,6 @@ BehaviorAnalyzer::analyze(const ProgramAnalysis &pa) const
         rec.name = ref.fn->name;
         rec.isCustom = linked.isMainFn(id);
         rec.isAnchor = isAnchorFn[id];
-        rec.augmentedCfg = augmentedCfgVector(fa);
-        rec.attributedCfg = attributedCfgVector(fa);
 
         Bfv &bfv = rec.bfv;
 

@@ -20,10 +20,6 @@ struct FunctionRecord
     /** A library implementation of an anchor function. */
     bool isAnchor = false;
     Bfv bfv;
-
-    /** Table-7 comparison representations of the same function. */
-    ml::Vec augmentedCfg;
-    ml::Vec attributedCfg;
 };
 
 /**

@@ -10,7 +10,7 @@ namespace {
 /** Bumps whenever the layout below (or the meaning of any serialized
  * field) changes; mixed into the config fingerprint so stale disk
  * entries key-miss instead of mis-parsing. */
-constexpr std::uint64_t kBundleFormatVersion = 1;
+constexpr std::uint64_t kBundleFormatVersion = 2;
 
 constexpr char kBundleMagic[4] = {'F', 'B', 'B', '1'};
 
@@ -75,10 +75,9 @@ readFnIds(bin::ByteReader &in, std::size_t numRecords,
     return true;
 }
 
-/** Wire size of a record without its name and vectors: id, entry,
- * name length, two flags, the BFV (six f64, five u8), two vector
- * lengths. */
-constexpr std::size_t kRecordFixedBytes = 4 + 8 + 4 + 2 + (6 * 8 + 5) + 2 * 4;
+/** Wire size of a record without its name: id, entry, name length,
+ * two flags, the BFV (six f64, five u8). */
+constexpr std::size_t kRecordFixedBytes = 4 + 8 + 4 + 2 + (6 * 8 + 5);
 
 /** The exact size encodeBehaviorBundle writes. Reserving it keeps the
  * writer from growing through a ladder of buffers, which raised the
@@ -90,10 +89,8 @@ encodedSize(const BehaviorBundle &bundle)
     std::size_t size = 4 + 4 + 3 * 4 + info.vendor.size() +
                        info.product.size() + info.version.size() + 1 +
                        4 + bundle.binaryName.size() + 8 + 8 + 4;
-    for (const FunctionRecord &rec : bundle.behavior.records) {
-        size += kRecordFixedBytes + rec.name.size() +
-                8 * (rec.augmentedCfg.size() + rec.attributedCfg.size());
-    }
+    for (const FunctionRecord &rec : bundle.behavior.records)
+        size += kRecordFixedBytes + rec.name.size();
     return size + 4 + 4 * bundle.behavior.customFns.size() + 4 +
            4 * bundle.behavior.anchorFns.size();
 }
@@ -127,8 +124,6 @@ encodeBehaviorBundle(const BehaviorBundle &bundle)
         out.u8(rec.isCustom ? 1 : 0);
         out.u8(rec.isAnchor ? 1 : 0);
         writeBfv(out, rec.bfv);
-        out.f64s(rec.augmentedCfg);
-        out.f64s(rec.attributedCfg);
     }
     out.u32(static_cast<std::uint32_t>(br.customFns.size()));
     for (analysis::FnId id : br.customFns)
@@ -164,8 +159,9 @@ decodeBehaviorBundle(std::string_view payload)
     in.u64(bundle.binaryBytes);
 
     std::uint32_t numRecords = 0;
-    if (!in.u32(numRecords) || in.remaining() / 16 < numRecords)
-        return std::nullopt; // 16 = floor of a record's wire size
+    if (!in.u32(numRecords) ||
+        in.remaining() / kRecordFixedBytes < numRecords)
+        return std::nullopt;
     auto &records = bundle.behavior.records;
     records.resize(numRecords);
     for (FunctionRecord &rec : records) {
@@ -175,9 +171,6 @@ decodeBehaviorBundle(std::string_view payload)
         rec.isCustom = readFlag(in);
         rec.isAnchor = readFlag(in);
         readBfv(in, rec.bfv);
-        in.f64s(rec.augmentedCfg);
-        if (!in.f64s(rec.attributedCfg))
-            return std::nullopt;
     }
 
     if (!readFnIds(in, records.size(), bundle.behavior.customFns) ||

@@ -31,8 +31,8 @@ struct BehaviorBundle
 /**
  * Serialize to the versioned cache payload. Fixed-width little-endian
  * integers, length-prefixed strings, and doubles stored by bit pattern
- * — decode(encode(b)) reproduces every BFV and comparison vector
- * bit-for-bit, which the bit-identity guarantee of the cache rests on.
+ * — decode(encode(b)) reproduces every BFV bit-for-bit, which the
+ * bit-identity guarantee of the cache rests on.
  */
 std::string encodeBehaviorBundle(const BehaviorBundle &bundle);
 

@@ -55,23 +55,23 @@ constexpr std::size_t kPcaComponents = 4;
 /** Weight of the symbol-name prior in vendor mode. */
 constexpr double kSymbolWeight = 0.3;
 
-/** Representation choice plus the drop/keep-only feature transform. */
-ml::Vec
-featureVector(const FunctionRecord &rec, const InferConfig &config)
+/** BFV rows of `ids` under the drop/keep-only feature transform. */
+ml::Matrix
+bfvRows(const BehaviorRepr &repr, const std::vector<FnId> &ids,
+        const InferConfig &config)
 {
-    switch (config.representation) {
-      case Representation::AugmentedCfg:
-        return rec.augmentedCfg;
-      case Representation::AttributedCfg:
-        return rec.attributedCfg;
-      case Representation::Bfv:
-        break;
+    ml::Matrix rows;
+    rows.reserve(ids.size());
+    for (FnId id : ids) {
+        const Bfv &bfv = repr.records[id].bfv;
+        rows.push_back(
+            config.onlyFeature >= 0
+                ? bfv.toVectorKeepingOnly(config.onlyFeature)
+            : config.dropFeature >= 0
+                ? bfv.toVectorDropping(config.dropFeature)
+                : bfv.toVector());
     }
-    if (config.onlyFeature >= 0)
-        return rec.bfv.toVectorKeepingOnly(config.onlyFeature);
-    if (config.dropFeature >= 0)
-        return rec.bfv.toVectorDropping(config.dropFeature);
-    return rec.bfv.toVector();
+    return rows;
 }
 
 /** Per-dimension maxima of the custom functions' raw feature values,
@@ -97,6 +97,14 @@ customMaxima(const BehaviorRepr &repr)
 InferenceResult
 inferIts(const BehaviorRepr &repr, const InferConfig &config)
 {
+    return inferIts(repr, bfvRows(repr, repr.customFns, config),
+                    bfvRows(repr, repr.anchorFns, config), config);
+}
+
+InferenceResult
+inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
+         const ml::Matrix &anchorVecs, const InferConfig &config)
+{
     InferenceResult result;
     result.numCustom = repr.customFns.size();
     result.numAnchors = repr.anchorFns.size();
@@ -110,18 +118,17 @@ inferIts(const BehaviorRepr &repr, const InferConfig &config)
                        "dependency libraries";
         return result;
     }
-
-    // Feature matrices under the configured ablation.
-    ml::Matrix customVecs;
-    customVecs.reserve(repr.customFns.size());
-    for (FnId id : repr.customFns)
-        customVecs.push_back(featureVector(repr.records[id],
-                                           config));
-    ml::Matrix anchorVecs;
-    anchorVecs.reserve(repr.anchorFns.size());
-    for (FnId id : repr.anchorFns)
-        anchorVecs.push_back(featureVector(repr.records[id],
-                                           config));
+    const auto wrongWidth = [&customVecs](const ml::Vec &row) {
+        return row.size() != customVecs.front().size();
+    };
+    if (customVecs.size() != repr.customFns.size() ||
+        anchorVecs.size() != repr.anchorFns.size() ||
+        std::any_of(customVecs.begin(), customVecs.end(), wrongWidth) ||
+        std::any_of(anchorVecs.begin(), anchorVecs.end(), wrongWidth)) {
+        result.error = "feature rows do not match the custom and "
+                       "anchor functions";
+        return result;
+    }
 
     // ---- Candidate selection ---------------------------------------
     // Indices into repr.customFns.

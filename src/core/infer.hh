@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/behavior.hh"
-#include "core/representations.hh"
 #include "mlkit/dbscan.hh"
 
 namespace fits::core {
@@ -30,10 +29,6 @@ const char *candidateStrategyName(CandidateStrategy strategy);
 struct InferConfig
 {
     CandidateStrategy strategy = CandidateStrategy::BehaviorClustering;
-
-    /** Which function representation feeds clustering and scoring
-     * (the Table-7 comparison swaps this). */
-    Representation representation = Representation::Bfv;
 
     /** DBSCAN runs on max-abs-scaled BFVs, under Euclidean distance. */
     ml::DbscanConfig dbscan{0.35, 3};
@@ -95,6 +90,15 @@ double functionComplexity(const Bfv &bfv, const Bfv &maxima);
 
 /** Algorithm 2: cluster, filter by class complexity, score, rank. */
 InferenceResult inferIts(const BehaviorRepr &repr,
+                         const InferConfig &config = {});
+
+/** Algorithm 2 on caller-built rows of one width: `custom[i]` for
+ * `repr.customFns[i]`, `anchors[j]` for `repr.anchorFns[j]`; Eq. (1)
+ * still reads the BFVs. Table 7 ranks code-structure rows this way.
+ * Rows that do not match the partition return an error. */
+InferenceResult inferIts(const BehaviorRepr &repr,
+                         const ml::Matrix &custom,
+                         const ml::Matrix &anchors,
                          const InferConfig &config = {});
 
 } // namespace fits::core

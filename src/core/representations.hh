@@ -6,19 +6,11 @@
 
 namespace fits::core {
 
-/**
- * Function representations compared in Table 7. Bfv is this paper's;
- * the other two are reimplementations of the *feature content* of the
- * published code representations (code-structure features only), which
- * is what the paper's comparison isolates: they capture code-level
- * similarity, not behaviour.
+/*
+ * Table 7's code-structure baselines: the *feature content* of two
+ * published code representations, which capture code-level similarity,
+ * not behaviour. Only the Table-7 bench computes them.
  */
-enum class Representation : std::uint8_t {
-    Bfv,
-    AugmentedCfg,  ///< NERO-style: CFG structure augmented with call
-                   ///< statistics
-    AttributedCfg, ///< Gemini-style: aggregated per-block attributes
-};
 
 /**
  * NERO-style augmented-CFG vector: graph-shape statistics plus call

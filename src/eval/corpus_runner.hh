@@ -1,6 +1,7 @@
 #ifndef FITS_EVAL_CORPUS_RUNNER_HH_
 #define FITS_EVAL_CORPUS_RUNNER_HH_
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -50,7 +51,8 @@ class CorpusRunner
 
     explicit CorpusRunner(Config config);
 
-    /** Resolved worker count actually used for fan-out. */
+    /** Resolved worker count; a batch of fewer items starts one
+     * worker per item. */
     std::size_t jobs() const { return jobs_; }
 
     /** Turns a sample identity into the sample's bytes and ground
@@ -82,14 +84,17 @@ class CorpusRunner
     std::vector<R>
     map(std::size_t count, MakeFn &&make, FailFn &&onFailure) const
     {
+        // At least one worker: ThreadPool(0) means the default count.
+        const std::size_t workers =
+            std::min(jobs_, std::max<std::size_t>(count, 1));
         const bool metrics = obs::enabled();
         if (metrics) {
-            obs::setGauge("corpus.jobs", static_cast<double>(jobs_));
+            obs::setGauge("corpus.jobs", static_cast<double>(workers));
             obs::addCounter("corpus.batches");
             obs::addCounter("corpus.samples", count);
         }
         std::vector<R> results(count);
-        support::ThreadPool pool(jobs_);
+        support::ThreadPool pool(workers);
         for (std::size_t i = 0; i < count; ++i) {
             pool.submit([&results, &make, &onFailure, metrics, i] {
                 const auto start =

@@ -196,6 +196,10 @@ TEST_F(CacheTest, DecodeRejectsCorruptPayloads)
     std::string badVersion = payload;
     badVersion[4] = static_cast<char>(0x7f);
     EXPECT_FALSE(core::decodeBehaviorBundle(badVersion).has_value());
+    // Version 1 records also carried the two Table-7 vectors.
+    std::string versionOne = payload;
+    versionOne[4] = 1;
+    EXPECT_FALSE(core::decodeBehaviorBundle(versionOne).has_value());
     EXPECT_FALSE(
         core::decodeBehaviorBundle(payload + '\0').has_value());
 
@@ -221,7 +225,7 @@ TEST(BehaviorBundle, ConfigFingerprintIsPinned)
     // The second key of every behavior blob: disk entries written by
     // earlier builds stay valid only while the default config keeps
     // this fingerprint.
-    EXPECT_EQ(core::behaviorConfigFingerprint({}), 0x8570afb0689e8905ULL);
+    EXPECT_EQ(core::behaviorConfigFingerprint({}), 0xa150dbf2719ecad2ULL);
 }
 
 // ---- memory tier -------------------------------------------------------

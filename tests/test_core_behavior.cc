@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/behavior.hh"
+#include "core/representations.hh"
 #include "ir/builder.hh"
 
 namespace fits::core {
@@ -163,9 +164,8 @@ class BehaviorTest : public ::testing::Test
     {
         linked_ = std::make_unique<analysis::LinkedProgram>(
             world_.main, world_.libs);
-        const BehaviorAnalyzer analyzer;
-        repr_ = analyzer.analyze(
-            analysis::ProgramAnalysis::analyze(*linked_));
+        pa_ = analysis::ProgramAnalysis::analyze(*linked_);
+        repr_ = BehaviorAnalyzer().analyze(pa_);
     }
 
     const FunctionRecord &
@@ -185,6 +185,7 @@ class BehaviorTest : public ::testing::Test
 
     World world_;
     std::unique_ptr<analysis::LinkedProgram> linked_;
+    analysis::ProgramAnalysis pa_;
     BehaviorRepr repr_;
 };
 
@@ -249,11 +250,14 @@ TEST_F(BehaviorTest, AnchorImplementationProfile)
 
 TEST_F(BehaviorTest, AlternativeRepresentationsPopulated)
 {
-    const FunctionRecord &rec = record(world_.getterEntry);
-    EXPECT_EQ(rec.augmentedCfg.size(), 10u);
-    EXPECT_EQ(rec.attributedCfg.size(), 9u);
-    EXPECT_GT(rec.augmentedCfg[0], 0.0); // block count
-    EXPECT_GT(rec.attributedCfg[0], 0.0); // statement count
+    const analysis::FunctionAnalysis &fa =
+        pa_.fn(record(world_.getterEntry).id);
+    const ml::Vec augmented = augmentedCfgVector(fa);
+    const ml::Vec attributed = attributedCfgVector(fa);
+    EXPECT_EQ(augmented.size(), 10u);
+    EXPECT_EQ(attributed.size(), 9u);
+    EXPECT_GT(augmented[0], 0.0); // block count
+    EXPECT_GT(attributed[0], 0.0); // statement count
 }
 
 } // namespace

@@ -1,6 +1,10 @@
 /** @file Unit tests for Algorithm 2 (clustering, Eq.-1 complexity
  * filter, Eq.-2 scoring, ranking) on synthetic behavior fixtures. */
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/infer.hh"
@@ -18,8 +22,6 @@ makeRecord(analysis::FnId id, ir::Addr entry, Bfv bfv, bool custom,
     rec.isCustom = custom;
     rec.isAnchor = anchor;
     rec.bfv = bfv;
-    rec.augmentedCfg = {bfv.numBlocks, 1, 1};
-    rec.attributedCfg = {bfv.numBlocks, 2, 2};
     return rec;
 }
 
@@ -191,15 +193,54 @@ TEST(Infer, AblationConfigsRun)
     }
 }
 
-TEST(Infer, AlternativeRepresentationsRun)
+/** Each function's BFV as one matrix row, in `ids` order. */
+ml::Matrix
+bfvRows(const BehaviorRepr &repr, const std::vector<analysis::FnId> &ids)
+{
+    ml::Matrix rows;
+    for (analysis::FnId id : ids)
+        rows.push_back(repr.records[id].bfv.toVector());
+    return rows;
+}
+
+TEST(Infer, CallerBuiltBfvRowsRankBitIdentically)
 {
     const BehaviorRepr repr = fixture();
-    for (Representation representation :
-         {Representation::AugmentedCfg,
-          Representation::AttributedCfg}) {
-        InferConfig config;
-        config.representation = representation;
-        EXPECT_TRUE(inferIts(repr, config).ok());
+    const InferenceResult expected = inferIts(repr);
+    const InferenceResult actual = inferIts(
+        repr, bfvRows(repr, repr.customFns), bfvRows(repr, repr.anchorFns));
+    ASSERT_TRUE(actual.ok()) << actual.error;
+    EXPECT_EQ(actual.numClusters, expected.numClusters);
+    EXPECT_EQ(actual.numCandidates, expected.numCandidates);
+    ASSERT_EQ(actual.ranking.size(), expected.ranking.size());
+    ASSERT_FALSE(actual.ranking.empty());
+    for (std::size_t i = 0; i < actual.ranking.size(); ++i) {
+        EXPECT_EQ(actual.ranking[i].id, expected.ranking[i].id) << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.ranking[i].score),
+                  std::bit_cast<std::uint64_t>(expected.ranking[i].score))
+            << i;
+    }
+}
+
+TEST(Infer, MismatchedCallerRowsReturnError)
+{
+    const BehaviorRepr repr = fixture();
+    const ml::Matrix custom = bfvRows(repr, repr.customFns);
+    const ml::Matrix anchors = bfvRows(repr, repr.anchorFns);
+
+    ml::Matrix shortCustom = custom;
+    shortCustom.pop_back();
+    ml::Matrix longAnchors = anchors;
+    longAnchors.push_back(anchors.front());
+    ml::Matrix narrowRow = custom;
+    narrowRow.back().pop_back();
+    for (const auto &[c, a] :
+         {std::pair{shortCustom, anchors}, std::pair{custom, longAnchors},
+          std::pair{ml::Matrix{}, anchors}, std::pair{custom, ml::Matrix{}},
+          std::pair{narrowRow, anchors}}) {
+        const InferenceResult result = inferIts(repr, c, a);
+        EXPECT_FALSE(result.ok());
+        EXPECT_TRUE(result.ranking.empty());
     }
 }
 

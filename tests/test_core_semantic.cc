@@ -141,8 +141,6 @@ TEST(NoisePolicy, DiscardingNoiseDropsTheItsWhenItIsAnOutlier)
         rec.isCustom = custom;
         rec.isAnchor = anchor;
         rec.bfv = bfv;
-        rec.augmentedCfg = {1, 1};
-        rec.attributedCfg = {1, 1};
         repr.records.push_back(std::move(rec));
         if (custom)
             repr.customFns.push_back(id);

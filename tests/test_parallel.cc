@@ -354,6 +354,32 @@ TEST(CorpusRunner, ThrowingTaskFailsOnlyItsOwnSample)
     }
 }
 
+TEST(CorpusRunner, StartsNoMoreWorkersThanItems)
+{
+    obs::Registry::instance().reset();
+    obs::setEnabled(true);
+    const auto results = runnerWithJobs(8).map<int>(
+        2, [](std::size_t i) { return static_cast<int>(i) + 1; },
+        [](std::size_t, const std::string &) { return 0; });
+    const auto snap = obs::Registry::instance().snapshot();
+    obs::setEnabled(false);
+    obs::Registry::instance().reset();
+
+    EXPECT_EQ(results, (std::vector<int>{1, 2}));
+    EXPECT_EQ(snap.gauges.at("corpus.jobs"), 2.0);
+    std::uint64_t tasks = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+        const auto it = snap.counters.find("threadpool.worker." +
+                                           std::to_string(k) + ".tasks");
+        const std::uint64_t ran = it == snap.counters.end() ? 0 : it->second;
+        if (k >= 2) {
+            EXPECT_EQ(ran, 0u) << "worker " << k;
+        }
+        tasks += ran;
+    }
+    EXPECT_EQ(tasks, 2u);
+}
+
 // ---- Logger thread-safety ------------------------------------------
 
 TEST(Logger, ConcurrentLoggingAndLevelChangesAreSafe)
