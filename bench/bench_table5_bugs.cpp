@@ -44,7 +44,7 @@ main()
     const eval::CorpusRunner runner;
     std::printf("(%zu samples, %zu worker threads — set FITS_JOBS to "
                 "override)\n\n",
-                specs.size(), runner.jobs());
+                specs.size(), runner.workers(specs.size()));
     const auto outcomes = runner.run(specs, /*taint=*/true);
 
     const auto &runs = eval::kTaintRuns;

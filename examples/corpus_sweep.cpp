@@ -29,7 +29,8 @@ main(int argc, char **argv)
     const eval::CorpusRunner runner;
     std::printf("sweeping %d samples per vendor across %zu workers "
                 "(FITS_JOBS overrides)...\n\n",
-                perVendor, runner.jobs());
+                perVendor,
+                runner.workers(static_cast<std::size_t>(perVendor)));
 
     eval::TablePrinter table({"Vendor", "#FW", "Top-1", "Top-2",
                               "Top-3", "Avg functions",

@@ -2,6 +2,7 @@
 #define FITS_EVAL_CORPUS_RUNNER_HH_
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <functional>
@@ -11,13 +12,12 @@
 
 #include "eval/harness.hh"
 #include "obs/metrics.hh"
-#include "support/thread_pool.hh"
 
 namespace fits::eval {
 
 /**
  * Parallel corpus evaluation engine: fans per-sample analysis out
- * across a fixed worker pool and collects results in input order.
+ * across its own worker threads and collects results in input order.
  *
  * Guarantees, relied on by every bench binary and the `fits corpus`
  * CLI path:
@@ -31,7 +31,8 @@ namespace fits::eval {
  *    pipeline errors) yields a failed outcome in its own slot and
  *    never poisons the rest of the batch.
  *  - *Jobs knob:* Config::jobs > 0 wins, else the FITS_JOBS
- *    environment variable, else hardware concurrency.
+ *    environment variable when it is a positive decimal integer, else
+ *    hardware concurrency. A batch starts workers(count) threads.
  */
 class CorpusRunner
 {
@@ -51,9 +52,13 @@ class CorpusRunner
 
     explicit CorpusRunner(Config config);
 
-    /** Resolved worker count; a batch of fewer items starts one
-     * worker per item. */
-    std::size_t jobs() const { return jobs_; }
+    /** Worker threads map() starts for a batch of `count` items: the
+     * resolved jobs count, but at most one per item and at least one. */
+    std::size_t
+    workers(std::size_t count) const
+    {
+        return std::min(jobs_, std::max<std::size_t>(count, 1));
+    }
 
     /** Turns a sample identity into the sample's bytes and ground
      * truth. Runs inside the workers, concurrently. */
@@ -76,17 +81,15 @@ class CorpusRunner
 
     /**
      * Generic deterministic fan-out: results[i] = make(i), computed on
-     * the pool, with per-item failure isolation — if make(i) throws,
-     * results[i] = onFailure(i, message) and every other item is
-     * unaffected. R must be default-constructible.
+     * workers(count) threads, with per-item failure isolation — if
+     * make(i) throws, results[i] = onFailure(i, message) and every
+     * other item is unaffected. R must be default-constructible.
      */
     template <typename R, typename MakeFn, typename FailFn>
     std::vector<R>
     map(std::size_t count, MakeFn &&make, FailFn &&onFailure) const
     {
-        // At least one worker: ThreadPool(0) means the default count.
-        const std::size_t workers =
-            std::min(jobs_, std::max<std::size_t>(count, 1));
+        const std::size_t workers = this->workers(count);
         const bool metrics = obs::enabled();
         if (metrics) {
             obs::setGauge("corpus.jobs", static_cast<double>(workers));
@@ -94,11 +97,10 @@ class CorpusRunner
             obs::addCounter("corpus.samples", count);
         }
         std::vector<R> results(count);
-        support::ThreadPool pool(workers);
-        for (std::size_t i = 0; i < count; ++i) {
-            pool.submit([&results, &make, &onFailure, metrics, i] {
-                const auto start =
-                    std::chrono::steady_clock::now();
+        std::atomic<std::size_t> next{0};
+        fanOut(workers, [&](std::size_t worker) {
+            for (std::size_t i; (i = next.fetch_add(1)) < count;) {
+                const auto start = std::chrono::steady_clock::now();
                 try {
                     results[i] = make(i);
                 } catch (const std::exception &e) {
@@ -110,19 +112,28 @@ class CorpusRunner
                         onFailure(i, std::string("unknown exception"));
                 }
                 if (metrics) {
+                    obs::addCounter("corpus.worker." +
+                                    std::to_string(worker) + ".samples");
                     obs::observe(
                         "corpus.sample_ms",
                         std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - start)
                             .count());
                 }
-            });
-        }
-        pool.wait();
+            }
+        });
         return results;
     }
 
   private:
+    /** Run work(k) on `workers` threads, k = 0..workers-1, and join
+     * them all. A thread that fails to start is skipped (the others
+     * claim its items); throws only when none started. An exception
+     * that escapes work(k) (a throwing onFailure) is rethrown after
+     * the join. */
+    static void fanOut(std::size_t workers,
+                       const std::function<void(std::size_t)> &work);
+
     Config config_;
     std::size_t jobs_ = 1;
 };

@@ -46,7 +46,10 @@ listCorpusDir(const std::string &dir,
 
     std::vector<std::string> names;
     for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (entry.is_regular_file() &&
+        // An entry whose status cannot be read (a dangling link, a
+        // symlink loop) is skipped, never thrown out of the listing.
+        std::error_code statusError;
+        if (entry.is_regular_file(statusError) &&
             entry.path().extension() == ".fwimg")
             names.push_back(entry.path().filename().string());
     }
@@ -103,11 +106,11 @@ runCorpusReport(const CorpusOptions &options)
 
     report.ok = true;
     report.samples = specs.size();
-    report.jobs = runner.jobs();
+    report.jobs = runner.workers(specs.size());
     if (options.onHeader) {
         options.onHeader(support::format(
             "evaluating %zu samples with %zu worker threads...\n\n",
-            specs.size(), runner.jobs()));
+            specs.size(), report.jobs));
     }
 
     const auto t0 = std::chrono::steady_clock::now();

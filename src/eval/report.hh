@@ -55,7 +55,7 @@ struct CorpusReport
 
     std::size_t samples = 0;
     std::size_t failed = 0;
-    /** Resolved worker count used for the fan-out. */
+    /** Worker threads the fan-out started (CorpusRunner::workers). */
     std::size_t jobs = 0;
     double wallMs = 0.0;
 

@@ -137,16 +137,36 @@ cp "$IMG" "$DIR/corpus/"
 "$FITS" corpus --dir "$DIR/corpus" --taint --jobs 2 \
     --metrics-out "$DIR/metrics.json" > "$DIR/corpus_dir.out"
 test -s "$DIR/metrics.json"
+# The header names the workers that run: one image starts one worker.
+grep -q "^evaluating 1 samples with 1 worker threads" \
+    "$DIR/corpus_dir.out" || {
+    echo "one-image corpus header does not say 1 worker thread" >&2
+    exit 1
+}
 for key in pipeline/unpack pipeline/select pipeline/lift \
            pipeline/ucse pipeline/bfv pipeline/infer \
            taint/karonte taint/sta \
            taint.karonte.phase_a_steps taint.sta.fixpoint_steps \
-           corpus.samples threadpool.tasks; do
+           corpus.samples corpus.worker.0.samples; do
     grep -q "\"$key\"" "$DIR/metrics.json" || {
         echo "metrics.json is missing $key" >&2
         exit 1
     }
 done
+
+# An entry whose status cannot be read (a symlink loop) is skipped like
+# a dangling link; the listing never aborts.
+mkdir "$DIR/loopcorpus"
+cp "$IMG" "$DIR/loopcorpus/"
+ln -s b.fwimg "$DIR/loopcorpus/a.fwimg"
+ln -s a.fwimg "$DIR/loopcorpus/b.fwimg"
+rc=0
+"$FITS" corpus --dir "$DIR/loopcorpus" --jobs 1 > "$DIR/loop.out" \
+    2> "$DIR/loop.err" || rc=$?
+test "$rc" -eq 0 && grep -q "^evaluating 1 samples" "$DIR/loop.out" || {
+    echo "expected exit 0 over 1 sample past a symlink loop, got $rc" >&2
+    exit 1
+}
 
 # A corpus where every sample fails must exit non-zero and say so.
 mkdir "$DIR/badcorpus"

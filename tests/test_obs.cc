@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <string>
@@ -19,7 +20,6 @@
 #include "core/pipeline.hh"
 #include "obs/bench_record.hh"
 #include "obs/metrics.hh"
-#include "support/thread_pool.hh"
 #include "synth/firmware_gen.hh"
 #include "taint/common.hh"
 #include "taint/sta.hh"
@@ -355,28 +355,39 @@ TEST_F(BenchRecord, ToJsonEscapesControlCharacters)
 
 // ---- concurrency -------------------------------------------------------
 
+/** Run `task` `tasks` times, spread over `threads` plain std::threads. */
+template <typename Task>
+void
+runOnThreads(std::size_t threads, std::size_t tasks, const Task &task)
+{
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> pool;
+    for (std::size_t k = 0; k < threads; ++k) {
+        pool.emplace_back([&] {
+            while (next.fetch_add(1) < tasks)
+                task();
+        });
+    }
+    for (auto &thread : pool)
+        thread.join();
+}
+
 TEST_F(ObsConcurrent, ParallelIncrementsSumExactly)
 {
     obs::setEnabled(true);
     constexpr std::size_t kTasks = 16;
     constexpr std::size_t kPerTask = 20'000;
     auto &reg = obs::Registry::instance();
-    {
-        support::ThreadPool pool(4);
-        for (std::size_t t = 0; t < kTasks; ++t) {
-            pool.submit([&reg] {
-                // Mix pre-resolved and name-resolved updates, as the
-                // engines and thread pool do.
-                obs::Counter &fast = reg.counter("conc.fast");
-                for (std::size_t i = 0; i < kPerTask; ++i) {
-                    fast.add();
-                    obs::addCounter("conc.slow");
-                    obs::observe("conc.hist", 1.0);
-                }
-            });
+    runOnThreads(4, kTasks, [&reg] {
+        // Mix pre-resolved and name-resolved updates, as the engines
+        // and the corpus workers do.
+        obs::Counter &fast = reg.counter("conc.fast");
+        for (std::size_t i = 0; i < kPerTask; ++i) {
+            fast.add();
+            obs::addCounter("conc.slow");
+            obs::observe("conc.hist", 1.0);
         }
-        pool.wait();
-    }
+    });
     EXPECT_EQ(reg.counter("conc.fast").value(), kTasks * kPerTask);
     EXPECT_EQ(reg.counter("conc.slow").value(), kTasks * kPerTask);
     EXPECT_EQ(reg.histogram("conc.hist").count(), kTasks * kPerTask);
@@ -398,16 +409,10 @@ TEST_F(ObsConcurrent, SnapshotWhileWritingIsSafeAndMonotone)
             }
         }
     });
-    {
-        support::ThreadPool pool(4);
-        for (int t = 0; t < 8; ++t) {
-            pool.submit([&reg] {
-                for (int i = 0; i < 50'000; ++i)
-                    reg.counter("race.counter").add();
-            });
-        }
-        pool.wait();
-    }
+    runOnThreads(4, 8, [&reg] {
+        for (int i = 0; i < 50'000; ++i)
+            reg.counter("race.counter").add();
+    });
     stop.store(true, std::memory_order_relaxed);
     reader.join();
     EXPECT_EQ(reg.counter("race.counter").value(), 8u * 50'000u);

@@ -1,10 +1,11 @@
-/** @file Tests of the parallel corpus evaluation engine: ThreadPool
- * semantics, CorpusRunner determinism vs the serial path, per-sample
+/** @file Tests of the parallel corpus evaluation engine: CorpusRunner
+ * fan-out semantics, determinism vs the serial path, per-sample
  * failure isolation, logger thread-safety, and DBSCAN labels against a
  * reference oracle. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <deque>
@@ -25,76 +26,10 @@
 #include "mlkit/scaling.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
-#include "support/thread_pool.hh"
 #include "synth/firmware_gen.hh"
 
 namespace fits {
 namespace {
-
-// ---- ThreadPool ----------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    support::ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4u);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-    EXPECT_EQ(pool.uncaughtExceptions(), 0u);
-}
-
-TEST(ThreadPool, ThrowingTaskDoesNotPoisonThePool)
-{
-    support::ThreadPool pool(3);
-    std::atomic<int> completed{0};
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&completed, i] {
-            if (i == 7)
-                throw std::runtime_error("task 7 exploded");
-            ++completed;
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(completed.load(), 19);
-    EXPECT_EQ(pool.uncaughtExceptions(), 1u);
-    EXPECT_EQ(pool.firstExceptionMessage(), "task 7 exploded");
-
-    // The pool still accepts and runs work afterwards.
-    pool.submit([&completed] { ++completed; });
-    pool.wait();
-    EXPECT_EQ(completed.load(), 20);
-}
-
-TEST(ThreadPool, WaitIsReusableAndIdempotent)
-{
-    support::ThreadPool pool(2);
-    pool.wait(); // nothing submitted yet
-    std::atomic<int> counter{0};
-    pool.submit([&counter] { ++counter; });
-    pool.wait();
-    pool.wait();
-    EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ResolveJobs, ExplicitThenEnvThenHardware)
-{
-    EXPECT_EQ(support::resolveJobs(5), 5u);
-
-    ::setenv("FITS_JOBS", "3", 1);
-    EXPECT_EQ(support::resolveJobs(0), 3u);
-    EXPECT_EQ(support::resolveJobs(2), 2u); // explicit wins
-
-    ::setenv("FITS_JOBS", "not-a-number", 1);
-    EXPECT_EQ(support::resolveJobs(0), support::hardwareJobs());
-    ::setenv("FITS_JOBS", "0", 1);
-    EXPECT_EQ(support::resolveJobs(0), support::hardwareJobs());
-
-    ::unsetenv("FITS_JOBS");
-    EXPECT_EQ(support::resolveJobs(0), support::hardwareJobs());
-    EXPECT_GE(support::hardwareJobs(), 1u);
-}
 
 // ---- CorpusRunner --------------------------------------------------
 
@@ -104,6 +39,55 @@ runnerWithJobs(std::size_t jobs)
     eval::CorpusRunner::Config config;
     config.jobs = jobs;
     return eval::CorpusRunner(config);
+}
+
+TEST(ResolveJobs, ExplicitThenEnvThenHardware)
+{
+    // Any count above the jobs value shows the resolved jobs value.
+    constexpr std::size_t kMany = std::numeric_limits<std::size_t>::max();
+    const std::size_t hardware =
+        std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(runnerWithJobs(5).workers(kMany), 5u);
+
+    ::setenv("FITS_JOBS", "3", 1);
+    EXPECT_EQ(runnerWithJobs(0).workers(kMany), 3u);
+    EXPECT_EQ(runnerWithJobs(2).workers(kMany), 2u); // explicit wins
+
+    for (const char *bad : {"not-a-number", "0", "-1"}) {
+        ::setenv("FITS_JOBS", bad, 1);
+        EXPECT_EQ(runnerWithJobs(0).workers(kMany), hardware) << bad;
+    }
+
+    ::unsetenv("FITS_JOBS");
+    EXPECT_EQ(runnerWithJobs(0).workers(kMany), hardware);
+
+    // At most one worker per item, and at least one.
+    EXPECT_EQ(runnerWithJobs(5).workers(2), 2u);
+    EXPECT_EQ(runnerWithJobs(5).workers(0), 1u);
+}
+
+TEST(CorpusRunner, MapRunsEveryItemExactlyOnce)
+{
+    constexpr std::size_t kItems = 1000;
+    const auto runner = runnerWithJobs(4);
+    for (int round = 0; round < 2; ++round) {
+        std::vector<std::atomic<int>> runs(kItems);
+        const auto results = runner.map<std::size_t>(
+            kItems,
+            [&runs](std::size_t i) {
+                ++runs[i];
+                return i * 3;
+            },
+            [](std::size_t, const std::string &) {
+                return std::size_t{0};
+            });
+        ASSERT_EQ(results.size(), kItems);
+        for (std::size_t i = 0; i < kItems; ++i) {
+            EXPECT_EQ(runs[i].load(), 1)
+                << "round " << round << " item " << i;
+            EXPECT_EQ(results[i], i * 3) << "round " << round;
+        }
+    }
 }
 
 void
@@ -354,6 +338,27 @@ TEST(CorpusRunner, ThrowingTaskFailsOnlyItsOwnSample)
     }
 }
 
+TEST(CorpusRunner, ThrowingFailureHandlerRethrowsAfterTheBatch)
+{
+    // onFailure is the caller's code: if it throws too, map() neither
+    // terminates the process nor drops the error. The other workers
+    // finish the batch, and the exception reaches the caller.
+    std::atomic<int> ran{0};
+    EXPECT_THROW(runnerWithJobs(4).map<int>(
+                     100,
+                     [&ran](std::size_t i) {
+                         ++ran;
+                         if (i == 5)
+                             throw std::runtime_error("item 5");
+                         return 1;
+                     },
+                     [](std::size_t, const std::string &) -> int {
+                         throw std::logic_error("handler failed");
+                     }),
+                 std::logic_error);
+    EXPECT_EQ(ran.load(), 100);
+}
+
 TEST(CorpusRunner, StartsNoMoreWorkersThanItems)
 {
     obs::Registry::instance().reset();
@@ -367,17 +372,17 @@ TEST(CorpusRunner, StartsNoMoreWorkersThanItems)
 
     EXPECT_EQ(results, (std::vector<int>{1, 2}));
     EXPECT_EQ(snap.gauges.at("corpus.jobs"), 2.0);
-    std::uint64_t tasks = 0;
+    std::uint64_t samples = 0;
     for (std::size_t k = 0; k < 8; ++k) {
-        const auto it = snap.counters.find("threadpool.worker." +
-                                           std::to_string(k) + ".tasks");
+        const auto it = snap.counters.find("corpus.worker." +
+                                           std::to_string(k) + ".samples");
         const std::uint64_t ran = it == snap.counters.end() ? 0 : it->second;
         if (k >= 2) {
             EXPECT_EQ(ran, 0u) << "worker " << k;
         }
-        tasks += ran;
+        samples += ran;
     }
-    EXPECT_EQ(tasks, 2u);
+    EXPECT_EQ(samples, 2u);
 }
 
 // ---- Logger thread-safety ------------------------------------------

@@ -11,11 +11,11 @@ BUILD=${1:-"$FITS_ROOT/build-tsan"}
 
 fits_sanitized_tests "$BUILD" thread
 
-# Exercise the parallel machinery specifically: the thread pool, the
-# corpus runner fan-out, the logger, and the metrics registry
+# Exercise the parallel machinery specifically: the corpus runner
+# fan-out and its jobs resolution, the logger, and the metrics registry
 # (concurrent instrument updates + snapshots).
 TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
-    --gtest_filter='ThreadPool.*:ResolveJobs.*:CorpusRunner.*:BehaviorAnalyzer.*:Logger.*:Obs*'
+    --gtest_filter='ResolveJobs.*:CorpusRunner.*:BehaviorAnalyzer.*:Logger.*:Obs*'
 
 # The blob cache is shared mutable state under the fan-out: its maps,
 # LRU accounting, and stat counters all see concurrent workers in the
