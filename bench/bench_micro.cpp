@@ -336,13 +336,15 @@ uniformRows()
     return points;
 }
 
+/** The DBSCAN kernel on the row-major block inference hands it. */
 void
 BM_Dbscan(benchmark::State &state, ml::Matrix (*input)())
 {
     const ml::Matrix points = input();
+    const std::vector<double> rows = ml::flatten(points);
     const ml::DbscanConfig config = core::InferConfig{}.dbscan;
     for (auto _ : state) {
-        auto clusters = ml::dbscan(points, config);
+        auto clusters = ml::dbscan(rows, ml::columns(points), config);
         benchmark::DoNotOptimize(clusters);
     }
     state.counters["rows"] = static_cast<double>(points.size());

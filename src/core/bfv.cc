@@ -21,46 +21,67 @@ Bfv::featureName(int index)
     return "?";
 }
 
+void
+Bfv::write(std::span<double, kNumFeatures> out) const
+{
+    out[0] = numBlocks;
+    out[1] = hasLoop ? 1.0 : 0.0;
+    out[2] = numCallers;
+    out[3] = numParams;
+    out[4] = numAnchorCalls;
+    out[5] = numLibCalls;
+    out[6] = paramsControlLoop ? 1.0 : 0.0;
+    out[7] = paramsControlBranch ? 1.0 : 0.0;
+    out[8] = paramsToAnchor ? 1.0 : 0.0;
+    out[9] = argsHaveStrings ? 1.0 : 0.0;
+    out[10] = numDistinctStrings;
+}
+
 ml::Vec
 Bfv::toVector() const
 {
-    return {
-        numBlocks,
-        hasLoop ? 1.0 : 0.0,
-        numCallers,
-        numParams,
-        numAnchorCalls,
-        numLibCalls,
-        paramsControlLoop ? 1.0 : 0.0,
-        paramsControlBranch ? 1.0 : 0.0,
-        paramsToAnchor ? 1.0 : 0.0,
-        argsHaveStrings ? 1.0 : 0.0,
-        numDistinctStrings,
-    };
+    ml::Vec out(kNumFeatures);
+    write(std::span<double, kNumFeatures>(out));
+    return out;
 }
+
+std::vector<int>
+Bfv::keptFeatures(int dropIndex, int keepIndex)
+{
+    std::vector<int> kept;
+    for (int k = 0; k < kNumFeatures; ++k) {
+        if (keepIndex >= 0 ? keepIndex >= kNumFeatures || k == keepIndex
+                           : k != dropIndex) {
+            kept.push_back(k);
+        }
+    }
+    return kept;
+}
+
+namespace {
+
+ml::Vec
+keptVector(const Bfv &bfv, const std::vector<int> &kept)
+{
+    const ml::Vec full = bfv.toVector();
+    ml::Vec out;
+    for (int k : kept)
+        out.push_back(full[static_cast<std::size_t>(k)]);
+    return out;
+}
+
+} // namespace
 
 ml::Vec
 Bfv::toVectorDropping(int dropIndex) const
 {
-    const ml::Vec full = toVector();
-    if (dropIndex < 0 || dropIndex >= kNumFeatures)
-        return full;
-    ml::Vec out;
-    out.reserve(full.size() - 1);
-    for (int i = 0; i < kNumFeatures; ++i) {
-        if (i != dropIndex)
-            out.push_back(full[i]);
-    }
-    return out;
+    return keptVector(*this, keptFeatures(dropIndex, -1));
 }
 
 ml::Vec
 Bfv::toVectorKeepingOnly(int keepIndex) const
 {
-    const ml::Vec full = toVector();
-    if (keepIndex < 0 || keepIndex >= kNumFeatures)
-        return full;
-    return {full[keepIndex]};
+    return keptVector(*this, keptFeatures(-1, keepIndex));
 }
 
 } // namespace fits::core

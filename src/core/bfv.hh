@@ -1,7 +1,9 @@
 #ifndef FITS_CORE_BFV_HH_
 #define FITS_CORE_BFV_HH_
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "mlkit/vector.hh"
 
@@ -36,15 +38,24 @@ struct Bfv
     /** Short name of feature index 0..10 ("bb", "loops", ...). */
     static const char *featureName(int index);
 
+    /** Writes the 11 features to `out` in Table-1 order: the one
+     * definition of that order. */
+    void write(std::span<double, kNumFeatures> out) const;
+
     /** The 11-dimensional vector in Table-1 order. */
     ml::Vec toVector() const;
 
     /**
-     * Vector with one feature removed (the CF-k ablation of §4.4;
-     * dropIndex is 0-based) or with only one feature kept
-     * (keepOnly >= 0, used by the single-feature experiment).
+     * Indices of the features, in Table-1 order, that remain when one
+     * is removed (the CF-k ablation of §4.4; dropIndex is 0-based) or
+     * only one is kept (keepIndex >= 0, the single-feature experiment;
+     * it overrides dropIndex). An out-of-range index keeps them all.
      */
+    static std::vector<int> keptFeatures(int dropIndex, int keepIndex);
+
+    /** The vector of keptFeatures(dropIndex, -1). */
     ml::Vec toVectorDropping(int dropIndex) const;
+    /** The vector of keptFeatures(-1, keepIndex). */
     ml::Vec toVectorKeepingOnly(int keepIndex) const;
 };
 

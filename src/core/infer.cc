@@ -1,7 +1,9 @@
 #include "infer.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
 
 #include "core/semantic.hh"
 #include "mlkit/pca.hh"
@@ -55,21 +57,18 @@ constexpr std::size_t kPcaComponents = 4;
 /** Weight of the symbol-name prior in vendor mode. */
 constexpr double kSymbolWeight = 0.3;
 
-/** BFV rows of `ids` under the drop/keep-only feature transform. */
-ml::Matrix
+/** The `kept` BFV features of `ids` as one row-major block. */
+std::vector<double>
 bfvRows(const BehaviorRepr &repr, const std::vector<FnId> &ids,
-        const InferConfig &config)
+        const std::vector<int> &kept)
 {
-    ml::Matrix rows;
-    rows.reserve(ids.size());
+    std::vector<double> rows(ids.size() * kept.size());
+    double *out = rows.data();
+    std::array<double, Bfv::kNumFeatures> features;
     for (FnId id : ids) {
-        const Bfv &bfv = repr.records[id].bfv;
-        rows.push_back(
-            config.onlyFeature >= 0
-                ? bfv.toVectorKeepingOnly(config.onlyFeature)
-            : config.dropFeature >= 0
-                ? bfv.toVectorDropping(config.dropFeature)
-                : bfv.toVector());
+        repr.records[id].bfv.write(features);
+        for (int k : kept)
+            *out++ = features[static_cast<std::size_t>(k)];
     }
     return rows;
 }
@@ -92,61 +91,53 @@ customMaxima(const BehaviorRepr &repr)
     return maxima;
 }
 
-} // namespace
-
+/** The counts every result carries, with an error when either
+ * partition is empty. */
 InferenceResult
-inferIts(const BehaviorRepr &repr, const InferConfig &config)
-{
-    return inferIts(repr, bfvRows(repr, repr.customFns, config),
-                    bfvRows(repr, repr.anchorFns, config), config);
-}
-
-InferenceResult
-inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
-         const ml::Matrix &anchorVecs, const InferConfig &config)
+startResult(const BehaviorRepr &repr)
 {
     InferenceResult result;
     result.numCustom = repr.customFns.size();
     result.numAnchors = repr.anchorFns.size();
-
     if (repr.customFns.empty()) {
         result.error = "no custom functions to rank";
-        return result;
-    }
-    if (repr.anchorFns.empty()) {
+    } else if (repr.anchorFns.empty()) {
         result.error = "no anchor implementations found in the "
                        "dependency libraries";
-        return result;
     }
-    const auto wrongWidth = [&customVecs](const ml::Vec &row) {
-        return row.size() != customVecs.front().size();
-    };
-    if (customVecs.size() != repr.customFns.size() ||
-        anchorVecs.size() != repr.anchorFns.size() ||
-        std::any_of(customVecs.begin(), customVecs.end(), wrongWidth) ||
-        std::any_of(anchorVecs.begin(), anchorVecs.end(), wrongWidth)) {
-        result.error = "feature rows do not match the custom and "
-                       "anchor functions";
-        return result;
-    }
+    return result;
+}
+
+/**
+ * Algorithm 2 on two row-major blocks of `width` > 0 doubles per row:
+ * `custom` row i for repr.customFns[i], `anchors` row j for
+ * repr.anchorFns[j]. The strategies transform the blocks in place and
+ * one loop scores their rows.
+ */
+void
+rankRows(const BehaviorRepr &repr, std::vector<double> custom,
+         std::vector<double> anchors, std::size_t width,
+         const InferConfig &config, InferenceResult &result)
+{
+    const std::size_t numCustom = repr.customFns.size();
+    const std::size_t numAnchors = repr.anchorFns.size();
 
     // ---- Candidate selection ---------------------------------------
     // Indices into repr.customFns.
     obs::ScopedTimer clusterTimer("cluster");
     std::vector<std::size_t> candidates;
 
-    // Scoring may happen in a transformed space for the §4.5
-    // preprocessing baselines. Non-transforming strategies score the
-    // raw feature matrices in place — the transformed matrices are
-    // materialized (and owned) only by the branches that need them,
-    // instead of copying both full matrices up front.
-    ml::Matrix transformedCustom;
-    ml::Matrix transformedAnchor;
-    const ml::Matrix *scoreCustom = &customVecs;
-    const ml::Matrix *scoreAnchor = &anchorVecs;
-    const auto scoreTransformed = [&] {
-        scoreCustom = &transformedCustom;
-        scoreAnchor = &transformedAnchor;
+    // The §4.5 preprocessing baselines transform ml::Matrix rows: the
+    // union of both blocks, so that both sides land in one space.
+    const auto transformUnion = [&](auto transform) {
+        custom.insert(custom.end(), anchors.begin(), anchors.end());
+        const std::vector<double> out =
+            ml::flatten(transform(ml::toMatrix(custom, width)));
+        width = out.size() / (numCustom + numAnchors);
+        const auto middle =
+            out.begin() + static_cast<std::ptrdiff_t>(numCustom * width);
+        custom.assign(out.begin(), middle);
+        anchors.assign(middle, out.end());
     };
 
     switch (config.strategy) {
@@ -161,23 +152,24 @@ inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
         // largest — exactly the failure §4.5 attributes to removing
         // the multi-stage strategy, which the DirectScoring branch
         // below reproduces by scoring raw vectors.
-        const ml::Vec factors = ml::columnAbsMax(customVecs);
-        auto scaleBy = [&factors](const ml::Matrix &m) {
-            ml::Matrix out = m;
-            for (auto &row : out) {
-                for (std::size_t c = 0; c < row.size(); ++c) {
+        std::vector<double> factors(width, 0.0);
+        for (std::size_t i = 0; i < custom.size(); i += width) {
+            for (std::size_t c = 0; c < width; ++c) {
+                factors[c] =
+                    std::max(factors[c], std::fabs(custom[i + c]));
+            }
+        }
+        for (auto *block : {&custom, &anchors}) {
+            for (std::size_t i = 0; i < block->size(); i += width) {
+                for (std::size_t c = 0; c < width; ++c) {
                     if (factors[c] != 0.0)
-                        row[c] /= factors[c];
+                        (*block)[i + c] /= factors[c];
                 }
             }
-            return out;
-        };
-        transformedCustom = scaleBy(customVecs);
-        transformedAnchor = scaleBy(anchorVecs);
-        scoreTransformed();
+        }
         const obs::ScopedTimer kernelTimer("kernel.cluster");
         const ml::DbscanResult clusters =
-            ml::dbscan(transformedCustom, config.dbscan);
+            ml::dbscan(custom, width, config.dbscan);
         result.numClusters =
             static_cast<std::size_t>(clusters.numClusters);
 
@@ -218,42 +210,22 @@ inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
         break;
       }
       case CandidateStrategy::DirectScoring:
-        for (std::size_t i = 0; i < repr.customFns.size(); ++i)
-            candidates.push_back(i);
         break;
-      case CandidateStrategy::Pca: {
-        // Fit on the union so both sides live in one component space.
-        ml::Matrix all = customVecs;
-        all.insert(all.end(), anchorVecs.begin(), anchorVecs.end());
-        const ml::PcaModel pca = ml::fitPca(all, kPcaComponents);
-        transformedCustom = pca.transformAll(customVecs);
-        transformedAnchor = pca.transformAll(anchorVecs);
-        scoreTransformed();
-        for (std::size_t i = 0; i < repr.customFns.size(); ++i)
-            candidates.push_back(i);
+      case CandidateStrategy::Pca:
+        transformUnion([](const ml::Matrix &all) {
+            return ml::fitPca(all, kPcaComponents).transformAll(all);
+        });
         break;
-      }
       case CandidateStrategy::Standardize:
-      case CandidateStrategy::MinMax: {
-        ml::Matrix all = customVecs;
-        all.insert(all.end(), anchorVecs.begin(), anchorVecs.end());
-        const ml::Matrix scaledAll =
-            config.strategy == CandidateStrategy::Standardize
-                ? ml::standardize(all)
-                : ml::minMaxScale(all);
-        transformedCustom.assign(scaledAll.begin(),
-                                 scaledAll.begin() +
-                                     static_cast<std::ptrdiff_t>(
-                                         customVecs.size()));
-        transformedAnchor.assign(scaledAll.begin() +
-                                     static_cast<std::ptrdiff_t>(
-                                         customVecs.size()),
-                                 scaledAll.end());
-        scoreTransformed();
-        for (std::size_t i = 0; i < repr.customFns.size(); ++i)
-            candidates.push_back(i);
+        transformUnion(ml::standardize);
         break;
-      }
+      case CandidateStrategy::MinMax:
+        transformUnion(ml::minMaxScale);
+        break;
+    }
+    if (config.strategy != CandidateStrategy::BehaviorClustering) {
+        for (std::size_t i = 0; i < numCustom; ++i)
+            candidates.push_back(i);
     }
 
     result.numCandidates = candidates.size();
@@ -262,8 +234,10 @@ inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
     // ---- Scoring (Eq. 2): mean similarity to the anchor matrix -----
     const obs::ScopedTimer rankTimer("rank");
     const obs::ScopedTimer kernelRankTimer("kernel.rank");
-    const ml::Matrix &custom = *scoreCustom;
-    const ml::Matrix &anchors = *scoreAnchor;
+    const auto rowOf = [&width](const std::vector<double> &block,
+                                std::size_t i) {
+        return std::span<const double>(block.data() + i * width, width);
+    };
 
     // Cosine fast path: norm() is a pure function of one row, so the
     // anchor norms can be hoisted out of the candidate loop and the
@@ -271,37 +245,36 @@ inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
     // the exact expression (and zero checks) of cosineSimilarity(),
     // making each addend — and hence every score — bit-identical to
     // the generic path.
+    const bool cosine = config.scoreMetric == ml::Metric::Cosine;
     std::vector<double> anchorNorms;
-    if (config.scoreMetric == ml::Metric::Cosine) {
-        anchorNorms.reserve(anchors.size());
-        for (const auto &anchorRow : anchors)
-            anchorNorms.push_back(ml::norm(anchorRow));
+    if (cosine) {
+        anchorNorms.reserve(numAnchors);
+        for (std::size_t a = 0; a < numAnchors; ++a)
+            anchorNorms.push_back(ml::norm(rowOf(anchors, a)));
     }
 
     std::vector<RankedFunction> ranked;
     ranked.reserve(candidates.size());
     for (std::size_t member : candidates) {
         const FnId id = repr.customFns[member];
+        const auto row = rowOf(custom, member);
+        const double rowNorm = cosine ? ml::norm(row) : 0.0;
         double sum = 0.0;
-        if (config.scoreMetric == ml::Metric::Cosine) {
-            const ml::Vec &row = custom[member];
-            const double rowNorm = ml::norm(row);
-            for (std::size_t a = 0; a < anchors.size(); ++a) {
-                if (rowNorm == 0.0 || anchorNorms[a] == 0.0)
-                    continue; // cosineSimilarity's zero-norm addend
-                sum += ml::dot(row, anchors[a]) /
+        for (std::size_t a = 0; a < numAnchors; ++a) {
+            if (!cosine) {
+                sum += ml::similarity(config.scoreMetric, row,
+                                      rowOf(anchors, a));
+            } else if (rowNorm != 0.0 && anchorNorms[a] != 0.0) {
+                // (cosineSimilarity's zero-norm addend is skipped.)
+                sum += ml::dot(row, rowOf(anchors, a)) /
                        (rowNorm * anchorNorms[a]);
             }
-        } else {
-            for (const auto &anchorRow : anchors)
-                sum += ml::similarity(config.scoreMetric,
-                                      custom[member], anchorRow);
         }
         RankedFunction rf;
         rf.id = id;
         rf.entry = repr.records[id].entry;
         rf.name = repr.records[id].name;
-        rf.score = sum / static_cast<double>(anchors.size());
+        rf.score = sum / static_cast<double>(numAnchors);
         if (config.useSymbolNames && !rf.name.empty()) {
             // Vendor mode: blend the symbol-name prior (0.5-neutral).
             rf.score +=
@@ -319,7 +292,45 @@ inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
     if (ranked.size() > config.maxRanked)
         ranked.resize(config.maxRanked);
     result.ranking = std::move(ranked);
+}
 
+} // namespace
+
+InferenceResult
+inferIts(const BehaviorRepr &repr, const InferConfig &config)
+{
+    InferenceResult result = startResult(repr);
+    if (result.ok()) {
+        const std::vector<int> kept =
+            Bfv::keptFeatures(config.dropFeature, config.onlyFeature);
+        rankRows(repr, bfvRows(repr, repr.customFns, kept),
+                 bfvRows(repr, repr.anchorFns, kept), kept.size(), config,
+                 result);
+    }
+    return result;
+}
+
+InferenceResult
+inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
+         const ml::Matrix &anchorVecs, const InferConfig &config)
+{
+    InferenceResult result = startResult(repr);
+    if (!result.ok())
+        return result;
+    const std::size_t width = ml::columns(customVecs);
+    const auto wrongWidth = [width](const ml::Vec &row) {
+        return row.size() != width;
+    };
+    if (width == 0 || customVecs.size() != repr.customFns.size() ||
+        anchorVecs.size() != repr.anchorFns.size() ||
+        std::any_of(customVecs.begin(), customVecs.end(), wrongWidth) ||
+        std::any_of(anchorVecs.begin(), anchorVecs.end(), wrongWidth)) {
+        result.error = "feature rows do not match the custom and "
+                       "anchor functions";
+        return result;
+    }
+    rankRows(repr, ml::flatten(customVecs), ml::flatten(anchorVecs), width,
+             config, result);
     return result;
 }
 

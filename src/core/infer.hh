@@ -95,7 +95,8 @@ InferenceResult inferIts(const BehaviorRepr &repr,
 /** Algorithm 2 on caller-built rows of one width: `custom[i]` for
  * `repr.customFns[i]`, `anchors[j]` for `repr.anchorFns[j]`; Eq. (1)
  * still reads the BFVs. Table 7 ranks code-structure rows this way.
- * Rows that do not match the partition return an error. */
+ * Rows that do not match the partition, or hold no features, return
+ * an error. */
 InferenceResult inferIts(const BehaviorRepr &repr,
                          const ml::Matrix &custom,
                          const ml::Matrix &anchors,

@@ -70,7 +70,7 @@ FitsPipeline::runStages(const std::vector<std::uint8_t> &firmware,
     std::uint64_t cacheKey1 = 0;
     std::uint64_t cacheKey2 = 0;
     if (cacheable) {
-        cacheKey1 = support::fnv1a(firmware.data(), firmware.size());
+        cacheKey1 = support::hash64(firmware.data(), firmware.size());
         cacheKey2 = behaviorConfigFingerprint(config_.behavior);
         const auto payload =
             cache::fetchBlob("behavior", cacheKey1, cacheKey2);

@@ -45,61 +45,6 @@ DbscanResult::noiseCount() const
     return n;
 }
 
-namespace {
-
-/**
- * Euclidean region queries over a flattened copy of the distinct rows.
- * The per-pair formula keeps the exact operation order of distance.cc
- * (same accumulation sequence, same final sqrt), so clustering output
- * is bit-identical to `distance(Metric::Euclidean, ...)`.
- */
-class DistanceScanner
-{
-  public:
-    /** Scans the rows `points[r]` for r in `rows`, all of length
-     * `dim`. */
-    DistanceScanner(const Matrix &points,
-                    const std::vector<std::size_t> &rows,
-                    std::size_t dim, double eps)
-        : n_(rows.size()), dim_(dim), eps_(eps)
-    {
-        buffer_.reserve(n_ * dim_);
-        for (std::size_t r : rows)
-            buffer_.insert(buffer_.end(), points[r].begin(),
-                           points[r].end());
-    }
-
-    /** Appends every row within eps of row `p` (p itself only when its
-     * self-distance is within eps) to `out`, in ascending order. */
-    void
-    neighbors(std::size_t p, std::vector<std::size_t> &out) const
-    {
-        // Locals, not members: the appends to `out` could otherwise
-        // alias them and force a reload on every pair.
-        const std::size_t dim = dim_;
-        const double eps = eps_;
-        const double *a = buffer_.data() + p * dim;
-        const double *b = buffer_.data();
-        for (std::size_t q = 0; q < n_; ++q, b += dim) {
-            double s = 0.0;
-            for (std::size_t i = 0; i < dim; ++i) {
-                const double diff = a[i] - b[i];
-                s += diff * diff;
-            }
-            if (std::sqrt(s) <= eps)
-                out.push_back(q);
-        }
-    }
-
-  private:
-    std::size_t n_;
-    std::size_t dim_;
-    double eps_;
-    std::vector<double> buffer_; ///< row-major n_ x dim_
-};
-
-} // namespace
-
 /*
  * Rows with the same bit pattern have the same distance to every row,
  * so the region queries run once per distinct row ("class"), and a
@@ -110,29 +55,32 @@ class DistanceScanner
  * point lands in the lowest-numbered cluster with a core neighbor.
  */
 DbscanResult
-dbscan(const Matrix &points, const DbscanConfig &config)
+dbscan(std::span<const double> rows, std::size_t width,
+       const DbscanConfig &config)
 {
     constexpr int kNoise = -1;
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    const std::size_t n = points.size();
-    const std::size_t dim = n > 0 ? points[0].size() : 0;
+    if (width == 0 ? !rows.empty() : rows.size() % width != 0)
+        throw std::invalid_argument("dbscan: block of partial rows");
+    const std::size_t n = width == 0 ? 0 : rows.size() / width;
+    const auto row = [&rows, width](std::size_t i) {
+        return rows.data() + i * width;
+    };
 
     // 1. Group the rows by exact bit pattern, numbering the classes in
     //    first-occurrence order.
     std::unordered_map<std::string_view, std::size_t> classIds;
     classIds.reserve(n);
     std::vector<std::size_t> classOf(n);
-    std::vector<std::size_t> firstRow; ///< class -> its first row
+    std::vector<const double *> first; ///< class -> its first row
     std::vector<std::size_t> size;     ///< class -> its row count
     for (std::size_t i = 0; i < n; ++i) {
-        if (points[i].size() != dim)
-            throw std::invalid_argument("dbscan: rows of unequal length");
         const std::string_view bits(
-            reinterpret_cast<const char *>(points[i].data()),
-            dim * sizeof(double));
+            reinterpret_cast<const char *>(row(i)),
+            width * sizeof(double));
         const auto [it, added] = classIds.try_emplace(bits, size.size());
         if (added) {
-            firstRow.push_back(i);
+            first.push_back(row(i));
             size.push_back(0);
         }
         classOf[i] = it->second;
@@ -140,15 +88,31 @@ dbscan(const Matrix &points, const DbscanConfig &config)
     }
     const std::size_t k = size.size();
 
-    // 2. One region query per class. A class is core when its adjacent
-    //    classes (itself only if within eps of itself: a row holding a
-    //    NaN is not) hold at least minPts rows.
-    const DistanceScanner scanner(points, firstRow, dim, config.eps);
+    // 2. One region query per class: the classes whose first row lies
+    //    within eps of class c's, ascending, by the per-pair formula of
+    //    euclideanDistance (same accumulation order, same final sqrt).
+    //    A class is core when its adjacent classes (itself only if
+    //    within eps of itself: a row holding a NaN is not) hold at
+    //    least minPts rows. Locals, not loads through `first` or
+    //    `config`: the appends could otherwise alias them and force a
+    //    reload on every pair.
+    const double eps = config.eps;
+    const double *const *classRows = first.data();
     std::vector<std::size_t> adjacency;         ///< all classes' lists
     std::vector<std::size_t> adjacencyStart{0}; ///< class -> offset
     std::vector<char> core(k);
     for (std::size_t c = 0; c < k; ++c) {
-        scanner.neighbors(c, adjacency);
+        const double *a = classRows[c];
+        for (std::size_t d = 0; d < k; ++d) {
+            const double *b = classRows[d];
+            double s = 0.0;
+            for (std::size_t i = 0; i < width; ++i) {
+                const double diff = a[i] - b[i];
+                s += diff * diff;
+            }
+            if (std::sqrt(s) <= eps)
+                adjacency.push_back(d);
+        }
         std::size_t weight = 0;
         for (std::size_t j = adjacencyStart[c]; j < adjacency.size(); ++j)
             weight += size[adjacency[j]];
@@ -227,6 +191,18 @@ dbscan(const Matrix &points, const DbscanConfig &config)
             result.labels[i] = borderLabel[classOf[i]];
     }
     return result;
+}
+
+DbscanResult
+dbscan(const Matrix &points, const DbscanConfig &config)
+{
+    const std::size_t width = columns(points);
+    for (const Vec &point : points) {
+        if (point.size() != width || width == 0)
+            throw std::invalid_argument(
+                "dbscan: rows of unequal or zero length");
+    }
+    return dbscan(flatten(points), width, config);
 }
 
 } // namespace fits::ml

@@ -18,7 +18,8 @@ metricName(Metric metric)
 }
 
 double
-cosineSimilarity(const Vec &a, const Vec &b)
+cosineSimilarity(std::span<const double> a,
+                 std::span<const double> b)
 {
     const double na = norm(a);
     const double nb = norm(b);
@@ -28,13 +29,15 @@ cosineSimilarity(const Vec &a, const Vec &b)
 }
 
 double
-cosineDistance(const Vec &a, const Vec &b)
+cosineDistance(std::span<const double> a,
+               std::span<const double> b)
 {
     return 1.0 - cosineSimilarity(a, b);
 }
 
 double
-euclideanDistance(const Vec &a, const Vec &b)
+euclideanDistance(std::span<const double> a,
+                  std::span<const double> b)
 {
     assert(a.size() == b.size());
     double s = 0.0;
@@ -46,7 +49,8 @@ euclideanDistance(const Vec &a, const Vec &b)
 }
 
 double
-manhattanDistance(const Vec &a, const Vec &b)
+manhattanDistance(std::span<const double> a,
+                  std::span<const double> b)
 {
     assert(a.size() == b.size());
     double s = 0.0;
@@ -56,7 +60,8 @@ manhattanDistance(const Vec &a, const Vec &b)
 }
 
 double
-pearsonCorrelation(const Vec &a, const Vec &b)
+pearsonCorrelation(std::span<const double> a,
+                   std::span<const double> b)
 {
     assert(a.size() == b.size());
     const std::size_t n = a.size();
@@ -83,7 +88,8 @@ pearsonCorrelation(const Vec &a, const Vec &b)
 }
 
 double
-distance(Metric metric, const Vec &a, const Vec &b)
+distance(Metric metric, std::span<const double> a,
+         std::span<const double> b)
 {
     switch (metric) {
       case Metric::Cosine:    return cosineDistance(a, b);
@@ -95,7 +101,8 @@ distance(Metric metric, const Vec &a, const Vec &b)
 }
 
 double
-similarity(Metric metric, const Vec &a, const Vec &b)
+similarity(Metric metric, std::span<const double> a,
+           std::span<const double> b)
 {
     switch (metric) {
       case Metric::Cosine:

@@ -6,7 +6,7 @@
 namespace fits::ml {
 
 double
-dot(const Vec &a, const Vec &b)
+dot(std::span<const double> a, std::span<const double> b)
 {
     assert(a.size() == b.size());
     double s = 0.0;
@@ -16,9 +16,30 @@ dot(const Vec &a, const Vec &b)
 }
 
 double
-norm(const Vec &a)
+norm(std::span<const double> a)
 {
     return std::sqrt(dot(a, a));
+}
+
+std::vector<double>
+flatten(const Matrix &m)
+{
+    std::vector<double> values;
+    values.reserve(m.size() * columns(m));
+    for (const auto &row : m)
+        values.insert(values.end(), row.begin(), row.end());
+    return values;
+}
+
+Matrix
+toMatrix(std::span<const double> values, std::size_t width)
+{
+    assert(width > 0 && values.size() % width == 0);
+    Matrix m;
+    m.reserve(values.size() / width);
+    for (std::size_t i = 0; i < values.size(); i += width)
+        m.emplace_back(values.begin() + i, values.begin() + i + width);
+    return m;
 }
 
 std::size_t

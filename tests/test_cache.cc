@@ -254,6 +254,46 @@ TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
     expectIdenticalOutcomes(cold, runner.run(corpus));
 }
 
+TEST_F(CacheTest, BehaviorBlobIsKeyedOnXxh64OfTheFirmware)
+{
+    // The behavior blob's first key is support::hash64 of the firmware
+    // bytes, the second the behavior-config fingerprint. A cold
+    // analysis writes exactly that one disk entry; a fresh pipeline on
+    // the same bytes is served from it.
+    enableDisk();
+    const auto firmware = synth::generateFirmware(smallCorpus(1).front());
+    core::PipelineConfig config;
+    config.behaviorCache = true;
+
+    const auto cold = core::FitsPipeline(config).analyze(firmware.bytes);
+    ASSERT_TRUE(cold.ok()) << cold.status.toString();
+    const std::string path = cache::blobPath(
+        "behavior",
+        support::hash64(firmware.bytes.data(), firmware.bytes.size()),
+        core::behaviorConfigFingerprint(config.behavior));
+    std::vector<std::string> written;
+    for (const auto &entry : fs::recursive_directory_iterator(dir_)) {
+        if (entry.is_regular_file())
+            written.push_back(entry.path().string());
+    }
+    EXPECT_EQ(written, std::vector<std::string>{path});
+
+    cache::clearMemory();
+    cache::resetStats();
+    const auto warm = core::FitsPipeline(config).analyze(firmware.bytes);
+    ASSERT_TRUE(warm.ok()) << warm.status.toString();
+    EXPECT_EQ(cache::stats().diskHits, 1u);
+    EXPECT_EQ(cache::stats().diskMisses, 0u);
+    ASSERT_EQ(cold.inference.ranking.size(),
+              warm.inference.ranking.size());
+    for (std::size_t r = 0; r < cold.inference.ranking.size(); ++r) {
+        EXPECT_EQ(cold.inference.ranking[r].id,
+                  warm.inference.ranking[r].id);
+        EXPECT_EQ(scoreBits(cold.inference.ranking[r].score),
+                  scoreBits(warm.inference.ranking[r].score));
+    }
+}
+
 TEST_F(CacheTest, SerialAndParallelRankingsIdentical)
 {
     const auto corpus = smallCorpus(4);

@@ -18,9 +18,9 @@ namespace {
 
 TEST(VectorOps, DotAndNorm)
 {
-    EXPECT_DOUBLE_EQ(dot({1, 2, 3}, {4, 5, 6}), 32.0);
-    EXPECT_DOUBLE_EQ(norm({3, 4}), 5.0);
-    EXPECT_DOUBLE_EQ(norm({0, 0}), 0.0);
+    EXPECT_DOUBLE_EQ(dot(Vec{1, 2, 3}, Vec{4, 5, 6}), 32.0);
+    EXPECT_DOUBLE_EQ(norm(Vec{3, 4}), 5.0);
+    EXPECT_DOUBLE_EQ(norm(Vec{0, 0}), 0.0);
 }
 
 TEST(VectorOps, ColumnStats)
@@ -36,26 +36,29 @@ TEST(VectorOps, ColumnStats)
 
 TEST(Distance, CosineKnownValues)
 {
-    EXPECT_DOUBLE_EQ(cosineSimilarity({1, 0}, {1, 0}), 1.0);
-    EXPECT_DOUBLE_EQ(cosineSimilarity({1, 0}, {0, 1}), 0.0);
-    EXPECT_DOUBLE_EQ(cosineSimilarity({1, 0}, {-1, 0}), -1.0);
-    EXPECT_DOUBLE_EQ(cosineSimilarity({0, 0}, {1, 1}), 0.0); // zero vec
+    EXPECT_DOUBLE_EQ(cosineSimilarity(Vec{1, 0}, Vec{1, 0}), 1.0);
+    EXPECT_DOUBLE_EQ(cosineSimilarity(Vec{1, 0}, Vec{0, 1}), 0.0);
+    EXPECT_DOUBLE_EQ(cosineSimilarity(Vec{1, 0}, Vec{-1, 0}), -1.0);
+    // A zero vector has similarity 0.
+    EXPECT_DOUBLE_EQ(cosineSimilarity(Vec{0, 0}, Vec{1, 1}), 0.0);
     // Cosine is scale-invariant.
-    EXPECT_NEAR(cosineSimilarity({1, 2}, {10, 20}), 1.0, 1e-12);
+    EXPECT_NEAR(cosineSimilarity(Vec{1, 2}, Vec{10, 20}), 1.0, 1e-12);
 }
 
 TEST(Distance, EuclideanAndManhattan)
 {
-    EXPECT_DOUBLE_EQ(euclideanDistance({0, 0}, {3, 4}), 5.0);
-    EXPECT_DOUBLE_EQ(manhattanDistance({0, 0}, {3, 4}), 7.0);
+    EXPECT_DOUBLE_EQ(euclideanDistance(Vec{0, 0}, Vec{3, 4}), 5.0);
+    EXPECT_DOUBLE_EQ(manhattanDistance(Vec{0, 0}, Vec{3, 4}), 7.0);
 }
 
 TEST(Distance, PearsonKnownValues)
 {
-    EXPECT_NEAR(pearsonCorrelation({1, 2, 3}, {2, 4, 6}), 1.0, 1e-12);
-    EXPECT_NEAR(pearsonCorrelation({1, 2, 3}, {3, 2, 1}), -1.0,
+    EXPECT_NEAR(pearsonCorrelation(Vec{1, 2, 3}, Vec{2, 4, 6}), 1.0,
                 1e-12);
-    EXPECT_DOUBLE_EQ(pearsonCorrelation({1, 1, 1}, {2, 4, 6}), 0.0);
+    EXPECT_NEAR(pearsonCorrelation(Vec{1, 2, 3}, Vec{3, 2, 1}), -1.0,
+                1e-12);
+    EXPECT_DOUBLE_EQ(pearsonCorrelation(Vec{1, 1, 1}, Vec{2, 4, 6}),
+                     0.0);
 }
 
 TEST(Distance, MetricProperties)
@@ -84,10 +87,10 @@ TEST(Distance, MetricProperties)
 TEST(Distance, SimilarityMonotoneInDistance)
 {
     const Vec a = {0, 0};
-    EXPECT_GT(similarity(Metric::Euclidean, a, {1, 0}),
-              similarity(Metric::Euclidean, a, {5, 0}));
-    EXPECT_GT(similarity(Metric::Manhattan, a, {1, 0}),
-              similarity(Metric::Manhattan, a, {5, 0}));
+    EXPECT_GT(similarity(Metric::Euclidean, a, Vec{1, 0}),
+              similarity(Metric::Euclidean, a, Vec{5, 0}));
+    EXPECT_GT(similarity(Metric::Manhattan, a, Vec{1, 0}),
+              similarity(Metric::Manhattan, a, Vec{5, 0}));
 }
 
 TEST(Dbscan, TwoBlobsAndNoise)
@@ -143,6 +146,14 @@ TEST(Dbscan, RejectsRowsOfUnequalLength)
     const Matrix ragged = {{0, 0}, {1}, {0, 1}};
     EXPECT_THROW(dbscan(ragged, {1.0, 1}),
                  std::invalid_argument);
+}
+
+TEST(Dbscan, RejectsBlockOfPartialRows)
+{
+    const std::vector<double> values = {0, 0, 1};
+    EXPECT_THROW(dbscan(values, 2, {1.0, 1}), std::invalid_argument);
+    EXPECT_THROW(dbscan(values, 0, {1.0, 1}), std::invalid_argument);
+    EXPECT_EQ(dbscan(values, 3, {1.0, 1}).labels, std::vector<int>{0});
 }
 
 TEST(Scaling, MaxAbs)

@@ -637,6 +637,11 @@ expectMatchesOracle(const OracleCase &c)
     const auto reference = referenceDbscan(points, c.config);
     EXPECT_EQ(fixed.labels, reference.labels);
     EXPECT_EQ(fixed.numClusters, reference.numClusters);
+    // The block kernel directly, on the rows inference would hand it.
+    const auto block =
+        ml::dbscan(ml::flatten(points), ml::columns(points), c.config);
+    EXPECT_EQ(block.labels, reference.labels);
+    EXPECT_EQ(block.numClusters, reference.numClusters);
     EXPECT_GE(fixed.numClusters, c.minClusters);
     if (c.noise >= 0) {
         EXPECT_EQ(fixed.noiseCount(), static_cast<std::size_t>(c.noise));

@@ -22,9 +22,11 @@ ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
 # compare raw row bytes (NaN, signed-zero and ragged rows among them);
 # and the byte-path kernels do word loads, tail loops and their own
 # capacity management (XXH64, the ByteWriter cursor, the SWAR payload
-# codec).
+# codec); and inference indexes its row-major feature blocks by
+# `row * width` unchecked (the Infer suites and the block-inference
+# oracle).
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='Corruption.*:Robustness.*:CacheTest.UnwritableDiskDirSkipsEntry:CacheTest.DecodeRejectsCorruptPayloads:CacheTest.CorruptDiskEntriesDegradeToMisses:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:Dbscan.*:Hash64.*:ByteBuf.*:Fwimg.*'
+    --gtest_filter='Corruption.*:Robustness.*:CacheTest.UnwritableDiskDirSkipsEntry:CacheTest.DecodeRejectsCorruptPayloads:CacheTest.CorruptDiskEntriesDegradeToMisses:Fbin.RejectsEveryTruncation:Fbin.SurvivesRandomByteFlips:Dbscan.*:Hash64.*:ByteBuf.*:Fwimg.*:Infer.*:InferOracle.*'
 
 echo "asan: no memory errors detected"

@@ -12,7 +12,9 @@
 # memory-cell indexing; the DBSCAN suites, which hash raw row
 # bytes and index classes by them; and the byte-path kernels' suites
 # (XXH64, the ByteWriter cursor, the SWAR payload codec), which shift,
-# load words and run tail loops. Any UB report aborts the run
+# load words and run tail loops; and the inference suites and the
+# block-inference oracle, which index row-major feature blocks by
+# `row * width`. Any UB report aborts the run
 # (-fno-sanitize-recover=all).
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
@@ -25,6 +27,6 @@ fits_sanitized_tests "$BUILD" undefined
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='Deadline.*:Hash64.*:Corruption.*:Robustness.*:CacheTest.*:Fbin.*:ByteBuf.*:Fwimg.*:Taint*:GoldenCorpus.*:ReachDef*:Dbscan.*'
+    --gtest_filter='Deadline.*:Hash64.*:Corruption.*:Robustness.*:CacheTest.*:Fbin.*:ByteBuf.*:Fwimg.*:Taint*:GoldenCorpus.*:ReachDef*:Dbscan.*:Infer.*:InferOracle.*'
 
 echo "ubsan: no undefined behavior detected"
