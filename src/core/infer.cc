@@ -64,7 +64,7 @@ bfvRows(const BehaviorRepr &repr, const std::vector<FnId> &ids,
 {
     std::vector<double> rows(ids.size() * kept.size());
     double *out = rows.data();
-    std::array<double, Bfv::kNumFeatures> features;
+    std::array<double, Bfv::kNumFeatures> features{};
     for (FnId id : ids) {
         repr.records[id].bfv.write(features);
         for (int k : kept)

@@ -293,7 +293,7 @@ expectMatchesReference(std::uint64_t seed, std::size_t stride)
 
 TEST(InferOracle, MatchesReferenceOnCorpusSeed0)
 {
-    expectMatchesReference(0, 12);
+    expectMatchesReference(0, 10);
 }
 
 TEST(InferOracle, MatchesReferenceOnCorpusSeed1)
