@@ -283,7 +283,7 @@ void
 BM_CallGraphBuild(benchmark::State &state)
 {
     const auto &pa = programAnalysis();
-    std::vector<const analysis::UcseResult *> ucse;
+    std::vector<const analysis::UcseTargets *> ucse;
     for (const auto &fa : pa.fns)
         ucse.push_back(&fa.ucse);
     for (auto _ : state) {

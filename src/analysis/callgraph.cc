@@ -4,7 +4,7 @@ namespace fits::analysis {
 
 CallGraph
 CallGraph::build(const LinkedProgram &linked,
-                 const std::vector<const UcseResult *> *ucseByFn)
+                 const std::vector<const UcseTargets *> *ucseByFn)
 {
     CallGraph cg;
     const std::size_t fnCount = linked.fnCount();
@@ -13,7 +13,7 @@ CallGraph::build(const LinkedProgram &linked,
     for (FnId caller = 0; caller < fnCount; ++caller) {
         cg.callerOffsets_[caller] = cg.sites_.size();
         const FnRef &ref = linked.fn(caller);
-        const UcseResult *ucse = ucseByFn != nullptr &&
+        const UcseTargets *ucse = ucseByFn != nullptr &&
                                          caller < ucseByFn->size()
                                      ? (*ucseByFn)[caller]
                                      : nullptr;

@@ -60,13 +60,13 @@ class CallGraph
   public:
     /**
      * Build the call graph. ucseByFn optionally supplies, indexed by
-     * FnId, the explorer result whose resolvedCalls disambiguate
+     * FnId, the explorer targets whose resolvedCalls disambiguate
      * indirect calls (null entries, or no vector, leave every indirect
      * call unresolved).
      */
     static CallGraph build(
         const LinkedProgram &linked,
-        const std::vector<const UcseResult *> *ucseByFn = nullptr);
+        const std::vector<const UcseTargets *> *ucseByFn = nullptr);
 
     const std::vector<CallSite> &sites() const { return sites_; }
 

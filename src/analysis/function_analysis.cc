@@ -2,6 +2,26 @@
 
 namespace fits::analysis {
 
+namespace {
+
+/** Whether fn holds an indirect Call or Jump: the only statements
+ * whose targets the explorer resolves. */
+bool
+hasIndirectSite(const ir::Function &fn)
+{
+    for (const auto &block : fn.blocks) {
+        for (const auto &stmt : block.stmts) {
+            if (stmt.indirect && (stmt.kind == ir::StmtKind::Call ||
+                                  stmt.kind == ir::StmtKind::Jump)) {
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+} // namespace
+
 FunctionAnalysis
 FunctionAnalysis::analyze(const bin::BinaryImage &image,
                           const ir::Function &fn,
@@ -11,8 +31,15 @@ FunctionAnalysis::analyze(const bin::BinaryImage &image,
     fa.image = &image;
     fa.fn = &fn;
 
-    UcseExplorer explorer(image, config);
-    fa.ucse = explorer.explore(fn);
+    if (hasIndirectSite(fn)) {
+        fa.ucse = UcseExplorer(image, config).explore(fn);
+    } else if (!fn.blocks.empty()) {
+        // Nothing to resolve, so the explorer could only return empty
+        // target maps. Like it, check the deadline once on entry,
+        // unless a zero step budget would stop it first.
+        fa.ucse.deadlineExpired =
+            config.maxSteps > 0 && config.deadline.expired();
+    }
 
     fa.cfg = Cfg::build(fn, &fa.ucse.resolvedJumps);
     fa.loops = analyzeLoops(fa.cfg, fn);

@@ -15,7 +15,8 @@ namespace fits::analysis {
 
 /**
  * All per-function analysis artifacts, computed in dependency order:
- * UCSE exploration (resolving indirect targets), the CFG (with resolved
+ * UCSE exploration (resolving indirect targets; run only when the
+ * function holds an indirect Call or Jump), the CFG (with resolved
  * indirect jump edges), dominators/loops, constant temporaries,
  * parameter inference, and reaching definitions with parameter
  * dependence (Algorithm 1 lines 2 and 5-8).
@@ -25,7 +26,9 @@ struct FunctionAnalysis
     const bin::BinaryImage *image = nullptr;
     const ir::Function *fn = nullptr;
 
-    UcseResult ucse;
+    /** Resolved indirect targets; empty for a function without an
+     * indirect site, which is never explored. */
+    UcseTargets ucse;
     Cfg cfg;
     LoopInfo loops;
     TmpConstMap consts;

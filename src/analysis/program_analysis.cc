@@ -27,7 +27,7 @@ ProgramAnalysis::fromFunctionAnalyses(const LinkedProgram &linked,
     pa.linked = &linked;
     pa.fns = std::move(fns);
 
-    std::vector<const UcseResult *> ucseByFn(linked.fnCount());
+    std::vector<const UcseTargets *> ucseByFn(linked.fnCount());
     for (FnId id = 0; id < linked.fnCount(); ++id)
         ucseByFn[id] = &pa.fns[id].ucse;
     pa.callGraph = CallGraph::build(linked, &ucseByFn);

@@ -11,7 +11,7 @@ namespace fits::analysis {
 
 /**
  * Whole-program analysis bundle: one FunctionAnalysis per function of a
- * linked program plus the call graph built from their UCSE results.
+ * linked program plus the call graph built from their UCSE targets.
  * Computed once per binary and shared by the feature extractor and both
  * taint engines. Borrows the LinkedProgram (and transitively the
  * images), which must outlive it.

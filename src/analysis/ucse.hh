@@ -71,20 +71,28 @@ struct UcseConfig
     support::Deadline deadline;
 };
 
-/** Results of exploring one function. */
-struct UcseResult
+/** What the rest of the analysis reads of an exploration: the
+ * resolved indirect targets (for the CFG and the call graph) and
+ * whether the deadline cut it short. */
+struct UcseTargets
 {
     /** Indirect Call statement address -> resolved callee addresses. */
     std::unordered_map<Addr, std::vector<Addr>> resolvedCalls;
     /** Indirect Jump statement address -> resolved block addresses. */
     std::unordered_map<Addr, std::vector<Addr>> resolvedJumps;
+    /** The wall-clock deadline cut exploration short; resolved
+     * targets (and reached blocks) are partial. */
+    bool deadlineExpired = false;
+};
+
+/** Results of exploring one function: the targets plus how far the
+ * exploration went. */
+struct UcseResult : UcseTargets
+{
     /** Blocks reached by at least one explored path. */
     std::vector<bool> reachedBlocks;
     std::size_t steps = 0;
     bool budgetExhausted = false;
-    /** The wall-clock deadline cut exploration short; resolved
-     * targets and reached blocks are partial. */
-    bool deadlineExpired = false;
 };
 
 /**

@@ -23,16 +23,6 @@ BinaryImage::sectionContaining(Addr addr) const
     return nullptr;
 }
 
-Section *
-BinaryImage::sectionContaining(Addr addr)
-{
-    for (auto &sec : sections) {
-        if (sec.contains(addr))
-            return &sec;
-    }
-    return nullptr;
-}
-
 const Section *
 BinaryImage::sectionByName(const std::string &secName) const
 {

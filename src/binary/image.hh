@@ -98,7 +98,6 @@ class BinaryImage
 
     /** Section containing the address, or nullptr. */
     const Section *sectionContaining(Addr addr) const;
-    Section *sectionContaining(Addr addr);
 
     /** Section by name, or nullptr. */
     const Section *sectionByName(const std::string &name) const;

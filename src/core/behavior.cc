@@ -12,16 +12,6 @@ using analysis::FunctionAnalysis;
 using analysis::LinkedProgram;
 using analysis::ProgramAnalysis;
 
-ml::Matrix
-BehaviorRepr::anchorMatrix() const
-{
-    ml::Matrix m;
-    m.reserve(anchorFns.size());
-    for (FnId id : anchorFns)
-        m.push_back(records[id].bfv.toVector());
-    return m;
-}
-
 BehaviorAnalyzer::BehaviorAnalyzer()
     : config_()
 {

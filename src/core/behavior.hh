@@ -32,9 +32,6 @@ struct BehaviorRepr
     std::vector<FunctionRecord> records;
     std::vector<analysis::FnId> customFns;
     std::vector<analysis::FnId> anchorFns;
-
-    /** BFV rows of all anchor functions (Eq. 2's Matrix). */
-    ml::Matrix anchorMatrix() const;
 };
 
 /**

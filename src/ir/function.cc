@@ -66,12 +66,4 @@ Program::functionContaining(Addr addr) const
     return nullptr;
 }
 
-void
-Program::reindex()
-{
-    byEntry_.clear();
-    for (std::size_t i = 0; i < functions_.size(); ++i)
-        byEntry_[functions_[i].entry] = i;
-}
-
 } // namespace fits::ir

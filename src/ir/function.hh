@@ -94,9 +94,6 @@ class Program
 
     std::size_t size() const { return functions_.size(); }
 
-    /** Rebuild the entry index (after external mutation of functions()). */
-    void reindex();
-
   private:
     std::vector<Function> functions_;
     std::unordered_map<Addr, std::size_t> byEntry_;

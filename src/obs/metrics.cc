@@ -398,14 +398,6 @@ ScopedTimer::~ScopedTimer()
 }
 
 double
-ScopedTimer::elapsedMs() const
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-}
-
-double
 ScopedTimer::stopMs()
 {
     if (!stopped_) {

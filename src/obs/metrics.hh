@@ -271,9 +271,6 @@ class ScopedTimer
     ScopedTimer(const ScopedTimer &) = delete;
     ScopedTimer &operator=(const ScopedTimer &) = delete;
 
-    /** Wall milliseconds since construction (still running). */
-    double elapsedMs() const;
-
     /** Stop now, record once, and return the elapsed milliseconds.
      * Further calls return the first measurement unchanged. */
     double stopMs();

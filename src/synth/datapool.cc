@@ -23,15 +23,6 @@ RodataPool::intern(const std::string &text)
 }
 
 ir::Addr
-RodataPool::addWord(std::uint64_t value)
-{
-    const ir::Addr addr = base_ + bytes_.size();
-    for (std::size_t i = 0; i < bin::kPtrSize; ++i)
-        bytes_.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
-    return addr;
-}
-
-ir::Addr
 RodataPool::reserveWords(std::size_t n)
 {
     const ir::Addr addr = base_ + bytes_.size();

@@ -22,10 +22,6 @@ class RodataPool
     /** Address of the string, appending it on first use. */
     ir::Addr intern(const std::string &text);
 
-    /** Append a constant word (e.g. a jump/handler table entry that
-     * belongs in read-only memory); returns its address. */
-    ir::Addr addWord(std::uint64_t value);
-
     /** Reserve n contiguous words for later patching. */
     ir::Addr reserveWords(std::size_t n);
 

@@ -570,13 +570,13 @@ inferParams(const Cfg &cfg, const ir::Function &fn)
 CallGraph
 CallGraph::build(const analysis::LinkedProgram &linked,
                  const std::unordered_map<FnId,
-                                          const analysis::UcseResult *>
+                                          const analysis::UcseTargets *>
                      *ucseByFn)
 {
     CallGraph cg;
     for (FnId caller = 0; caller < linked.fnCount(); ++caller) {
         const analysis::FnRef &ref = linked.fn(caller);
-        const analysis::UcseResult *ucse = nullptr;
+        const analysis::UcseTargets *ucse = nullptr;
         if (ucseByFn != nullptr) {
             auto it = ucseByFn->find(caller);
             if (it != ucseByFn->end())

@@ -70,7 +70,7 @@ struct CallGraph
 
     static CallGraph build(
         const analysis::LinkedProgram &linked,
-        const std::unordered_map<FnId, const analysis::UcseResult *>
+        const std::unordered_map<FnId, const analysis::UcseTargets *>
             *ucseByFn = nullptr);
 
     std::vector<std::size_t> sitesOfCaller(FnId caller) const;

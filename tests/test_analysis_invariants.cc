@@ -38,13 +38,17 @@ class InvariantSweep : public ::testing::TestWithParam<int>
 
 TEST_P(InvariantSweep, UcseReachesOnlyCfgReachableBlocks)
 {
+    // FunctionAnalysis explores only functions with an indirect site,
+    // so explore every function here.
     const auto result = sample(GetParam());
+    const UcseExplorer explorer(result.image);
     for (const auto &fn : result.image.program.functions()) {
         const auto fa =
             FunctionAnalysis::analyze(result.image, fn);
+        const auto ucse = explorer.explore(fn);
         const auto reachable = fa.cfg.reachable();
         for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
-            if (fa.ucse.reachedBlocks[b]) {
+            if (ucse.reachedBlocks[b]) {
                 EXPECT_TRUE(reachable[b])
                     << "UCSE reached a CFG-unreachable block in fn "
                     << support::hex(fn.entry) << " block " << b;

@@ -1,7 +1,12 @@
-/** @file Unit tests for the under-constrained symbolic explorer. */
+/** @file Unit tests for the under-constrained symbolic explorer, and
+ * for FunctionAnalysis, which runs it only on functions holding an
+ * indirect Call or Jump. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "analysis/program_analysis.hh"
 #include "analysis/ucse.hh"
 #include "ir/builder.hh"
 
@@ -215,6 +220,127 @@ TEST(Ucse, Deterministic)
     const UcseResult bResult = explorer.explore(fn);
     EXPECT_EQ(a.steps, bResult.steps);
     EXPECT_EQ(a.reachedBlocks, bResult.reachedBlocks);
+}
+
+/** f(): calls through rodata slot 0 (0x5000), then returns. */
+ir::Function
+indirectCaller(ir::Addr entry)
+{
+    FunctionBuilder b;
+    auto slot = b.cnst(bin::kRodataBase);
+    auto target = b.load(Operand::ofTmp(slot));
+    b.callIndirect(Operand::ofTmp(target));
+    b.ret();
+    return b.build(entry);
+}
+
+/** f(): a direct call and a branch, nothing to resolve. */
+ir::Function
+directOnly(ir::Addr entry)
+{
+    FunctionBuilder b;
+    auto out = b.newBlock();
+    b.call(0x5000);
+    auto c = b.get(ir::kRegR0);
+    b.branch(Operand::ofTmp(c), out);
+    b.ret();
+    b.switchTo(out);
+    b.ret();
+    return b.build(entry);
+}
+
+TEST(FunctionAnalysis, IndirectCallThroughRodataTableReachesCallGraph)
+{
+    auto image = imageWithTable();
+    FunctionBuilder callee;
+    callee.ret();
+    image.program.addFunction(callee.build(0x5000));
+    image.program.addFunction(indirectCaller(0x100));
+    const ir::Function &caller = *image.program.functionAt(0x100);
+    const ir::Addr callAddr = caller.blocks[0].stmtAddr(2);
+
+    const auto fa = FunctionAnalysis::analyze(image, caller);
+    const auto it = fa.ucse.resolvedCalls.find(callAddr);
+    ASSERT_NE(it, fa.ucse.resolvedCalls.end());
+    EXPECT_EQ(it->second, std::vector<ir::Addr>{0x5000});
+
+    const std::vector<bin::BinaryImage> libs;
+    const LinkedProgram linked(image, libs);
+    const ProgramAnalysis pa = ProgramAnalysis::analyze(linked);
+    const FnId calleeId = *linked.fnIdOf(&image, 0x5000);
+    ASSERT_EQ(pa.callGraph.callerSiteCount(calleeId), 1u);
+    const CallSite &site =
+        pa.callGraph.sites()[pa.callGraph.sitesOfCallee(calleeId)[0]];
+    EXPECT_TRUE(site.indirect);
+    EXPECT_EQ(site.stmtAddr, callAddr);
+}
+
+TEST(FunctionAnalysis, ResolvedIndirectJumpAddsCfgEdge)
+{
+    // Block 0 jumps through rodata slot 2; only the resolved target
+    // makes block 1 reachable.
+    FunctionBuilder b;
+    auto slot = b.cnst(bin::kRodataBase + 2 * bin::kPtrSize);
+    auto target = b.load(Operand::ofTmp(slot));
+    b.jumpIndirect(Operand::ofTmp(target));
+    b.switchTo(b.newBlock());
+    b.ret();
+    const ir::Function fn = b.build(0x100);
+    const ir::Addr jumpAddr = fn.blocks[0].stmtAddr(2);
+
+    auto image = imageWithTable();
+    auto &rodata = image.sections[0].bytes;
+    for (std::size_t i = 0; i < bin::kPtrSize; ++i) {
+        rodata[2 * bin::kPtrSize + i] =
+            static_cast<std::uint8_t>(fn.blocks[1].addr >> (8 * i));
+    }
+
+    const auto fa = FunctionAnalysis::analyze(image, fn);
+    const auto it = fa.ucse.resolvedJumps.find(jumpAddr);
+    ASSERT_NE(it, fa.ucse.resolvedJumps.end());
+    EXPECT_EQ(it->second, std::vector<ir::Addr>{fn.blocks[1].addr});
+    const auto succs = fa.cfg.succs(0);
+    EXPECT_NE(std::find(succs.begin(), succs.end(), 1u), succs.end());
+    EXPECT_TRUE(fa.cfg.reachable()[1]);
+}
+
+TEST(FunctionAnalysis, DeadlineIsCheckedWithOrWithoutIndirectSite)
+{
+    const auto image = imageWithTable();
+    const ir::Function indirect = indirectCaller(0x100);
+    const ir::Function direct = directOnly(0x200);
+    ir::Function empty;
+    empty.entry = 0x300;
+
+    UcseConfig expired;
+    expired.deadline = support::Deadline::afterMs(0);
+    EXPECT_TRUE(
+        FunctionAnalysis::analyze(image, indirect, expired)
+            .ucse.deadlineExpired);
+    EXPECT_TRUE(FunctionAnalysis::analyze(image, direct, expired)
+                    .ucse.deadlineExpired);
+    EXPECT_FALSE(FunctionAnalysis::analyze(image, empty, expired)
+                     .ucse.deadlineExpired);
+
+    // A zero step budget stops the explorer before its deadline check,
+    // so no function reports expiry; with no deadline none does. The
+    // skipped functions agree with what the explorer reports.
+    UcseConfig noSteps = expired;
+    noSteps.maxSteps = 0;
+    const ir::Function *const fns[] = {&indirect, &direct, &empty};
+    for (const UcseConfig &config : {expired, noSteps, UcseConfig{}}) {
+        for (const ir::Function *fn : fns) {
+            const auto fa = FunctionAnalysis::analyze(image, *fn, config);
+            const auto full = UcseExplorer(image, config).explore(*fn);
+            EXPECT_EQ(fa.ucse.deadlineExpired, full.deadlineExpired)
+                << "fn " << fn->entry << ", max steps "
+                << config.maxSteps;
+            EXPECT_EQ(fa.ucse.resolvedCalls, full.resolvedCalls);
+            EXPECT_EQ(fa.ucse.resolvedJumps, full.resolvedJumps);
+        }
+    }
+    EXPECT_FALSE(FunctionAnalysis::analyze(image, direct, noSteps)
+                     .ucse.deadlineExpired);
 }
 
 } // namespace

@@ -194,7 +194,6 @@ TEST_F(BehaviorTest, PartitionsCustomAndAnchors)
     EXPECT_EQ(repr_.customFns.size(), 4u);
     ASSERT_EQ(repr_.anchorFns.size(), 1u);
     EXPECT_EQ(repr_.records[repr_.anchorFns[0]].name, "strlen");
-    EXPECT_EQ(repr_.anchorMatrix().size(), 1u);
 }
 
 TEST_F(BehaviorTest, GetterStructuralFeatures)

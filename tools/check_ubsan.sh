@@ -14,8 +14,11 @@
 # (XXH64, the ByteWriter cursor, the SWAR payload codec), which shift,
 # load words and run tail loops; and the inference suites and the
 # block-inference oracle, which index row-major feature blocks by
-# `row * width`. Any UB report aborts the run
-# (-fno-sanitize-recover=all).
+# `row * width`; and the UCSE suites (the analysis-kernel oracle, the
+# invariant sweep, the explorer and FunctionAnalysis unit tests), since
+# the explorer indexes per-block visit counts and its flat frame stack
+# by hand and the corpus oracle explores every corpus function. Any UB
+# report aborts the run (-fno-sanitize-recover=all).
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
 set -e
@@ -27,6 +30,6 @@ fits_sanitized_tests "$BUILD" undefined
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='Deadline.*:Hash64.*:Corruption.*:Robustness.*:CacheTest.*:Fbin.*:ByteBuf.*:Fwimg.*:Taint*:GoldenCorpus.*:ReachDef*:Dbscan.*:Infer.*:InferOracle.*'
+    --gtest_filter='Deadline.*:Hash64.*:Corruption.*:Robustness.*:CacheTest.*:Fbin.*:ByteBuf.*:Fwimg.*:Taint*:GoldenCorpus.*:ReachDef*:Dbscan.*:Infer.*:InferOracle.*:AnalysisKernelOracle.*:Seeds/InvariantSweep.*:Ucse.*:FunctionAnalysis.*'
 
 echo "ubsan: no undefined behavior detected"
