@@ -80,8 +80,8 @@ struct UcseTargets
     std::unordered_map<Addr, std::vector<Addr>> resolvedCalls;
     /** Indirect Jump statement address -> resolved block addresses. */
     std::unordered_map<Addr, std::vector<Addr>> resolvedJumps;
-    /** The wall-clock deadline cut exploration short; resolved
-     * targets (and reached blocks) are partial. */
+    /** The wall-clock deadline cut exploration short; the resolved
+     * targets are partial. */
     bool deadlineExpired = false;
 };
 
@@ -89,7 +89,8 @@ struct UcseTargets
  * exploration went. */
 struct UcseResult : UcseTargets
 {
-    /** Blocks reached by at least one explored path. */
+    /** Blocks reached by at least one explored path (partial, too,
+     * when deadlineExpired). */
     std::vector<bool> reachedBlocks;
     std::size_t steps = 0;
     bool budgetExhausted = false;

@@ -157,7 +157,7 @@ TEST(CallGraphTest, IndirectCallsResolvedViaUcse)
     const ProgramAnalysis pa = ProgramAnalysis::analyze(linked);
 
     const auto calleeId = *linked.fnIdOf(&main, callee);
-    EXPECT_EQ(pa.callGraph.callerSiteCount(calleeId), 1u);
+    ASSERT_EQ(pa.callGraph.callerSiteCount(calleeId), 1u);
     const auto &site =
         pa.callGraph.sites()[pa.callGraph.sitesOfCallee(calleeId)[0]];
     EXPECT_TRUE(site.indirect);
