@@ -13,7 +13,7 @@
 
 #include "eval/corpus_runner.hh"
 #include "eval/tables.hh"
-#include "mlkit/stats.hh"
+#include "mlkit/distance.hh"
 #include "obs/bench_record.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
@@ -75,8 +75,8 @@ main()
     }
     buckets.print();
 
-    const double corrFns = ml::correlation(fns, ms);
-    const double corrBytes = ml::correlation(bytes, ms);
+    const double corrFns = ml::pearsonCorrelation(fns, ms);
+    const double corrBytes = ml::pearsonCorrelation(bytes, ms);
     std::printf("\nPearson correlation, time vs #functions: %.3f\n",
                 corrFns);
     std::printf("Pearson correlation, time vs binary size: %.3f\n",

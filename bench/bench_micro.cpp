@@ -22,7 +22,6 @@
 #include "firmware/fwimg.hh"
 #include "firmware/select.hh"
 #include "mlkit/dbscan.hh"
-#include "mlkit/scaling.hh"
 #include "support/rng.hh"
 #include "support/strings.hh"
 #include "synth/firmware_gen.hh"
@@ -318,7 +317,14 @@ corpusSampleBfvs()
     ml::Matrix custom;
     for (analysis::FnId id : artifact.behavior.customFns)
         custom.push_back(artifact.behavior.records[id].bfv.toVector());
-    return ml::maxAbsScale(custom);
+    const ml::Vec factors = ml::columnAbsMax(custom);
+    for (auto &row : custom) {
+        for (std::size_t c = 0; c < row.size(); ++c) {
+            if (factors[c] != 0.0)
+                row[c] /= factors[c];
+        }
+    }
+    return custom;
 }
 
 /** 800 uniform-random 11-dimensional rows: no duplicates at all. */

@@ -47,17 +47,23 @@ rankSample(const synth::SampleSpec &spec)
     const core::BehaviorRepr &repr = artifact.behavior;
     SampleRanks ranks = kMissed;
     for (std::size_t r = 0; r < kStructural.size(); ++r) {
+        // One row-major block per side; every row of a representation
+        // has the same width.
+        std::size_t width = 0;
         const auto rows = [&](const std::vector<analysis::FnId> &ids) {
-            ml::Matrix m;
-            m.reserve(ids.size());
-            for (analysis::FnId id : ids)
-                m.push_back(kStructural[r](artifact.analysis->fn(id)));
-            return m;
+            std::vector<double> block;
+            for (analysis::FnId id : ids) {
+                const ml::Vec row =
+                    kStructural[r](artifact.analysis->fn(id));
+                width = row.size();
+                block.insert(block.end(), row.begin(), row.end());
+            }
+            return block;
         };
+        const std::vector<double> custom = rows(repr.customFns);
+        const std::vector<double> anchors = rows(repr.anchorFns);
         ranks[r] = eval::rankOfFirstIts(
-            core::inferIts(repr, rows(repr.customFns),
-                           rows(repr.anchorFns))
-                .ranking,
+            core::inferIts(repr, custom, anchors, width).ranking,
             fw.truth);
     }
     ranks.back() =

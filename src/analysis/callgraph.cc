@@ -96,30 +96,4 @@ CallGraph::callerSiteCount(FnId callee) const
     return sitesOfCallee(callee).size();
 }
 
-std::size_t
-CallGraph::distinctCallerCount(FnId callee) const
-{
-    // Sites are in caller order, so each caller's sites are adjacent.
-    std::size_t n = 0;
-    const CallSite *last = nullptr;
-    for (std::size_t idx : sitesOfCallee(callee)) {
-        const CallSite &site = sites_[idx];
-        if (last == nullptr || last->caller != site.caller)
-            ++n;
-        last = &site;
-    }
-    return n;
-}
-
-std::size_t
-CallGraph::libraryCallCount(FnId caller) const
-{
-    std::size_t n = 0;
-    for (std::size_t idx : sitesOfCaller(caller)) {
-        if (sites_[idx].isLibraryCall())
-            ++n;
-    }
-    return n;
-}
-
 } // namespace fits::analysis

@@ -89,12 +89,6 @@ class CallGraph
      * ITS from an error printer called from everywhere). */
     std::size_t callerSiteCount(FnId callee) const;
 
-    /** Number of distinct calling functions. */
-    std::size_t distinctCallerCount(FnId callee) const;
-
-    /** Call sites in `caller` that target a named library symbol. */
-    std::size_t libraryCallCount(FnId caller) const;
-
   private:
     std::vector<CallSite> sites_;
     /** Sites of caller c: sites_[callerOffsets_[c] .. [c + 1]). */

@@ -115,12 +115,6 @@ BinaryImage::importByName(const std::string &symName) const
     return nullptr;
 }
 
-bool
-BinaryImage::isImportAddr(Addr addr) const
-{
-    return importIndex_.find(addr) != importIndex_.end();
-}
-
 Addr
 BinaryImage::addImport(const std::string &symName,
                        const std::string &library)
@@ -133,20 +127,6 @@ BinaryImage::addImport(const std::string &symName,
     importIndex_[imp.pltAddr] = imports.size();
     imports.push_back(std::move(imp));
     return imports.back().pltAddr;
-}
-
-std::string
-BinaryImage::nameOf(Addr addr) const
-{
-    if (const Import *imp = importAt(addr))
-        return imp->name;
-    for (const auto &sym : symbols) {
-        if (sym.addr == addr)
-            return sym.name;
-    }
-    if (const ir::Function *fn = program.functionAt(addr))
-        return fn->name;
-    return {};
 }
 
 void

@@ -124,15 +124,8 @@ class BinaryImage
     /** Import by symbol name, or nullptr. */
     const Import *importByName(const std::string &name) const;
 
-    /** True if the address is a PLT stub (i.e. a library call target). */
-    bool isImportAddr(Addr addr) const;
-
     /** Register an import, allocating the next PLT stub address. */
     Addr addImport(const std::string &name, const std::string &library);
-
-    /** Name of the function at the address: symbol name if present,
-     * import name for PLT stubs, empty otherwise. */
-    std::string nameOf(Addr addr) const;
 
     /**
      * Remove local symbols and function names, as vendors do before

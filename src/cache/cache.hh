@@ -63,7 +63,8 @@ void configure(const Options &options);
 
 Options options();
 
-/** Drop every in-process entry (tests; frees the memory budget). */
+/** Drop every in-process entry (tests, and the traced corpus
+ * benchmark until ROADMAP item 3 step B; frees the memory budget). */
 void clearMemory();
 
 /** Monotonic counters since the last resetStats(). `bytes` is the

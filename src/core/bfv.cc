@@ -58,30 +58,4 @@ Bfv::keptFeatures(int dropIndex, int keepIndex)
     return kept;
 }
 
-namespace {
-
-ml::Vec
-keptVector(const Bfv &bfv, const std::vector<int> &kept)
-{
-    const ml::Vec full = bfv.toVector();
-    ml::Vec out;
-    for (int k : kept)
-        out.push_back(full[static_cast<std::size_t>(k)]);
-    return out;
-}
-
-} // namespace
-
-ml::Vec
-Bfv::toVectorDropping(int dropIndex) const
-{
-    return keptVector(*this, keptFeatures(dropIndex, -1));
-}
-
-ml::Vec
-Bfv::toVectorKeepingOnly(int keepIndex) const
-{
-    return keptVector(*this, keptFeatures(-1, keepIndex));
-}
-
 } // namespace fits::core

@@ -42,7 +42,9 @@ struct Bfv
      * definition of that order. */
     void write(std::span<double, kNumFeatures> out) const;
 
-    /** The 11-dimensional vector in Table-1 order. */
+    /** The 11-dimensional vector in Table-1 order. Serves the traced
+     * corpus benchmark (corpusbench/corpus_trace.cc) until ROADMAP
+     * item 3 step B. */
     ml::Vec toVector() const;
 
     /**
@@ -52,11 +54,6 @@ struct Bfv
      * it overrides dropIndex). An out-of-range index keeps them all.
      */
     static std::vector<int> keptFeatures(int dropIndex, int keepIndex);
-
-    /** The vector of keptFeatures(dropIndex, -1). */
-    ml::Vec toVectorDropping(int dropIndex) const;
-    /** The vector of keptFeatures(-1, keepIndex). */
-    ml::Vec toVectorKeepingOnly(int keepIndex) const;
 };
 
 } // namespace fits::core

@@ -57,18 +57,21 @@ constexpr std::size_t kPcaComponents = 4;
 /** Weight of the symbol-name prior in vendor mode. */
 constexpr double kSymbolWeight = 0.3;
 
-/** The `kept` BFV features of `ids` as one row-major block. */
+/** The `kept` BFV features of the custom functions, then of the
+ * anchors, as one row-major block. */
 std::vector<double>
-bfvRows(const BehaviorRepr &repr, const std::vector<FnId> &ids,
-        const std::vector<int> &kept)
+bfvRows(const BehaviorRepr &repr, const std::vector<int> &kept)
 {
-    std::vector<double> rows(ids.size() * kept.size());
+    std::vector<double> rows(
+        (repr.customFns.size() + repr.anchorFns.size()) * kept.size());
     double *out = rows.data();
     std::array<double, Bfv::kNumFeatures> features{};
-    for (FnId id : ids) {
-        repr.records[id].bfv.write(features);
-        for (int k : kept)
-            *out++ = features[static_cast<std::size_t>(k)];
+    for (const auto *ids : {&repr.customFns, &repr.anchorFns}) {
+        for (FnId id : *ids) {
+            repr.records[id].bfv.write(features);
+            for (int k : kept)
+                *out++ = features[static_cast<std::size_t>(k)];
+        }
     }
     return rows;
 }
@@ -109,15 +112,15 @@ startResult(const BehaviorRepr &repr)
 }
 
 /**
- * Algorithm 2 on two row-major blocks of `width` > 0 doubles per row:
- * `custom` row i for repr.customFns[i], `anchors` row j for
- * repr.anchorFns[j]. The strategies transform the blocks in place and
- * one loop scores their rows.
+ * Algorithm 2 on one row-major block of `width` > 0 doubles per row:
+ * row i for repr.customFns[i], then row numCustom + j for
+ * repr.anchorFns[j]. The strategies transform the block in place (PCA
+ * replaces it with a narrower one) and one loop scores its rows.
  */
 void
-rankRows(const BehaviorRepr &repr, std::vector<double> custom,
-         std::vector<double> anchors, std::size_t width,
-         const InferConfig &config, InferenceResult &result)
+rankRows(const BehaviorRepr &repr, std::vector<double> rows,
+         std::size_t width, const InferConfig &config,
+         InferenceResult &result)
 {
     const std::size_t numCustom = repr.customFns.size();
     const std::size_t numAnchors = repr.anchorFns.size();
@@ -126,19 +129,6 @@ rankRows(const BehaviorRepr &repr, std::vector<double> custom,
     // Indices into repr.customFns.
     obs::ScopedTimer clusterTimer("cluster");
     std::vector<std::size_t> candidates;
-
-    // The §4.5 preprocessing baselines transform ml::Matrix rows: the
-    // union of both blocks, so that both sides land in one space.
-    const auto transformUnion = [&](auto transform) {
-        custom.insert(custom.end(), anchors.begin(), anchors.end());
-        const std::vector<double> out =
-            ml::flatten(transform(ml::toMatrix(custom, width)));
-        width = out.size() / (numCustom + numAnchors);
-        const auto middle =
-            out.begin() + static_cast<std::ptrdiff_t>(numCustom * width);
-        custom.assign(out.begin(), middle);
-        anchors.assign(middle, out.end());
-    };
 
     switch (config.strategy) {
       case CandidateStrategy::BehaviorClustering: {
@@ -152,6 +142,8 @@ rankRows(const BehaviorRepr &repr, std::vector<double> custom,
         // largest — exactly the failure §4.5 attributes to removing
         // the multi-stage strategy, which the DirectScoring branch
         // below reproduces by scoring raw vectors.
+        const std::span<const double> custom(rows.data(),
+                                             numCustom * width);
         std::vector<double> factors(width, 0.0);
         for (std::size_t i = 0; i < custom.size(); i += width) {
             for (std::size_t c = 0; c < width; ++c) {
@@ -159,12 +151,10 @@ rankRows(const BehaviorRepr &repr, std::vector<double> custom,
                     std::max(factors[c], std::fabs(custom[i + c]));
             }
         }
-        for (auto *block : {&custom, &anchors}) {
-            for (std::size_t i = 0; i < block->size(); i += width) {
-                for (std::size_t c = 0; c < width; ++c) {
-                    if (factors[c] != 0.0)
-                        (*block)[i + c] /= factors[c];
-                }
+        for (std::size_t i = 0; i < rows.size(); i += width) {
+            for (std::size_t c = 0; c < width; ++c) {
+                if (factors[c] != 0.0)
+                    rows[i + c] /= factors[c];
             }
         }
         const obs::ScopedTimer kernelTimer("kernel.cluster");
@@ -211,16 +201,19 @@ rankRows(const BehaviorRepr &repr, std::vector<double> custom,
       }
       case CandidateStrategy::DirectScoring:
         break;
-      case CandidateStrategy::Pca:
-        transformUnion([](const ml::Matrix &all) {
-            return ml::fitPca(all, kPcaComponents).transformAll(all);
-        });
+      // The §4.5 preprocessing baselines transform both sides together,
+      // so that they land in one space.
+      case CandidateStrategy::Pca: {
+        const ml::PcaModel pca = ml::fitPca(rows, width, kPcaComponents);
+        rows = pca.transform(rows);
+        width = pca.numComponents();
         break;
+      }
       case CandidateStrategy::Standardize:
-        transformUnion(ml::standardize);
+        ml::standardize(rows, width);
         break;
       case CandidateStrategy::MinMax:
-        transformUnion(ml::minMaxScale);
+        ml::minMaxScale(rows, width);
         break;
     }
     if (config.strategy != CandidateStrategy::BehaviorClustering) {
@@ -234,9 +227,11 @@ rankRows(const BehaviorRepr &repr, std::vector<double> custom,
     // ---- Scoring (Eq. 2): mean similarity to the anchor matrix -----
     const obs::ScopedTimer rankTimer("rank");
     const obs::ScopedTimer kernelRankTimer("kernel.rank");
-    const auto rowOf = [&width](const std::vector<double> &block,
-                                std::size_t i) {
-        return std::span<const double>(block.data() + i * width, width);
+    const auto rowOf = [&](std::size_t i) {
+        return std::span<const double>(rows.data() + i * width, width);
+    };
+    const auto anchorRow = [&](std::size_t a) {
+        return rowOf(numCustom + a);
     };
 
     // Cosine fast path: norm() is a pure function of one row, so the
@@ -250,23 +245,23 @@ rankRows(const BehaviorRepr &repr, std::vector<double> custom,
     if (cosine) {
         anchorNorms.reserve(numAnchors);
         for (std::size_t a = 0; a < numAnchors; ++a)
-            anchorNorms.push_back(ml::norm(rowOf(anchors, a)));
+            anchorNorms.push_back(ml::norm(anchorRow(a)));
     }
 
     std::vector<RankedFunction> ranked;
     ranked.reserve(candidates.size());
     for (std::size_t member : candidates) {
         const FnId id = repr.customFns[member];
-        const auto row = rowOf(custom, member);
+        const auto row = rowOf(member);
         const double rowNorm = cosine ? ml::norm(row) : 0.0;
         double sum = 0.0;
         for (std::size_t a = 0; a < numAnchors; ++a) {
             if (!cosine) {
                 sum += ml::similarity(config.scoreMetric, row,
-                                      rowOf(anchors, a));
+                                      anchorRow(a));
             } else if (rowNorm != 0.0 && anchorNorms[a] != 0.0) {
                 // (cosineSimilarity's zero-norm addend is skipped.)
-                sum += ml::dot(row, rowOf(anchors, a)) /
+                sum += ml::dot(row, anchorRow(a)) /
                        (rowNorm * anchorNorms[a]);
             }
         }
@@ -303,34 +298,32 @@ inferIts(const BehaviorRepr &repr, const InferConfig &config)
     if (result.ok()) {
         const std::vector<int> kept =
             Bfv::keptFeatures(config.dropFeature, config.onlyFeature);
-        rankRows(repr, bfvRows(repr, repr.customFns, kept),
-                 bfvRows(repr, repr.anchorFns, kept), kept.size(), config,
-                 result);
+        rankRows(repr, bfvRows(repr, kept), kept.size(), config, result);
     }
     return result;
 }
 
 InferenceResult
-inferIts(const BehaviorRepr &repr, const ml::Matrix &customVecs,
-         const ml::Matrix &anchorVecs, const InferConfig &config)
+inferIts(const BehaviorRepr &repr, std::span<const double> custom,
+         std::span<const double> anchors, std::size_t width,
+         const InferConfig &config)
 {
     InferenceResult result = startResult(repr);
     if (!result.ok())
         return result;
-    const std::size_t width = ml::columns(customVecs);
-    const auto wrongWidth = [width](const ml::Vec &row) {
-        return row.size() != width;
+    const auto holds = [width](std::span<const double> block,
+                               std::size_t count) {
+        return block.size() % width == 0 && block.size() / width == count;
     };
-    if (width == 0 || customVecs.size() != repr.customFns.size() ||
-        anchorVecs.size() != repr.anchorFns.size() ||
-        std::any_of(customVecs.begin(), customVecs.end(), wrongWidth) ||
-        std::any_of(anchorVecs.begin(), anchorVecs.end(), wrongWidth)) {
+    if (width == 0 || !holds(custom, repr.customFns.size()) ||
+        !holds(anchors, repr.anchorFns.size())) {
         result.error = "feature rows do not match the custom and "
                        "anchor functions";
         return result;
     }
-    rankRows(repr, ml::flatten(customVecs), ml::flatten(anchorVecs), width,
-             config, result);
+    std::vector<double> rows(custom.begin(), custom.end());
+    rows.insert(rows.end(), anchors.begin(), anchors.end());
+    rankRows(repr, std::move(rows), width, config, result);
     return result;
 }
 

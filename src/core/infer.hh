@@ -1,6 +1,7 @@
 #ifndef FITS_CORE_INFER_HH_
 #define FITS_CORE_INFER_HH_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,14 +93,15 @@ double functionComplexity(const Bfv &bfv, const Bfv &maxima);
 InferenceResult inferIts(const BehaviorRepr &repr,
                          const InferConfig &config = {});
 
-/** Algorithm 2 on caller-built rows of one width: `custom[i]` for
- * `repr.customFns[i]`, `anchors[j]` for `repr.anchorFns[j]`; Eq. (1)
- * still reads the BFVs. Table 7 ranks code-structure rows this way.
- * Rows that do not match the partition, or hold no features, return
- * an error. */
+/** Algorithm 2 on caller-built row-major blocks of `width` doubles
+ * per row: `custom` row i for `repr.customFns[i]`, `anchors` row j for
+ * `repr.anchorFns[j]`; Eq. (1) still reads the BFVs. Table 7 ranks
+ * code-structure rows this way. Blocks that do not hold one row per
+ * function, or a zero width, return an error. */
 InferenceResult inferIts(const BehaviorRepr &repr,
-                         const ml::Matrix &custom,
-                         const ml::Matrix &anchors,
+                         std::span<const double> custom,
+                         std::span<const double> anchors,
+                         std::size_t width,
                          const InferConfig &config = {});
 
 } // namespace fits::core

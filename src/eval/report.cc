@@ -276,7 +276,9 @@ runTaintReport(const std::vector<std::uint8_t> &bytes,
         return report;
     }
     // An ITS is a custom function of the network binary: an address
-    // that is no function entry there could never seed anything.
+    // that is no function entry there could never seed anything. A
+    // repeated address is one ITS (the first occurrence keeps its
+    // place), not a second source with its own label.
     std::vector<taint::TaintSource> its;
     for (std::uint64_t addr : itsAddrs) {
         if (target.value().main->program.functionAt(addr) == nullptr) {
@@ -284,7 +286,11 @@ runTaintReport(const std::vector<std::uint8_t> &bytes,
                                            support::hex(addr).c_str());
             return report;
         }
-        its.push_back(taint::TaintSource::its(addr, support::hex(addr)));
+        const bool seen =
+            std::any_of(its.begin(), its.end(),
+                        [addr](const auto &s) { return s.entry == addr; });
+        if (!seen)
+            its.push_back(taint::TaintSource::its(addr, support::hex(addr)));
     }
     const analysis::LinkedProgram linked(*target.value().main,
                                          target.value().libraries);

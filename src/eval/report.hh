@@ -94,8 +94,9 @@ TextReport runRankReport(const std::vector<std::uint8_t> &bytes,
                          std::size_t top, bool useSymbols);
 
 /** `fits taint` body: run one engine ("sta" or "karonte") with the
- * classical sources plus the given ITS addresses and render the alert
- * list (ITS runs apply the system-data filter). */
+ * classical sources plus the given ITS addresses (a repeated address
+ * counts once) and render the alert list (ITS runs apply the
+ * system-data filter). */
 TextReport runTaintReport(const std::vector<std::uint8_t> &bytes,
                           const std::string &engine,
                           const std::vector<std::uint64_t> &itsAddrs);

@@ -9,22 +9,9 @@
 
 namespace fits::ml {
 
-std::vector<std::size_t>
-DbscanResult::members(int cluster) const
-{
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-        if (labels[i] == cluster)
-            out.push_back(i);
-    }
-    return out;
-}
-
 std::vector<std::vector<std::size_t>>
 DbscanResult::allMembers() const
 {
-    // One pass over the labels instead of one members() scan per
-    // cluster (O(n) vs O(n * k)).
     std::vector<std::vector<std::size_t>> out(
         static_cast<std::size_t>(numClusters));
     for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -32,17 +19,6 @@ DbscanResult::allMembers() const
             out[static_cast<std::size_t>(labels[i])].push_back(i);
     }
     return out;
-}
-
-std::size_t
-DbscanResult::noiseCount() const
-{
-    std::size_t n = 0;
-    for (int label : labels) {
-        if (label == -1)
-            ++n;
-    }
-    return n;
 }
 
 /*

@@ -22,14 +22,8 @@ struct DbscanResult
     std::vector<int> labels;
     int numClusters = 0;
 
-    /** Row indices of one cluster. */
-    std::vector<std::size_t> members(int cluster) const;
-
-    /** Member lists of all clusters (indexed by label) in one pass;
-     * prefer this over calling members() per cluster. */
+    /** Member lists of all clusters (indexed by label) in one pass. */
     std::vector<std::vector<std::size_t>> allMembers() const;
-
-    std::size_t noiseCount() const;
 };
 
 /**
@@ -49,7 +43,8 @@ DbscanResult dbscan(std::span<const double> rows, std::size_t width,
                     const DbscanConfig &config);
 
 /** DBSCAN over the rows of a matrix: the block kernel above on its
- * flattened rows.
+ * flattened rows. Serves the traced corpus benchmark
+ * (corpusbench/corpus_trace.cc) until ROADMAP item 3 step B.
  * @throws std::invalid_argument when the rows differ in length or
  * hold no values. */
 DbscanResult dbscan(const Matrix &points, const DbscanConfig &config);

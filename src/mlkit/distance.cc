@@ -5,18 +5,6 @@
 
 namespace fits::ml {
 
-const char *
-metricName(Metric metric)
-{
-    switch (metric) {
-      case Metric::Cosine:    return "Cosine";
-      case Metric::Euclidean: return "Euclidean";
-      case Metric::Manhattan: return "Manhattan";
-      case Metric::Pearson:   return "Pearson";
-    }
-    return "?";
-}
-
 double
 cosineSimilarity(std::span<const double> a,
                  std::span<const double> b)
@@ -26,13 +14,6 @@ cosineSimilarity(std::span<const double> a,
     if (na == 0.0 || nb == 0.0)
         return 0.0;
     return dot(a, b) / (na * nb);
-}
-
-double
-cosineDistance(std::span<const double> a,
-               std::span<const double> b)
-{
-    return 1.0 - cosineSimilarity(a, b);
 }
 
 double
@@ -92,7 +73,7 @@ distance(Metric metric, std::span<const double> a,
          std::span<const double> b)
 {
     switch (metric) {
-      case Metric::Cosine:    return cosineDistance(a, b);
+      case Metric::Cosine:    return 1.0 - cosineSimilarity(a, b);
       case Metric::Euclidean: return euclideanDistance(a, b);
       case Metric::Manhattan: return manhattanDistance(a, b);
       case Metric::Pearson:   return 1.0 - pearsonCorrelation(a, b);

@@ -8,15 +8,9 @@ namespace fits::ml {
 /** Distance/similarity metrics compared in Table 8 of the paper. */
 enum class Metric { Cosine, Euclidean, Manhattan, Pearson };
 
-const char *metricName(Metric metric);
-
 /** Cosine similarity in [-1, 1]; 0 if either vector is zero. */
 double cosineSimilarity(std::span<const double> a,
                         std::span<const double> b);
-
-/** Cosine distance: 1 - cosineSimilarity. */
-double cosineDistance(std::span<const double> a,
-                      std::span<const double> b);
 
 double euclideanDistance(std::span<const double> a,
                          std::span<const double> b);
@@ -28,7 +22,8 @@ double manhattanDistance(std::span<const double> a,
 double pearsonCorrelation(std::span<const double> a,
                           std::span<const double> b);
 
-/** Distance under the given metric (Pearson mapped to 1 - r). */
+/** Distance under the given metric (Cosine and Pearson mapped to
+ * 1 - similarity). */
 double distance(Metric metric, std::span<const double> a,
                 std::span<const double> b);
 

@@ -1,72 +1,68 @@
 #include "pca.hh"
 
-#include <cmath>
+#include <algorithm>
+#include <cassert>
 
 namespace fits::ml {
 
-Vec
-PcaModel::transform(const Vec &row) const
+std::vector<double>
+PcaModel::transform(std::span<const double> rows) const
 {
-    Vec centered(row.size());
-    for (std::size_t c = 0; c < row.size(); ++c)
-        centered[c] = row[c] - mean[c];
-    Vec out(components.size());
-    for (std::size_t k = 0; k < components.size(); ++k)
-        out[k] = dot(components[k], centered);
-    return out;
-}
-
-Matrix
-PcaModel::transformAll(const Matrix &m) const
-{
-    Matrix out;
-    out.reserve(m.size());
-    for (const auto &row : m)
-        out.push_back(transform(row));
+    const std::size_t width = mean.size();
+    assert(width > 0 && rows.size() % width == 0);
+    const std::size_t k = numComponents();
+    std::vector<double> out;
+    out.reserve(rows.size() / width * k);
+    Vec centered(width);
+    for (std::size_t i = 0; i < rows.size(); i += width) {
+        for (std::size_t c = 0; c < width; ++c)
+            centered[c] = rows[i + c] - mean[c];
+        for (std::size_t j = 0; j < k; ++j) {
+            out.push_back(dot(
+                std::span(components).subspan(j * width, width), centered));
+        }
+    }
     return out;
 }
 
 PcaModel
-fitPca(const Matrix &m, std::size_t numComponents,
-       std::size_t iterations)
+fitPca(std::span<const double> rows, std::size_t width,
+       std::size_t numComponents, std::size_t iterations)
 {
     PcaModel model;
-    const std::size_t cols = columns(m);
-    model.mean = columnMean(m);
-    numComponents = std::min(numComponents, cols);
-    if (m.empty() || cols == 0)
+    model.mean = columnMean(rows, width);
+    const Vec &mean = model.mean;
+    numComponents = std::min(numComponents, width);
+    if (rows.empty())
         return model;
 
-    // Covariance matrix (cols x cols).
-    Matrix cov(cols, Vec(cols, 0.0));
-    for (const auto &row : m) {
-        for (std::size_t i = 0; i < cols; ++i) {
-            const double di = row[i] - model.mean[i];
-            for (std::size_t j = 0; j < cols; ++j)
-                cov[i][j] += di * (row[j] - model.mean[j]);
+    // Covariance matrix (width x width), row-major.
+    std::vector<double> cov(width * width, 0.0);
+    for (std::size_t r = 0; r < rows.size(); r += width) {
+        for (std::size_t i = 0; i < width; ++i) {
+            const double di = rows[r + i] - mean[i];
+            for (std::size_t j = 0; j < width; ++j)
+                cov[i * width + j] += di * (rows[r + j] - mean[j]);
         }
     }
-    for (auto &r : cov) {
-        for (auto &v : r)
-            v /= static_cast<double>(m.size());
-    }
+    for (auto &v : cov)
+        v /= static_cast<double>(rows.size() / width);
 
     for (std::size_t k = 0; k < numComponents; ++k) {
         // Power iteration from a deterministic start vector.
-        Vec v(cols, 0.0);
-        v[k % cols] = 1.0;
+        Vec v(width, 0.0);
+        v[k % width] = 1.0;
         double eigen = 0.0;
         for (std::size_t it = 0; it < iterations; ++it) {
-            Vec next(cols, 0.0);
-            for (std::size_t i = 0; i < cols; ++i) {
-                for (std::size_t j = 0; j < cols; ++j)
-                    next[i] += cov[i][j] * v[j];
+            Vec next(width, 0.0);
+            for (std::size_t i = 0; i < width; ++i) {
+                for (std::size_t j = 0; j < width; ++j)
+                    next[i] += cov[i * width + j] * v[j];
             }
             const double len = norm(next);
             if (len < 1e-12) {
                 // Exhausted variance: remaining components are zero.
-                next.assign(cols, 0.0);
-                v = next;
+                v.assign(width, 0.0);
                 eigen = 0.0;
                 break;
             }
@@ -75,12 +71,13 @@ fitPca(const Matrix &m, std::size_t numComponents,
             v = next;
             eigen = len;
         }
-        model.components.push_back(v);
+        model.components.insert(model.components.end(), v.begin(),
+                                v.end());
 
         // Deflate: cov -= eigen * v v^T.
-        for (std::size_t i = 0; i < cols; ++i) {
-            for (std::size_t j = 0; j < cols; ++j)
-                cov[i][j] -= eigen * v[i] * v[j];
+        for (std::size_t i = 0; i < width; ++i) {
+            for (std::size_t j = 0; j < width; ++j)
+                cov[i * width + j] -= eigen * v[i] * v[j];
         }
     }
 

@@ -7,26 +7,30 @@ namespace fits::ml {
 
 /**
  * Principal component analysis via power iteration with deflation —
- * enough for the small (11-column) matrices this project projects, and
+ * enough for the small (11-column) blocks this project projects, and
  * dependency-free. Rows are centered first; components are unit
  * vectors of the covariance matrix in decreasing eigenvalue order.
  */
 struct PcaModel
 {
-    Vec mean;
-    Matrix components; // one row per component
+    Vec mean; ///< per input column
+    /** Row-major, one row of mean.size() doubles per component. */
+    std::vector<double> components;
 
-    /** Project a row into component space. */
-    Vec transform(const Vec &row) const;
+    std::size_t numComponents() const
+    {
+        return mean.empty() ? 0 : components.size() / mean.size();
+    }
 
-    /** Project a whole matrix. */
-    Matrix transformAll(const Matrix &m) const;
+    /** Project a block of mean.size() doubles per row into component
+     * space: a block of numComponents() doubles per row. */
+    std::vector<double> transform(std::span<const double> rows) const;
 };
 
 /** Fit a PCA with the given number of components (clamped to the
- * column count). */
-PcaModel fitPca(const Matrix &m, std::size_t numComponents,
-                std::size_t iterations = 200);
+ * column count) to a block of `width` > 0 doubles per row. */
+PcaModel fitPca(std::span<const double> rows, std::size_t width,
+                std::size_t numComponents, std::size_t iterations = 200);
 
 } // namespace fits::ml
 

@@ -1,62 +1,54 @@
 #include "scaling.hh"
 
 #include <algorithm>
+#include <cassert>
+#include <cmath>
 
 namespace fits::ml {
 
-Matrix
-maxAbsScale(const Matrix &m)
+void
+standardize(std::span<double> rows, std::size_t width)
 {
-    const Vec maxes = columnAbsMax(m);
-    Matrix out = m;
-    for (auto &row : out) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (maxes[c] != 0.0)
-                row[c] /= maxes[c];
+    const Vec mean = columnMean(rows, width);
+    Vec stddev(width, 0.0);
+    for (std::size_t i = 0; i < rows.size(); i += width) {
+        for (std::size_t c = 0; c < width; ++c) {
+            const double d = rows[i + c] - mean[c];
+            stddev[c] += d * d;
         }
     }
-    return out;
+    const double n = static_cast<double>(rows.size() / width);
+    for (auto &v : stddev)
+        v = std::sqrt(v / n);
+    for (std::size_t i = 0; i < rows.size(); i += width) {
+        for (std::size_t c = 0; c < width; ++c) {
+            rows[i + c] = stddev[c] != 0.0
+                              ? (rows[i + c] - mean[c]) / stddev[c]
+                              : 0.0;
+        }
+    }
 }
 
-Matrix
-standardize(const Matrix &m)
+void
+minMaxScale(std::span<double> rows, std::size_t width)
 {
-    const Vec mean = columnMean(m);
-    const Vec stddev = columnStddev(m, mean);
-    Matrix out = m;
-    for (auto &row : out) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            row[c] = stddev[c] != 0.0
-                         ? (row[c] - mean[c]) / stddev[c]
-                         : 0.0;
+    assert(width > 0 && rows.size() % width == 0);
+    if (rows.empty())
+        return;
+    Vec lo(rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(width));
+    Vec hi = lo;
+    for (std::size_t i = 0; i < rows.size(); i += width) {
+        for (std::size_t c = 0; c < width; ++c) {
+            lo[c] = std::min(lo[c], rows[i + c]);
+            hi[c] = std::max(hi[c], rows[i + c]);
         }
     }
-    return out;
-}
-
-Matrix
-minMaxScale(const Matrix &m)
-{
-    const std::size_t cols = columns(m);
-    Vec lo(cols, 0.0), hi(cols, 0.0);
-    if (!m.empty()) {
-        lo = m.front();
-        hi = m.front();
-        for (const auto &row : m) {
-            for (std::size_t c = 0; c < cols; ++c) {
-                lo[c] = std::min(lo[c], row[c]);
-                hi[c] = std::max(hi[c], row[c]);
-            }
-        }
-    }
-    Matrix out = m;
-    for (auto &row : out) {
-        for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t i = 0; i < rows.size(); i += width) {
+        for (std::size_t c = 0; c < width; ++c) {
             const double span = hi[c] - lo[c];
-            row[c] = span != 0.0 ? (row[c] - lo[c]) / span : 0.0;
+            rows[i + c] = span != 0.0 ? (rows[i + c] - lo[c]) / span : 0.0;
         }
     }
-    return out;
 }
 
 } // namespace fits::ml

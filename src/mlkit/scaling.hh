@@ -6,22 +6,18 @@
 namespace fits::ml {
 
 /**
- * Feature-scaling transforms. These implement the preprocessing
- * alternatives the paper compares the clustering stage against in
- * §4.5 (standardization, min-max normalization, PCA) — and the
- * per-column max normalization that Eq. (1) applies when computing
- * class complexity.
+ * Feature-scaling transforms: the preprocessing alternatives the paper
+ * compares the clustering stage against in §4.5 (standardization,
+ * min-max normalization; PCA is in pca.hh). Each rescales a row-major
+ * block of `width` > 0 doubles per row in place, column by column.
  */
 
-/** Divide each column by its maximum absolute value (no-op on all-zero
- * columns). This is the normalization used in Eq. (1). */
-Matrix maxAbsScale(const Matrix &m);
-
 /** Z-score standardization per column (zero-stddev columns become 0). */
-Matrix standardize(const Matrix &m);
+void standardize(std::span<double> rows, std::size_t width);
 
-/** Min-max normalization per column into [0, 1]. */
-Matrix minMaxScale(const Matrix &m);
+/** Min-max normalization per column into [0, 1] (constant columns
+ * become 0). */
+void minMaxScale(std::span<double> rows, std::size_t width);
 
 } // namespace fits::ml
 

@@ -21,6 +21,23 @@ norm(std::span<const double> a)
     return std::sqrt(dot(a, a));
 }
 
+Vec
+columnMean(std::span<const double> rows, std::size_t width)
+{
+    assert(width > 0 && rows.size() % width == 0);
+    Vec out(width, 0.0);
+    const std::size_t n = rows.size() / width;
+    if (n == 0)
+        return out;
+    for (std::size_t i = 0; i < rows.size(); i += width) {
+        for (std::size_t c = 0; c < width; ++c)
+            out[c] += rows[i + c];
+    }
+    for (auto &v : out)
+        v /= static_cast<double>(n);
+    return out;
+}
+
 std::vector<double>
 flatten(const Matrix &m)
 {
@@ -29,17 +46,6 @@ flatten(const Matrix &m)
     for (const auto &row : m)
         values.insert(values.end(), row.begin(), row.end());
     return values;
-}
-
-Matrix
-toMatrix(std::span<const double> values, std::size_t width)
-{
-    assert(width > 0 && values.size() % width == 0);
-    Matrix m;
-    m.reserve(values.size() / width);
-    for (std::size_t i = 0; i < values.size(); i += width)
-        m.emplace_back(values.begin() + i, values.begin() + i + width);
-    return m;
 }
 
 std::size_t
@@ -56,38 +62,6 @@ columnAbsMax(const Matrix &m)
         for (std::size_t c = 0; c < row.size(); ++c)
             out[c] = std::max(out[c], std::fabs(row[c]));
     }
-    return out;
-}
-
-Vec
-columnMean(const Matrix &m)
-{
-    Vec out(columns(m), 0.0);
-    if (m.empty())
-        return out;
-    for (const auto &row : m) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            out[c] += row[c];
-    }
-    for (auto &v : out)
-        v /= static_cast<double>(m.size());
-    return out;
-}
-
-Vec
-columnStddev(const Matrix &m, const Vec &mean)
-{
-    Vec out(columns(m), 0.0);
-    if (m.empty())
-        return out;
-    for (const auto &row : m) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            const double d = row[c] - mean[c];
-            out[c] += d * d;
-        }
-    }
-    for (auto &v : out)
-        v = std::sqrt(v / static_cast<double>(m.size()));
     return out;
 }
 

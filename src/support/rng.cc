@@ -92,10 +92,4 @@ Rng::index(std::size_t size)
         uniformInt(0, static_cast<std::int64_t>(size) - 1));
 }
 
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xa0761d6478bd642fULL);
-}
-
 } // namespace fits::support

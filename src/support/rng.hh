@@ -61,12 +61,6 @@ class Rng
         }
     }
 
-    /**
-     * Derive an independent child generator. Used to give each synthetic
-     * firmware sample its own stream so samples are order-independent.
-     */
-    Rng fork();
-
   private:
     std::uint64_t state_[4];
 };

@@ -29,17 +29,6 @@ flowKindName(FlowKind kind)
     return "?";
 }
 
-std::set<ir::Addr>
-GroundTruth::bugSites() const
-{
-    std::set<ir::Addr> out;
-    for (const auto &site : sinkSites) {
-        if (site.isBug())
-            out.insert(site.addr);
-    }
-    return out;
-}
-
 const SinkSite *
 GroundTruth::siteAt(ir::Addr addr) const
 {

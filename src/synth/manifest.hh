@@ -1,7 +1,6 @@
 #ifndef FITS_SYNTH_MANIFEST_HH_
 #define FITS_SYNTH_MANIFEST_HH_
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -67,9 +66,6 @@ struct GroundTruth
     /** False if this sample uses the struct-offset design in which no
      * custom function qualifies as an ITS (§4.2's two failures). */
     bool hasIts = true;
-
-    /** Addresses of real-bug sink sites. */
-    std::set<ir::Addr> bugSites() const;
 
     /** The site record at an address, or nullptr. */
     const SinkSite *siteAt(ir::Addr addr) const;

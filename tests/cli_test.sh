@@ -28,6 +28,18 @@ grep -q "$ITS" "$DIR/rank.out"
 "$FITS" taint "$IMG" --engine sta --its "$ITS" > "$DIR/taint.out"
 grep -q "alerts" "$DIR/taint.out"
 
+# A repeated --its address is one ITS: the same source count and the
+# same alerts as naming it once (only the milliseconds may differ).
+"$FITS" taint "$IMG" --engine sta --its "$ITS" --its "$ITS" \
+    > "$DIR/taint_twice.out"
+sed 's/ in [0-9.]* ms / in ms /' "$DIR/taint.out" > "$DIR/taint.once"
+sed 's/ in [0-9.]* ms / in ms /' "$DIR/taint_twice.out" > "$DIR/taint.twice"
+cmp -s "$DIR/taint.once" "$DIR/taint.twice" || {
+    echo "a repeated --its address changed the taint report" >&2
+    diff "$DIR/taint.once" "$DIR/taint.twice" >&2
+    exit 1
+}
+
 "$FITS" disasm "$IMG" "$ITS" > "$DIR/disasm.out"
 grep -q "function" "$DIR/disasm.out"
 grep -q "GET(r0)" "$DIR/disasm.out"

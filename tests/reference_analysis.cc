@@ -1,7 +1,6 @@
 #include "reference_analysis.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "ir/types.hh"
 
@@ -644,26 +643,6 @@ CallGraph::sitesOfCallee(FnId callee) const
 {
     auto it = byCallee.find(callee);
     return it == byCallee.end() ? std::vector<std::size_t>{} : it->second;
-}
-
-std::size_t
-CallGraph::distinctCallerCount(FnId callee) const
-{
-    std::unordered_set<FnId> callers;
-    for (std::size_t idx : sitesOfCallee(callee))
-        callers.insert(sites[idx].caller);
-    return callers.size();
-}
-
-std::size_t
-CallGraph::libraryCallCount(FnId caller) const
-{
-    std::size_t n = 0;
-    for (std::size_t idx : sitesOfCaller(caller)) {
-        if (sites[idx].isLibraryCall())
-            ++n;
-    }
-    return n;
 }
 
 } // namespace fits::reference

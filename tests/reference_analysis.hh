@@ -75,8 +75,6 @@ struct CallGraph
 
     std::vector<std::size_t> sitesOfCaller(FnId caller) const;
     std::vector<std::size_t> sitesOfCallee(FnId callee) const;
-    std::size_t distinctCallerCount(FnId callee) const;
-    std::size_t libraryCallCount(FnId caller) const;
 };
 
 } // namespace fits::reference

@@ -157,10 +157,6 @@ compareCallGraph(const analysis::ProgramAnalysis &pa,
         }
         if (cg.callerSiteCount(id) != ref.sitesOfCallee(id).size())
             return "caller site count" + fn;
-        if (cg.distinctCallerCount(id) != ref.distinctCallerCount(id))
-            return "distinct caller count" + fn;
-        if (cg.libraryCallCount(id) != ref.libraryCallCount(id))
-            return "library call count" + fn;
     }
     return {};
 }

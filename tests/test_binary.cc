@@ -299,18 +299,23 @@ TEST(Image, ImportLookups)
     ASSERT_EQ(image.imports.size(), 2u);
     const Import *recv = image.importByName("recv");
     ASSERT_NE(recv, nullptr);
-    EXPECT_TRUE(image.isImportAddr(recv->pltAddr));
     EXPECT_EQ(image.importAt(recv->pltAddr), recv);
     EXPECT_EQ(image.importByName("nope"), nullptr);
-    EXPECT_FALSE(image.isImportAddr(kTextBase));
+    EXPECT_EQ(image.importAt(kTextBase), nullptr);
 }
 
 TEST(Image, NameOfResolvesSymbolsAndImports)
 {
     const BinaryImage image = makeImage();
-    EXPECT_EQ(image.nameOf(kTextBase), "main");
-    EXPECT_EQ(image.nameOf(image.imports[0].pltAddr), "recv");
-    EXPECT_EQ(image.nameOf(0x999999), "");
+    // A function entry resolves through the program, a PLT stub
+    // through the import table; an unknown address through neither.
+    ASSERT_NE(image.program.functionAt(kTextBase), nullptr);
+    EXPECT_EQ(image.program.functionAt(kTextBase)->name, "main");
+    EXPECT_EQ(image.symbols.front().name, "main");
+    ASSERT_NE(image.importAt(image.imports[0].pltAddr), nullptr);
+    EXPECT_EQ(image.importAt(image.imports[0].pltAddr)->name, "recv");
+    EXPECT_EQ(image.program.functionAt(0x999999), nullptr);
+    EXPECT_EQ(image.importAt(0x999999), nullptr);
 }
 
 TEST(Image, StripRemovesLocalNamesKeepsImports)

@@ -41,36 +41,37 @@ TEST(BfvTest, VectorMatchesPaperOrdering)
 
 TEST(BfvTest, DropFeatureRemovesExactlyOne)
 {
-    const Bfv bfv = paperExampleBfv();
     for (int k = 0; k < Bfv::kNumFeatures; ++k) {
-        const ml::Vec v = bfv.toVectorDropping(k);
-        ASSERT_EQ(v.size(),
+        const std::vector<int> kept = Bfv::keptFeatures(k, -1);
+        ASSERT_EQ(kept.size(),
                   static_cast<std::size_t>(Bfv::kNumFeatures - 1))
             << k;
-        // The remaining values appear in order.
-        const ml::Vec full = bfv.toVector();
+        // The remaining features appear in order.
         std::size_t j = 0;
         for (int i = 0; i < Bfv::kNumFeatures; ++i) {
             if (i == k)
                 continue;
-            EXPECT_EQ(v[j++], full[i]);
+            EXPECT_EQ(kept[j++], i);
         }
     }
 }
 
 TEST(BfvTest, DropOutOfRangeReturnsFull)
 {
-    const Bfv bfv = paperExampleBfv();
-    EXPECT_EQ(bfv.toVectorDropping(-1).size(), 11u);
-    EXPECT_EQ(bfv.toVectorDropping(99).size(), 11u);
+    EXPECT_EQ(Bfv::keptFeatures(-1, -1).size(), 11u);
+    EXPECT_EQ(Bfv::keptFeatures(99, -1).size(), 11u);
 }
 
 TEST(BfvTest, KeepOnly)
 {
-    const Bfv bfv = paperExampleBfv();
-    EXPECT_EQ(bfv.toVectorKeepingOnly(0), (ml::Vec{17}));
-    EXPECT_EQ(bfv.toVectorKeepingOnly(10), (ml::Vec{2}));
-    EXPECT_EQ(bfv.toVectorKeepingOnly(-1).size(), 11u);
+    const ml::Vec full = paperExampleBfv().toVector();
+    EXPECT_EQ(Bfv::keptFeatures(-1, 0), std::vector<int>{0});
+    EXPECT_EQ(full[0], 17);
+    EXPECT_EQ(Bfv::keptFeatures(-1, 10), std::vector<int>{10});
+    EXPECT_EQ(full[10], 2);
+    EXPECT_EQ(Bfv::keptFeatures(-1, 99).size(), 11u);
+    // Keeping one overrides dropping another.
+    EXPECT_EQ(Bfv::keptFeatures(3, 3), std::vector<int>{3});
 }
 
 TEST(BfvTest, FeatureNamesDistinct)

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -158,7 +159,7 @@ TEST(Infer, AllMetricsProduceRankings)
         InferConfig config;
         config.scoreMetric = metric;
         const InferenceResult result = inferIts(repr, config);
-        EXPECT_TRUE(result.ok()) << ml::metricName(metric);
+        EXPECT_TRUE(result.ok()) << static_cast<int>(metric);
         EXPECT_FALSE(result.ranking.empty());
     }
 }
@@ -193,22 +194,28 @@ TEST(Infer, AblationConfigsRun)
     }
 }
 
-/** Each function's BFV as one matrix row, in `ids` order. */
-ml::Matrix
+/** Each function's BFV as one row of a row-major block, in `ids`
+ * order. */
+std::vector<double>
 bfvRows(const BehaviorRepr &repr, const std::vector<analysis::FnId> &ids)
 {
-    ml::Matrix rows;
-    for (analysis::FnId id : ids)
-        rows.push_back(repr.records[id].bfv.toVector());
+    std::vector<double> rows;
+    for (analysis::FnId id : ids) {
+        const ml::Vec row = repr.records[id].bfv.toVector();
+        rows.insert(rows.end(), row.begin(), row.end());
+    }
     return rows;
 }
+
+constexpr std::size_t kWidth = Bfv::kNumFeatures;
 
 TEST(Infer, CallerBuiltBfvRowsRankBitIdentically)
 {
     const BehaviorRepr repr = fixture();
     const InferenceResult expected = inferIts(repr);
-    const InferenceResult actual = inferIts(
-        repr, bfvRows(repr, repr.customFns), bfvRows(repr, repr.anchorFns));
+    const InferenceResult actual =
+        inferIts(repr, bfvRows(repr, repr.customFns),
+                 bfvRows(repr, repr.anchorFns), kWidth);
     ASSERT_TRUE(actual.ok()) << actual.error;
     EXPECT_EQ(actual.numClusters, expected.numClusters);
     EXPECT_EQ(actual.numCandidates, expected.numCandidates);
@@ -225,21 +232,35 @@ TEST(Infer, CallerBuiltBfvRowsRankBitIdentically)
 TEST(Infer, MismatchedCallerRowsReturnError)
 {
     const BehaviorRepr repr = fixture();
-    const ml::Matrix custom = bfvRows(repr, repr.customFns);
-    const ml::Matrix anchors = bfvRows(repr, repr.anchorFns);
+    const std::vector<double> custom = bfvRows(repr, repr.customFns);
+    const std::vector<double> anchors = bfvRows(repr, repr.anchorFns);
 
-    ml::Matrix shortCustom = custom;
-    shortCustom.pop_back();
-    ml::Matrix longAnchors = anchors;
-    longAnchors.push_back(anchors.front());
-    ml::Matrix narrowRow = custom;
-    narrowRow.back().pop_back();
-    for (const auto &[c, a] :
-         {std::pair{shortCustom, anchors}, std::pair{custom, longAnchors},
-          std::pair{ml::Matrix{}, anchors}, std::pair{custom, ml::Matrix{}},
-          std::pair{narrowRow, anchors}}) {
-        const InferenceResult result = inferIts(repr, c, a);
-        EXPECT_FALSE(result.ok());
+    // One row short, one row long, no rows, a partial last row and a
+    // partial row after the last whole one.
+    const std::vector<double> shortCustom(custom.begin(),
+                                          custom.end() - kWidth);
+    std::vector<double> longAnchors = anchors;
+    longAnchors.insert(longAnchors.end(), anchors.begin(),
+                       anchors.begin() + kWidth);
+    const std::vector<double> partialRow(custom.begin(), custom.end() - 1);
+    std::vector<double> trailingValue = custom;
+    trailingValue.push_back(1.0);
+    struct Case
+    {
+        std::vector<double> custom, anchors;
+        std::size_t width;
+    };
+    for (const Case &c :
+         {Case{shortCustom, anchors, kWidth},
+          Case{custom, longAnchors, kWidth}, Case{{}, anchors, kWidth},
+          Case{custom, {}, kWidth}, Case{partialRow, anchors, kWidth},
+          Case{trailingValue, anchors, kWidth},
+          // Right row counts under the wrong width, and no width.
+          Case{custom, anchors, kWidth - 1}, Case{custom, anchors, 0},
+          Case{{}, {}, 0}}) {
+        const InferenceResult result =
+            inferIts(repr, c.custom, c.anchors, c.width);
+        EXPECT_FALSE(result.ok()) << c.width;
         EXPECT_TRUE(result.ranking.empty());
     }
 }

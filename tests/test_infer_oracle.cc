@@ -1,15 +1,17 @@
 /** @file Oracle test of Algorithm 2 on row-major feature blocks:
  * core::inferIts must equal a plain reference scorer — one heap row
- * per function, max-abs scaling by copy, and a scoring loop over
- * ml::Matrix rows — in ids, entries, score bits, cluster and
- * candidate counts, for every candidate strategy under every scoring
- * metric, the CF-k and single-feature transforms, and the caller-built
- * rows of Table 7, on corpus samples under seeds 0 and 1. */
+ * per function, max-abs scaling by copy, per-row PCA, standardization
+ * and min-max normalization, and a scoring loop over ml::Matrix rows —
+ * in ids, entries, score bits, cluster and candidate counts, for every
+ * candidate strategy under every scoring metric, the CF-k and
+ * single-feature transforms, and the caller-built rows of Table 7, on
+ * corpus samples under seeds 0 and 1. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,8 +20,6 @@
 #include "core/semantic.hh"
 #include "corpus_seeds.hh"
 #include "eval/corpus_runner.hh"
-#include "mlkit/pca.hh"
-#include "mlkit/scaling.hh"
 
 namespace fits {
 namespace {
@@ -32,22 +32,167 @@ using core::InferenceResult;
 // ---- reference scorer ----------------------------------------------
 
 /** BFV rows of `ids` under the drop/keep-only feature transform, one
- * vector per function. */
+ * vector per function. A kept index overrides a dropped one; an
+ * out-of-range index keeps every feature. */
 ml::Matrix
 referenceRows(const core::BehaviorRepr &repr,
               const std::vector<FnId> &ids, const InferConfig &config)
 {
+    const auto inRange = [](int k) {
+        return k >= 0 && k < core::Bfv::kNumFeatures;
+    };
     ml::Matrix rows;
     for (FnId id : ids) {
-        const core::Bfv &bfv = repr.records[id].bfv;
-        rows.push_back(
-            config.onlyFeature >= 0
-                ? bfv.toVectorKeepingOnly(config.onlyFeature)
-            : config.dropFeature >= 0
-                ? bfv.toVectorDropping(config.dropFeature)
-                : bfv.toVector());
+        ml::Vec row = repr.records[id].bfv.toVector();
+        if (inRange(config.onlyFeature))
+            row = {row[static_cast<std::size_t>(config.onlyFeature)]};
+        else if (config.onlyFeature < 0 && inRange(config.dropFeature))
+            row.erase(row.begin() + config.dropFeature);
+        rows.push_back(std::move(row));
     }
     return rows;
+}
+
+// Reference copies of the §4.5 transforms, one heap row at a time.
+
+ml::Vec
+columnMean(const ml::Matrix &m)
+{
+    ml::Vec out(ml::columns(m), 0.0);
+    if (m.empty())
+        return out;
+    for (const auto &row : m) {
+        for (std::size_t c = 0; c < row.size(); ++c)
+            out[c] += row[c];
+    }
+    for (auto &v : out)
+        v /= static_cast<double>(m.size());
+    return out;
+}
+
+ml::Matrix
+standardize(const ml::Matrix &m)
+{
+    const ml::Vec mean = columnMean(m);
+    ml::Vec stddev(ml::columns(m), 0.0);
+    for (const auto &row : m) {
+        for (std::size_t c = 0; c < row.size(); ++c) {
+            const double d = row[c] - mean[c];
+            stddev[c] += d * d;
+        }
+    }
+    for (auto &v : stddev)
+        v = std::sqrt(v / static_cast<double>(m.size()));
+    ml::Matrix out = m;
+    for (auto &row : out) {
+        for (std::size_t c = 0; c < row.size(); ++c) {
+            row[c] = stddev[c] != 0.0 ? (row[c] - mean[c]) / stddev[c]
+                                      : 0.0;
+        }
+    }
+    return out;
+}
+
+ml::Matrix
+minMaxScale(const ml::Matrix &m)
+{
+    const std::size_t cols = ml::columns(m);
+    ml::Vec lo(cols, 0.0), hi(cols, 0.0);
+    if (!m.empty()) {
+        lo = m.front();
+        hi = m.front();
+        for (const auto &row : m) {
+            for (std::size_t c = 0; c < cols; ++c) {
+                lo[c] = std::min(lo[c], row[c]);
+                hi[c] = std::max(hi[c], row[c]);
+            }
+        }
+    }
+    ml::Matrix out = m;
+    for (auto &row : out) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double span = hi[c] - lo[c];
+            row[c] = span != 0.0 ? (row[c] - lo[c]) / span : 0.0;
+        }
+    }
+    return out;
+}
+
+/** PCA by power iteration with deflation (200 iterations per
+ * component): the column means and the unit components, one row each. */
+struct Pca
+{
+    ml::Vec mean;
+    ml::Matrix components;
+
+    ml::Matrix
+    transformAll(const ml::Matrix &m) const
+    {
+        ml::Matrix out;
+        for (const auto &row : m) {
+            ml::Vec centered(row.size());
+            for (std::size_t c = 0; c < row.size(); ++c)
+                centered[c] = row[c] - mean[c];
+            ml::Vec projected(components.size());
+            for (std::size_t k = 0; k < components.size(); ++k)
+                projected[k] = ml::dot(components[k], centered);
+            out.push_back(std::move(projected));
+        }
+        return out;
+    }
+};
+
+Pca
+fitPca(const ml::Matrix &m, std::size_t numComponents)
+{
+    Pca model;
+    const std::size_t cols = ml::columns(m);
+    model.mean = columnMean(m);
+    numComponents = std::min(numComponents, cols);
+    if (m.empty() || cols == 0)
+        return model;
+
+    ml::Matrix cov(cols, ml::Vec(cols, 0.0));
+    for (const auto &row : m) {
+        for (std::size_t i = 0; i < cols; ++i) {
+            const double di = row[i] - model.mean[i];
+            for (std::size_t j = 0; j < cols; ++j)
+                cov[i][j] += di * (row[j] - model.mean[j]);
+        }
+    }
+    for (auto &r : cov) {
+        for (auto &v : r)
+            v /= static_cast<double>(m.size());
+    }
+    for (std::size_t k = 0; k < numComponents; ++k) {
+        ml::Vec v(cols, 0.0);
+        v[k % cols] = 1.0;
+        double eigen = 0.0;
+        for (std::size_t it = 0; it < 200; ++it) {
+            ml::Vec next(cols, 0.0);
+            for (std::size_t i = 0; i < cols; ++i) {
+                for (std::size_t j = 0; j < cols; ++j)
+                    next[i] += cov[i][j] * v[j];
+            }
+            const double len = ml::norm(next);
+            if (len < 1e-12) {
+                next.assign(cols, 0.0);
+                v = next;
+                eigen = 0.0;
+                break;
+            }
+            for (auto &x : next)
+                x /= len;
+            v = next;
+            eigen = len;
+        }
+        model.components.push_back(v);
+        for (std::size_t i = 0; i < cols; ++i) {
+            for (std::size_t j = 0; j < cols; ++j)
+                cov[i][j] -= eigen * v[i] * v[j];
+        }
+    }
+    return model;
 }
 
 /** Algorithm 2 over ml::Matrix rows, as a straightforward reading of
@@ -130,16 +275,16 @@ referenceInfer(const core::BehaviorRepr &repr, const ml::Matrix &customVecs,
       case CandidateStrategy::DirectScoring:
         break;
       case CandidateStrategy::Pca: {
-        const ml::PcaModel pca = ml::fitPca(all, 4);
+        const Pca pca = fitPca(all, 4);
         custom = pca.transformAll(customVecs);
         anchors = pca.transformAll(anchorVecs);
         break;
       }
       case CandidateStrategy::Standardize:
-        split(ml::standardize(all));
+        split(standardize(all));
         break;
       case CandidateStrategy::MinMax:
-        split(ml::minMaxScale(all));
+        split(minMaxScale(all));
         break;
     }
     if (config.strategy != CandidateStrategy::BehaviorClustering) {
@@ -214,6 +359,18 @@ compareResults(const InferenceResult &got, const InferenceResult &want)
     return "";
 }
 
+const char *
+metricName(ml::Metric metric)
+{
+    switch (metric) {
+      case ml::Metric::Cosine:    return "Cosine";
+      case ml::Metric::Euclidean: return "Euclidean";
+      case ml::Metric::Manhattan: return "Manhattan";
+      case ml::Metric::Pearson:   return "Pearson";
+    }
+    return "?";
+}
+
 /** Every candidate strategy under every scoring metric, then one
  * CF-k, one single-feature, a noise-dropping and a vendor-mode
  * config under the defaults. */
@@ -233,7 +390,7 @@ oracleConfigs()
             config.scoreMetric = metric;
             configs.emplace_back(std::string(core::candidateStrategyName(
                                      strategy)) +
-                                     "/" + ml::metricName(metric),
+                                     "/" + metricName(metric),
                                  config);
         }
     }
@@ -282,7 +439,9 @@ expectMatchesReference(std::uint64_t seed, std::size_t stride)
             ASSERT_TRUE(want.ok());
             EXPECT_EQ(compareResults(core::inferIts(repr, config), want), "");
             EXPECT_EQ(compareResults(
-                          core::inferIts(repr, custom, anchors, config),
+                          core::inferIts(repr, ml::flatten(custom),
+                                         ml::flatten(anchors),
+                                         ml::columns(custom), config),
                           want),
                       "");
             ++compared;

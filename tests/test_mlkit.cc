@@ -1,8 +1,9 @@
 /** @file Unit and property tests for the ML kit (distances, DBSCAN,
- * scaling, PCA, statistics). */
+ * scaling, PCA). */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -10,11 +11,17 @@
 #include "mlkit/distance.hh"
 #include "mlkit/pca.hh"
 #include "mlkit/scaling.hh"
-#include "mlkit/stats.hh"
 #include "support/rng.hh"
 
 namespace fits::ml {
 namespace {
+
+std::size_t
+noiseCount(const DbscanResult &r)
+{
+    return static_cast<std::size_t>(
+        std::count(r.labels.begin(), r.labels.end(), -1));
+}
 
 TEST(VectorOps, DotAndNorm)
 {
@@ -25,13 +32,13 @@ TEST(VectorOps, DotAndNorm)
 
 TEST(VectorOps, ColumnStats)
 {
-    const Matrix m = {{1, 10}, {3, 30}};
+    const Matrix m = {{1, 10}, {3, -30}};
     EXPECT_EQ(columns(m), 2u);
-    EXPECT_EQ(columnMean(m), (Vec{2, 20}));
     EXPECT_EQ(columnAbsMax(m), (Vec{3, 30}));
-    const Vec sd = columnStddev(m, columnMean(m));
-    EXPECT_DOUBLE_EQ(sd[0], 1.0);
-    EXPECT_DOUBLE_EQ(sd[1], 10.0);
+    EXPECT_EQ(flatten(m), (Vec{1, 10, 3, -30}));
+    EXPECT_EQ(columnMean(flatten(m), 2), (Vec{2, -10}));
+    EXPECT_EQ(columnMean(flatten(m), 4), (Vec{1, 10, 3, -30}));
+    EXPECT_EQ(columnMean({}, 3), (Vec{0, 0, 0}));
 }
 
 TEST(Distance, CosineKnownValues)
@@ -57,8 +64,14 @@ TEST(Distance, PearsonKnownValues)
                 1e-12);
     EXPECT_NEAR(pearsonCorrelation(Vec{1, 2, 3}, Vec{3, 2, 1}), -1.0,
                 1e-12);
+    EXPECT_NEAR(pearsonCorrelation(Vec{1, 2, 3}, Vec{10, 20, 30}), 1.0,
+                1e-12);
+    EXPECT_NEAR(pearsonCorrelation(Vec{1, 2, 3}, Vec{30, 20, 10}), -1.0,
+                1e-12);
+    // One side without variance.
     EXPECT_DOUBLE_EQ(pearsonCorrelation(Vec{1, 1, 1}, Vec{2, 4, 6}),
                      0.0);
+    EXPECT_DOUBLE_EQ(pearsonCorrelation(Vec{1, 1}, Vec{2, 3}), 0.0);
 }
 
 TEST(Distance, MetricProperties)
@@ -107,7 +120,7 @@ TEST(Dbscan, TwoBlobsAndNoise)
 
     const DbscanResult r = dbscan(points, {0.5, 3});
     EXPECT_EQ(r.numClusters, 2);
-    EXPECT_EQ(r.noiseCount(), 1u);
+    EXPECT_EQ(noiseCount(r), 1u);
     EXPECT_EQ(r.labels[40], -1);
     // All blob-1 members share one label; blob-2 another.
     for (int i = 1; i < 20; ++i)
@@ -115,7 +128,8 @@ TEST(Dbscan, TwoBlobsAndNoise)
     for (int i = 21; i < 40; ++i)
         EXPECT_EQ(r.labels[i], r.labels[20]);
     EXPECT_NE(r.labels[0], r.labels[20]);
-    EXPECT_EQ(r.members(r.labels[0]).size(), 20u);
+    EXPECT_EQ(std::count(r.labels.begin(), r.labels.end(), r.labels[0]),
+              20);
 }
 
 TEST(Dbscan, AllNoiseWhenSparse)
@@ -123,7 +137,7 @@ TEST(Dbscan, AllNoiseWhenSparse)
     Matrix points = {{0, 0}, {10, 0}, {0, 10}, {10, 10}};
     const DbscanResult r = dbscan(points, {1.0, 3});
     EXPECT_EQ(r.numClusters, 0);
-    EXPECT_EQ(r.noiseCount(), 4u);
+    EXPECT_EQ(noiseCount(r), 4u);
 }
 
 TEST(Dbscan, MinPtsOneMakesEverythingCore)
@@ -131,7 +145,7 @@ TEST(Dbscan, MinPtsOneMakesEverythingCore)
     Matrix points = {{0, 0}, {10, 0}};
     const DbscanResult r = dbscan(points, {1.0, 1});
     EXPECT_EQ(r.numClusters, 2);
-    EXPECT_EQ(r.noiseCount(), 0u);
+    EXPECT_EQ(noiseCount(r), 0u);
 }
 
 TEST(Dbscan, EmptyInput)
@@ -156,37 +170,23 @@ TEST(Dbscan, RejectsBlockOfPartialRows)
     EXPECT_EQ(dbscan(values, 3, {1.0, 1}).labels, std::vector<int>{0});
 }
 
-TEST(Scaling, MaxAbs)
-{
-    const Matrix out = maxAbsScale({{2, -10}, {4, 5}});
-    EXPECT_DOUBLE_EQ(out[0][0], 0.5);
-    EXPECT_DOUBLE_EQ(out[1][0], 1.0);
-    EXPECT_DOUBLE_EQ(out[0][1], -1.0);
-    EXPECT_DOUBLE_EQ(out[1][1], 0.5);
-}
-
-TEST(Scaling, MaxAbsZeroColumnUntouched)
-{
-    const Matrix out = maxAbsScale({{0, 1}, {0, 2}});
-    EXPECT_DOUBLE_EQ(out[0][0], 0.0);
-    EXPECT_DOUBLE_EQ(out[1][0], 0.0);
-}
-
 TEST(Scaling, Standardize)
 {
-    const Matrix out = standardize({{1, 5}, {3, 5}});
-    EXPECT_DOUBLE_EQ(out[0][0], -1.0);
-    EXPECT_DOUBLE_EQ(out[1][0], 1.0);
-    EXPECT_DOUBLE_EQ(out[0][1], 0.0); // zero-variance column
+    std::vector<double> rows = {1, 5, 3, 5};
+    standardize(rows, 2);
+    EXPECT_DOUBLE_EQ(rows[0], -1.0);
+    EXPECT_DOUBLE_EQ(rows[2], 1.0);
+    EXPECT_DOUBLE_EQ(rows[1], 0.0); // zero-variance column
 }
 
 TEST(Scaling, MinMax)
 {
-    const Matrix out = minMaxScale({{0, 2}, {10, 4}, {5, 3}});
-    EXPECT_DOUBLE_EQ(out[0][0], 0.0);
-    EXPECT_DOUBLE_EQ(out[1][0], 1.0);
-    EXPECT_DOUBLE_EQ(out[2][0], 0.5);
-    EXPECT_DOUBLE_EQ(out[2][1], 0.5);
+    std::vector<double> rows = {0, 2, 10, 4, 5, 3};
+    minMaxScale(rows, 2);
+    EXPECT_DOUBLE_EQ(rows[0], 0.0);
+    EXPECT_DOUBLE_EQ(rows[2], 1.0);
+    EXPECT_DOUBLE_EQ(rows[4], 0.5);
+    EXPECT_DOUBLE_EQ(rows[5], 0.5);
 }
 
 TEST(Pca, RecoversDominantDirection)
@@ -194,55 +194,53 @@ TEST(Pca, RecoversDominantDirection)
     // Points along the line y = 2x with small noise: the first
     // component must align with (1, 2)/|.|.
     support::Rng rng(7);
-    Matrix m;
+    std::vector<double> rows;
     for (int i = 0; i < 200; ++i) {
         const double t = rng.uniformReal(-1, 1);
-        m.push_back({t + rng.uniformReal(-0.01, 0.01),
-                     2 * t + rng.uniformReal(-0.01, 0.01)});
+        rows.push_back(t + rng.uniformReal(-0.01, 0.01));
+        rows.push_back(2 * t + rng.uniformReal(-0.01, 0.01));
     }
-    const PcaModel model = fitPca(m, 1);
-    ASSERT_EQ(model.components.size(), 1u);
-    const Vec &c = model.components[0];
+    const PcaModel model = fitPca(rows, 2, 1);
+    ASSERT_EQ(model.numComponents(), 1u);
+    const std::vector<double> &c = model.components;
     const double ratio = std::fabs(c[1] / c[0]);
     EXPECT_NEAR(ratio, 2.0, 0.05);
 }
 
 TEST(Pca, TransformCentersData)
 {
-    const Matrix m = {{1, 1}, {3, 3}};
-    const PcaModel model = fitPca(m, 2);
-    const Vec projected = model.transform({2, 2}); // the mean
+    const PcaModel model = fitPca(std::vector<double>{1, 1, 3, 3}, 2, 2);
+    const std::vector<double> projected =
+        model.transform(std::vector<double>{2, 2}); // the mean
+    ASSERT_EQ(projected.size(), 2u);
     for (double v : projected)
         EXPECT_NEAR(v, 0.0, 1e-9);
 }
 
 TEST(Pca, ClampsComponentCount)
 {
-    const Matrix m = {{1, 2}, {3, 4}};
-    const PcaModel model = fitPca(m, 10);
-    EXPECT_EQ(model.components.size(), 2u);
+    const PcaModel model = fitPca(std::vector<double>{1, 2, 3, 4}, 2, 10);
+    EXPECT_EQ(model.numComponents(), 2u);
 }
 
-TEST(Stats, MeanAndStddev)
+TEST(Pca, NarrowsElevenColumnsToFour)
 {
-    EXPECT_DOUBLE_EQ(mean({1, 2, 3}), 2.0);
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_DOUBLE_EQ(stddev({2, 2, 2}), 0.0);
-    EXPECT_NEAR(stddev({1, 3}), 1.0, 1e-12);
-}
-
-TEST(Stats, Correlation)
-{
-    EXPECT_NEAR(correlation({1, 2, 3}, {10, 20, 30}), 1.0, 1e-12);
-    EXPECT_NEAR(correlation({1, 2, 3}, {30, 20, 10}), -1.0, 1e-12);
-    EXPECT_DOUBLE_EQ(correlation({1, 2}, {1}), 0.0); // size mismatch
-    EXPECT_DOUBLE_EQ(correlation({1, 1}, {2, 3}), 0.0); // no variance
-}
-
-TEST(Stats, LinearSlope)
-{
-    EXPECT_NEAR(linearSlope({0, 1, 2}, {1, 3, 5}), 2.0, 1e-12);
-    EXPECT_DOUBLE_EQ(linearSlope({1, 1}, {2, 3}), 0.0);
+    // The Pca strategy's shape: 11-column BFV rows projected onto 4
+    // components, one output row per input row.
+    support::Rng rng(3);
+    std::vector<double> rows(30 * 11);
+    for (auto &v : rows)
+        v = rng.uniformReal(0, 10);
+    const PcaModel model = fitPca(rows, 11, 4);
+    EXPECT_EQ(model.mean.size(), 11u);
+    EXPECT_EQ(model.components.size(), 4u * 11u);
+    const std::vector<double> projected = model.transform(rows);
+    EXPECT_EQ(projected.size(), 30u * 4u);
+    // Each component is a unit vector.
+    for (std::size_t k = 0; k < model.numComponents(); ++k) {
+        EXPECT_NEAR(norm(std::span(model.components).subspan(k * 11, 11)),
+                    1.0, 1e-9);
+    }
 }
 
 } // namespace

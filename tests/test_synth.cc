@@ -160,12 +160,15 @@ TEST(HttpdGen, BugCountMatchesRealBugSites)
 {
     const auto result = generateHttpd(smallSpec());
     std::size_t bugs = 0;
+    std::set<ir::Addr> bugSites;
     for (const auto &site : result.truth.sinkSites) {
-        if (site.isBug())
+        if (site.isBug()) {
             ++bugs;
+            bugSites.insert(site.addr);
+        }
     }
     EXPECT_EQ(result.truth.bugCount(), bugs);
-    EXPECT_EQ(result.truth.bugSites().size(), bugs);
+    EXPECT_EQ(bugSites.size(), bugs); // one bug per site address
 }
 
 TEST(HttpdGen, SystemDataSitesUseSystemKeys)
@@ -279,7 +282,8 @@ TEST(Manifest, SiteLookups)
         {0x200, SiteClass::DeadGuard, FlowKind::DirectGlobal,
          "sprintf"});
     EXPECT_EQ(truth.bugCount(), 1u);
-    EXPECT_EQ(truth.bugSites(), std::set<ir::Addr>{0x100});
+    ASSERT_NE(truth.siteAt(0x100), nullptr);
+    EXPECT_TRUE(truth.siteAt(0x100)->isBug());
     ASSERT_NE(truth.siteAt(0x200), nullptr);
     EXPECT_FALSE(truth.siteAt(0x200)->isBug());
     EXPECT_EQ(truth.siteAt(0x300), nullptr);

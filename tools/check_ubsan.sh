@@ -17,7 +17,9 @@
 # `row * width`; and the UCSE suites (the analysis-kernel oracle, the
 # invariant sweep, the explorer and FunctionAnalysis unit tests), since
 # the explorer indexes per-block visit counts and its flat frame stack
-# by hand and the corpus oracle explores every corpus function. Any UB
+# by hand and the corpus oracle explores every corpus function; and the
+# ML-kit suites (vector, distance, scaling and PCA), whose block
+# transforms index rows and PCA components by `row * width`. Any UB
 # report aborts the run (-fno-sanitize-recover=all).
 #
 # Usage: tools/check_ubsan.sh [build-dir]   (default: build-ubsan)
@@ -30,6 +32,6 @@ fits_sanitized_tests "$BUILD" undefined
 
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" FITS_JOBS=4 \
     "$BUILD/tests/fits_tests" \
-    --gtest_filter='Deadline.*:Hash64.*:Corruption.*:Robustness.*:CacheTest.*:Fbin.*:ByteBuf.*:Fwimg.*:Taint*:GoldenCorpus.*:ReachDef*:Dbscan.*:Infer.*:InferOracle.*:AnalysisKernelOracle.*:Seeds/InvariantSweep.*:Ucse.*:FunctionAnalysis.*'
+    --gtest_filter='Deadline.*:Hash64.*:Corruption.*:Robustness.*:CacheTest.*:Fbin.*:ByteBuf.*:Fwimg.*:Taint*:GoldenCorpus.*:ReachDef*:Dbscan.*:Infer.*:InferOracle.*:AnalysisKernelOracle.*:Seeds/InvariantSweep.*:Ucse.*:FunctionAnalysis.*:VectorOps.*:Distance.*:Scaling.*:Pca.*'
 
 echo "ubsan: no undefined behavior detected"
