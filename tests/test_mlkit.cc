@@ -64,13 +64,17 @@ TEST(Distance, PearsonKnownValues)
                 1e-12);
     EXPECT_NEAR(pearsonCorrelation(Vec{1, 2, 3}, Vec{3, 2, 1}), -1.0,
                 1e-12);
+    EXPECT_DOUBLE_EQ(pearsonCorrelation(Vec{1, 1, 1}, Vec{2, 4, 6}),
+                     0.0);
+}
+
+TEST(Stats, Correlation)
+{
+    // The Figure 4 overhead correlations go through pearsonCorrelation.
     EXPECT_NEAR(pearsonCorrelation(Vec{1, 2, 3}, Vec{10, 20, 30}), 1.0,
                 1e-12);
     EXPECT_NEAR(pearsonCorrelation(Vec{1, 2, 3}, Vec{30, 20, 10}), -1.0,
                 1e-12);
-    // One side without variance.
-    EXPECT_DOUBLE_EQ(pearsonCorrelation(Vec{1, 1, 1}, Vec{2, 4, 6}),
-                     0.0);
     EXPECT_DOUBLE_EQ(pearsonCorrelation(Vec{1, 1}, Vec{2, 3}), 0.0);
 }
 
