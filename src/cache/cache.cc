@@ -1,15 +1,11 @@
 #include "cache.hh"
 
-#include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
 
 #include "binary/bytebuf.hh"
 #include "obs/metrics.hh"
@@ -26,16 +22,14 @@ constexpr char kDiskMagic[4] = {'F', 'C', 'H', '1'};
 /** Magic, version, both keys, payload size, payload checksum. */
 constexpr std::size_t kDiskHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 
-// ---- counters (lock-free; the mutex below guards only the maps) ----
+// ---- counters (lock-free; the mutex below guards only the directory)
 
 struct Counters
 {
-    std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> diskHits{0};
     std::atomic<std::uint64_t> diskMisses{0};
     std::atomic<std::uint64_t> diskCorrupt{0};
-    std::atomic<std::uint64_t> evictions{0};
 };
 
 Counters &
@@ -43,22 +37,6 @@ counters()
 {
     static auto *c = new Counters;
     return *c;
-}
-
-void
-bumpHit()
-{
-    counters().hits.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled())
-        obs::addCounter("cache.hits");
-}
-
-void
-bumpMiss()
-{
-    counters().misses.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled())
-        obs::addCounter("cache.misses");
 }
 
 void
@@ -80,34 +58,22 @@ bumpDiskCorrupt()
         obs::addCounter("cache.disk.corrupt");
 }
 
-// ---- memory tier ---------------------------------------------------
-
-struct BlobEntry
-{
-    std::shared_ptr<const std::string> payload;
-    std::uint64_t tick = 0;
-    std::size_t bytes = 0;
-};
-
 struct State
 {
     std::mutex mutex;
-    Options options;
-    std::uint64_t tick = 0;
-    std::size_t totalBytes = 0;
-    std::unordered_map<std::string, BlobEntry> blobs;
+    std::string dir;
 };
 
 State &
 state()
 {
-    // Leaked singleton (mirrors obs): cached products may be
-    // referenced from worker threads during static destruction.
+    // Leaked singleton (mirrors obs): worker threads may still store
+    // during static destruction.
     static auto *s = new State;
     return *s;
 }
 
-/** FITS_CACHE_DIR arms the disk tier at load time. */
+/** FITS_CACHE_DIR arms the store at load time. */
 struct EnvInit
 {
     EnvInit()
@@ -117,69 +83,31 @@ struct EnvInit
             return;
         State &s = state();
         const std::lock_guard<std::mutex> lock(s.mutex);
-        s.options.disk = true;
-        s.options.dir = env;
+        s.dir = env;
     }
 };
 
 const EnvInit g_envInit;
 
-void
-publishBytesLocked(const State &s)
+std::string
+directory()
 {
-    if (obs::enabled())
-        obs::setGauge("cache.bytes",
-                      static_cast<double>(s.totalBytes));
-}
-
-/** Evict least-recently-used blobs until under budget. */
-void
-evictLocked(State &s)
-{
-    while (s.totalBytes > s.options.maxBytes && !s.blobs.empty()) {
-        const auto oldest = std::min_element(
-            s.blobs.begin(), s.blobs.end(),
-            [](const auto &a, const auto &b) {
-                return a.second.tick < b.second.tick;
-            });
-        s.totalBytes -= oldest->second.bytes;
-        s.blobs.erase(oldest);
-        counters().evictions.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled())
-            obs::addCounter("cache.evictions");
-    }
-}
-
-/** Put `payload` in the memory tier under `key` and return the bytes
- * the tier holds. Keys are content-derived, so an existing entry
- * already holds these bytes and only has its recency refreshed. */
-std::shared_ptr<const std::string>
-rememberLocked(State &s, const std::string &key, std::string payload)
-{
-    auto &entry = s.blobs[key];
-    entry.tick = ++s.tick;
-    if (entry.payload != nullptr)
-        return entry.payload;
-    entry.bytes = key.size() + payload.size() + 64;
-    entry.payload = std::make_shared<const std::string>(std::move(payload));
-    auto held = entry.payload;
-    s.totalBytes += entry.bytes;
-    evictLocked(s);
-    publishBytesLocked(s);
-    return held;
+    State &s = state();
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    return s.dir;
 }
 
 std::string
-blobKeyOf(std::string_view kind, std::uint64_t key1,
-          std::uint64_t key2)
+pathIn(const std::string &dir, std::string_view kind, std::uint64_t key1,
+       std::uint64_t key2)
 {
-    return std::string(kind) +
-           support::format(":%016llx:%016llx",
+    return dir + "/" + std::string(kind) +
+           support::format("-%016llx%016llx.fcb",
                            static_cast<unsigned long long>(key1),
                            static_cast<unsigned long long>(key2));
 }
 
-// ---- disk tier -----------------------------------------------------
+// ---- entries ------------------------------------------------------
 
 /** Read + validate one disk entry; nullopt on any defect. The payload
  * is read straight into the string that is returned. */
@@ -279,27 +207,12 @@ configure(const Options &options)
 {
     State &s = state();
     const std::lock_guard<std::mutex> lock(s.mutex);
-    s.options = options;
-    evictLocked(s);
-    publishBytesLocked(s);
-}
-
-Options
-options()
-{
-    State &s = state();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    return s.options;
+    s.dir = options.dir;
 }
 
 void
 clearMemory()
 {
-    State &s = state();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    s.blobs.clear();
-    s.totalBytes = 0;
-    publishBytesLocked(s);
 }
 
 Stats
@@ -307,15 +220,10 @@ stats()
 {
     Stats out;
     const Counters &c = counters();
-    out.hits = c.hits.load(std::memory_order_relaxed);
     out.misses = c.misses.load(std::memory_order_relaxed);
     out.diskHits = c.diskHits.load(std::memory_order_relaxed);
     out.diskMisses = c.diskMisses.load(std::memory_order_relaxed);
     out.diskCorrupt = c.diskCorrupt.load(std::memory_order_relaxed);
-    out.evictions = c.evictions.load(std::memory_order_relaxed);
-    State &s = state();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    out.bytes = s.totalBytes;
     return out;
 }
 
@@ -323,35 +231,23 @@ void
 resetStats()
 {
     Counters &c = counters();
-    c.hits.store(0, std::memory_order_relaxed);
     c.misses.store(0, std::memory_order_relaxed);
     c.diskHits.store(0, std::memory_order_relaxed);
     c.diskMisses.store(0, std::memory_order_relaxed);
     c.diskCorrupt.store(0, std::memory_order_relaxed);
-    c.evictions.store(0, std::memory_order_relaxed);
-}
-
-bool
-memoryUsable()
-{
-    State &s = state();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    return s.options.memory;
 }
 
 bool
 diskUsable()
 {
-    State &s = state();
-    const std::lock_guard<std::mutex> lock(s.mutex);
-    return s.options.disk && !s.options.dir.empty();
+    return !directory().empty();
 }
 
 std::shared_ptr<const std::vector<analysis::FunctionAnalysis>>
 functionAnalyses(const std::shared_ptr<const bin::BinaryImage> &image,
                  const analysis::UcseConfig &config)
 {
-    bumpMiss();
+    counters().misses.fetch_add(1, std::memory_order_relaxed);
     auto fns = std::make_shared<std::vector<analysis::FunctionAnalysis>>();
     fns->reserve(image->program.size());
     for (const auto &fn : image->program.functions())
@@ -364,69 +260,19 @@ std::string
 blobPath(std::string_view kind, std::uint64_t key1,
          std::uint64_t key2)
 {
-    State &s = state();
-    std::string dir;
-    {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        dir = s.options.dir;
-    }
-    if (dir.empty())
-        return {};
-    return dir + "/" + std::string(kind) +
-           support::format("-%016llx%016llx.fcb",
-                           static_cast<unsigned long long>(key1),
-                           static_cast<unsigned long long>(key2));
+    const std::string dir = directory();
+    return dir.empty() ? std::string{} : pathIn(dir, kind, key1, key2);
 }
 
 std::optional<std::string>
 fetchBlob(std::string_view kind, std::uint64_t key1,
           std::uint64_t key2)
 {
-    const bool memTier = memoryUsable();
-    const bool diskTier = diskUsable();
-    if (!memTier && !diskTier)
+    const std::string dir = directory();
+    if (dir.empty())
         return std::nullopt;
-
-    const std::string key = blobKeyOf(kind, key1, key2);
-    State &s = state();
-
-    if (memTier) {
-        std::shared_ptr<const std::string> payload;
-        {
-            const std::lock_guard<std::mutex> lock(s.mutex);
-            auto it = s.blobs.find(key);
-            if (it != s.blobs.end()) {
-                it->second.tick = ++s.tick;
-                payload = it->second.payload;
-            }
-        }
-        if (payload != nullptr) {
-            bumpHit();
-            return *payload;
-        }
-        bumpMiss();
-    }
-
-    if (!diskTier)
-        return std::nullopt;
-
-    const std::string path = blobPath(kind, key1, key2);
-    auto payload = readDiskEntry(path, key1, key2);
+    auto payload = readDiskEntry(pathIn(dir, kind, key1, key2), key1, key2);
     bumpDisk(payload.has_value());
-    if (!payload.has_value())
-        return std::nullopt;
-
-    if (memTier) {
-        // Promote so the next fetch in this process skips the disk.
-        // The tier keeps the buffer the file was read into; the caller
-        // gets a copy.
-        std::shared_ptr<const std::string> held;
-        {
-            const std::lock_guard<std::mutex> lock(s.mutex);
-            held = rememberLocked(s, key, std::move(*payload));
-        }
-        return *held;
-    }
     return payload;
 }
 
@@ -434,28 +280,10 @@ void
 storeBlob(std::string_view kind, std::uint64_t key1,
           std::uint64_t key2, std::string_view payload)
 {
-    const bool memTier = memoryUsable();
-    const bool diskTier = diskUsable();
-    if (!memTier && !diskTier)
-        return;
-
-    const std::string key = blobKeyOf(kind, key1, key2);
-    State &s = state();
-
-    if (memTier) {
-        const std::lock_guard<std::mutex> lock(s.mutex);
-        rememberLocked(s, key, std::string(payload));
-    }
-
-    if (diskTier) {
-        std::string dir;
-        {
-            const std::lock_guard<std::mutex> lock(s.mutex);
-            dir = s.options.dir;
-        }
-        writeDiskEntry(dir, blobPath(kind, key1, key2), key1, key2,
+    const std::string dir = directory();
+    if (!dir.empty())
+        writeDiskEntry(dir, pathIn(dir, kind, key1, key2), key1, key2,
                        payload);
-    }
 }
 
 } // namespace fits::cache

@@ -14,22 +14,22 @@
 namespace fits::cache {
 
 /**
- * Blob store for serialized whole-sample products, shared by every
- * pipeline in the process:
+ * Persistent blob store for serialized whole-sample products, shared by
+ * every pipeline in the process. It is the cache directory
+ * (`FITS_CACHE_DIR` or `configure()`) or nothing: with no directory,
+ * every fetch misses and every store is skipped without touching a
+ * counter or a file.
  *
- *  - *Memory tier:* a byte-keyed LRU of payloads, so a sample analyzed
- *    earlier in the same process is not re-analyzed.
- *  - *Disk tier:* an optional persistent store under a cache directory
- *    (`FITS_CACHE_DIR` or `configure()`), with a versioned entry
- *    format whose payload is checksummed with XXH64
- *    (support::hash64). A disk hit is read straight into the buffer
- *    the memory tier keeps. Any validation failure — bad magic,
- *    version skew, length or checksum mismatch, a short read — quietly
- *    degrades to a miss; repeated `fits corpus` invocations become
- *    incremental.
+ * Entries use a versioned format whose payload is checksummed with
+ * XXH64 (support::hash64). A hit reads the payload straight into the
+ * string that is returned. Any validation failure — bad magic, version
+ * skew, length or checksum mismatch, a short read — quietly degrades
+ * to a miss; repeated `fits corpus` invocations become incremental.
  *
- * Lifted images and per-function analyses are not cached: every sample
- * lifts and analyzes its own binaries.
+ * There is no in-process tier: within one run each bundle is stored
+ * once and never read back (DESIGN §10). Lifted images and
+ * per-function analyses are not cached either: every sample lifts and
+ * analyzes its own binaries.
  *
  * Correctness rules, enforced here and relied on by the determinism
  * test suite:
@@ -39,54 +39,49 @@ namespace fits::cache {
  *  - Callers must additionally bypass when a wall-clock deadline is
  *    active (partial results are not reusable).
  *
- * Eviction: the memory tier is LRU over approximate entry bytes with a
- * configurable budget; the disk tier is never evicted here (entries
- * are invalidated by version/fingerprint and can be deleted freely by
- * the operator).
+ * Nothing is evicted here: entries are invalidated by
+ * version/fingerprint and can be deleted freely by the operator.
  */
 
 struct Options
 {
-    /** In-process blob tier. */
-    bool memory = true;
-    /** Persistent blob tier; requires a non-empty `dir`. */
+    /** Never read: the tier is armed by a non-empty `dir` alone. Set
+     * only by the corpus benchmark's traced driver, until ROADMAP
+     * item 3 step B. */
     bool disk = false;
-    /** Disk tier root directory (created on first store). */
+    /** Cache directory (created on first store); empty turns the
+     * store off. */
     std::string dir;
-    /** Approximate memory-tier budget in bytes (LRU beyond this). */
-    std::size_t maxBytes = 256ull << 20;
 };
 
-/** Replace the active options. Never clears cached entries — disable
- * tiers to stop consulting them, `clearMemory()` to drop them. */
+/** Replace the active options. Never deletes entries. */
 void configure(const Options &options);
 
-Options options();
-
-/** Drop every in-process entry (tests, and the traced corpus
- * benchmark until ROADMAP item 3 step B; frees the memory budget). */
+/** A no-op, kept for the corpus benchmark's traced driver until
+ * ROADMAP item 3 step B. */
 void clearMemory();
 
-/** Monotonic counters since the last resetStats(). `bytes` is the
- * current approximate memory-tier footprint (not monotonic). */
+/** Monotonic counters since the last resetStats(). */
 struct Stats
 {
-    std::uint64_t hits = 0;       ///< memory-tier hits
-    std::uint64_t misses = 0;     ///< memory-tier misses
-    std::uint64_t diskHits = 0;   ///< disk-tier hits
-    std::uint64_t diskMisses = 0; ///< disk-tier misses
-    std::uint64_t diskCorrupt = 0; ///< disk entries rejected as invalid
-    std::uint64_t evictions = 0;  ///< memory-tier LRU evictions
-    std::uint64_t bytes = 0;      ///< current memory-tier bytes
+    /** Never written; read only by the traced driver until ROADMAP
+     * item 3 step B. */
+    std::uint64_t hits = 0;
+    /** functionAnalyses() calls; read only by the traced driver until
+     * ROADMAP item 3 step B. */
+    std::uint64_t misses = 0;
+    std::uint64_t diskHits = 0;    ///< blob fetches served
+    std::uint64_t diskMisses = 0;  ///< blob fetches not served
+    std::uint64_t diskCorrupt = 0; ///< entries rejected as invalid
+    /** Never written; read only by the traced driver until ROADMAP
+     * item 3 step B. */
+    std::uint64_t bytes = 0;
 };
 
 Stats stats();
 void resetStats();
 
-/** True when the memory tier is enabled. */
-bool memoryUsable();
-
-/** Same gate for the disk tier (also requires a directory). */
+/** True when a cache directory is configured. */
 bool diskUsable();
 
 /**
@@ -102,19 +97,17 @@ functionAnalyses(const std::shared_ptr<const bin::BinaryImage> &image,
                  const analysis::UcseConfig &config);
 
 /**
- * Fetch a serialized product from the blob store: memory tier first,
- * then disk (a disk hit is promoted to memory). `kind` namespaces
- * independent products ("behavior", ...); keys are caller-derived
- * hashes (content hash + config fingerprint).
+ * Fetch a serialized product from the cache directory. `kind`
+ * namespaces independent products ("behavior", ...); keys are
+ * caller-derived hashes (content hash + config fingerprint).
  */
 std::optional<std::string> fetchBlob(std::string_view kind,
                                      std::uint64_t key1,
                                      std::uint64_t key2);
 
-/** Store a serialized product in every usable tier. Disk write
- * failures (an uncreatable directory, a failed write) skip the entry
- * silently — the cache is an accelerator, never a correctness
- * dependency. */
+/** Store a serialized product in the cache directory. Write failures
+ * (an uncreatable directory, a failed write) skip the entry silently —
+ * the cache is an accelerator, never a correctness dependency. */
 void storeBlob(std::string_view kind, std::uint64_t key1,
                std::uint64_t key2, std::string_view payload);
 

@@ -65,8 +65,7 @@ FitsPipeline::runStages(const std::vector<std::uint8_t> &firmware,
     const bool cacheable = config_.behaviorCache &&
                            config_.budgets.behaviorMs <= 0.0 &&
                            !config_.behavior.ucse.deadline.active() &&
-                           (cache::memoryUsable() ||
-                            cache::diskUsable());
+                           cache::diskUsable();
     std::uint64_t cacheKey1 = 0;
     std::uint64_t cacheKey2 = 0;
     if (cacheable) {

@@ -198,24 +198,12 @@ renderWallClock(double wallMs, std::size_t jobs)
 std::string
 renderCacheSummary()
 {
-    // A memory miss that the disk tier served still counts as a hit
-    // overall.
     const cache::Stats cstats = cache::stats();
-    const cache::Options copts = cache::options();
-    const std::uint64_t hits = cstats.hits + cstats.diskHits;
-    const std::uint64_t misses =
-        copts.memory
-            ? cstats.misses - std::min(cstats.misses, cstats.diskHits)
-            : cstats.diskMisses;
-    const char *tier = copts.memory && copts.disk ? "mem+disk"
-                       : copts.disk               ? "disk"
-                       : copts.memory             ? "mem"
-                                                  : "off";
     return support::format(
-        "cache: %llu hits / %llu misses, %.1f MiB, tier=%s\n",
-        static_cast<unsigned long long>(hits),
-        static_cast<unsigned long long>(misses),
-        static_cast<double>(cstats.bytes) / (1024.0 * 1024.0), tier);
+        "cache: %llu hits / %llu misses, tier=%s\n",
+        static_cast<unsigned long long>(cstats.diskHits),
+        static_cast<unsigned long long>(cstats.diskMisses),
+        cache::diskUsable() ? "disk" : "off");
 }
 
 TextReport
@@ -224,9 +212,9 @@ runRankReport(const std::vector<std::uint8_t> &bytes, std::size_t top,
 {
     TextReport report;
     core::PipelineConfig config;
-    // Repeated ranks of the same image are served from the cache
-    // (persistently so under FITS_CACHE_DIR); the ranking is
-    // bit-identical either way.
+    // Under FITS_CACHE_DIR, repeated ranks of the same image are
+    // served from the cache directory; the ranking is bit-identical
+    // either way.
     config.behaviorCache = true;
     config.infer.useSymbolNames = useSymbols;
 

@@ -76,8 +76,8 @@ CorpusReport runCorpusReport(const CorpusOptions &options);
 /** "wall clock: %.1f ms with %zu jobs\n" — the one-shot timing line. */
 std::string renderWallClock(double wallMs, std::size_t jobs);
 
-/** "cache: H hits / M misses, X MiB, tier=...\n" over the process-wide
- * cache counters, exactly as `fits corpus` prints it. */
+/** "cache: H hits / M misses, tier=disk|off\n" over the process-wide
+ * blob-store counters, exactly as `fits corpus` prints it. */
 std::string renderCacheSummary();
 
 /** Rendered outcome of a single-image report (rank / taint). */

@@ -104,7 +104,8 @@ grep -q "2 worker threads" "$DIR/corpus.out"
 grep -q "Overall" "$DIR/corpus.out"
 grep -q "wall clock" "$DIR/corpus.out"
 grep -q "failed samples:" "$DIR/corpus.out"
-grep -q "^cache: .* tier=mem$" "$DIR/corpus.out"
+# With no cache directory the pipeline does no cache work at all.
+grep -qx "cache: 0 hits / 0 misses, tier=off" "$DIR/corpus.out"
 
 # The answers are pinned, not only compared across configurations: the
 # report body (after the two header lines, up to `wall clock:`) equals
@@ -122,17 +123,21 @@ expect_body "$DIR/corpus.out" inference.txt
 FITS_JOBS=2 "$FITS" corpus --taint > "$DIR/corpus_taint.out" 2> /dev/null
 expect_body "$DIR/corpus_taint.out" taint.txt
 
-# --no-cache turns every tier off; a persistent tier via FITS_CACHE_DIR
-# makes the second invocation warm. Result tables are identical in all
+# A cache directory via FITS_CACHE_DIR makes the second invocation
+# warm; --no-cache ignores it. Result tables are identical in all
 # three configurations.
-FITS_JOBS=2 "$FITS" corpus --no-cache > "$DIR/corpus_nocache.out"
-grep -q "tier=off" "$DIR/corpus_nocache.out"
+FITS_JOBS=2 FITS_CACHE_DIR="$DIR/cache" "$FITS" corpus --no-cache \
+    > "$DIR/corpus_nocache.out"
+grep -q "tier=off$" "$DIR/corpus_nocache.out"
+test ! -e "$DIR/cache"
 FITS_JOBS=2 FITS_CACHE_DIR="$DIR/cache" "$FITS" corpus \
     > "$DIR/corpus_cold.out"
-grep -q "tier=mem+disk" "$DIR/corpus_cold.out"
+grep -q "^cache: 0 hits / .* tier=disk$" "$DIR/corpus_cold.out"
 ls "$DIR/cache"/*.fcb > /dev/null
 FITS_JOBS=2 FITS_CACHE_DIR="$DIR/cache" "$FITS" corpus \
     > "$DIR/corpus_warm.out"
+grep -q "^cache: [1-9][0-9]* hits / [0-9]* misses, tier=disk$" \
+    "$DIR/corpus_warm.out"
 grep -v "wall clock\|^cache:" "$DIR/corpus.out" > "$DIR/corpus.ref"
 for out in corpus_nocache corpus_cold corpus_warm; do
     grep -v "wall clock\|^cache:" "$DIR/$out.out" > "$DIR/$out.cmp"

@@ -1,13 +1,14 @@
 /** @file Determinism and degradation tests for the fits::cache
- * analysis-memoization subsystem: behavior-bundle serialization
- * round-trips bit-for-bit, rankings are identical with/without the
- * cache and across cold/warm runs on both tiers, serial and parallel
- * corpus runs agree, corrupt or stale disk entries and an unwritable
- * cache directory degrade to misses, and the memory tier stays within
- * its LRU budget. */
+ * behavior-bundle store: serialization round-trips bit-for-bit,
+ * rankings are identical with/without the cache directory and across
+ * cold/warm runs, serial and parallel corpus runs agree, duplicate
+ * samples racing on one key leave one entry, no directory means no
+ * cache work, and corrupt or stale entries and an unwritable cache
+ * directory degrade to misses. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -31,9 +32,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/** Every test starts from a cold cache with default options and a
- * private disk directory, and restores that state on the way out so
- * no cache contents leak between tests in this process. */
+/** Every test starts with no cache directory configured and zeroed
+ * counters, and restores that state on the way out; `enableDisk()`
+ * arms a private directory that is removed afterwards. */
 class CacheTest : public ::testing::Test
 {
   protected:
@@ -41,7 +42,6 @@ class CacheTest : public ::testing::Test
     SetUp() override
     {
         cache::configure(cache::Options{});
-        cache::clearMemory();
         cache::resetStats();
         dir_ = (fs::temp_directory_path() /
                 ("fits_cache_test_" +
@@ -56,19 +56,32 @@ class CacheTest : public ::testing::Test
     TearDown() override
     {
         cache::configure(cache::Options{});
-        cache::clearMemory();
         cache::resetStats();
         fs::remove_all(dir_);
     }
 
-    /** Enable the disk tier rooted at this test's private directory. */
+    /** Arm the cache at this test's private directory. */
     void
     enableDisk()
     {
-        cache::Options options = cache::options();
-        options.disk = true;
+        cache::Options options;
         options.dir = dir_;
         cache::configure(options);
+    }
+
+    /** Regular files under the private directory, sorted. */
+    std::vector<std::string>
+    filesInDir() const
+    {
+        std::vector<std::string> files;
+        if (!fs::exists(dir_))
+            return files;
+        for (const auto &entry : fs::recursive_directory_iterator(dir_)) {
+            if (entry.is_regular_file())
+                files.push_back(entry.path().string());
+        }
+        std::sort(files.begin(), files.end());
+        return files;
     }
 
     std::string dir_;
@@ -228,30 +241,56 @@ TEST(BehaviorBundle, ConfigFingerprintIsPinned)
     EXPECT_EQ(core::behaviorConfigFingerprint({}), 0xa150dbf2719ecad2ULL);
 }
 
-// ---- memory tier -------------------------------------------------------
+// ---- cold and warm runs -----------------------------------------------
 
-TEST_F(CacheTest, ColdAndWarmMemoryRankingsIdentical)
+TEST_F(CacheTest, ColdAndWarmDiskRankingsIdentical)
 {
     const auto corpus = smallCorpus(3);
     eval::CorpusRunner::Config config;
     config.jobs = 1;
-
     const eval::CorpusRunner runner(config);
+
+    // The uncached reference runs before the directory is armed.
+    const auto uncached = runner.run(corpus);
+
+    enableDisk();
     const auto cold = runner.run(corpus);
     const auto coldStats = cache::stats();
-    EXPECT_GT(coldStats.misses, 0u);
+    EXPECT_GT(coldStats.diskMisses, 0u);
 
     const auto warm = runner.run(corpus);
     const auto warmStats = cache::stats();
-    EXPECT_GT(warmStats.hits, coldStats.hits);
+    EXPECT_GT(warmStats.diskHits, coldStats.diskHits);
     expectIdenticalOutcomes(cold, warm);
 
     // And both equal the fully uncached computation.
-    cache::Options off;
-    off.memory = false;
-    off.disk = false;
-    cache::configure(off);
-    expectIdenticalOutcomes(cold, runner.run(corpus));
+    expectIdenticalOutcomes(uncached, cold);
+    expectIdenticalOutcomes(uncached, warm);
+}
+
+TEST_F(CacheTest, NoDirectoryMeansNoCacheWork)
+{
+    // A pipeline that asks for the behavior cache, with no directory
+    // configured: no fetch, no store, no counter, no file.
+    const auto firmware = synth::generateFirmware(smallCorpus(1).front());
+    core::PipelineConfig config;
+    config.behaviorCache = true;
+    EXPECT_FALSE(cache::diskUsable());
+    EXPECT_TRUE(cache::blobPath("behavior", 1, 2).empty());
+    for (int run = 0; run < 2; ++run) {
+        const auto result =
+            core::FitsPipeline(config).analyze(firmware.bytes);
+        ASSERT_TRUE(result.ok()) << result.status.toString();
+    }
+
+    const auto stats = cache::stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.diskHits, 0u);
+    EXPECT_EQ(stats.diskMisses, 0u);
+    EXPECT_EQ(stats.diskCorrupt, 0u);
+    EXPECT_EQ(stats.bytes, 0u);
+    EXPECT_FALSE(fs::exists(dir_));
 }
 
 TEST_F(CacheTest, BehaviorBlobIsKeyedOnXxh64OfTheFirmware)
@@ -271,14 +310,8 @@ TEST_F(CacheTest, BehaviorBlobIsKeyedOnXxh64OfTheFirmware)
         "behavior",
         support::hash64(firmware.bytes.data(), firmware.bytes.size()),
         core::behaviorConfigFingerprint(config.behavior));
-    std::vector<std::string> written;
-    for (const auto &entry : fs::recursive_directory_iterator(dir_)) {
-        if (entry.is_regular_file())
-            written.push_back(entry.path().string());
-    }
-    EXPECT_EQ(written, std::vector<std::string>{path});
+    EXPECT_EQ(filesInDir(), std::vector<std::string>{path});
 
-    cache::clearMemory();
     cache::resetStats();
     const auto warm = core::FitsPipeline(config).analyze(firmware.bytes);
     ASSERT_TRUE(warm.ok()) << warm.status.toString();
@@ -304,15 +337,47 @@ TEST_F(CacheTest, SerialAndParallelRankingsIdentical)
 
     const auto serial =
         eval::CorpusRunner(serialConfig).run(corpus);
-    cache::clearMemory();
     const auto parallel =
         eval::CorpusRunner(parallelConfig).run(corpus);
     expectIdenticalOutcomes(serial, parallel);
 
-    // Warm parallel run (workers race on a hot cache) agrees too.
+    // A cold parallel run fills the directory; a warm parallel run
+    // (workers reading the filled directory) agrees too.
+    enableDisk();
+    const auto coldParallel =
+        eval::CorpusRunner(parallelConfig).run(corpus);
+    expectIdenticalOutcomes(serial, coldParallel);
+    cache::resetStats();
     const auto warmParallel =
         eval::CorpusRunner(parallelConfig).run(corpus);
+    EXPECT_EQ(cache::stats().diskHits, corpus.size());
     expectIdenticalOutcomes(serial, warmParallel);
+}
+
+TEST_F(CacheTest, DuplicateSamplesShareOneDiskEntry)
+{
+    // Four workers analyze the same bytes at once, so they fetch, miss
+    // and store one key concurrently. Each write goes through its own
+    // temp file and an atomic rename: one entry results, and no temp
+    // file is left behind.
+    const auto spec = smallCorpus(1).front();
+    const std::vector<synth::SampleSpec> corpus(4, spec);
+    eval::CorpusRunner::Config config;
+    config.jobs = 4;
+    const eval::CorpusRunner runner(config);
+    const auto uncached = runner.run(corpus);
+
+    enableDisk();
+    const auto cold = runner.run(corpus);
+    expectIdenticalOutcomes(uncached, cold);
+
+    // A leftover "<entry>.fcb.tmp.N" file would be a second file.
+    const auto files = filesInDir();
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_EQ(fs::path(files[0]).extension(), ".fcb");
+
+    const auto warm = runner.run(corpus);
+    expectIdenticalOutcomes(uncached, warm);
 }
 
 TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
@@ -321,12 +386,10 @@ TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
     eval::CorpusRunner::Config config;
     config.jobs = 1;
     const eval::CorpusRunner runner(config);
+    enableDisk();
     const auto cached = runner.run(corpus, /*taint=*/true);
 
-    cache::Options off;
-    off.memory = false;
-    off.disk = false;
-    cache::configure(off);
+    cache::configure(cache::Options{});
     const auto raw = runner.run(corpus, /*taint=*/true);
 
     ASSERT_EQ(cached.size(), raw.size());
@@ -344,25 +407,6 @@ TEST_F(CacheTest, RunFullWithCacheMatchesWithout)
     }
 }
 
-TEST_F(CacheTest, LruEvictionKeepsMemoryBounded)
-{
-    cache::Options options = cache::options();
-    options.maxBytes = 64 * 1024;
-    cache::configure(options);
-
-    const std::string blob(16 * 1024, 'x');
-    for (std::uint64_t i = 0; i < 32; ++i)
-        cache::storeBlob("evict-test", i, i, blob);
-
-    const auto stats = cache::stats();
-    EXPECT_LE(stats.bytes, options.maxBytes);
-    EXPECT_GT(stats.evictions, 0u);
-
-    // The newest entry survived; the oldest was evicted.
-    EXPECT_TRUE(cache::fetchBlob("evict-test", 31, 31).has_value());
-    EXPECT_FALSE(cache::fetchBlob("evict-test", 0, 0).has_value());
-}
-
 // ---- disk tier ---------------------------------------------------------
 
 TEST_F(CacheTest, DiskTierSurvivesProcessMemoryLoss)
@@ -374,11 +418,10 @@ TEST_F(CacheTest, DiskTierSurvivesProcessMemoryLoss)
     const eval::CorpusRunner runner(config);
 
     const auto cold = runner.run(corpus);
-    // Dropping the memory tier simulates a fresh process; the second
-    // run must be served from disk, bit-identically.
-    cache::clearMemory();
+    // A fresh runner stands for a fresh process; the second run must
+    // be served from disk, bit-identically.
     cache::resetStats();
-    const auto warm = runner.run(corpus);
+    const auto warm = eval::CorpusRunner(config).run(corpus);
     const auto stats = cache::stats();
     EXPECT_GT(stats.diskHits, 0u);
     expectIdenticalOutcomes(cold, warm);
@@ -389,7 +432,6 @@ TEST_F(CacheTest, CorruptDiskEntriesDegradeToMisses)
     enableDisk();
     const std::string payload = "intermediate taint sources";
     cache::storeBlob("t", 7, 9, payload);
-    cache::clearMemory();
     ASSERT_EQ(cache::fetchBlob("t", 7, 9), payload);
 
     const std::string path = cache::blobPath("t", 7, 9);
@@ -411,7 +453,6 @@ TEST_F(CacheTest, CorruptDiskEntriesDegradeToMisses)
     flipped[flipped.size() - 2] =
         static_cast<char>(flipped[flipped.size() - 2] ^ 0x40);
     rewrite(flipped);
-    cache::clearMemory();
     cache::resetStats();
     EXPECT_FALSE(cache::fetchBlob("t", 7, 9).has_value());
     EXPECT_GT(cache::stats().diskCorrupt, 0u);
@@ -420,12 +461,10 @@ TEST_F(CacheTest, CorruptDiskEntriesDegradeToMisses)
     std::string skewed = raw;
     skewed[4] = static_cast<char>(0x7f);
     rewrite(skewed);
-    cache::clearMemory();
     EXPECT_FALSE(cache::fetchBlob("t", 7, 9).has_value());
 
     // Truncation: short reads never crash.
     rewrite(raw.substr(0, raw.size() / 2));
-    cache::clearMemory();
     EXPECT_FALSE(cache::fetchBlob("t", 7, 9).has_value());
 
     // Key echo mismatch: an entry renamed onto another key's path
@@ -433,11 +472,9 @@ TEST_F(CacheTest, CorruptDiskEntriesDegradeToMisses)
     rewrite(raw);
     fs::copy_file(path, cache::blobPath("t", 8, 10),
                   fs::copy_options::overwrite_existing);
-    cache::clearMemory();
     EXPECT_FALSE(cache::fetchBlob("t", 8, 10).has_value());
 
     // The intact original still hits.
-    cache::clearMemory();
     EXPECT_EQ(cache::fetchBlob("t", 7, 9), payload);
 }
 
@@ -474,8 +511,7 @@ TEST_F(CacheTest, UnwritableDiskDirSkipsEntry)
     fs::create_directories(dir_);
     const std::string blocker = dir_ + "/blocker";
     std::ofstream(blocker) << "not a directory";
-    cache::Options options = cache::options();
-    options.disk = true;
+    cache::Options options;
     options.dir = blocker + "/cache";
     cache::configure(options);
 
@@ -485,7 +521,6 @@ TEST_F(CacheTest, UnwritableDiskDirSkipsEntry)
                             fs::directory_iterator()),
               1)
         << "only the blocker file may remain";
-    cache::clearMemory();
     EXPECT_FALSE(cache::fetchBlob("t", 1, 2).has_value());
     EXPECT_EQ(cache::stats().diskMisses, 1u);
 
@@ -494,10 +529,7 @@ TEST_F(CacheTest, UnwritableDiskDirSkipsEntry)
     config.jobs = 1;
     const eval::CorpusRunner runner(config);
     const auto cached = runner.run(corpus);
-    cache::Options off;
-    off.memory = false;
-    off.disk = false;
-    cache::configure(off);
+    cache::configure(cache::Options{});
     const auto uncached = runner.run(corpus);
     expectIdenticalOutcomes(uncached, cached);
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Performance regression check: run the micro-benchmarks and the
 # Figure-4 time/overhead bench, write their BENCH_*.json records, and
-# compare the headline numbers against the committed baselines at the
-# repo root. Regressions WARN — they never fail the build, because
+# compare the headline numbers against the committed baselines in
+# bench/baseline/. Regressions WARN — they never fail the build, because
 # wall-clock numbers are machine-dependent; the point is a visible
 # diff next to the functional checks, plus fresh baselines to commit
 # when a change is intentional. Under GitHub Actions each regression
@@ -28,15 +28,15 @@ mkdir -p "$OUT"
 (cd "$OUT" && FITS_BENCH_DIR="$OUT" "$BUILD/bench/bench_fig4_time_overhead")
 
 # Warn-only comparison of every shared numeric field, baseline vs new.
-python3 - "$FITS_ROOT" "$OUT" <<'EOF'
+python3 - "$FITS_ROOT/bench/baseline" "$OUT" <<'EOF'
 import json, os, sys
 
-root, out = sys.argv[1], sys.argv[2]
+baseline, out = sys.argv[1], sys.argv[2]
 tolerance = 0.15  # warn beyond +/-15%
 warned = False
 missing_record = False
 for name in ("BENCH_micro.json", "BENCH_fig4_time_overhead.json"):
-    base_path = os.path.join(root, name)
+    base_path = os.path.join(baseline, name)
     new_path = os.path.join(out, name)
     if not os.path.exists(new_path):
         print(f"perf: {name}: no new record produced", file=sys.stderr)
@@ -44,7 +44,7 @@ for name in ("BENCH_micro.json", "BENCH_fig4_time_overhead.json"):
         continue
     if not os.path.exists(base_path):
         print(f"perf: {name}: no committed baseline; copy "
-              f"{new_path} to the repo root to create one")
+              f"{new_path} to {baseline}/ to create one")
         continue
     base = json.load(open(base_path))["fields"]
     new = json.load(open(new_path))["fields"]

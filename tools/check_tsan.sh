@@ -17,9 +17,10 @@ fits_sanitized_tests "$BUILD" thread
 TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
     --gtest_filter='ResolveJobs.*:CorpusRunner.*:BehaviorAnalyzer.*:Logger.*:Obs*'
 
-# The blob cache is shared mutable state under the fan-out: its maps,
-# LRU accounting, and stat counters all see concurrent workers in the
-# parallel-ranking tests.
+# The blob cache is shared state under the fan-out: its configured
+# directory and stat counters, and the entry files themselves, which
+# parallel workers read, write and rename onto one another (duplicate
+# samples store one key at once).
 TSAN_OPTIONS="halt_on_error=1" FITS_JOBS=4 "$BUILD/tests/fits_tests" \
     --gtest_filter='CacheTest.*'
 

@@ -29,10 +29,12 @@
  *       every *.fwimg under DIR instead of the synthetic corpus, each
  *       file read by the worker that analyzes it (an unreadable file
  *       is a failed sample); --metrics-out enables the fits::obs
- *       registry and writes its JSON snapshot after the run;
- *       --no-cache disables the analysis cache (results are
- *       identical either way — set FITS_CACHE_DIR to persist the cache
- *       across invocations). Exits non-zero when every sample fails.
+ *       registry and writes its JSON snapshot after the run.
+ *       Setting FITS_CACHE_DIR keeps each sample's behavior bundle in
+ *       that directory, so a later run over the same bytes skips
+ *       stages 1-2; --no-cache ignores the directory for this run.
+ *       Results are identical either way. Exits non-zero when every
+ *       sample fails.
  *
  * A numeric argument (--seed, --top, --its, --jobs) that is not a
  * whole unsigned number — decimal, 0x-hex or 0-octal — is a usage
@@ -86,9 +88,10 @@ usage()
         "  fits score <image.fwimg>   (needs <image>.truth sidecar)\n"
         "  fits corpus [--jobs N] [--taint] [--dir DIR] "
         "[--metrics-out FILE] [--no-cache]\n"
-        "              (FITS_JOBS also sets N; FITS_CACHE_DIR "
-        "persists the analysis cache;\n"
-        "              exits 1 when every sample fails)\n"
+        "              (FITS_JOBS also sets N; FITS_CACHE_DIR=DIR "
+        "caches behavior bundles\n"
+        "              in DIR, --no-cache ignores it; exits 1 when "
+        "every sample fails)\n"
         "env: FITS_STAGE_TIMEOUT_MS bounds each cooperative pipeline "
         "stage\n");
     return 2;
@@ -487,14 +490,8 @@ cmdCorpus(int argc, char **argv)
 
     if (!metricsOut.empty())
         obs::setEnabled(true);
-    if (noCache) {
-        // Turn off both tiers: the in-process one as well as a disk
-        // tier that FITS_CACHE_DIR armed at startup.
-        cache::Options off;
-        off.memory = false;
-        off.disk = false;
-        cache::configure(off);
-    }
+    if (noCache) // Disarm the cache directory FITS_CACHE_DIR set.
+        cache::configure(cache::Options{});
     cache::resetStats();
 
     // Print the header eagerly (before the long evaluation) so the
